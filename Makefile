@@ -2,9 +2,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: tier1 test lint trace-test trace-demo trace-gate bench bench-gate chaos shard-gate iso-gate serve-gate obs-gate
+.PHONY: tier1 test lint trace-test trace-demo trace-gate bench bench-gate bench-smoke chaos shard-gate iso-gate serve-gate obs-gate
 
-tier1: test bench-gate trace-gate iso-gate serve-gate obs-gate lint  ## full tier-1 flow: tests + gates + lint
+tier1: test bench-smoke bench-gate trace-gate iso-gate serve-gate obs-gate lint  ## full tier-1 flow: tests + gates + lint
 
 test:            ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -17,6 +17,12 @@ bench-gate:      ## hot-path benchmark gate: writes the next BENCH_NNNN.json at 
                  ## repo root and exits nonzero on >10% events/sec regression or any
                  ## simulated-time checksum drift vs the prior record (EXPERIMENTS.md)
 	$(PYTHON) -c "from repro.harness.benchgate import main; raise SystemExit(main())"
+
+bench-smoke:     ## the host-time benchmark's own smoke test (--scale tiny, ~9 s):
+                 ## bench/ wraps public engine/shard/serve entry points by name
+                 ## (bench/spans.py trace_points) and sits outside pytest's
+                 ## testpaths, so a refactor that breaks one shows only here
+	$(PYTHON) -m pytest -q bench/test_bench_smoke.py
 
 shard-gate:      ## sharded-vs-serial equivalence gate: every gated benchmark must
                  ## produce bit-identical simulated times on the sharded PDES engine

@@ -18,10 +18,10 @@ analysis cannot settle:
 
 Activation: set ``REPRO_SANITIZE=1`` before constructing the
 Environment (the flag is sampled once in ``Environment.__init__``, the
-same pattern as ``REPRO_ENGINE_SLOWPATH``).  Sanitized runs take the
-checked step path — same pops, same order, same simulated times; the
-trajectory is bit-identical, only host wall time grows (<2x, measured
-in CI by running the determinism fuzz suite under the flag).
+same pattern as ``REPRO_ENGINE_SLOWPATH``).  The checks are hooks in
+the engine's one dispatch loop — same pops, same order, same simulated
+times; the trajectory is bit-identical, only host wall time grows (<2x,
+measured in CI by running the determinism fuzz suite under the flag).
 
 This module deliberately imports nothing from ``repro.sim`` — the
 engine imports *us* (lazily, only on sanitized paths), never the other

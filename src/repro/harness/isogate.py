@@ -26,7 +26,6 @@ many-to-many PME), so both runtime layers are exercised concurrently.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..converse import ConverseRuntime, RunConfig
 from ..converse.messages import ConverseMessage
+from ..serve.job import result_checksum
 from ..sim import Environment
 
 __all__ = [
@@ -72,8 +72,7 @@ class IsoInstance:
             "events": self.env.events_executed,
         }
         payload.update(self.result())
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return result_checksum(payload)
 
 
 def build_pingpong_instance(

@@ -86,8 +86,8 @@ def _sharded_task_build(nnodes: int, nshards: int, nbytes: int, trips: int):
     """JobSpec.build adapter: sharded ping-pong -> ShardedTask.
 
     Reuses the shardbench mirror builder (same construction as
-    ``make shard-gate``); the task's windowed ``advance()`` replays the
-    ShardCoordinator loop one window per slice.
+    ``make shard-gate``); the task's ``advance()`` is one
+    ``ShardCoordinator.advance_window()`` per slice.
     """
     from ..bgq.shardnet import ReservationFabric
     from ..converse import RunConfig

@@ -3,55 +3,65 @@
 The engine's throughput ceiling is CPython dispatch itself (ROADMAP
 item 2), yet until now nothing measured *which* dispatch sites dominate.
 This module attributes host wall time and invocation counts to the
-engine's dispatch choke points — ``step()`` callback processing keyed by
+engine's dispatch choke points — callback processing keyed by
 ``(event type, callback owner)``, with the zero-delay-deque vs heap pop
 split — so the compiled-core extraction boundary can be chosen from
 measured data rather than guesses.
 
-Design constraints, in order:
+The engine has one dispatch loop (``Environment._advance``) and the
+profiler is a hook in it: the loop counts a local down and calls
+:meth:`EngineProfiler.sample` on the event that zeroes it.  Everything
+else — the gap LCG, the open interval, settling it, the accumulator —
+is owned here.  Design constraints, in order:
 
 1. **Cycle-neutral when off.** ``Environment.profiler`` is ``None``
    unless a :class:`ProfileSession` is active at construction time; the
-   unprofiled ``step()`` pays exactly one slot load
-   (``self._profile``), already benchmarked inside the gated fast path.
+   unprofiled loop pays one ``is not None`` test of a local per event.
    ``make obs-gate`` proves checksums are bit-identical either way.
 2. **Deterministic.** Profiling only *reads* ``perf_counter_ns``; it
-   never schedules from it, never perturbs pop order, and the profiled
-   step (:meth:`repro.sim.engine.Environment._step_profiled`) replays
-   the exact merge logic of ``step()``.  Profiled simulated times are
-   bit-identical to unprofiled ones.
+   never schedules from it and never perturbs pop order — there is no
+   second loop to keep in step, profiled and unprofiled runs execute
+   the same pops.  Profiled simulated times are bit-identical to
+   unprofiled ones.
 3. **Cheap when on.** Per-event keying costs several hundred ns in
-   CPython — over budget on a ~µs dispatch — so the profiled step
-   stride-samples: non-sampled events pay one countdown decrement, and
-   each sampled event charges the whole interval since the previous
-   sample (wall time, exact event count, pop-site split) to the
-   previous sample's ``(event class, first callback)`` key.  Gaps come
-   from a seeded LCG (:meth:`EngineProfiler.next_gap`), deterministic
-   per run and jittered so periodic workloads cannot alias with the
-   stride; ``stride=1`` is exact per-event mode.  All name resolution,
+   CPython — over budget on a ~µs dispatch — so sampling is by stride:
+   non-sampled events pay one countdown decrement, and each sampled
+   event charges the whole interval since the previous sample (wall
+   time, exact event count, pop-site split) to the previous sample's
+   ``(event class, first callback)`` key.  Gaps come from a seeded LCG
+   (:meth:`EngineProfiler.next_gap`), deterministic per run and
+   jittered so periodic workloads cannot alias with the stride;
+   ``stride=1`` is exact per-event mode.  All name resolution,
    normalization and aggregation happen at export time in
    :meth:`ProfileSession.profile`.  Budget: ≤5% overhead, enforced by
    ``make obs-gate`` (interleaved median, the tracer-overhead
    methodology).
 
-The accumulator record layout (shared with ``engine._step_profiled``)
-is ``[count, nanos, deque_pops, heap_pops, span_first, span_last]``.
-The span fields hold the first/last :mod:`repro.trace` span index closed
-while this site's callbacks ran — the profile↔trace correlation handle
-(span ids are the span's index in ``tracer.spans``, the same id the
-Chrome exporter emits as ``args.span_id``).
+The accumulator record layout is ``[count, nanos, deque_pops,
+heap_pops, span_first, span_last]``.  The span fields hold the first/
+last :mod:`repro.trace` span index closed during the intervals charged
+to the site — the profile↔trace correlation handle (span ids are the
+span's index in ``tracer.spans``, the same id the Chrome exporter emits
+as ``args.span_id``).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from time import perf_counter_ns
+from types import FunctionType, MethodType
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import engine as _engine
 
 __all__ = ["EngineProfiler", "Profile", "ProfileSession", "owner_name"]
 
 PROFILE_SCHEMA = 1
+
+#: A profile node's numeric fields, in accumulator-record order.
+_RECORD_FIELDS = (
+    "count", "nanos", "deque_pops", "heap_pops", "span_first", "span_last",
+)
 
 _DIGITS = re.compile(r"\d+")
 
@@ -69,14 +79,13 @@ def _norm(name: str) -> str:
 def owner_name(cb: Any) -> str:
     """Resolve an accumulator callback key to an aggregatable label.
 
-    The hot path (``Environment._step_profiled``) keys on the first
-    callback when it is a bound method or plain function, and degrades
-    callable *instances* (constructed per event — unbounded
-    cardinality) to their class.  So ``cb`` here is a method, a
-    function, a class, or ``None`` (an event processed with no
-    callbacks).  Methods carry their class and method name plus the
-    owning object's ``name`` when it has one (normalized); functions
-    use their qualname.
+    :meth:`EngineProfiler.sample` keys on the first callback when it is
+    a bound method or plain function, and degrades callable *instances*
+    (constructed per event — unbounded cardinality) to their class.  So
+    ``cb`` here is a method, a function, a class, or ``None`` (an event
+    processed with no callbacks).  Methods carry their class and method
+    name plus the owning object's ``name`` when it has one (normalized);
+    functions use their qualname.
     """
     if cb is None:
         return "(no-callback)"
@@ -97,34 +106,46 @@ def owner_name(cb: Any) -> str:
 
 
 class EngineProfiler:
-    """Per-Environment hot-path accumulator.
+    """Per-Environment sampler and hot-path accumulator.
 
     One instance is attached to each :class:`~repro.sim.engine.Environment`
     constructed while a :class:`ProfileSession` is active.  The engine's
-    profiled step writes straight into :attr:`acc`; nothing else happens
-    until the session aggregates.
+    dispatch loop counts :attr:`skip` down in a local and calls
+    :meth:`sample` on the event that zeroes it; everything else about
+    sampling — the gap LCG, the open interval, settling it — lives here.
     """
 
-    __slots__ = ("acc", "pend", "index", "stride", "env", "_rng")
+    __slots__ = (
+        "acc", "index", "stride", "env", "skip", "_rng",
+        "_key", "_t0", "_site", "_span0", "_ev0",
+    )
 
     def __init__(self, index: int = 0, stride: int = 32, env: Any = None) -> None:
         #: raw accumulator: (event class, method|function|class|None) ->
         #: [count, nanos, deque_pops, heap_pops, span_first, span_last]
         self.acc: Dict[Tuple[type, Any], List[int]] = {}
-        #: pending charge opened at the last *sampled* event:
-        #: [key, t0_ns, site, span_first, span_last, ev0].  The engine
-        #: settles it at the next sampled step (one clock read per
-        #: sample, interval charging); :meth:`flush` settles the tail.
-        self.pend: List[Any] = [None, 0, 0, -1, -1, 0]
         #: ordinal of the Environment within the owning session
         self.index = index
         #: mean sampling gap in events; 1 = exact per-event mode
         self.stride = max(1, int(stride))
-        #: the owning Environment (for flush() to read events_executed)
+        #: the owning Environment (events_executed, tracer)
         self.env = env
+        #: events until the next sample (1: the very first event samples
+        #: and opens the first interval).  The dispatch loop keeps the
+        #: live countdown in a local and parks it here between calls.
+        self.skip = 1
         # LCG state, seeded per-profiler so sibling Environments do not
         # sample in lockstep.  No wall-clock entropy: deterministic.
         self._rng = (0x9E3779B9 ^ (index * 0x85EBCA6B)) & 0x7FFFFFFF or 1
+        # The interval opened at the last sampled event, settled by the
+        # next sample() or by flush(): its key (None = nothing open),
+        # opening clock read, pop-site slot in the record (2 deque,
+        # 3 heap), tracer span count and event index at opening.
+        self._key: Optional[Tuple[type, Any]] = None
+        self._t0 = 0
+        self._site = 2
+        self._span0 = -1
+        self._ev0 = 0
 
     def next_gap(self) -> int:
         """Events until the next sample, jittered around ``stride``.
@@ -141,32 +162,70 @@ class EngineProfiler:
         self._rng = x
         return 1 + x % (2 * stride - 1)
 
+    def sample(self, event: Any, callbacks: Optional[list], from_heap: bool) -> int:
+        """Close the open interval, open one keyed on ``event``.
+
+        Called by the dispatch loop on sampled events only, after the
+        pop and before the callbacks run; returns the countdown to the
+        next sample.  One clock read serves both ends: the interval
+        since the previous sample — its wall time, its *exact* event
+        count (every event lands in exactly one interval) and its
+        pop-site split — is charged to the previous sample's key, the
+        classic sampling-profiler attribution.
+
+        Keys stay bounded by code, not events: a bound method or plain
+        function keeps per-owner granularity (long-lived, or hash-equal
+        across rebinds); any other callable — ``_FirstWake``-style
+        one-shot wakers are constructed per event — degrades to its
+        class.
+        """
+        t = perf_counter_ns()
+        # The loop has already counted this event.
+        ev = self.env.events_executed - 1
+        if self._key is not None:
+            self._settle(ev - self._ev0, t - self._t0)
+        if callbacks:
+            cb0 = callbacks[0]
+            kind = cb0.__class__
+            if kind is not MethodType and kind is not FunctionType:
+                cb0 = kind
+        else:
+            cb0 = None
+        self._key = (event.__class__, cb0)
+        self._t0 = t
+        self._site = 3 if from_heap else 2
+        tracer = self.env.tracer
+        self._span0 = len(tracer.spans) if tracer is not None else -1
+        self._ev0 = ev
+        return self.next_gap()
+
+    def _settle(self, count: int, nanos: int) -> None:
+        """Charge the open interval to its key."""
+        rec = self.acc.get(self._key)
+        if rec is None:
+            self.acc[self._key] = rec = [0, 0, 0, 0, -1, -1]
+        rec[0] += count
+        rec[1] += nanos
+        rec[self._site] += count
+        if self._span0 >= 0:
+            closed = len(self.env.tracer.spans)
+            if closed > self._span0:
+                if rec[4] < 0:
+                    rec[4] = self._span0
+                rec[5] = closed - 1
+
     def flush(self) -> None:
         """Charge the still-open final interval (zero-timed).
 
         Interval charging leaves the tail since the last sampled event
         unsettled; its wall interval has no defined end (the engine
         stopped), so it contributes its event count and pop site but no
-        nanoseconds.  Idempotent — the pending cell is consumed.
+        nanoseconds.  Idempotent — the open interval is consumed.
         """
-        pend = self.pend
-        key = pend[0]
-        if key is None:
+        if self._key is None:
             return
-        rec = self.acc.get(key)
-        if rec is None:
-            self.acc[key] = rec = [0, 0, 0, 0, -1, -1]
-        env = self.env
-        gap = (env.events_executed - pend[5]) if env is not None else 1
-        if gap < 1:
-            gap = 1
-        rec[0] += gap
-        rec[pend[2]] += gap
-        if pend[3] >= 0:
-            if rec[4] < 0:
-                rec[4] = pend[3]
-            rec[5] = pend[4]
-        pend[0] = None
+        self._settle(self.env.events_executed - self._ev0, 0)
+        self._key = None
 
     def total_nanos(self) -> int:
         return sum(rec[1] for rec in self.acc.values())
@@ -204,6 +263,38 @@ class Profile:
 
     # -- aggregation ---------------------------------------------------
 
+    @staticmethod
+    def _fold(
+        merged: Dict[Tuple[str, str], Dict[str, Any]],
+        event_type: str,
+        owner: str,
+        rec: Sequence[int],
+    ) -> None:
+        """Add one ``[count, nanos, deque_pops, heap_pops, span_first,
+        span_last]`` record into the node for ``(event_type, owner)``."""
+        key = (event_type, owner)
+        node = merged.get(key)
+        if node is None:
+            merged[key] = node = {
+                "event_type": event_type,
+                "owner": owner,
+                "count": 0,
+                "nanos": 0,
+                "deque_pops": 0,
+                "heap_pops": 0,
+                "span_first": -1,
+                "span_last": -1,
+            }
+        node["count"] += rec[0]
+        node["nanos"] += rec[1]
+        node["deque_pops"] += rec[2]
+        node["heap_pops"] += rec[3]
+        if rec[4] >= 0:
+            if node["span_first"] < 0 or rec[4] < node["span_first"]:
+                node["span_first"] = rec[4]
+            if rec[5] > node["span_last"]:
+                node["span_last"] = rec[5]
+
     @classmethod
     def from_profilers(
         cls, label: str, profilers: List[EngineProfiler]
@@ -212,61 +303,20 @@ class Profile:
         for prof in profilers:
             prof.flush()
             for (etype, cb), rec in prof.acc.items():
-                key = (etype.__name__, owner_name(cb))
-                node = merged.get(key)
-                if node is None:
-                    merged[key] = node = {
-                        "event_type": key[0],
-                        "owner": key[1],
-                        "count": 0,
-                        "nanos": 0,
-                        "deque_pops": 0,
-                        "heap_pops": 0,
-                        "span_first": -1,
-                        "span_last": -1,
-                    }
-                node["count"] += rec[0]
-                node["nanos"] += rec[1]
-                node["deque_pops"] += rec[2]
-                node["heap_pops"] += rec[3]
-                if rec[4] >= 0:
-                    if node["span_first"] < 0 or rec[4] < node["span_first"]:
-                        node["span_first"] = rec[4]
-                    if rec[5] > node["span_last"]:
-                        node["span_last"] = rec[5]
+                cls._fold(merged, etype.__name__, owner_name(cb), rec)
         return cls(label, list(merged.values()), envs=len(profilers))
 
     @classmethod
     def merge(cls, label: str, profiles: List["Profile"]) -> "Profile":
         """Merge already-aggregated profiles (e.g. across gate reps)."""
         merged: Dict[Tuple[str, str], Dict[str, Any]] = {}
-        envs = 0
         for prof in profiles:
-            envs += prof.envs
             for src in prof.nodes:
-                key = (src["event_type"], src["owner"])
-                node = merged.get(key)
-                if node is None:
-                    merged[key] = node = {
-                        "event_type": key[0],
-                        "owner": key[1],
-                        "count": 0,
-                        "nanos": 0,
-                        "deque_pops": 0,
-                        "heap_pops": 0,
-                        "span_first": -1,
-                        "span_last": -1,
-                    }
-                node["count"] += src["count"]
-                node["nanos"] += src["nanos"]
-                node["deque_pops"] += src["deque_pops"]
-                node["heap_pops"] += src["heap_pops"]
-                if src["span_first"] >= 0:
-                    if node["span_first"] < 0 or src["span_first"] < node["span_first"]:
-                        node["span_first"] = src["span_first"]
-                    if src["span_last"] > node["span_last"]:
-                        node["span_last"] = src["span_last"]
-        return cls(label, list(merged.values()), envs=envs)
+                cls._fold(
+                    merged, src["event_type"], src["owner"],
+                    [src[field] for field in _RECORD_FIELDS],
+                )
+        return cls(label, list(merged.values()), envs=sum(p.envs for p in profiles))
 
     # -- queries -------------------------------------------------------
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
 
 from ..sim import Environment, Event
+from ..sim.shard import ShardCoordinator, ShardStallError
 from .job import JobStallError, result_checksum
 
 __all__ = ["SimTask", "EnvTask", "ShardedTask", "ModelTask"]
@@ -159,12 +160,11 @@ class EnvTask:
 class ShardedTask:
     """A windowed conservative-PDES run (composes with ``sim.shard``).
 
-    One ``advance()`` call executes one coordinator window: flush
-    cross-shard traffic, idle-jump to the earliest pending event, run
-    every shard through ``[T, T + window)``.  This is exactly
-    :meth:`repro.sim.shard.ShardCoordinator.run`'s loop body, expressed
-    as a resumable slice so a sharded job shares the worker pool
-    fairly with single-Environment jobs.
+    One ``advance()`` call is one
+    :meth:`~repro.sim.shard.ShardCoordinator.advance_window` — the
+    coordinator's own barrier body — so a sharded job shares the worker
+    pool fairly with single-Environment jobs while keeping the barrier
+    structure (and therefore the event order) of ``ShardCoordinator.run``.
     """
 
     def __init__(
@@ -178,46 +178,33 @@ class ShardedTask:
         result_fn: Optional[Callable[[], Dict[str, Any]]] = None,
         label: str = "sharded",
     ) -> None:
-        if not shards:
-            raise ValueError("need at least one shard")
-        self.shards = list(shards)
+        self._coord = ShardCoordinator(shards, window, fabric)
+        self.shards = self._coord.shards
         self.done = done
-        self.window = float(window)
-        self.fabric = fabric
         self._on_stop = on_stop
         self._result_fn = result_fn
         self.label = label
-        self.windows_run = 0
         self._stopped = False
         root = done.env
         if root not in self.shards:
             raise ValueError("`done` event does not belong to any shard")
         self._root = root
 
+    @property
+    def windows_run(self) -> int:
+        return self._coord.windows_run
+
     def start(self) -> None:  # shard builders start their runtimes
         return None
 
     def advance(self, max_events: int) -> bool:
-        # max_events bounds per-shard work only indirectly: one window
-        # per call keeps the barrier structure (and therefore the event
-        # order) identical to ShardCoordinator.run.
-        if self.done.processed:
-            return True
-        if self.fabric is not None:
-            self.fabric.flush()
-        m = min(env.peek() for env in self.shards)
-        if m == _INF:
-            if self.done.processed:
-                return True
-            raise JobStallError(
-                f"{self.label}: every shard idle, no cross-shard traffic "
-                "in flight, and the done event never triggered"
-            )
-        end = m + self.window
-        for env in self.shards:
-            env.run_window(end, self.done if env is self._root else None)
-        self.windows_run += 1
-        return self.done.processed
+        # max_events bounds per-shard work only indirectly: a window is
+        # the smallest unit that keeps the barrier structure.
+        try:
+            return self._coord.advance_window(self.done)
+        except ShardStallError as exc:
+            # Keep the coordinator's per-shard report in the job error.
+            raise JobStallError(f"{self.label}: {exc}") from exc
 
     def stop(self) -> None:
         if self._stopped:

@@ -14,48 +14,62 @@ nanoseconds/microseconds live on the machine parameter objects.
 
 Hot path
 --------
-``Environment.step()`` / ``Process._resume()`` dominate the wall-clock
-of every figure reproduction (see EXPERIMENTS.md "Benchmark gate"), so
-the kernel keeps a *fast path* that is *cycle-for-cycle identical* to
-the straightforward implementation — same event order, same simulated
-times — but cheaper on the host:
+Event dispatch dominates the wall-clock of every figure reproduction
+(see EXPERIMENTS.md "Benchmark gate").  There is **one dispatch loop**,
+:meth:`Environment._advance`; ``run()``, ``run_window()`` and a hooked
+``step()`` are thin callers of it.  It is *cycle-for-cycle identical*
+to the straightforward single-heap implementation — same event order,
+same simulated times — but cheaper on the host:
 
 * zero-delay events (every ``succeed``/``fail``, process init/interrupt
   wakes, condition triggers) go to a FIFO deque instead of the heap.
   Because the clock cannot advance past a pending event, all deque
   entries share the current timestamp and carry their schedule sequence
-  number; :meth:`Environment.step` merges deque and heap by
-  ``(time, seq)``, reproducing exact heap order with O(1) scheduling
-  for the dominant zero-delay class;
+  number; the loop merges deque and heap by ``(time, seq)``,
+  reproducing exact heap order with O(1) scheduling for the dominant
+  zero-delay class;
+* the loop pops and dispatches inline (no per-event method call) and
+  tests the stop bound on heap pops only;
 * ``Event.callbacks`` is lazily allocated (``None`` until the first
   waiter registers; reset to ``None`` once processed), so events nobody
   waits on never allocate a list;
 * each :class:`Process` reuses one bound ``_resume`` callback for every
   wait instead of materialising a new bound method per yield;
-* :meth:`Environment.step` inlines callback processing, and
-  :class:`Timeout` initialises its slots directly — the common
+* :class:`Timeout` initialises its slots directly — the common
   ``timeout -> resume`` cycle runs without intermediate method calls;
 * every :class:`Event` subclass is ``__slots__``-complete (no instance
   dicts on the hot path).
 
-Setting ``REPRO_ENGINE_SLOWPATH=1`` in the environment before creating
-an :class:`Environment` routes *all* scheduling through the heap (the
-reference behaviour).  The determinism suite
-(``tests/sim/test_determinism.py``) asserts both paths produce
-bit-identical trajectories.
+The only other copy of pop-merge-dispatch is the body of an *un-hooked*
+``step()``: the serve layer and the iso-gate drive whole runs through
+``peek()``/``step()``, and a budgeted turn of the loop per call measured
+100-150 ns/event dearer.  The drive-mode matrix in
+``tests/sim/test_determinism.py`` holds the two to one trajectory, and
+to the ``REPRO_ENGINE_SLOWPATH=1`` reference: set before creating an
+:class:`Environment`, it routes *all* scheduling through the heap.
 
-Sanitizer
----------
-``REPRO_SANITIZE=1`` (sampled at :class:`Environment` construction,
-like the slow-path flag) routes stepping through a *checked* path that
-pops in exactly the same order but additionally detects runtime
-protocol violations the static pass (``repro.analysis``, rule docs in
-docs/ANALYSIS.md) cannot prove: reentrant ``step()``/``run()`` calls
-from inside event callbacks, callback registration on already-processed
-events (lost wakeups), and hash-ordered iterables handed to
-``any_of``/``all_of``.  The checks raise
-:class:`repro.analysis.sanitizer.SanitizerError`; the trajectory of a
-clean run is bit-identical to an unsanitized one.
+Hooks
+-----
+Two optional observers ride in the loop, each bound once per call and
+costing the un-hooked loop one local test per event.  They compose: a
+sanitized run can be profiled, a profiled run is still checked.
+
+* **Sanitizer** — ``REPRO_SANITIZE=1`` (sampled at :class:`Environment`
+  construction, like the slow-path flag) detects runtime protocol
+  violations the static pass (``repro.analysis``, rule docs in
+  docs/ANALYSIS.md) cannot prove: reentrant ``step()``/``run()`` calls
+  from inside event callbacks (a guard taken on entry to the loop),
+  callback lists repopulated while their event is processed (one check
+  after dispatch), callback registration on already-processed events
+  (lost wakeups), and hash-ordered iterables handed to
+  ``any_of``/``all_of``.  The checks raise
+  :class:`repro.analysis.sanitizer.SanitizerError`; the trajectory of a
+  clean run is bit-identical to an unsanitized one.
+* **Profiler** — a :class:`repro.obs.EngineProfiler`, attached at
+  construction by an active ``ProfileSession``.  The loop counts down in
+  a local and calls ``profiler.sample()`` on sampled events only; all
+  other sampling state lives in ``repro.obs.profiler``.  Only the host
+  clock is read, so profiled simulated times are bit-identical too.
 """
 
 from __future__ import annotations
@@ -63,8 +77,6 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
-from time import perf_counter_ns
-from types import FunctionType as _FunctionType, MethodType as _MethodType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -446,9 +458,9 @@ class Environment:
     Two pending-event stores cooperate (see the module docstring):
     ``_queue`` is the timestamp heap; ``_imm`` is the FIFO deque of
     zero-delay events, all stamped with the current time and a schedule
-    sequence number.  :meth:`step` pops whichever holds the globally
-    smallest ``(time, seq)``, so the merged order is exactly the
-    classic single-heap order.
+    sequence number.  The dispatch loop (:meth:`_advance`) pops
+    whichever holds the globally smallest ``(time, seq)``, so the merged
+    order is exactly the classic single-heap order.
     """
 
     __slots__ = (
@@ -463,12 +475,6 @@ class Environment:
         "events_executed",
         "tracer",
         "profiler",
-        "_profile",
-        "_pacc",
-        "_ppend",
-        "_pskip",
-        "_prng",
-        "_pmod",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -480,9 +486,11 @@ class Environment:
         #: REPRO_ENGINE_SLOWPATH=1 forces all scheduling through the
         #: heap (reference path, bit-identical results — see module doc).
         self._fastpath = os.environ.get("REPRO_ENGINE_SLOWPATH") != "1"
-        #: REPRO_SANITIZE=1 routes step() through the checked path (see
+        #: REPRO_SANITIZE=1 arms the dispatch loop's protocol checks (see
         #: module doc "Sanitizer"); trajectory-neutral, host-time only.
         self._sanitize = os.environ.get("REPRO_SANITIZE") == "1"
+        #: True while _advance is on the stack of a sanitized run (the
+        #: reentrancy guard).
         self._stepping = False
         self._active_process: Optional[Process] = None
         #: Events processed so far.  Maintained unconditionally (an int
@@ -499,33 +507,7 @@ class Environment:
         #: construction; profiling only *measures* — simulated times
         #: stay bit-identical (``make obs-gate`` proves it).
         factory = _PROFILER_FACTORY[0]
-        if factory is None:
-            self.profiler = None
-            self._profile = False
-            self._pacc = None
-            self._ppend = None
-            self._pskip = 0
-            self._prng = 0
-            self._pmod = 1
-        else:
-            prof = factory(self)
-            self.profiler = prof
-            self._profile = True
-            # Direct slot references into the profiler's accumulator
-            # and pending-charge cell: one load each on the profiled
-            # hot path instead of two attribute hops per event.
-            self._pacc = prof.acc
-            self._ppend = prof.pend
-            # Sampling state, inlined into slots so the profiled step
-            # never makes a Python call to draw the next gap: _pskip is
-            # the countdown to the next sample (1 → the very first step
-            # samples and opens the first interval), _prng/_pmod the
-            # LCG state and gap modulus (gaps are 1 + x % _pmod, i.e.
-            # uniform on [1, 2*stride-1], mean = stride; _pmod == 1 is
-            # exact per-event mode).  Mirrors EngineProfiler.next_gap.
-            self._pskip = 1
-            self._prng = prof._rng
-            self._pmod = (2 * prof.stride - 1) if prof.stride > 1 else 1
+        self.profiler = factory(self) if factory is not None else None
 
     # -- clock ---------------------------------------------------------
     @property
@@ -574,22 +556,21 @@ class Environment:
         return q[0][0] if q else _INF
 
     def step(self) -> None:
-        """Process exactly one event (the globally next in (time, seq))."""
-        if self._sanitize:
-            return self._step_checked()
-        if self._profile:
-            return self._step_profiled()
+        """Process exactly one event (the globally next in (time, seq)).
+
+        Un-hooked, this is the one copy of the merge outside
+        :meth:`_advance` (module docstring, "Hot path": why it stays);
+        hooked, it is one budgeted turn of that loop, so the hooks see
+        every event whichever way the run is driven.
+        """
+        if self._sanitize or self.profiler is not None:
+            self._advance(_INF, None, 1)
+            return
         imm = self._imm
         q = self._queue
-        if imm:
-            # Deque entries all carry time == now; a heap entry wins
-            # only when it was scheduled earlier at this same timestamp
-            # (same time, smaller seq).  Tuple compare never reaches the
-            # event element: (time, seq) is unique.
-            if q and q[0] < imm[0]:
-                when, _, event = heapq.heappop(q)
-            else:
-                when, _, event = imm.popleft()
+        # Same merge rule as _advance (explained there).
+        if imm and not (q and q[0] < imm[0]):
+            when, _, event = imm.popleft()
         elif q:
             when, _, event = heapq.heappop(q)
         else:
@@ -606,194 +587,91 @@ class Environment:
         if event._exc is not None and not event._defused:
             raise event._exc
 
-    def _step_checked(self) -> None:
-        """Sanitized step: identical pop order, plus protocol checks.
+    def _advance(
+        self, stop_time: float, stop_event: Optional[Event], budget: int
+    ) -> Any:
+        """The dispatch loop behind :meth:`run`, :meth:`run_window` and
+        hooked :meth:`step`: pop in ``(time, seq)`` order and dispatch.
 
-        Duplicates the (small) merge logic of :meth:`step` rather than
-        branching inside it, so the unsanitized hot loop stays exactly
-        as benchmarked.  Detects reentrant stepping (a callback calling
-        ``step()``/``run()``) and callbacks re-registered onto the event
-        being processed (a wakeup that would be lost silently).
+        Stops at the first of: the next event is at or after
+        ``stop_time`` (the clock then lands exactly on a finite
+        ``stop_time``, also when the queue drains first); ``stop_event``
+        has been processed (its value is returned, the clock stays at
+        its time); ``budget`` events have run (0 = no limit; a budgeted
+        call that finds the queue empty is ``step()`` on an empty
+        queue).  Both hooks are bound once per call, not per event.
         """
-        from ..analysis.sanitizer import SanitizerError
+        sanitize = self._sanitize
+        if sanitize:
+            from ..analysis.sanitizer import SanitizerError
 
-        if self._stepping:
-            raise SanitizerError(
-                "reentrant Environment.step(): an event callback invoked "
-                "step()/run() — schedule follow-up work as events instead"
-            )
-        self._stepping = True
-        try:
-            imm = self._imm
-            q = self._queue
-            if imm:
-                if q and q[0] < imm[0]:
-                    when, _, event = heapq.heappop(q)
-                else:
-                    when, _, event = imm.popleft()
-            elif q:
-                when, _, event = heapq.heappop(q)
-            else:
-                raise SimulationError("step() on empty event queue")
-            self._now = when
-            self.events_executed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._state = _PROCESSED
-            if callbacks is not None:
-                for cb in callbacks:
-                    cb(event)
-            if event.callbacks is not None:
+            if self._stepping:
                 raise SanitizerError(
-                    f"callback list of {event!r} repopulated while it was "
-                    "being processed — that callback would never fire"
+                    "reentrant Environment.step(): an event callback invoked "
+                    "step()/run() — schedule follow-up work as events instead"
                 )
-            if event._exc is not None and not event._defused:
-                raise event._exc
-        finally:
-            self._stepping = False
-
-    def _step_profiled(self) -> None:
-        """Profiled step: identical pop order, plus hotspot attribution.
-
-        Like :meth:`_step_checked`, this duplicates the merge logic of
-        :meth:`step` so the unprofiled hot loop stays exactly as
-        benchmarked.  The ≤5% overhead budget (``make obs-gate``)
-        shapes everything here:
-
-        * **Deterministic stride sampling.**  Per-event keying costs
-          several hundred ns in CPython — an order of magnitude over
-          budget on a ~µs dispatch — so only *sampled* events are
-          keyed and timed; the rest run the plain ``step()`` body plus
-          one countdown decrement.  Sample gaps come from
-          ``EngineProfiler.next_gap()`` (a seeded LCG over the event
-          index: deterministic per run, and jittered so periodic
-          workloads cannot alias with the stride).  ``stride=1``
-          degenerates to exact per-event attribution.
-        * **Interval charging, one clock read per sample.**  The read
-          at the top of a sampled step closes the interval opened at
-          the previous sample: its wall time, its event count (exact —
-          every event lands in exactly one interval) and its pop-site
-          split are charged to the *previous* sampled event's key, the
-          classic sampling-profiler attribution.  The final interval
-          is settled by ``EngineProfiler.flush()`` at export.
-        * **Bounded keys.**  Keying on the raw callback would make the
-          accumulator grow with *events*, not code: callable instances
-          (``_FirstWake``-style one-shot wakers) are constructed per
-          event.  Methods and plain functions are long-lived (or
-          hash-equal across rebinds) and keep per-owner granularity;
-          anything else degrades to its class.
-        * **No name resolution.**  ``repro.obs.profiler`` resolves and
-          normalizes owner names at export time; the accumulator value
-          layout it owns is ``[count, nanos, deque_pops, heap_pops,
-          span_first, span_last]``, where the span fields correlate the
-          site with :mod:`repro.trace` span ids (a span's id is its
-          index in ``tracer.spans``) when a tracer is live.
-
-        Only host wall time is *read*: pop order, timestamps and
-        callback execution are byte-for-byte those of :meth:`step`,
-        which is why profiled runs checksum bit-identically to
-        unprofiled ones.
-        """
-        skip = self._pskip - 1
-        if skip > 0:
-            # Non-sampled event: the plain step() body verbatim, plus
-            # one countdown write — the whole point of sampling is that
-            # this path costs a few nanoseconds, not a dict lookup.
-            self._pskip = skip
-            imm = self._imm
-            q = self._queue
-            if imm:
-                if q and q[0] < imm[0]:
-                    when, _, event = heapq.heappop(q)
-                else:
-                    when, _, event = imm.popleft()
-            elif q:
-                when, _, event = heapq.heappop(q)
-            else:
-                raise SimulationError("step() on empty event queue")
-            self._now = when
-            self.events_executed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._state = _PROCESSED
-            if callbacks is not None:
-                for cb in callbacks:
-                    cb(event)
-            if event._exc is not None and not event._defused:
-                raise event._exc
-            return
-        # Sampled event: settle the interval pending since the last
-        # sample, then key this event and open a new interval.
-        t = perf_counter_ns()
-        ev = self.events_executed
-        pend = self._ppend  # [key, t0_ns, site, span_first, span_last, ev0]
-        key = pend[0]
-        if key is not None:
-            acc = self._pacc
-            rec = acc.get(key)
-            if rec is None:
-                acc[key] = rec = [0, 0, 0, 0, -1, -1]
-            gap = ev - pend[5]
-            rec[0] += gap
-            rec[1] += t - pend[1]
-            rec[pend[2]] += gap
-            if pend[3] >= 0:
-                if rec[4] < 0:
-                    rec[4] = pend[3]
-                rec[5] = pend[4]
-        x = (self._prng * 1103515245 + 12345) & 0x7FFFFFFF
-        self._prng = x
-        self._pskip = 1 + x % self._pmod
+            self._stepping = True
+        prof = self.profiler
+        # Events until the profiler's next sample; it parks the
+        # countdown on itself between calls (windows, served slices).
+        skip = prof.skip if prof is not None else 0
         imm = self._imm
         q = self._queue
-        if imm:
-            if q and q[0] < imm[0]:
-                when, _, event = heapq.heappop(q)
-                site = 3
-            else:
-                when, _, event = imm.popleft()
-                site = 2
-        elif q:
-            when, _, event = heapq.heappop(q)
-            site = 3
-        else:
-            raise SimulationError("step() on empty event queue")
-        self._now = when
-        self.events_executed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._state = _PROCESSED
-        if callbacks:
-            cb0 = callbacks[0]
-            kind = cb0.__class__
-            if kind is not _MethodType and kind is not _FunctionType:
-                cb0 = kind
-        else:
-            cb0 = None
-        pend[0] = (event.__class__, cb0)
-        pend[1] = t
-        pend[2] = site
-        pend[5] = ev
-        tracer = self.tracer
-        if tracer is None:
-            pend[3] = -1
-            if callbacks is not None:
-                for cb in callbacks:
-                    cb(event)
-        else:
-            nspan = len(tracer.spans)
-            if callbacks is not None:
-                for cb in callbacks:
-                    cb(event)
-            closed = len(tracer.spans)
-            if closed > nspan:
-                pend[3] = nspan
-                pend[4] = closed - 1
-            else:
-                pend[3] = -1
-        if event._exc is not None and not event._defused:
-            raise event._exc
+        try:
+            # An empty window (stop_time <= now) runs nothing.  Past that
+            # test only heap pops need the bound: a deque entry carries
+            # time == now, and now stays below stop_time from here on.
+            while stop_time > self._now:
+                # Take the deque head unless the heap head is strictly
+                # smaller — possible only at the same timestamp (an
+                # entry scheduled earlier: same time, smaller seq).  The
+                # tuple compare never reaches the event: (time, seq) is
+                # unique.
+                if imm and not (q and q[0] < imm[0]):
+                    when, _, event = imm.popleft()
+                    from_heap = False
+                elif q:
+                    if q[0][0] >= stop_time:
+                        break
+                    when, _, event = heapq.heappop(q)
+                    from_heap = True
+                elif budget:
+                    raise SimulationError("step() on empty event queue")
+                else:
+                    break
+                self._now = when
+                self.events_executed += 1
+                # Inlined Event._process_callbacks (hot loop).
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._state = _PROCESSED
+                if prof is not None:
+                    skip -= 1
+                    if not skip:
+                        skip = prof.sample(event, callbacks, from_heap)
+                if callbacks is not None:
+                    for cb in callbacks:
+                        cb(event)
+                if sanitize and event.callbacks is not None:
+                    raise SanitizerError(
+                        f"callback list of {event!r} repopulated while it was "
+                        "being processed — that callback would never fire"
+                    )
+                if event._exc is not None and not event._defused:
+                    raise event._exc
+                if stop_event is not None and stop_event._state == _PROCESSED:
+                    return stop_event.value
+                if budget:
+                    budget -= 1
+                    if not budget:
+                        return None
+        finally:
+            self._stepping = False
+            if prof is not None:
+                prof.skip = skip
+        if stop_time != _INF:
+            self._now = stop_time
+        return None
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the given time or event; returns the event's value.
@@ -819,23 +697,7 @@ class Environment:
                     f"run(until={stop_time}) is in the past (now={self._now})"
                 )
 
-        # Bind the variant once: skipping the per-event dispatch hop in
-        # step() is worth ~100ns/event, a real fraction of the profiled
-        # path's ≤5% budget.  step() itself still dispatches for direct
-        # callers; _sanitize wins when both are set (step()'s order).
-        if self._profile and not self._sanitize:
-            step = self._step_profiled
-        else:
-            step = self.step
-        imm = self._imm
-        q = self._queue
-        if stop_event is None and stop_time == _INF:
-            # Drain-the-queue loop (the common benchmark shape).
-            while imm or q:
-                step()
-            return None
-
-        value = self.run_window(stop_time, stop_event)
+        value = self._advance(stop_time, stop_event, 0)
         if stop_event is not None and stop_event._state != _PROCESSED:
             raise SimulationError(
                 f"run() ran out of events before {stop_event!r} triggered"
@@ -855,19 +717,4 @@ class Environment:
         of events is *not* an error here: under sharding, a drained
         shard simply waits at the window boundary for neighbour traffic.
         """
-        if self._profile and not self._sanitize:
-            step = self._step_profiled
-        else:
-            step = self.step
-        imm = self._imm
-        q = self._queue
-        while imm or q:
-            if (imm[0][0] if imm else q[0][0]) >= stop_time:
-                self._now = stop_time
-                return None
-            step()
-            if stop_event is not None and stop_event._state == _PROCESSED:
-                return stop_event.value
-        if stop_time != _INF:
-            self._now = stop_time
-        return None
+        return self._advance(stop_time, stop_event, 0)

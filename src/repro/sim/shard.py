@@ -207,34 +207,38 @@ class ShardCoordinator:
         self.windows_run = 0
 
     def run(self, until: Event) -> Any:
-        """Advance all shards until ``until`` (an event on one of them).
-
-        The clock-advance rule (docs/SCALING.md): at every barrier,
-        flush cross-shard traffic, then run every shard through
-        ``[T, T + window)`` where ``T = min(next event time over all
-        shards)`` — the idle-jump directly to the earliest work, so
-        sparsely loaded shard sets don't crawl through empty windows.
-        """
-        done = until
-        root = done.env
-        if root not in self.shards:
+        """Advance all shards until ``until`` (an event on one of them)."""
+        if until.env not in self.shards:
             raise ValueError("`until` event does not belong to any shard")
-        fabric = self.fabric
-        from .engine import _PROCESSED  # local import: engine-internal state tag
+        while not self.advance_window(until):
+            pass
+        return until.value
 
-        while done._state != _PROCESSED:
-            if fabric is not None:
-                fabric.flush()
-            m = min(env.peek() for env in self.shards)
-            if m == _INF:
-                if done._state == _PROCESSED:
-                    break
-                raise ShardStallError(self._stall_report(done))
-            end = m + self.window
-            for env in self.shards:
-                env.run_window(end, done if env is root else None)
-            self.windows_run += 1
-        return done.value
+    def advance_window(self, done: Event) -> bool:
+        """Run one barrier-to-barrier window; True once ``done`` is processed.
+
+        The clock-advance rule (docs/SCALING.md): flush cross-shard
+        traffic, then run every shard through ``[T, T + window)`` where
+        ``T = min(next event time over all shards)`` — the idle-jump
+        directly to the earliest work, so sparsely loaded shard sets
+        don't crawl through empty windows.  Raises
+        :class:`ShardStallError` when nothing is pending anywhere.
+        :meth:`run` is a loop over this; a caller that must yield
+        between windows (``repro.serve.ShardedTask``) calls it directly.
+        """
+        if done.processed:
+            return True
+        if self.fabric is not None:
+            self.fabric.flush()
+        m = min(env.peek() for env in self.shards)
+        if m == _INF:
+            raise ShardStallError(self._stall_report(done))
+        end = m + self.window
+        root = done.env
+        for env in self.shards:
+            env.run_window(end, done if env is root else None)
+        self.windows_run += 1
+        return done.processed
 
     def _stall_report(self, done: Event) -> str:
         lines = [

@@ -11,6 +11,7 @@ The two load-bearing claims (docs/OBSERVABILITY.md):
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizerError, sanitized
 from repro.obs import EngineProfiler, Profile, ProfileSession, owner_name
 from repro.obs.profiler import _norm
 from repro.sim import Environment
@@ -70,6 +71,54 @@ def test_exact_mode_attributes_every_event():
     assert profile.total_count == env.events_executed
     # In exact mode the timed share is everything but the final flush.
     assert all(n["count"] > 0 for n in profile.nodes)
+
+
+def test_profiler_and_sanitizer_compose():
+    """Both hooks live in the one dispatch loop, so neither hides the
+    other: a sanitized run is still profiled, a profiled run is still
+    checked.  (The sanitized step variant used to win and the profile
+    came back empty.)"""
+    base = run_workload(Environment())
+    with sanitized(), ProfileSession("t", stride=7) as sess:
+        env = Environment()
+        assert run_workload(env) == base
+    assert env._sanitize and env.profiler is not None
+    profile = sess.profile()
+    assert profile.total_count == env.events_executed > 0
+    assert profile.nodes
+
+    with sanitized(), ProfileSession("t", stride=1) as sess:
+        env = Environment()
+    env.timeout(1.0)  # pending work for the reentrant call to grab
+    ev = env.event()
+    ev._add_callback(lambda _ev: env.step())
+    ev.succeed()
+    with pytest.raises(SanitizerError, match="reentrant"):
+        env.step()
+    assert sess.profile().total_count == env.events_executed == 1
+
+
+def test_span_range_covers_the_intervals_charged_to_a_site():
+    """With a tracer attached, a site's span_first/span_last bracket the
+    spans closed while its intervals were open."""
+    from types import SimpleNamespace
+
+    with ProfileSession("t", stride=1) as sess:
+        env = Environment()
+    env.tracer = SimpleNamespace(spans=[])
+
+    def close_span(_ev):
+        env.tracer.spans.append(object())
+
+    quiet = env.timeout(1.0)          # closes nothing
+    for delay in (2.0, 3.0):
+        env.timeout(delay)._add_callback(close_span)
+    env.run()
+    assert quiet.processed and len(env.tracer.spans) == 2
+    nodes = {n["owner"]: n for n in sess.profile().nodes}
+    assert (nodes["(no-callback)"]["span_first"], nodes["(no-callback)"]["span_last"]) == (-1, -1)
+    spanned = next(n for o, n in nodes.items() if "close_span" in o)
+    assert (spanned["span_first"], spanned["span_last"], spanned["count"]) == (0, 1, 2)
 
 
 def test_accumulator_is_bounded_by_code_not_events():

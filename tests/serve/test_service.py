@@ -17,9 +17,12 @@ from repro.serve import (
     EnvTask,
     JobService,
     JobSpec,
+    JobStallError,
     ModelTask,
+    ShardedTask,
 )
 from repro.sim import Environment
+from repro.sim.shard import ShardEnvironment, ShardStallError
 
 
 def make_build(seed, ticks=40, record=None):
@@ -64,6 +67,25 @@ def stall_build(spec):
     done = env.event()  # never succeeds; the queue drains first
     env.process((env.timeout(1.0) for _ in range(1)))
     return EnvTask(env, done, label=spec.name)
+
+
+class _IdleFabric:
+    """The coordinator's fabric protocol with nothing ever in flight."""
+
+    def flush(self):
+        return 0
+
+    def pending(self):
+        return 0
+
+
+def sharded_stall_build(spec):
+    shards = [ShardEnvironment(0), ShardEnvironment(1)]
+    done = shards[0].event()  # never succeeds; both shards drain first
+    shards[0].timeout(3.0)
+    shards[1].timeout(5.0)
+    return ShardedTask(shards, done, window=2.0, fabric=_IdleFabric(),
+                       label=spec.name)
 
 
 def test_priority_bands_run_in_order_fifo_within_band():
@@ -137,6 +159,34 @@ def test_stalled_job_fails_with_stall_diagnostic():
     job = asyncio.run(run())
     assert job.state == FAILED
     assert "drained" in job.error
+
+
+def test_stalled_sharded_job_error_carries_the_coordinator_report():
+    """The job error names every shard's clock, next event and executed
+    count plus the fabric backlog — not a one-line "stalled"."""
+    async def run():
+        svc = JobService(workers=1)
+        svc.start()
+        job = svc.submit(JobSpec(name="shard-stall", build=sharded_stall_build))
+        await svc.join()
+        await svc.close()
+        return job
+
+    job = asyncio.run(run())
+    assert job.state == FAILED
+    assert "JobStallError" in job.error and "shard-stall" in job.error
+    # Two windows ran ([3, 5) and [5, 7)) before everything went idle.
+    assert "shard 0: now=7.0 next_event=inf executed=1" in job.error
+    assert "shard 1: now=7.0 next_event=inf executed=1" in job.error
+    assert "fabric: pending=0" in job.error
+
+    # Direct callers can still reach the coordinator's own exception.
+    task = sharded_stall_build(JobSpec(name="direct", build=sharded_stall_build))
+    assert not task.advance(1) and not task.advance(1)
+    with pytest.raises(JobStallError) as info:
+        task.advance(1)
+    assert isinstance(info.value.__cause__, ShardStallError)
+    assert task.windows_run == 2
 
 
 def test_failed_build_marks_job_failed():

@@ -12,24 +12,61 @@ Two properties, checked over randomized producer/consumer workloads:
    trajectory.  This is the engine's core invariant: the fast path must
    be cycle-for-cycle neutral, not merely "statistically equivalent".
 
+3. **Every way of driving the engine is the same engine** — the same
+   seed driven by ``run()``, chained ``run(until=t)``, ``peek()``/
+   ``step()`` or ``run_window()`` slices, plain or under the sanitizer,
+   the profiler (exact and sampled) or the slow path, ends at the same
+   clock with the same event count and the same time at every process
+   resumption.  ``run``/``run_window``/hooked ``step`` share one
+   dispatch loop and un-hooked ``step`` has its own body; this matrix
+   is what holds the two together.
+
 All random choices are drawn *before* the simulation starts, so the
 workload itself cannot leak host iteration order into the trajectory.
 """
 
+import contextlib
 import random
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizerError, sanitized
 from repro.bgq import BGQMachine
 from repro.converse import RunConfig
 from repro.harness.pingpong import pingpong_run
+from repro.obs import ProfileSession
 from repro.queues import L2AtomicQueue, MutexQueue
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 
 SEEDS = [7, 23, 1234]
 
+_INF = float("inf")
+_SLICES = 8
 
-def _fuzz_workload(seed: int) -> dict:
+
+def _drive(env: Environment, drive: str, horizon: float) -> None:
+    """Drain ``env`` the named way; sliced drives cut ``[0, horizon)``
+    into ``_SLICES`` and drain the rest unbounded, so the clock ends on
+    the last event like a plain ``run()``."""
+    cuts = [horizon * i / _SLICES for i in range(1, _SLICES)]
+    if drive == "run":
+        env.run()
+    elif drive == "chained":
+        for t in cuts:
+            env.run(until=t)
+        env.run()
+    elif drive == "step":
+        while env.peek() != _INF:
+            env.step()
+    elif drive == "window":
+        for t in cuts:
+            env.run_window(t)
+        env.run_window(_INF)
+    else:  # pragma: no cover - test-table typo
+        raise ValueError(drive)
+
+
+def _fuzz_workload(seed: int, drive: str = "run", horizon: float = 0.0) -> dict:
     """Randomized queues + SMT compute + wakeup workload; returns a
     trajectory fingerprint (exact reprs, no tolerances)."""
     rng = random.Random(seed)
@@ -52,13 +89,16 @@ def _fuzz_workload(seed: int) -> dict:
     l2q = L2AtomicQueue(env, node.l2, size=qsize)
     mq = MutexQueue(env)
     received = []
+    times = []  # the clock at every resumption of a workload process
 
     def producer(pid, plan):
         thread = node.thread(8 + pid)
         for i, (delay, which) in enumerate(plan):
             yield env.timeout(delay)
+            times.append(repr(env.now))
             q = l2q if which == 0 else mq
             yield from q.enqueue(thread, (pid, i))
+            times.append(repr(env.now))
 
     def consumer():
         thread = node.thread(0)
@@ -66,6 +106,7 @@ def _fuzz_workload(seed: int) -> dict:
             item = yield from l2q.dequeue(thread)
             if item is None:
                 item = yield from mq.dequeue(thread)
+            times.append(repr(env.now))
             if item is not None:
                 received.append(item)
                 continue
@@ -79,18 +120,21 @@ def _fuzz_workload(seed: int) -> dict:
         thread = node.thread(1 + cid)
         for _ in range(reps):
             yield from thread.compute(instr, weight)
+            times.append(repr(env.now))
             yield env.timeout(17 * (cid + 1))
+            times.append(repr(env.now))
 
     for pid, plan in enumerate(plans):
         env.process(producer(pid, plan))
     env.process(consumer())
     for cid, (reps, instr, weight) in enumerate(compute_plans):
         env.process(computer(cid, reps, instr, weight))
-    env.run()
+    _drive(env, drive, horizon)
 
     return {
         "now": repr(env.now),
         "events": env.events_executed,
+        "times": times,
         "received": received,
         "l2q": (l2q.enqueues, l2q.dequeues, l2q.overflow_enqueues),
         "mq": (mq.enqueues, mq.dequeues),
@@ -130,3 +174,77 @@ def test_pingpong_fastpath_matches_slowpath(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
     slow = _pingpong_fingerprint()
     assert fast == slow
+
+
+# -- drive-mode x hook equivalence matrix ---------------------------------
+
+DRIVES = ["run", "chained", "step", "window"]
+
+
+@contextlib.contextmanager
+def _slowpath():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_ENGINE_SLOWPATH", "1")
+        yield
+
+
+#: Everything an Environment samples at construction.
+HOOKS = {
+    "plain": contextlib.nullcontext,
+    "sanitized": sanitized,
+    "profiled-exact": lambda: ProfileSession("matrix", stride=1),
+    "profiled-sampled": lambda: ProfileSession("matrix", stride=32),
+    "slowpath": _slowpath,
+}
+
+
+@pytest.fixture
+def clean_engine_env(monkeypatch):
+    """The matrix sets its own hooks: start every cell from none."""
+    monkeypatch.delenv("REPRO_ENGINE_SLOWPATH", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+
+@pytest.mark.parametrize("hook", HOOKS)
+@pytest.mark.parametrize("drive", DRIVES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_drive_mode_and_hook_is_the_same_trajectory(
+    seed, drive, hook, clean_engine_env
+):
+    reference = _fuzz_workload(seed)
+    horizon = float(reference["now"])
+    assert horizon > 0 and reference["times"]
+    with HOOKS[hook]() as session:
+        cell = _fuzz_workload(seed, drive, horizon)
+    assert cell == reference
+    if isinstance(session, ProfileSession):
+        # Hooked however it is driven: every event was seen by the profiler.
+        assert session.profile().total_count == cell["events"]
+
+
+@pytest.mark.parametrize("hook", HOOKS)
+def test_step_on_empty_queue_raises_in_every_mode(hook, clean_engine_env):
+    with HOOKS[hook]():
+        env = Environment()
+    with pytest.raises(SimulationError, match="empty event queue"):
+        env.step()
+    # ... and after a drain, not only on a fresh engine.
+    env.timeout(1.0)
+    env.step()
+    with pytest.raises(SimulationError, match="empty event queue"):
+        env.step()
+    assert env.events_executed == 1 and env.now == 1.0
+
+
+def test_reentrant_run_inside_run_window_is_caught_by_sanitizer(clean_engine_env):
+    with sanitized():
+        env = Environment()
+    ev = env.event()
+    ev._add_callback(lambda _ev: env.run())
+    ev.succeed()
+    env.timeout(1.0)  # pending work for the reentrant run() to grab
+    with pytest.raises(SanitizerError, match="reentrant"):
+        env.run_window(10.0)
+    # The guard is released on the way out: the engine is usable again.
+    env.run_window(10.0)
+    assert env.now == 10.0 and env.events_executed == 2
