@@ -1,16 +1,13 @@
-"""Benchmark harness: one driver per table/figure of the paper."""
+"""Benchmark harness: one driver per table/figure of the paper (the
+names exported here), one definition per gated workload (``workloads``),
+and one gate CLI — ``python -m repro.harness
+<bench|shard|iso|serve|obs|trace|chaos>`` (``__main__``; exit 0 pass /
+1 fail / 2 could not run), which each gate module feeds a
+``gate(args) -> (failures, notes, report)`` function.
+"""
 
 from .allocbench import AllocBenchResult, fig6_allocator, run_alloc_bench
-from .benchgate import (
-    GATE_BENCHMARKS,
-    bench_fig3_m2m,
-    bench_fig10_window,
-    bench_pingpong,
-    compare_records,
-    run_gate,
-)
 from .fftbench import des_fft_step_us, des_vs_model, table1_model, table1_report
-from .isogate import IsoInstance, isolation_gate, run_interleaved, run_solo
 from .namdbench import (
     PAPER_TABLE2,
     apoa1_pme_every_step,
@@ -44,15 +41,8 @@ __all__ = [
     "AllocBenchResult",
     "FIG4_MODES",
     "FIG4_SIZES",
-    "GATE_BENCHMARKS",
-    "IsoInstance",
     "PAPER_TABLE2",
     "TraceResult",
-    "bench_fig3_m2m",
-    "bench_fig10_window",
-    "bench_pingpong",
-    "compare_records",
-    "run_gate",
     "apoa1_pme_every_step",
     "banner",
     "des_fft_step_us",
@@ -73,9 +63,6 @@ __all__ = [
     "format_table",
     "pingpong_oneway_us",
     "pingpong_run",
-    "isolation_gate",
-    "run_interleaved",
-    "run_solo",
     "qpx_serial_speedup",
     "run_alloc_bench",
     "run_traced_namd",

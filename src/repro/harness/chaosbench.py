@@ -28,7 +28,7 @@ The matrix is ``profiles x seeds x workloads x qos``; one failure
 fails the run.  Used by ``make chaos`` (CI runs a small matrix under
 ``REPRO_SANITIZE=1``) and directly::
 
-    python -m repro.harness.chaosbench --profiles drop5 chaos \
+    python -m repro.harness chaos --profiles drop5 chaos \
         --qos reliable best_effort --json-out chaos.json
 
 Determinism: a (profile, seed, workload, qos) cell is a bit-exact
@@ -37,9 +37,7 @@ trajectory; failures reproduce by rerunning the same cell.
 
 from __future__ import annotations
 
-import argparse
-import json
-from typing import Dict, List
+from typing import Any, Dict, List, Tuple
 
 from ..bgq.params import CYCLES_PER_US
 from ..charm import Charm
@@ -58,7 +56,8 @@ __all__ = [
     "run_jacobi_chaos",
     "run_lattice_chaos",
     "run_matrix",
-    "main",
+    "add_options",
+    "gate",
 ]
 
 #: Give-up horizon (cycles): covers a full exponential-backoff ladder
@@ -468,74 +467,60 @@ def run_matrix(
     return results
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument(
+def add_options(parser) -> None:
+    parser.add_argument(
         "--profiles", nargs="+", default=["drop5"],
         help="fault profile names (repro.faults.plan.PROFILES)",
     )
-    ap.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2])
-    ap.add_argument(
+    parser.add_argument("--seeds", nargs="+", type=int, default=[0, 1, 2])
+    parser.add_argument(
         "--workloads", nargs="+", default=["pingpong", "m2m"],
         choices=sorted(_WORKLOADS),
     )
-    ap.add_argument(
+    parser.add_argument(
         "--qos", nargs="+", default=["reliable"],
         metavar="MODE",
         help="delivery modes per cell: reliable / best_effort / fresh",
     )
-    ap.add_argument("--trips", type=int, default=20, help="ping-pong trips")
-    ap.add_argument("--rounds", type=int, default=3, help="m2m rounds")
-    ap.add_argument("--sweeps", type=int, default=60, help="jacobi sweeps")
-    ap.add_argument(
-        "--json-out", default=None, metavar="PATH",
-        help="write the full result matrix as JSON (CI artifact)",
-    )
-    args = ap.parse_args(argv)
+    parser.add_argument("--trips", type=int, default=20, help="ping-pong trips")
 
-    kwargs = {
-        "pingpong": {"trips": args.trips},
-        "m2m": {"rounds": args.rounds},
-        "jacobi": {"sweeps": args.sweeps},
-    }
+
+def gate(args) -> Tuple[List[str], List[str], Dict[str, Any]]:
+    """The ``chaos`` gate: (failures, notes, the matrix summary)."""
     results = run_matrix(
-        args.profiles, args.seeds, args.workloads, qos_modes=args.qos, **kwargs
+        args.profiles, args.seeds, args.workloads, qos_modes=args.qos,
+        pingpong={"trips": args.trips},
     )
-    failures = 0
+    failures: List[str] = []
+    notes: List[str] = []
     for r in results:
-        status = "ok" if r["ok"] else "FAIL"
-        if not r["ok"]:
-            failures += 1
-        faults = r["faults"]
-        injected = sum(faults.values()) if faults else 0
-        print(
-            f"[{status}] {r['workload']:<8} profile={r['profile']:<9} "
-            f"seed={r['seed']} qos={r['qos']:<11} faults={injected} "
+        cell = (
+            f"{r['workload']:<8} profile={r['profile']:<9} "
+            f"seed={r['seed']} qos={r['qos']:<11}"
+        )
+        notes.append(
+            f"[{'ok' if r['ok'] else 'FAIL'}] {cell} "
+            f"faults={sum(r['faults'].values())} "
             f"retries={r['retries']} gave_up={r['gave_up']} "
             f"acks={r['acks_sent']} stale={r['stale_dropped']} "
             f"quiesced={r['quiesced']} sim_cycles={r['sim_time']:.0f}"
         )
-    total = len(results)
-    print(f"chaos: {total - failures}/{total} cells passed")
-    if args.json_out:
-        summary = {
-            "cells": total,
-            "passed": total - failures,
-            "profiles": args.profiles,
-            "seeds": args.seeds,
-            "workloads": args.workloads,
-            "qos": args.qos,
-            "results": [
-                {k: v for k, v in r.items() if not isinstance(v, bytes)}
-                for r in results
-            ],
-        }
-        from ..ioutil import atomic_write_json
-
-        atomic_write_json(args.json_out, summary, indent=2, default=repr)
-        print(f"chaos: matrix summary written to {args.json_out}")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        if not r["ok"]:
+            failures.append(
+                f"{cell.rstrip()}: payload_ok={r['payload_ok']} "
+                f"quiesced={r['quiesced']}"
+            )
+    passed = len(results) - len(failures)
+    notes.append(f"{passed}/{len(results)} cells passed")
+    return failures, notes, {
+        "cells": len(results),
+        "passed": passed,
+        "profiles": args.profiles,
+        "seeds": args.seeds,
+        "workloads": args.workloads,
+        "qos": args.qos,
+        "results": [
+            {k: v for k, v in r.items() if not isinstance(v, bytes)}
+            for r in results
+        ],
+    }

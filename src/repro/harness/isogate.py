@@ -25,27 +25,21 @@ many-to-many PME), so both runtime layers are exercised concurrently.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..converse import ConverseRuntime, RunConfig
-from ..converse.messages import ConverseMessage
-from ..serve.job import result_checksum
-from ..sim import Environment
+from ..converse import RunConfig
+from .pingpong import FIG4_MODES
+from .workloads import Instance, build_namd, build_pingpong, run_instance
 
 __all__ = [
-    "IsoInstance",
     "build_pingpong_instance",
     "build_namd_instance",
     "gate_workloads",
     "run_solo",
     "run_interleaved",
     "isolation_gate",
-    "main",
+    "gate",
 ]
 
 #: Per-turn step strides; instance ``i`` advances ``STRIDES[(turn + i) %
@@ -54,68 +48,19 @@ __all__ = [
 STRIDES: Tuple[int, ...] = (1, 2, 3, 5)
 
 
-@dataclass
-class IsoInstance:
-    """One deferred-run workload: built and seeded, but not yet stepped."""
-
-    name: str
-    env: Environment
-    start: Callable[[], None]  # bring up scheduler loops (before stepping)
-    stop: Callable[[], None]  # tear down scheduler loops (after done)
-    done: object  # Event whose processing ends the run
-    result: Callable[[], Dict[str, object]]  # repr'd workload observables
-
-    def checksum(self) -> str:
-        """Bit-exact digest of final sim time, event count and results."""
-        payload = {
-            "now": repr(self.env.now),
-            "events": self.env.events_executed,
-        }
-        payload.update(self.result())
-        return result_checksum(payload)
-
-
 def build_pingpong_instance(
     name: str,
     config: RunConfig,
     nbytes: int,
     dst_rank: Optional[int] = None,
     trips: int = 8,
-) -> IsoInstance:
+) -> Instance:
     """A deferred ping-pong run (same protocol as ``pingpong_run``)."""
-    env = Environment()
-    rt = ConverseRuntime(env, config)
-    src_rank = 0
     if dst_rank is None:
         dst_rank = config.pes_per_node  # first PE of node 1
-    rtts: List[float] = []
-    done = env.event()
-    state = {"t0": 0.0, "trip": 0}
-
-    def pong(pe, msg):
-        yield from pe.send(src_rank, hid_ping, nbytes, None)
-
-    def ping(pe, msg):
-        now = env.now
-        if state["trip"] > 0:
-            rtts.append(now - state["t0"])
-        if state["trip"] >= trips:
-            done.succeed()
-            return
-        state["t0"] = now
-        state["trip"] += 1
-        yield from pe.send(dst_rank, hid_pong, nbytes, None)
-
-    hid_pong = rt.register_handler(pong)
-    hid_ping = rt.register_handler(ping)
-    rt.pes[src_rank].local_q.append(
-        ConverseMessage(hid_ping, 0, None, src_rank, src_rank)
-    )
-
-    def result() -> Dict[str, object]:
-        return {"rtts": [repr(t) for t in rtts]}
-
-    return IsoInstance(name, env, rt.start, rt.stop, done, result)
+    inst = build_pingpong(config, nbytes, trips, 0, dst_rank)
+    inst.name = name
+    return inst
 
 
 def build_namd_instance(
@@ -124,99 +69,50 @@ def build_namd_instance(
     n_atoms: int = 216,
     n_steps: int = 2,
     seed: int = 7,
-) -> IsoInstance:
+) -> Instance:
     """A deferred tiny mini-NAMD run (Charm layer over Converse)."""
-    from ..charm import Charm
-    from ..namd.charm_app import NamdCharm
-    from ..namd.system import build_system
-
-    charm = Charm(
-        RunConfig(nnodes=2, workers_per_process=2, comm_threads_per_process=1)
+    inst = build_namd(
+        RunConfig(nnodes=2, workers_per_process=2, comm_threads_per_process=1),
+        n_atoms, n_steps, use_m2m_pme, seed,
     )
-    system = build_system(
-        n_atoms, temperature=0.003, bond_fraction=0.0, seed=seed
-    )
-    app = NamdCharm(
-        charm, system, n_steps=n_steps, pme_every=1, use_m2m_pme=use_m2m_pme,
-        dt=0.004,
-    )
-    for p in app.patches.indices:
-        charm.seed(app.patches, p, "start")
-
-    def result() -> Dict[str, object]:
-        return {
-            "steps": [repr(t) for t, _ in app.step_log],
-            "kinetic": [repr(ke) for _, ke in app.step_log],
-        }
-
-    return IsoInstance(name, charm.env, charm.start, charm.runtime.stop,
-                       charm.done, result)
+    inst.name = name
+    return inst
 
 
-def gate_workloads(scale: str = "full") -> List[Tuple[str, Callable[[], IsoInstance]]]:
+#: The ping-pong instances, one per run mode: (name, config, message
+#: bytes, dst rank — None for the first PE of node 1).
+_PINGPONGS = (
+    ("pingpong/non-SMP/512B", FIG4_MODES["non-SMP"], 512, None),
+    ("pingpong/SMP/2048B", FIG4_MODES["SMP"], 2048, None),
+    ("pingpong/SMP+ct/16B", FIG4_MODES["SMP+commthread"], 16, None),
+    ("pingpong/intranode-SMP/128B", RunConfig(nnodes=1, workers_per_process=4), 128, 3),
+)
+
+
+def gate_workloads(scale: str = "full") -> List[Tuple[str, Callable[[], Instance]]]:
     """(name, builder) pairs; each call to a builder is a fresh instance."""
     trips = 6 if scale == "tiny" else 8
-    workloads: List[Tuple[str, Callable[[], IsoInstance]]] = [
-        (
-            "pingpong/non-SMP/512B",
-            lambda: build_pingpong_instance(
-                "pingpong/non-SMP/512B",
-                RunConfig(nnodes=2, processes_per_node=1, workers_per_process=1),
-                512, trips=trips,
-            ),
-        ),
-        (
-            "pingpong/SMP/2048B",
-            lambda: build_pingpong_instance(
-                "pingpong/SMP/2048B",
-                RunConfig(nnodes=2, workers_per_process=4),
-                2048, trips=trips,
-            ),
-        ),
-        (
-            "pingpong/SMP+ct/16B",
-            lambda: build_pingpong_instance(
-                "pingpong/SMP+ct/16B",
-                RunConfig(
-                    nnodes=2, workers_per_process=4, comm_threads_per_process=1
-                ),
-                16, trips=trips,
-            ),
-        ),
-        (
-            "pingpong/intranode-SMP/128B",
-            lambda: build_pingpong_instance(
-                "pingpong/intranode-SMP/128B",
-                RunConfig(nnodes=1, workers_per_process=4),
-                128, dst_rank=3, trips=trips,
-            ),
-        ),
+    workloads: List[Tuple[str, Callable[[], Instance]]] = [
+        (name, partial(build_pingpong_instance, name, config, nbytes, dst_rank, trips))
+        for name, config, nbytes, dst_rank in _PINGPONGS
     ]
     if scale == "full":
         workloads += [
-            (
-                "namd/std-PME",
-                lambda: build_namd_instance("namd/std-PME", use_m2m_pme=False),
-            ),
-            (
-                "namd/m2m-PME",
-                lambda: build_namd_instance("namd/m2m-PME", use_m2m_pme=True),
-            ),
+            (name, partial(build_namd_instance, name, use_m2m_pme))
+            for name, use_m2m_pme in (("namd/std-PME", False), ("namd/m2m-PME", True))
         ]
     return workloads
 
 
-def run_solo(build: Callable[[], IsoInstance]) -> Tuple[str, str]:
+def run_solo(build: Callable[[], Instance]) -> Tuple[str, str]:
     """Run one workload alone via the normal run path; return (name, checksum)."""
     inst = build()
-    inst.start()
-    inst.env.run(until=inst.done)
-    inst.stop()
+    run_instance(inst)
     return inst.name, inst.checksum()
 
 
 def run_interleaved(
-    builders: Sequence[Callable[[], IsoInstance]],
+    builders: Sequence[Callable[[], Instance]],
     strides: Sequence[int] = STRIDES,
 ) -> Dict[str, str]:
     """Build every workload fresh, step them round-robin, return checksums.
@@ -252,69 +148,37 @@ def run_interleaved(
     return {inst.name: inst.checksum() for inst in instances}
 
 
-def isolation_gate(scale: str = "full", verbose: bool = True) -> Dict[str, dict]:
+def isolation_gate(scale: str = "full") -> Dict[str, dict]:
     """Solo pass, then fresh interleaved pass; compare checksums.
 
     Returns ``{name: {"solo": cs, "interleaved": cs, "ok": bool}}``.
     """
     workloads = gate_workloads(scale)
-    solo: Dict[str, str] = {}
-    for name, build in workloads:
-        _, cs = run_solo(build)
-        solo[name] = cs
-        if verbose:
-            print(f"iso-gate: solo        {name:32s} {cs}")
+    solo = {name: run_solo(build)[1] for name, build in workloads}
     inter = run_interleaved([build for _, build in workloads])
-    report: Dict[str, dict] = {}
-    for name, _ in workloads:
-        ok = solo[name] == inter[name]
-        report[name] = {
-            "solo": solo[name], "interleaved": inter[name], "ok": ok,
+    return {
+        name: {
+            "solo": solo[name],
+            "interleaved": inter[name],
+            "ok": solo[name] == inter[name],
         }
-        if verbose:
-            verdict = "identical" if ok else "DIVERGED"
-            print(
-                f"iso-gate: interleaved {name:32s} {inter[name]}  {verdict}"
-            )
-    return report
+        for name, _ in workloads
+    }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.isogate",
-        description="concurrent-Environment isolation gate: N interleaved "
-        "instances must checksum bit-identically to solo runs",
+def gate(args) -> Tuple[List[str], List[str], Dict[str, object]]:
+    """The ``iso`` gate: (failures, notes, report body)."""
+    report = isolation_gate(args.scale)
+    failures = [
+        f"{name}: diverged under interleaving (solo {rec['solo']} != "
+        f"interleaved {rec['interleaved']})"
+        for name, rec in report.items() if not rec["ok"]
+    ]
+    notes = [
+        f"{name:32s} solo {rec['solo']}  interleaved {rec['interleaved']}"
+        for name, rec in report.items()
+    ]
+    notes.append(
+        f"{len(report)} concurrent Environments, adversarial interleaving"
     )
-    parser.add_argument(
-        "--scale", choices=("tiny", "full"), default="full",
-        help="tiny = 4 ping-pong instances; full adds 2 mini-NAMD runs",
-    )
-    parser.add_argument(
-        "--json-out", type=Path, default=None,
-        help="write the per-instance checksum report to this file",
-    )
-    args = parser.parse_args(argv)
-
-    report = isolation_gate(scale=args.scale)
-    if args.json_out is not None:
-        from ..ioutil import atomic_write_text
-
-        args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(args.json_out, json.dumps(report, indent=2) + "\n")
-    bad = sorted(name for name, rec in report.items() if not rec["ok"])
-    if bad:
-        print(
-            f"iso-gate: FAIL — {len(bad)} instance(s) diverged under "
-            f"interleaving: {', '.join(bad)}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"iso-gate: PASS ({len(report)} concurrent Environments, "
-        "interleaved checksums bit-identical to solo)"
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return failures, notes, {"instances": report}

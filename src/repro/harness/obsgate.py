@@ -6,7 +6,7 @@ Three claims, all about the exact workloads the BENCH trajectory gates
 1. **Cycle-neutral when disabled.**  With no
    :class:`~repro.obs.ProfileSession` active, every gated benchmark's
    simulated-time checksum must equal the latest committed
-   ``BENCH_NNNN.json`` record (full scale) — the profiler hook in
+   ``BENCH_NNNN.json`` record of the same scale — the profiler hook in
    ``Environment.__init__``/``step()`` changed the engine source, and
    this proves it changed nothing observable.
 2. **Deterministic when enabled.**  The *profiled* runs must produce
@@ -30,23 +30,20 @@ summary (``benchmarks/baselines/hotspots.json``) whose top dispatch
 sites must cover ≥80% of total engine wall time — so "which dispatch
 sites dominate" is a diffable, regression-checked fact, not folklore.
 
-Entry points: ``make obs-gate`` / ``python -m repro.harness.obsgate``.
+Entry points: ``make obs-gate`` / ``python -m repro.harness obs``.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
+import json
 import pathlib
 import statistics
-import sys
-import time
 from types import MappingProxyType
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..ioutil import atomic_write_json
 from ..obs import Profile, ProfileSession, write_profile_json
-from .benchgate import find_bench_files, gate_runners, load_record
+from .benchgate import gate_runners, latest_record
 
 __all__ = [
     "OVERHEAD_BUDGET",
@@ -55,7 +52,8 @@ __all__ = [
     "BASELINE_TOP",
     "obs_gate",
     "baseline_summary",
-    "main",
+    "add_options",
+    "gate",
 ]
 
 #: Allowed profiled/unprofiled median wall-time ratio excess (5%).
@@ -78,24 +76,6 @@ _REPS = MappingProxyType({
     "full": MappingProxyType({"pingpong": 5, "fig3_m2m": 3, "fig10_window": 2}),
     "tiny": MappingProxyType({"pingpong": 3, "fig3_m2m": 2, "fig10_window": 2}),
 })
-
-
-def _latest_bench_checksums(root: pathlib.Path) -> Tuple[str, Dict[str, str]]:
-    """(record id, benchmark -> checksum) from the newest BENCH_*.json.
-
-    Only full-scale records carry gate-comparable checksums; returns an
-    empty map when none exists (fresh clone with the trajectory pruned).
-    """
-    files = find_bench_files(root)
-    if not files:
-        return "", {}
-    record = load_record(files[-1])
-    if record.get("scale") != "full":
-        return "", {}
-    return record.get("id", files[-1].stem), {
-        name: rec["checksum"]
-        for name, rec in record.get("benchmarks", {}).items()
-    }
 
 
 def baseline_summary(
@@ -164,9 +144,8 @@ def _check_baseline(
 def obs_gate(
     scale: str = "full",
     budget: float = OVERHEAD_BUDGET,
-    bench_root: Optional[pathlib.Path] = None,
+    bench_root: pathlib.Path = pathlib.Path("."),
     baseline: Optional[Dict[str, Any]] = None,
-    verbose: bool = True,
 ) -> Tuple[List[str], List[str], Dict[str, Any], Dict[str, Profile]]:
     """Run the gate; returns (failures, notes, report, merged profiles)."""
     failures: List[str] = []
@@ -176,11 +155,19 @@ def obs_gate(
 
     bench_id = ""
     committed: Dict[str, str] = {}
-    if scale == "full":
-        root = bench_root if bench_root is not None else pathlib.Path(
-            os.environ.get("REPRO_BENCH_ROOT", ".")
+    prior = latest_record(bench_root.resolve(), scale)
+    if prior is None:
+        notes.append(
+            f"no {scale}-scale BENCH_*.json under {bench_root} — the "
+            "checksum == committed-record clause is skipped"
         )
-        bench_id, committed = _latest_bench_checksums(root.resolve())
+    else:
+        path, record = prior
+        bench_id = record.get("id", path.stem)
+        committed = {
+            name: rec["checksum"]
+            for name, rec in record.get("benchmarks", {}).items()
+        }
 
     ratios: List[float] = []
     per_bench: Dict[str, Any] = {}
@@ -239,12 +226,10 @@ def obs_gate(
             "profiled_events": profile.total_count,
             "profiled_wall_ms": round(profile.total_nanos / 1e6, 2),
         }
-        if verbose:
-            print(
-                f"obs-gate: {name:13s} overhead x{best:.3f} "
-                f"(best of {reps[name]} pairs)  coverage "
-                f"{coverage * 100:.1f}%  checksum {checksums[0][:12]}"
-            )
+        notes.append(
+            f"{name:13s} overhead x{best:.3f} (best of {reps[name]} pairs)  "
+            f"coverage {coverage * 100:.1f}%  checksum {checksums[0][:12]}"
+        )
 
     median_ratio = statistics.median(ratios) if ratios else 0.0
     if median_ratio > 1.0 + budget:
@@ -269,31 +254,18 @@ def obs_gate(
         "bench_record": bench_id,
         "median_overhead": round(median_ratio, 4),
         "benchmarks": per_bench,
-        "failures": failures,
-        "notes": notes,
-        "pass": not failures,
     }
     return failures, notes, report, profiles
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.obsgate", description=__doc__
-    )
-    parser.add_argument(
-        "--scale", choices=("full", "tiny"), default="full",
-        help="benchmark sizes ('tiny' is for self-tests only; the "
-        "committed-BENCH checksum comparison runs at full scale)",
-    )
+def add_options(parser) -> None:
     parser.add_argument(
         "--budget", type=float, default=OVERHEAD_BUDGET,
         help=f"allowed fractional profiling overhead (default "
-        f"{OVERHEAD_BUDGET}; CI uses a looser value — foreign hardware, "
-        "same rationale as bench-gate --checksum-only)",
+        f"{OVERHEAD_BUDGET}; CI uses a looser value — foreign hardware)",
     )
     parser.add_argument(
-        "--root", type=pathlib.Path,
-        default=pathlib.Path(os.environ.get("REPRO_BENCH_ROOT", ".")),
+        "--root", type=pathlib.Path, default=pathlib.Path("."),
         help="directory holding BENCH_*.json (default: cwd)",
     )
     parser.add_argument(
@@ -312,43 +284,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="where the per-benchmark merged profiles land "
         "(hotspots_<name>.json)",
     )
-    parser.add_argument(
-        "--json-out", type=pathlib.Path, default=None,
-        help="write the gate report JSON here",
-    )
-    args = parser.parse_args(argv)
 
+
+def gate(args) -> Tuple[List[str], List[str], Dict[str, Any]]:
+    """The ``obs`` gate: (failures, notes, report body)."""
     baseline: Optional[Dict[str, Any]] = None
     if not args.write_baseline and args.baseline.exists():
-        import json
-
         with open(args.baseline) as fh:
             baseline = json.load(fh)
-    elif not args.write_baseline:
-        print(
-            f"obs-gate: no baseline at {args.baseline} "
-            "(run --write-baseline to record one)"
-        )
 
-    t0 = time.perf_counter()
     failures, notes, report, profiles = obs_gate(
         scale=args.scale,
         budget=args.budget,
         bench_root=args.root,
         baseline=baseline,
     )
-    wall = time.perf_counter() - t0
+    if baseline is None and not args.write_baseline:
+        notes.append(
+            f"no baseline at {args.baseline} (run --write-baseline to record one)"
+        )
 
     args.profile_dir.mkdir(parents=True, exist_ok=True)
     for name, profile in sorted(profiles.items()):
-        out = args.profile_dir / f"hotspots_{name}.json"
-        write_profile_json(profile, out)
-    if args.json_out is not None:
-        args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(
-            args.json_out, report, indent=2, sort_keys=True,
-            trailing_newline=True,
-        )
+        write_profile_json(profile, args.profile_dir / f"hotspots_{name}.json")
     if args.write_baseline:
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_json(
@@ -358,20 +316,5 @@ def main(argv: Optional[List[str]] = None) -> int:
             sort_keys=True,
             trailing_newline=True,
         )
-        print(f"obs-gate: wrote baseline {args.baseline}")
-
-    for note in notes:
-        print(f"  {note}")
-    if failures:
-        for failure in failures:
-            print(f"obs-gate: FAIL — {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"obs-gate: PASS ({wall:.1f}s total — cycle-neutral off, "
-        f"x{report['median_overhead']:.3f} overhead on)"
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+        notes.append(f"wrote baseline {args.baseline}")
+    return failures, notes, report

@@ -11,7 +11,7 @@ records the service-shaped load numbers (jobs/sec, p50/p99
 submit-to-done latency, calibration-cache hit rate) that
 ``BENCH_NNNN.json`` archives as the ``serve_load`` benchmark.
 
-Workload mix (full scale, 9 distinct jobs x ``repeats`` copies):
+Workload mix (full scale, 9 distinct jobs x :data:`REPEATS` copies):
 
 * the six iso-gate workloads (Converse ping-pongs in four run modes +
   two Charm mini-NAMD runs) as :class:`~repro.serve.EnvTask` jobs;
@@ -31,18 +31,15 @@ never degenerates into solo-equivalent back-to-back execution.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
-import sys
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import percentile
 from ..serve import DONE, EnvTask, JobService, JobSpec, ModelTask, ShardedTask
-from .isogate import IsoInstance, gate_workloads
+from .isogate import gate_workloads
 from .report import format_serve_metrics
+from .workloads import Instance
 
 __all__ = [
     "SLICE_CYCLE",
@@ -52,8 +49,8 @@ __all__ = [
     "solo_checksums",
     "run_serve_load",
     "serve_gate",
-    "bench_serve_load",
-    "main",
+    "add_options",
+    "gate",
 ]
 
 #: Per-copy pacing values — distinct slice sizes shift which jobs share
@@ -63,9 +60,13 @@ SLICE_CYCLE: Tuple[int, ...] = (32, 96, 256)
 #: Per-copy priorities: copies land in different priority bands, so the
 #: heap reorders execution relative to submission order.
 PRIORITY_CYCLE: Tuple[int, ...] = (0, 1, 2)
+#: Worker-pool size, and copies of each workload (copies vary priority
+#: and pacing through the two cycles above).
+WORKERS = 4
+REPEATS = 2
 
 
-def _env_task_build(name: str, build_iso: Callable[[], IsoInstance]):
+def _env_task_build(name: str, build_iso: Callable[[], Instance]):
     """JobSpec.build adapter: isogate workload -> EnvTask."""
 
     def build(spec: JobSpec) -> EnvTask:
@@ -85,39 +86,30 @@ def _env_task_build(name: str, build_iso: Callable[[], IsoInstance]):
 def _sharded_task_build(nnodes: int, nshards: int, nbytes: int, trips: int):
     """JobSpec.build adapter: sharded ping-pong -> ShardedTask.
 
-    Reuses the shardbench mirror builder (same construction as
-    ``make shard-gate``); the task's ``advance()`` is one
-    ``ShardCoordinator.advance_window()`` per slice.
+    The same SPMD mirrors ``make shard-gate`` runs; the task's
+    ``advance()`` is one ``ShardCoordinator.advance_window()`` per slice.
     """
-    from ..bgq.shardnet import ReservationFabric
     from ..converse import RunConfig
-    from .shardbench import _build_pingpong_shard
+    from .shardbench import build_shards
+    from .workloads import build_pingpong
 
     def build(spec: JobSpec) -> ShardedTask:
         config = RunConfig(nnodes=nnodes, workers_per_process=2)
         dst_rank = (nnodes - 1) * config.pes_per_node
-        fabric = ReservationFabric(nnodes, nshards)
-        shards = [
-            _build_pingpong_shard(
-                sid, nshards, config, nbytes, trips, 0, dst_rank, fabric
-            )
-            for sid in range(nshards)
-        ]
+        shards, fabric = build_shards(
+            nnodes, nshards,
+            lambda env, machine: build_pingpong(
+                config, nbytes, trips, 0, dst_rank, env, machine
+            ),
+        )
         root = shards[0]
-
-        def result() -> Dict[str, Any]:
-            # Shard 0's result_fn stops its runtime as a side effect, so
-            # route teardown through on_stop and keep result() pure.
-            raw = root.result_fn()
-            return {"rtts": [repr(t) for t in raw["rtts"]]}
-
         return ShardedTask(
             [s.env for s in shards],
             root.done,
             fabric.window,
             fabric,
-            on_stop=lambda: [s.runtime.stop() for s in shards[1:]],
-            result_fn=result,
+            on_stop=lambda: [s.stop() for s in shards],
+            result_fn=root.result,
             label=spec.name,
         )
 
@@ -203,32 +195,21 @@ def solo_checksums(
     return out
 
 
-# Back-compat alias: the nearest-rank formula moved to
-# repro.obs.metrics.percentile so the serve latency Histogram and this
-# gate literally share it (gate numbers and live metrics cannot
-# disagree; tests/serve/test_metrics.py asserts the equality).
-_percentile = percentile
-
-
-async def _drive_load(
-    scale: str,
-    workers: int,
-    repeats: int,
-) -> Tuple[List[Any], float, JobService]:
-    """Submit repeats x workloads to a fresh service.
+async def _drive_load(scale: str) -> Tuple[List[Any], float, JobService]:
+    """Submit REPEATS x workloads to a fresh WORKERS-wide service.
 
     Returns (jobs, wall seconds, the closed service) — the service
     comes back so callers can read its metrics registry: the latency
     histogram *is* the source of the gate's p50/p99.
     """
-    service = JobService(workers=workers)
+    service = JobService(workers=WORKERS)
     # Built against the live service so model jobs share its
     # calibration cache (the solo oracle pass builds uncached).
     bound = serve_workloads(scale, service)
     service.start()
     t0 = time.perf_counter()
     jobs = []
-    for copy in range(repeats):
+    for copy in range(REPEATS):
         for i, (name, build) in enumerate(bound):
             k = copy * len(bound) + i
             spec = JobSpec(
@@ -247,8 +228,6 @@ async def _drive_load(
 
 def run_serve_load(
     scale: str = "full",
-    workers: int = 4,
-    repeats: int = 2,
     metrics_out: Optional[Path] = None,
     prom_out: Optional[Path] = None,
 ) -> Dict[str, Any]:
@@ -273,9 +252,7 @@ def run_serve_load(
     # cache hits must still match the uncached solo evaluation.
     solo = solo_checksums(serve_workloads(scale))
 
-    jobs, wall_s, service = asyncio.run(
-        _drive_load(scale, workers, repeats)
-    )
+    jobs, wall_s, service = asyncio.run(_drive_load(scale))
     cache_stats = service.cache.stats()
     latency_hist = service.metrics.get("serve.latency_s")
     serve_metrics = service.metrics_snapshot()
@@ -302,7 +279,7 @@ def run_serve_load(
     return {
         "scale": scale,
         "njobs": len(jobs),
-        "workers": workers,
+        "workers": WORKERS,
         "wall_s": round(wall_s, 4),
         "jobs_per_sec": round(len(jobs) / wall_s, 2) if wall_s > 0 else 0.0,
         "latency_p50_s": round(latency_hist.percentile(0.50), 4),
@@ -316,34 +293,24 @@ def run_serve_load(
 
 def serve_gate(
     scale: str = "full",
-    workers: int = 4,
-    repeats: int = 2,
-    verbose: bool = True,
     metrics_out: Optional[Path] = None,
     prom_out: Optional[Path] = None,
-) -> Tuple[List[str], Dict[str, Any]]:
-    """Run the load and gate it; returns (failures, report)."""
-    report = run_serve_load(
-        scale=scale,
-        workers=workers,
-        repeats=repeats,
-        metrics_out=metrics_out,
-        prom_out=prom_out,
-    )
+) -> Tuple[List[str], List[str], Dict[str, Any]]:
+    """Run the load and gate it; returns (failures, notes, report)."""
+    report = run_serve_load(scale, metrics_out=metrics_out, prom_out=prom_out)
     failures: List[str] = []
+    notes: List[str] = []
     if report["njobs"] < 8:
         failures.append(
             f"load too small: {report['njobs']} jobs (< 8 concurrent jobs)"
         )
     for job_id, rec in sorted(report["jobs"].items()):
         if rec["ok"]:
-            if verbose:
-                print(
-                    f"serve-gate: {job_id:28s} {rec['checksum']}  "
-                    f"== solo  ({rec['latency_s']:.3f}s)"
-                )
-            continue
-        if rec["state"] != DONE:
+            notes.append(
+                f"{job_id:28s} {rec['checksum']}  == solo  "
+                f"({rec['latency_s']:.3f}s)"
+            )
+        elif rec["state"] != DONE:
             failures.append(
                 f"{job_id}: terminal state {rec['state']!r}"
                 + (f" — {rec['error']}" if rec["error"] else "")
@@ -353,71 +320,19 @@ def serve_gate(
                 f"{job_id}: served checksum {rec['checksum']} != solo "
                 f"{rec['solo']} (workload {rec['name']})"
             )
-    if verbose:
-        cache = report["cache"]
-        print(
-            f"serve-gate: {report['njobs']} jobs / {report['workers']} workers  "
-            f"{report['jobs_per_sec']:.1f} jobs/s  "
-            f"p50 {report['latency_p50_s']:.3f}s  "
-            f"p99 {report['latency_p99_s']:.3f}s  "
-            f"cache {cache['hits']}h/{cache['misses']}m"
-        )
-        summary = format_serve_metrics(report.get("serve_metrics"))
-        if summary:
-            print(summary)
-    return failures, report
-
-
-def bench_serve_load(scale: str = "full") -> Dict[str, Any]:
-    """BENCH_NNNN entry: the served load as a gated benchmark.
-
-    ``sim_times`` is the per-job checksum map — machine-portable and
-    deterministic, so future records gate on it like any simulated-time
-    observable; jobs/sec and latency land in ``metrics`` (reported, not
-    gated — they are host-load-dependent).
-    """
-    failures, report = serve_gate(scale=scale, verbose=False)
-    if failures:
-        raise RuntimeError("serve load diverged: " + "; ".join(failures))
-    sim_times = {
-        job_id: rec["checksum"] for job_id, rec in sorted(report["jobs"].items())
-    }
-    return {
-        "wall_s": report["wall_s"],
-        "events": report["events"],
-        "sim_times": sim_times,
-        "metrics": {
-            "njobs": report["njobs"],
-            "workers": report["workers"],
-            "jobs_per_sec": report["jobs_per_sec"],
-            "latency_p50_s": report["latency_p50_s"],
-            "latency_p99_s": report["latency_p99_s"],
-            "cache_hits": report["cache"]["hits"],
-            "cache_misses": report["cache"]["misses"],
-        },
-    }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.servebench",
-        description="serve-gate: N concurrent service jobs must checksum "
-        "bit-identically to solo runs",
+    cache = report["cache"]
+    notes.append(
+        f"{report['njobs']} jobs / {report['workers']} workers  "
+        f"{report['jobs_per_sec']:.1f} jobs/s  "
+        f"p50 {report['latency_p50_s']:.3f}s  "
+        f"p99 {report['latency_p99_s']:.3f}s  "
+        f"cache {cache['hits']}h/{cache['misses']}m"
     )
-    parser.add_argument(
-        "--scale", choices=("tiny", "full"), default="full",
-        help="tiny = ping-pongs + one model job; full adds mini-NAMD, "
-        "a sharded job and a second model job",
-    )
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="copies of each workload (copies vary priority and pacing)",
-    )
-    parser.add_argument(
-        "--json-out", type=Path, default=None,
-        help="write the full load report to this file",
-    )
+    notes.extend(format_serve_metrics(report.get("serve_metrics")).splitlines())
+    return failures, notes, report
+
+
+def add_options(parser) -> None:
     parser.add_argument(
         "--metrics-out", type=Path, default=None,
         help="write the live-metrics snapshot (JSON) to this file",
@@ -426,33 +341,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--prom-out", type=Path, default=None,
         help="write the metrics as Prometheus text exposition",
     )
-    args = parser.parse_args(argv)
 
+
+def gate(args) -> Tuple[List[str], List[str], Dict[str, Any]]:
+    """The ``serve`` gate: (failures, notes, the full load report)."""
     for path in (args.metrics_out, args.prom_out):
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-    failures, report = serve_gate(
-        scale=args.scale,
-        workers=args.workers,
-        repeats=args.repeats,
-        metrics_out=args.metrics_out,
-        prom_out=args.prom_out,
-    )
-    if args.json_out is not None:
-        from ..ioutil import atomic_write_text
-
-        args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(args.json_out, json.dumps(report, indent=2) + "\n")
-    if failures:
-        for failure in failures:
-            print(f"serve-gate: FAIL — {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"serve-gate: PASS ({report['njobs']} concurrent jobs, served "
-        "checksums bit-identical to solo)"
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return serve_gate(args.scale, args.metrics_out, args.prom_out)

@@ -11,9 +11,8 @@ advances the shard environments in conservative lockstep windows.
 The point of the exercise is **bit-identical simulated time**: a
 sharded run must produce exactly the ``sim_times`` observables of the
 serial engine — same final clock ``repr``, same per-step boundaries —
-for shards ∈ {1, 2, 4}.  :func:`shard_equivalence_gate` checks exactly
-that; ``make shard-gate`` is the entry point and docs/SCALING.md the
-handbook.
+for shards ∈ {1, 2, 4}.  :func:`gate` checks exactly that; ``make
+shard-gate`` is the entry point and docs/SCALING.md the handbook.
 
 SPMD mirror rules (violating any of these diverges the trajectory —
 see docs/SCALING.md, "Determinism"):
@@ -21,8 +20,10 @@ see docs/SCALING.md, "Determinism"):
 * construct the application identically on every shard (same RNG
   seeds, same array/construction order);
 * pre-register every entry method in one fixed order right after
-  construction (:meth:`repro.charm.runtime.Charm.register_entries`) —
-  handler ids ride inside payloads across shards;
+  construction (:meth:`repro.charm.runtime.Charm.register_entries`,
+  which :func:`~repro.harness.workloads.build_namd` does whenever it is
+  handed a sharded machine) — handler ids ride inside payloads across
+  shards;
 * seed through :meth:`Charm.seed` (it skips remote PEs but still
   allocates handler ids);
 * never read another shard's state outside the window barrier.
@@ -30,114 +31,71 @@ see docs/SCALING.md, "Determinism"):
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..bgq.shardnet import ReservationFabric, ShardClient, ShardedBGQMachine
-from ..converse import ConverseRuntime, RunConfig
-from ..converse.messages import ConverseMessage
+from ..converse import RunConfig
 from ..sim.shard import ShardCoordinator, ShardEnvironment, run_sharded_subprocesses
+from .pingpong import pingpong_run
+from .workloads import (
+    Instance,
+    build_namd,
+    build_pingpong,
+    namd_run,
+    namd_sim_times,
+    pingpong_sim_times,
+    window_sim_times,
+)
 
 __all__ = [
-    "NAMD_ENTRY_METHODS",
+    "build_shards",
     "run_sharded_pingpong",
     "run_sharded_namd",
-    "sharded_bench_pingpong",
-    "sharded_bench_fig3_m2m",
-    "sharded_bench_fig10_window",
-    "shard_equivalence_gate",
+    "gate",
     "SHARD_GATE_SHARD_COUNTS",
 ]
-
-#: Every entry method mini-NAMD (incl. its embedded FFT service) sends;
-#: pre-registered in this order on every shard mirror so the lazily
-#: allocated handler ids agree across shards.
-NAMD_ENTRY_METHODS: Tuple[str, ...] = (
-    "start",
-    "take_positions",
-    "add_force",
-    "deposit",
-    "pme_slab",
-    "begin",
-    "recv_block",
-    "phase_done",
-)
 
 #: Shard counts the equivalence gate compares against the serial engine.
 SHARD_GATE_SHARD_COUNTS: Tuple[int, ...] = (1, 2, 4)
 
 
-class _Shard:
-    """One shard mirror of a benchmark (env + runtime + result hooks)."""
-
-    def __init__(self, env, runtime, done, result_fn) -> None:
-        self.env = env
-        self.runtime = runtime
-        self.done = done
-        self.result_fn = result_fn
-
-
-# ---------------------------------------------------------------------------
-# pingpong
-# ---------------------------------------------------------------------------
-
-def _build_pingpong_shard(
-    shard_id: int,
+def build_shards(
+    nnodes: int,
     nshards: int,
-    config: RunConfig,
-    nbytes: int,
-    trips: int,
-    src_rank: int,
-    dst_rank: int,
-    fabric: Optional[ReservationFabric],
-) -> _Shard:
-    """One shard mirror of :func:`repro.harness.pingpong.pingpong_run`.
+    build: Callable[[ShardEnvironment, ShardedBGQMachine], Instance],
+) -> Tuple[List[Instance], ReservationFabric]:
+    """One started SPMD mirror per shard over a shared in-process fabric.
 
-    Mirrors the serial builder exactly: same handler registration order
-    (pong, then ping), same seed message.  Only the shard owning
-    ``src_rank`` seeds and owns the ``done`` event; the handlers only
-    ever execute on the shards owning their PEs.
+    ``build(env, machine)`` is a :mod:`~repro.harness.workloads`
+    builder bound to its workload arguments; shard 0 owns rank 0, so
+    ``shards[0].done`` ends the run and ``shards[0].observe`` holds the
+    root observables.
     """
-    env = ShardEnvironment(shard_id)
-    machine = ShardedBGQMachine(env, config.nnodes, shard_id, nshards, fabric=fabric)
-    rt = ConverseRuntime(env, config, machine=machine)
-    rtts: List[float] = []
-    done = env.event()
-    state = {"t0": 0.0, "trip": 0}
-
-    def pong(pe, msg):
-        yield from pe.send(src_rank, hid_ping, nbytes, None)
-
-    def ping(pe, msg):
-        now = env.now
-        if state["trip"] > 0:
-            rtts.append(now - state["t0"])
-        if state["trip"] >= trips:
-            done.succeed()
-            return
-        state["t0"] = now
-        state["trip"] += 1
-        yield from pe.send(dst_rank, hid_pong, nbytes, None)
-
-    hid_pong = rt.register_handler(pong)
-    hid_ping = rt.register_handler(ping)
-    src_pe = rt.pes[src_rank]
-    if src_pe is not None:
-        src_pe.local_q.append(
-            ConverseMessage(hid_ping, 0, None, src_rank, src_rank)
+    fabric = ReservationFabric(nnodes, nshards)
+    shards = []
+    for sid in range(nshards):
+        env = ShardEnvironment(sid)
+        shards.append(
+            build(env, ShardedBGQMachine(env, nnodes, sid, nshards, fabric=fabric))
         )
-    rt.start()
+    for shard in shards:
+        shard.start()
+    return shards, fabric
 
-    def result() -> Dict[str, Any]:
-        rt.stop()
-        return {
-            "sim_time": env.now,
-            "rtts": list(rtts),
-            "events": env.events_executed,
-        }
 
-    return _Shard(env, rt, done, result)
+def _run_shards(
+    shards: List[Instance], fabric: ReservationFabric
+) -> Tuple[float, int, int]:
+    """Coordinate the mirrors to ``done``; (wall s, total events, windows)."""
+    coordinator = ShardCoordinator([s.env for s in shards], fabric.window, fabric)
+    t0 = time.perf_counter()
+    coordinator.run(shards[0].done)
+    wall_s = time.perf_counter() - t0
+    for shard in shards:
+        shard.stop()
+    events = sum(s.env.events_executed for s in shards)
+    return wall_s, events, coordinator.windows_run
 
 
 def run_sharded_pingpong(
@@ -158,33 +116,37 @@ def run_sharded_pingpong(
     if dst_rank is None:
         dst_rank = (config.nnodes - 1) * config.pes_per_node  # first PE, last node
     if transport == "inproc":
-        fabric = ReservationFabric(config.nnodes, nshards)
-        shards = [
-            _build_pingpong_shard(
-                sid, nshards, config, nbytes, trips, src_rank, dst_rank, fabric
-            )
-            for sid in range(nshards)
-        ]
-        coordinator = ShardCoordinator(
-            [s.env for s in shards], fabric.window, fabric
+        shards, fabric = build_shards(
+            config.nnodes, nshards,
+            lambda env, machine: build_pingpong(
+                config, nbytes, trips, src_rank, dst_rank, env, machine
+            ),
         )
-        t0 = time.perf_counter()
-        coordinator.run(shards[0].done)
-        wall_s = time.perf_counter() - t0
-        per_shard = {s.env.shard_id: s.result_fn() for s in shards}
+        wall_s, events, _ = _run_shards(shards, fabric)
+        root = shards[0]
+        sim_time, rtts = root.env.now, list(root.observe()["rtts"])
     elif transport == "mp":
         fabric = ReservationFabric(config.nnodes, nshards)
 
         def build_client(shard_id: int, nshards_: int) -> ShardClient:
-            shard = _build_pingpong_shard(
-                shard_id, nshards_, config, nbytes, trips, src_rank, dst_rank,
-                fabric=None,
+            env = ShardEnvironment(shard_id)
+            machine = ShardedBGQMachine(env, config.nnodes, shard_id, nshards_)
+            shard = build_pingpong(
+                config, nbytes, trips, src_rank, dst_rank, env, machine
             )
+            shard.start()
+
+            def result() -> Dict[str, Any]:
+                shard.stop()
+                return {
+                    "sim_time": env.now,
+                    "rtts": list(shard.observe()["rtts"]),
+                    "events": env.events_executed,
+                }
+
             return ShardClient(
-                shard.env,
-                shard.runtime.machine,
-                done=shard.done if shard_id == 0 else None,
-                result_fn=shard.result_fn,
+                env, machine, done=shard.done if shard_id == 0 else None,
+                result_fn=result,
             )
 
         t0 = time.perf_counter()
@@ -192,78 +154,18 @@ def run_sharded_pingpong(
             nshards, fabric.window, build_client, fabric
         )
         wall_s = time.perf_counter() - t0
+        sim_time, rtts = per_shard[0]["sim_time"], per_shard[0]["rtts"]
+        events = sum(r["events"] for r in per_shard.values())
     else:
         raise ValueError(f"unknown transport {transport!r}")
-
-    root = per_shard[0]
     return {
-        "sim_time": root["sim_time"],
-        "rtts": root["rtts"],
-        "events": sum(r["events"] for r in per_shard.values()),
+        "sim_time": sim_time,
+        "rtts": rtts,
+        "events": events,
         "wall_s": wall_s,
         "nshards": nshards,
         "transport": transport,
     }
-
-
-# ---------------------------------------------------------------------------
-# mini-NAMD (fig3_m2m / fig10_window)
-# ---------------------------------------------------------------------------
-
-def _build_namd_shard(
-    shard_id: int,
-    nshards: int,
-    fabric: Optional[ReservationFabric],
-    use_m2m_pme: bool,
-    n_steps: int,
-    n_atoms: int,
-    nnodes: int,
-    workers: int,
-    comm_threads: int,
-    seed: int,
-) -> _Shard:
-    """One SPMD mirror of :func:`repro.harness.benchgate._namd_run`.
-
-    Every shard builds the identical system (same ``seed``) and Charm
-    application; entry methods are pre-registered in fixed order; seeds
-    land only on owning shards.  Requires the in-process transport:
-    the m2m slot back-channel and PME rendezvous flows carry object
-    references across shards.
-    """
-    from ..charm import Charm
-    from ..namd.charm_app import NamdCharm
-    from ..namd.system import APOA1, build_system
-
-    spec = dataclasses.replace(APOA1, cutoff=7.5)
-    system = build_system(
-        n_atoms, spec_like=spec, temperature=0.003, bond_fraction=0.0, seed=seed
-    )
-    config = RunConfig(
-        nnodes=nnodes,
-        workers_per_process=workers,
-        comm_threads_per_process=comm_threads,
-    )
-    env = ShardEnvironment(shard_id)
-    machine = ShardedBGQMachine(env, nnodes, shard_id, nshards, fabric=fabric)
-    charm = Charm(config, env=env, machine=machine)
-    app = NamdCharm(
-        charm, system, n_steps=n_steps, pme_every=1, use_m2m_pme=use_m2m_pme,
-        dt=0.004,
-    )
-    charm.register_entries(NAMD_ENTRY_METHODS)
-    for p in range(app.patch_grid.n_patches):
-        charm.seed(app.patches, p, "start")
-    charm.start()
-
-    def result() -> Dict[str, Any]:
-        charm.runtime.stop()
-        return {
-            "sim_time": env.now,
-            "events": env.events_executed,
-            "step_times": tuple(t for t, _ in app.step_log),
-        }
-
-    return _Shard(env, charm.runtime, charm.done, result)
 
 
 def run_sharded_namd(
@@ -276,102 +178,33 @@ def run_sharded_namd(
     nshards: int,
     seed: int = 17,
 ) -> Dict[str, Any]:
-    """Sharded mini-NAMD run (in-process transport); serial-compatible
-    statistics from the root shard (rank 0 hosts both reduction roots)."""
-    fabric = ReservationFabric(nnodes, nshards)
-    shards = [
-        _build_namd_shard(
-            sid, nshards, fabric, use_m2m_pme, n_steps, n_atoms, nnodes,
-            workers, comm_threads, seed,
-        )
-        for sid in range(nshards)
-    ]
-    coordinator = ShardCoordinator([s.env for s in shards], fabric.window, fabric)
-    t0 = time.perf_counter()
-    coordinator.run(shards[0].done)
-    wall_s = time.perf_counter() - t0
-    per_shard = {s.env.shard_id: s.result_fn() for s in shards}
-    root = per_shard[0]
+    """Sharded :func:`~repro.harness.workloads.namd_run`; serial-compatible
+    statistics from the root shard (rank 0 hosts both reduction roots).
+
+    In-process transport only: the m2m slot back-channel and PME
+    rendezvous flows carry object references across shards.
+    """
+    config = RunConfig(
+        nnodes=nnodes,
+        workers_per_process=workers,
+        comm_threads_per_process=comm_threads,
+    )
+    shards, fabric = build_shards(
+        nnodes, nshards,
+        lambda env, machine: build_namd(
+            config, n_atoms, n_steps, use_m2m_pme, seed, cutoff=7.5,
+            env=env, machine=machine,
+        ),
+    )
+    wall_s, events, windows = _run_shards(shards, fabric)
+    root = shards[0]
     return {
-        "sim_time": root["sim_time"],
-        "step_times": root["step_times"],
-        "events": sum(r["events"] for r in per_shard.values()),
+        "sim_time": root.env.now,
+        "step_times": tuple(root.observe()["steps"]),
+        "events": events,
         "wall_s": wall_s,
         "nshards": nshards,
-        "windows": coordinator.windows_run,
-    }
-
-
-# ---------------------------------------------------------------------------
-# benchmark records (benchgate-compatible sim_times dicts)
-# ---------------------------------------------------------------------------
-
-def sharded_bench_pingpong(
-    nnodes: int, nshards: int, nbytes: int = 512, trips: int = 8,
-    transport: str = "inproc",
-) -> Dict[str, Any]:
-    """Benchgate-style record for a sharded ping-pong across the torus."""
-    run = run_sharded_pingpong(
-        RunConfig(nnodes=nnodes, workers_per_process=4), nbytes,
-        nshards, trips=trips, transport=transport,
-    )
-    return {
-        "wall_s": run["wall_s"],
-        "events": run["events"],
-        "sim_times": {
-            "final": repr(run["sim_time"]),
-            "rtt_sum": repr(float(sum(run["rtts"]))),
-        },
-        "nshards": nshards,
-    }
-
-
-def sharded_bench_fig3_m2m(
-    nnodes: int, nshards: int, n_steps: int = 3, n_atoms: int = 1372,
-    workers: int = 2, comm_threads: int = 2,
-) -> Dict[str, Any]:
-    """Benchgate-style record for the sharded Fig. 3 m2m PME run."""
-    run = run_sharded_namd(
-        True, n_steps, n_atoms, nnodes, workers, comm_threads, nshards
-    )
-    sim_times = {"final": repr(run["sim_time"])}
-    for i, t in enumerate(run["step_times"]):
-        sim_times[f"step{i}"] = repr(t)
-    return {
-        "wall_s": run["wall_s"],
-        "events": run["events"],
-        "sim_times": sim_times,
-        "nshards": nshards,
-    }
-
-
-def sharded_bench_fig10_window(
-    nnodes: int, nshards: int, n_steps: int = 4, n_atoms: int = 1372,
-    workers: int = 2, comm_threads: int = 1,
-) -> Dict[str, Any]:
-    """Benchgate-style record for the sharded Fig. 10 window experiment."""
-    std = run_sharded_namd(
-        False, n_steps, n_atoms, nnodes, workers, comm_threads, nshards
-    )
-    m2m = run_sharded_namd(
-        True, n_steps, n_atoms, nnodes, workers, comm_threads, nshards
-    )
-    window = std["sim_time"] * 0.75
-    sim_times = {
-        "final_std": repr(std["sim_time"]),
-        "final_m2m": repr(m2m["sim_time"]),
-        "steps_in_window_std": repr(
-            sum(1 for t in std["step_times"] if t <= window)
-        ),
-        "steps_in_window_m2m": repr(
-            sum(1 for t in m2m["step_times"] if t <= window)
-        ),
-    }
-    return {
-        "wall_s": std["wall_s"] + m2m["wall_s"],
-        "events": std["events"] + m2m["events"],
-        "sim_times": sim_times,
-        "nshards": nshards,
+        "windows": windows,
     }
 
 
@@ -379,135 +212,80 @@ def sharded_bench_fig10_window(
 # the equivalence gate
 # ---------------------------------------------------------------------------
 
-def _serial_pingpong_sim_times(nnodes: int, nbytes: int, trips: int) -> Dict[str, str]:
-    from .pingpong import pingpong_run
-
-    config = RunConfig(nnodes=nnodes, workers_per_process=4)
-    run = pingpong_run(
-        config, nbytes, dst_rank=(nnodes - 1) * config.pes_per_node,
-        trips=trips,
-    )
-    return {
-        "final": repr(run["sim_time"]),
-        "rtt_sum": repr(float(sum(run["rtts"]))),
-    }
-
-
-def _serial_fig3_sim_times(
-    nnodes: int, n_steps: int, n_atoms: int, workers: int, comm_threads: int
-) -> Dict[str, str]:
-    from .benchgate import _namd_run
-
-    run = _namd_run(True, n_steps, n_atoms, nnodes, workers, comm_threads)
-    sim_times = {"final": repr(run["sim_time"])}
-    for i, t in enumerate(run["step_times"]):
-        sim_times[f"step{i}"] = repr(t)
-    return sim_times
-
-
-def _serial_fig10_sim_times(
-    nnodes: int, n_steps: int, n_atoms: int, workers: int, comm_threads: int
-) -> Dict[str, str]:
-    from .benchgate import _namd_run
-
-    std = _namd_run(False, n_steps, n_atoms, nnodes, workers, comm_threads)
-    m2m = _namd_run(True, n_steps, n_atoms, nnodes, workers, comm_threads)
-    window = std["sim_time"] * 0.75
-    return {
-        "final_std": repr(std["sim_time"]),
-        "final_m2m": repr(m2m["sim_time"]),
-        "steps_in_window_std": repr(
-            sum(1 for t in std["step_times"] if t <= window)
-        ),
-        "steps_in_window_m2m": repr(
-            sum(1 for t in m2m["step_times"] if t <= window)
-        ),
-    }
-
-
-def shard_equivalence_gate(
-    scale: str = "full", shard_counts: Tuple[int, ...] = SHARD_GATE_SHARD_COUNTS
-) -> Tuple[List[str], List[str]]:
-    """Serial-vs-sharded bit-identity over the three gated benchmarks.
+def gate(args) -> Tuple[List[str], List[str], Dict[str, Any]]:
+    """The ``shard`` gate: serial-vs-sharded bit-identity over the three
+    gated benchmarks; (failures, notes, report body).
 
     For each benchmark, runs the serial engine once, then the sharded
     engine at every shard count (shards=1 exercises the full sharded
     machinery — buffered reservations, window barriers — and must
     still match).  Any differing ``repr`` of any simulated-time
-    observable is a failure.  Returns ``(failures, notes)``.
+    observable is a failure.
     """
-    if scale == "tiny":
-        pp = dict(nnodes=4, nbytes=512, trips=4)
-        f3 = dict(nnodes=4, n_steps=1, n_atoms=256, workers=1, comm_threads=1)
-        f10 = dict(nnodes=4, n_steps=1, n_atoms=256, workers=1, comm_threads=1)
+    config = RunConfig(nnodes=4, workers_per_process=4)
+    nbytes = 512
+    if args.scale == "tiny":
+        trips = 4
+        f3 = (1, 256, 4, 1, 1)  # n_steps, n_atoms, nnodes, workers, comm_threads
+        f10 = (1, 256, 4, 1, 1)
     else:
-        pp = dict(nnodes=4, nbytes=512, trips=200)
-        f3 = dict(nnodes=4, n_steps=2, n_atoms=512, workers=2, comm_threads=2)
-        f10 = dict(nnodes=4, n_steps=2, n_atoms=512, workers=2, comm_threads=1)
+        trips = 200
+        f3 = (2, 512, 4, 2, 2)
+        f10 = (2, 512, 4, 2, 1)
 
     failures: List[str] = []
     notes: List[str] = []
 
-    def check(name: str, serial: Dict[str, str], sharded_fn: Callable[[int], dict]) -> None:
-        for nshards in shard_counts:
-            rec = sharded_fn(nshards)
-            got = rec["sim_times"]
-            if got == serial:
-                notes.append(
-                    f"{name} shards={nshards}: identical "
-                    f"({len(serial)} observables, final={serial['final' if 'final' in serial else sorted(serial)[0]]})"
-                )
-            else:
-                drift = [
-                    k
-                    for k in sorted(set(serial) | set(got))
-                    if serial.get(k) != got.get(k)
-                ]
-                failures.append(
-                    f"{name} shards={nshards}: simulated-time drift vs serial "
-                    f"— diverging observables: {', '.join(drift)} "
-                    f"(e.g. {drift[0]}: serial={serial.get(drift[0])!r} "
-                    f"sharded={got.get(drift[0])!r})"
-                )
+    def check(label: str, serial: Dict[str, str], got: Dict[str, str]) -> None:
+        if got == serial:
+            notes.append(f"{label}: identical ({len(serial)} observables)")
+            return
+        drift = [
+            k for k in sorted(set(serial) | set(got)) if serial.get(k) != got.get(k)
+        ]
+        failures.append(
+            f"{label}: simulated-time drift vs serial — diverging "
+            f"observables: {', '.join(drift)} (e.g. {drift[0]}: "
+            f"serial={serial.get(drift[0])!r} sharded={got.get(drift[0])!r})"
+        )
 
-    check(
-        "pingpong",
-        _serial_pingpong_sim_times(pp["nnodes"], pp["nbytes"], pp["trips"]),
-        lambda n: sharded_bench_pingpong(
-            pp["nnodes"], n, nbytes=pp["nbytes"], trips=pp["trips"]
-        ),
+    def sharded_pingpong(nshards: int, transport: str = "inproc") -> Dict[str, str]:
+        return pingpong_sim_times(
+            run_sharded_pingpong(
+                config, nbytes, nshards, trips=trips, transport=transport
+            )
+        )
+
+    serial_pingpong = pingpong_sim_times(
+        pingpong_run(
+            config, nbytes, dst_rank=(config.nnodes - 1) * config.pes_per_node,
+            trips=trips,
+        )
     )
-    check(
-        "fig3_m2m",
-        _serial_fig3_sim_times(**f3),
-        lambda n: sharded_bench_fig3_m2m(
-            f3["nnodes"], n, n_steps=f3["n_steps"], n_atoms=f3["n_atoms"],
-            workers=f3["workers"], comm_threads=f3["comm_threads"],
+    cases = [
+        ("pingpong", serial_pingpong, sharded_pingpong),
+        (
+            "fig3_m2m",
+            namd_sim_times(namd_run(True, *f3)),
+            lambda n: namd_sim_times(run_sharded_namd(True, *f3, n)),
         ),
-    )
-    check(
-        "fig10_window",
-        _serial_fig10_sim_times(**f10),
-        lambda n: sharded_bench_fig10_window(
-            f10["nnodes"], n, n_steps=f10["n_steps"], n_atoms=f10["n_atoms"],
-            workers=f10["workers"], comm_threads=f10["comm_threads"],
+        (
+            "fig10_window",
+            window_sim_times(namd_run(False, *f10), namd_run(True, *f10)),
+            lambda n: window_sim_times(
+                run_sharded_namd(False, *f10, n), run_sharded_namd(True, *f10, n)
+            ),
         ),
-    )
+    ]
+    for name, serial, sharded in cases:
+        for n in SHARD_GATE_SHARD_COUNTS:
+            check(f"{name} shards={n}", serial, sharded(n))
     # The subprocess transport must agree too; one representative
     # config (pingpong is the MEMFIFO-only benchmark it supports).
-    serial = _serial_pingpong_sim_times(pp["nnodes"], pp["nbytes"], pp["trips"])
     try:
-        rec = sharded_bench_pingpong(
-            pp["nnodes"], 2, nbytes=pp["nbytes"], trips=pp["trips"],
-            transport="mp",
-        )
-    except (ImportError, OSError, PermissionError) as exc:
+        got = sharded_pingpong(2, transport="mp")
+    except (ImportError, OSError) as exc:
         notes.append(f"pingpong mp-transport: skipped ({exc})")
     else:
-        if rec["sim_times"] == serial:
-            notes.append("pingpong mp-transport shards=2: identical")
-        else:
-            failures.append(
-                "pingpong mp-transport shards=2: simulated-time drift vs serial"
-            )
-    return failures, notes
+        check("pingpong mp-transport shards=2", serial_pingpong, got)
+    return failures, notes, {"shard_counts": list(SHARD_GATE_SHARD_COUNTS)}

@@ -27,10 +27,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..bgq.params import CYCLES_PER_US
-from ..charm import Charm
 from ..converse import RunConfig
-from ..namd.charm_app import NamdCharm
-from ..namd.system import build_system
 from ..sim import render_ascii_timeline, utilization_profile
 from ..trace import (
     Tracer,
@@ -39,6 +36,7 @@ from ..trace import (
     write_chrome_trace,
     write_run_manifest,
 )
+from .workloads import build_namd, run_instance
 
 __all__ = [
     "TraceResult",
@@ -109,37 +107,21 @@ def run_traced_namd(
     which is where the comm-thread and m2m effects of Figs. 3/9/10
     live.
     """
-    import dataclasses
-
-    from repro.namd.system import APOA1
-
-    spec_like = dataclasses.replace(APOA1, cutoff=cutoff)
-    system = build_system(
-        n_atoms, spec_like=spec_like, temperature=0.003, bond_fraction=0.0, seed=seed
-    )
-    charm = Charm(
+    inst = build_namd(
         RunConfig(
             nnodes=nnodes,
             workers_per_process=workers,
             comm_threads_per_process=comm_threads,
             record_timeline=True,
-        )
+        ),
+        n_atoms, n_steps, use_m2m_pme, seed, cutoff=cutoff, pme_every=pme_every,
     )
-    app = NamdCharm(
-        charm,
-        system,
-        n_steps=n_steps,
-        pme_every=pme_every,
-        use_m2m_pme=use_m2m_pme,
-        dt=0.004,
-    )
-    t0 = charm.env.now
-    app.run()
-    tracer: Tracer = charm.tracer
+    run_instance(inst)
+    tracer: Tracer = inst.env.tracer
     tracer.finish()
     busy, useful = tracer.utilization()
-    total = charm.env.now - t0
-    step_times = tuple(t / CYCLES_PER_US for t, _ in app.step_log)
+    total = inst.env.now
+    step_times = tuple(t / CYCLES_PER_US for t in inst.observe()["steps"])
     return TraceResult(
         label=label,
         n_steps=n_steps,

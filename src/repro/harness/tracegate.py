@@ -1,4 +1,4 @@
-"""The trace-diff regression gate: ``python -m repro.harness.tracegate``.
+"""The trace-diff regression gate: ``python -m repro.harness trace``.
 
 Runs the small traced configurations behind the paper's trace figures
 (Fig. 3 standard-vs-m2m PME, Fig. 9 comm-thread profile), exports
@@ -6,28 +6,27 @@ their artifacts to ``benchmarks/output/`` and diffs each fresh
 manifest against the committed baseline in ``benchmarks/baselines/``
 with :func:`repro.trace.diff.diff_manifests`.
 
-This is to trace-shaped behavior what ``benchgate`` is to throughput:
-the DES is deterministic, so a counter, a utilization fraction or the
-critical-path length moving outside tolerance means a code change
-altered the simulated machine's behavior — either intentionally
-(re-run with ``--write-baselines`` and commit the new baselines) or as
-a regression the gate just caught.
+This is to trace-shaped behavior what ``benchgate`` is to simulated
+time: the DES is deterministic, so a counter, a utilization fraction
+or the critical-path length moving outside tolerance (``diff_manifests``
+defaults: 10% counters, 5 points utilization, 10% critical path) means
+a code change altered the simulated machine's behavior — either
+intentionally (re-run with ``--write-baselines`` and commit the new
+baselines) or as a regression the gate just caught.
 
-Exit status: 0 when every configuration is within tolerance, 1 on any
-violation, 2 when baselines are missing (first run).
+A missing baseline is "could not run" (``FileNotFoundError``; the
+driver exits 2), not a failure.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
-import sys
-from typing import Dict, List
+from typing import Any, Dict, List, Tuple
 
+from ..ioutil import atomic_write_text
 from ..trace.diff import diff_manifests, format_diff, load_manifest
 
-__all__ = ["GATE_CONFIGS", "run_gate_config", "main"]
+__all__ = ["GATE_CONFIGS", "run_gate_config", "add_options", "gate"]
 
 #: The gate's traced configurations — miniature versions of the runs
 #: behind the trace figures, sized to keep the whole gate under ~1 min.
@@ -62,80 +61,53 @@ def run_gate_config(cfg: Dict, outdir: pathlib.Path) -> str:
     return paths["manifest"]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.tracegate",
-        description="Trace-diff regression gate over the figure configurations.",
-    )
+def add_options(parser) -> None:
     parser.add_argument(
-        "--baselines", default="benchmarks/baselines",
+        "--baselines", type=pathlib.Path,
+        default=pathlib.Path("benchmarks/baselines"),
         help="directory of committed baseline manifests",
     )
     parser.add_argument(
-        "--output", default="benchmarks/output",
+        "--output", type=pathlib.Path, default=pathlib.Path("benchmarks/output"),
         help="directory for fresh artifacts",
     )
     parser.add_argument(
         "--write-baselines", action="store_true",
         help="record the fresh manifests as the new baselines and exit",
     )
-    parser.add_argument("--rel-tol", type=float, default=0.10)
-    parser.add_argument("--util-tol", type=float, default=0.05)
-    parser.add_argument("--critpath-tol", type=float, default=0.10)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    args = parser.parse_args(argv)
 
-    basedir = pathlib.Path(args.baselines)
-    outdir = pathlib.Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
 
+def gate(args) -> Tuple[List[str], List[str], Dict[str, Any]]:
+    """The ``trace`` gate: (failures, notes, report body)."""
+    args.output.mkdir(parents=True, exist_ok=True)
+    failures: List[str] = []
+    notes: List[str] = []
     results: List[Dict] = []
     missing: List[str] = []
-    failed = False
     for cfg in GATE_CONFIGS:
-        fresh_path = run_gate_config(cfg, outdir)
-        base_path = basedir / f"{cfg['name']}.manifest.json"
+        fresh_path = run_gate_config(cfg, args.output)
+        base_path = args.baselines / f"{cfg['name']}.manifest.json"
         if args.write_baselines:
-            from ..ioutil import atomic_write_text
-
-            basedir.mkdir(parents=True, exist_ok=True)
+            args.baselines.mkdir(parents=True, exist_ok=True)
             atomic_write_text(base_path, pathlib.Path(fresh_path).read_text())
-            print(f"wrote baseline {base_path}")
+            notes.append(f"wrote baseline {base_path}")
             continue
         if not base_path.is_file():
             missing.append(str(base_path))
             continue
-        result = diff_manifests(
-            load_manifest(str(base_path)),
-            load_manifest(fresh_path),
-            rel_tol=args.rel_tol,
-            util_tol=args.util_tol,
-            critpath_tol=args.critpath_tol,
-        )
+        result = diff_manifests(load_manifest(str(base_path)), load_manifest(fresh_path))
         result["config"] = cfg["name"]
         results.append(result)
+        notes.append(f"[{cfg['name']}]")
+        notes.extend(format_diff(result).splitlines())
         if not result["ok"]:
-            failed = True
-        if args.format == "text":
-            print(f"[{cfg['name']}]")
-            print(format_diff(result))
-            print()
-
-    if args.write_baselines:
-        return 0
+            failures.append(
+                f"{cfg['name']}: {len(result['violations'])} violation(s) vs "
+                f"{base_path}"
+            )
     if missing:
-        print("missing baselines (run with --write-baselines and commit):",
-              file=sys.stderr)
-        for p in missing:
-            print(f"  {p}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        json.dump({"ok": not failed, "results": results}, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-    else:
-        print("trace-gate: FAILED" if failed else "trace-gate: OK")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        raise FileNotFoundError(
+            "missing baselines (run with --write-baselines and commit): "
+            + ", ".join(missing)
+        )
+    return failures, notes, {"results": results}

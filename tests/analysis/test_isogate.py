@@ -11,20 +11,20 @@ import json
 
 import pytest
 
+from repro.harness.__main__ import main
 from repro.harness.isogate import (
-    IsoInstance,
     STRIDES,
     gate_workloads,
     isolation_gate,
-    main,
     run_interleaved,
     run_solo,
 )
+from repro.harness.workloads import Instance
 from repro.sim import Environment
 
 
 def test_tiny_gate_is_bit_identical():
-    report = isolation_gate(scale="tiny", verbose=False)
+    report = isolation_gate(scale="tiny")
     assert len(report) == 4
     for name, rec in report.items():
         assert rec["ok"], f"{name}: {rec['solo']} != {rec['interleaved']}"
@@ -66,13 +66,13 @@ def _leaky_builder(shared):
             done.succeed()
 
         env.process(proc())
-        return IsoInstance(
+        return Instance(
             name="leaky",
             env=env,
             start=lambda: None,
             stop=lambda: None,
             done=done,
-            result=lambda: {"trace": [repr(t) for t in trace]},
+            observe=lambda: {"trace": trace},
         )
 
     return build
@@ -116,15 +116,16 @@ def test_interleaving_strides_vary():
 
 def test_main_tiny_json_report(tmp_path, capsys):
     out = tmp_path / "iso.json"
-    assert main(["--scale", "tiny", "--json-out", str(out)]) == 0
+    assert main(["iso", "--scale", "tiny", "--json-out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert len(report) == 4
-    assert all(rec["ok"] for rec in report.values())
-    assert "iso-gate: PASS" in capsys.readouterr().out
+    assert report["gate"] == "iso" and report["pass"] is True
+    assert len(report["instances"]) == 4
+    assert all(rec["ok"] for rec in report["instances"].values())
+    assert "iso: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.slow
 def test_full_gate_includes_charm_layer():
-    report = isolation_gate(scale="full", verbose=False)
+    report = isolation_gate(scale="full")
     assert "namd/std-PME" in report and "namd/m2m-PME" in report
     assert all(rec["ok"] for rec in report.values())

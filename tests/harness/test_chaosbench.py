@@ -1,6 +1,11 @@
 """Tests for the chaos fuzz harness (small cells of the CI matrix)."""
 
-from repro.harness.chaosbench import main, run_m2m_chaos, run_matrix, run_pingpong_chaos
+from repro.harness.__main__ import main as harness_main
+from repro.harness.chaosbench import run_m2m_chaos, run_matrix, run_pingpong_chaos
+
+
+def main(argv):
+    return harness_main(["chaos", *argv])
 
 
 def test_pingpong_under_drop5():
@@ -50,6 +55,7 @@ def test_main_exit_status(capsys):
     assert rc == 0
     assert "[ok] pingpong" in out
     assert "1/1 cells passed" in out
+    assert "chaos: PASS" in out
 
 
 def test_pingpong_partition_gives_up_and_quiesces():

@@ -7,7 +7,12 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro.harness import tracegate
-from repro.harness.tracegate import main
+from repro.harness.__main__ import main as harness_main
+
+
+def main(argv):
+    return harness_main(["trace", *argv])
+
 
 #: The shipped configs, captured before the tiny-gate fixture swaps them.
 REAL_CONFIGS = list(tracegate.GATE_CONFIGS)
@@ -33,7 +38,8 @@ def test_missing_baselines_exit_2(tmp_path, capsys):
         "--output", str(tmp_path / "output"),
     ])
     assert rc == 2
-    assert "missing baselines" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "trace: could not run" in err and "missing baselines" in err
 
 
 def test_write_then_pass(tmp_path, capsys):
@@ -49,7 +55,7 @@ def test_write_then_pass(tmp_path, capsys):
     rc = main(["--baselines", str(basedir), "--output", str(outdir)])
     out = capsys.readouterr().out
     assert rc == 0, out
-    assert "trace-gate: OK" in out
+    assert "trace: PASS" in out
 
 
 def test_perturbed_baseline_fails_the_gate(tmp_path, capsys):
@@ -68,7 +74,7 @@ def test_perturbed_baseline_fails_the_gate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL counter:hpm.mu.descriptors" in out
-    assert "trace-gate: FAILED" in out
+    assert "trace: FAIL" in out
 
 
 def test_committed_baselines_match_gate_configs():

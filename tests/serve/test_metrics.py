@@ -112,7 +112,7 @@ def test_servebench_percentiles_equal_histogram_percentiles():
     drift between the report numbers and the metrics surface would mean
     two competing definitions of serve latency.
     """
-    report = run_serve_load(scale="tiny", workers=3)
+    report = run_serve_load(scale="tiny")
     lat = report["serve_metrics"]["serve.latency_s"]["series"][0]
     assert report["latency_p50_s"] == round(lat["p50"], 4)
     assert report["latency_p99_s"] == round(lat["p99"], 4)

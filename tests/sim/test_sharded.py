@@ -36,9 +36,9 @@ def test_pingpong_sharded_matches_serial(nshards, nbytes):
 
 
 def _serial_namd(seed):
-    from repro.harness.benchgate import _namd_run
+    from repro.harness.workloads import namd_run
 
-    return _namd_run(True, 1, 256, 4, 1, 1, seed=seed)
+    return namd_run(True, 1, 256, 4, 1, 1, seed=seed)
 
 
 @pytest.mark.slow
