@@ -1,19 +1,14 @@
-"""Tracer overhead on the ping-pong micro-benchmark.
+"""Tracer neutrality on the ping-pong micro-benchmark.
 
-Two guarantees of the tracing subsystem (docs/TRACING.md):
+The tracing subsystem's guarantee (docs/TRACING.md) is
+**simulated-time neutrality**: the tracer only reads the clock, so
+enabling it must not change any simulated result.  Checked exactly.
 
-1. **Simulated-time neutrality** — the tracer only reads the clock, so
-   enabling it must not change any simulated result.  Checked exactly.
-2. **Low host-time overhead (<5% target)** — hot components keep plain
-   integer statistics that are snapshotted once at ``Tracer.finish()``,
-   so the live cost of tracing is only span recording on activity
-   transitions.  Measured here (interleaved runs, median of several
-   repetitions, to cancel host load drift) and recorded in
-   ``output/results.txt``.
+What tracing costs in *host* time is measured where every host-time
+number is — ``python3 -m bench --trace 1`` reports it as
+``trace.tracer_overhead_ratio`` under that harness's noise model
+(bench/README.md) — so nothing here reads a host clock.
 """
-
-import statistics
-import time
 
 import pytest
 
@@ -21,46 +16,22 @@ from repro.converse import RunConfig
 from repro.harness import pingpong_oneway_us
 
 
-def _config(trace: bool) -> RunConfig:
-    return RunConfig(
+def _one(trace: bool, nbytes: int = 512, trips: int = 32) -> float:
+    config = RunConfig(
         nnodes=2, workers_per_process=4, comm_threads_per_process=1, trace=trace
     )
-
-
-def _one(trace: bool, nbytes: int = 512, trips: int = 32):
-    t0 = time.perf_counter()
-    latency = pingpong_oneway_us(_config(trace), nbytes, trips=trips)
-    return latency, time.perf_counter() - t0
+    return pingpong_oneway_us(config, nbytes, trips=trips)
 
 
 @pytest.mark.trace
-def test_tracer_overhead_pingpong(benchmark, report):
-    def run():
-        _one(False)
-        _one(True)  # warm-up pair
-        offs, ons = [], []
-        lat_off = lat_on = None
-        for _ in range(9):  # interleaved to cancel host-load drift
-            lat_off, w = _one(False)
-            offs.append(w)
-            lat_on, w = _one(True)
-            ons.append(w)
-        return lat_off, statistics.median(offs), lat_on, statistics.median(ons)
-
-    lat_off, wall_off, lat_on, wall_on = benchmark.pedantic(
-        run, rounds=1, iterations=1
+def test_tracer_neutrality_pingpong(benchmark, report):
+    lat_off, lat_on = benchmark.pedantic(
+        lambda: (_one(False), _one(True)), rounds=1, iterations=1
     )
-    overhead = (wall_on - wall_off) / wall_off * 100.0
     report(
-        "Tracer overhead (ping-pong, 512 B, SMP+commthread, 32 trips,\n"
-        "interleaved median of 9)\n"
+        "Tracer neutrality (ping-pong, 512 B, SMP+commthread, 32 trips)\n"
         f"  simulated one-way latency: {lat_off:.3f} us (tracing off)"
-        f" / {lat_on:.3f} us (tracing on)\n"
-        f"  host wall time: {wall_off * 1e3:.1f} ms off"
-        f" / {wall_on * 1e3:.1f} ms on ({overhead:+.1f}%; target <5%)"
+        f" / {lat_on:.3f} us (tracing on)"
     )
     # Tracing must never perturb the simulation itself.
     assert lat_on == pytest.approx(lat_off, rel=0, abs=0)
-    # Host-time bound: target is <5%; assert with slack for noisy CI
-    # machines (the representative figure is the one recorded above).
-    assert wall_on < 1.10 * wall_off + 0.02

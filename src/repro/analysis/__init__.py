@@ -16,7 +16,6 @@ Entry points: ``python -m repro.analysis`` or ``make lint``; the rule
 catalog lives in docs/ANALYSIS.md.
 """
 
-from .baseline import Baseline
 from .cache import LintCache
 from .config import Config, find_root, load_config
 from .core import (
@@ -39,7 +38,6 @@ from .sanitizer import SanitizerError, check_ordered, sanitize_enabled, sanitize
 __all__ = [
     "AnalysisResult",
     "Analyzer",
-    "Baseline",
     "Config",
     "FileContext",
     "LintCache",

@@ -1,6 +1,6 @@
 """repro-lint command line: ``python -m repro.analysis`` / ``make lint``.
 
-Exit status: 0 when every finding is suppressed (pragma or baseline),
+Exit status: 0 when every finding is suppressed by a pragma,
 1 when unsuppressed violations remain, 2 on usage errors — including
 an unknown rule id in ``--rules`` *or* in the ``[tool.repro-lint]
 rules`` table (a typo there must not silently disable a rule).
@@ -19,7 +19,6 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import List, Optional
 
-from .baseline import Baseline
 from .cache import LintCache
 from .config import Config, find_root, load_config
 from .core import Analyzer, all_rule_classes, default_rules
@@ -68,9 +67,7 @@ def run_self_check(config: Config) -> int:
             spmd_paths=("injected_spmd.py",),
             global_allow=(),
         )
-        analyzer = Analyzer(
-            tmpdir, default_rules(scratch), baseline=None, config=scratch
-        )
+        analyzer = Analyzer(tmpdir, default_rules(scratch), config=scratch)
         result = analyzer.run([str(tmpdir)])
         fired = {v.rule for v in result.violations}
         for rule_id, (fname, _) in _SELF_CHECK_SNIPPETS.items():
@@ -124,15 +121,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write the JSON report to this file (CI artifact)",
     )
     parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file (report grandfathered violations too)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="merge current unsuppressed violations into the baseline, "
-        "prune entries for files that no longer exist, and exit 0",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the content-hash result cache (.repro-lint-cache.json)",
     )
@@ -168,51 +156,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.self_check:
         return run_self_check(config)
 
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        baseline = Baseline.load(config.baseline_path)
-
     rules = default_rules(config)
     cache = None
     if not args.no_cache:
         cache = LintCache(
             config.root / ".repro-lint-cache.json", [r.id for r in rules]
         )
-    analyzer = Analyzer(
-        config.root, rules, baseline=baseline, config=config, cache=cache
-    )
+    analyzer = Analyzer(config.root, rules, config=config, cache=cache)
     paths = args.paths or config.paths
     result = analyzer.run(paths, exclude=config.exclude)
-
-    if args.write_baseline:
-        old = Baseline.load(config.baseline_path)
-        # Keep entries for files this run did not look at; entries for
-        # analyzed files are superseded by the fresh findings.
-        kept = Baseline(
-            e
-            for e in old.entries()
-            if e.get("path", "") not in result.analyzed_paths
-        )
-        pruned = kept.prune_missing_files(config.root)
-        kept.merge(Baseline.from_violations(result.violations))
-        kept.save(config.baseline_path)
-        msg = (
-            f"repro-lint: wrote {len(kept)} grandfathered "
-            f"entr{'y' if len(kept) == 1 else 'ies'} to {config.baseline_path}"
-        )
-        if pruned:
-            gone = ", ".join(sorted({e.get("path", "?") for e in pruned}))
-            msg += f" (pruned {len(pruned)} for missing file(s): {gone})"
-        print(msg)
-        return 0
 
     payload = {
         "files_analyzed": result.files_analyzed,
         "cache_hits": result.cache_hits,
         "violations": [v.__dict__ for v in result.violations],
         "pragma_suppressed": len(result.pragma_suppressed),
-        "baseline_suppressed": len(result.baseline_suppressed),
-        "stale_baseline": [list(fp) for fp in result.stale_baseline],
     }
     if args.json_out is not None:
         from ..ioutil import atomic_write_text
@@ -232,20 +190,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             for rule_id in sorted(counts):
                 print(f"  {rule_id}: {counts[rule_id]}")
         suppressed = ""
-        if result.pragma_suppressed or result.baseline_suppressed:
-            suppressed = (
-                f" ({len(result.pragma_suppressed)} pragma-suppressed, "
-                f"{len(result.baseline_suppressed)} baselined)"
-            )
+        if result.pragma_suppressed:
+            suppressed = f" ({len(result.pragma_suppressed)} pragma-suppressed)"
         status = "PASS" if result.ok else f"{len(result.violations)} violation(s)"
         print(
             f"repro-lint: {result.files_analyzed} files, {status}{suppressed}"
         )
-        for rule_id, path, text in result.stale_baseline:
-            print(
-                f"repro-lint: stale baseline entry {rule_id} @ {path}: {text!r} "
-                "(fixed? remove it)",
-            )
 
     return 0 if result.ok else 1
 

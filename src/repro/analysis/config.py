@@ -7,7 +7,6 @@ editors all read one source of truth::
     paths = ["src", "tests"]
     exclude = ["tests/analysis/fixtures"]
     rules = ["D1", "D2", "D3", "D4", "P1", "P2", "P3", "P4"]
-    baseline = "lint-baseline.json"
     wallclock-allow = ["src/repro/harness", "src/repro/trace"]
 
 Parsed with :mod:`tomllib` (Python >= 3.11).  On 3.10, where tomllib
@@ -75,7 +74,6 @@ class Config:
     paths: List[str] = field(default_factory=lambda: list(_DEFAULT_PATHS))
     exclude: List[str] = field(default_factory=list)
     rules: Optional[List[str]] = None  # None = every registered rule
-    baseline: str = "lint-baseline.json"
     wallclock_allow: Tuple[str, ...] = _DEFAULT_WALLCLOCK_ALLOW
     #: Paths where F1 (raw RNG forbidden; sim.rng streams only) applies.
     faults_paths: Tuple[str, ...] = _DEFAULT_FAULTS_PATHS
@@ -99,10 +97,6 @@ class Config:
     #: in addition to modules the import graph shows importing
     #: repro.sim.shard or repro.bgq.shardnet.
     spmd_paths: Tuple[str, ...] = _DEFAULT_SPMD_PATHS
-
-    @property
-    def baseline_path(self) -> Path:
-        return self.root / self.baseline
 
 
 def find_root(start: Optional[Path] = None) -> Path:
@@ -130,8 +124,6 @@ def load_config(root: Optional[Path] = None) -> Config:
         cfg.exclude = list(table["exclude"])
     if "rules" in table:
         cfg.rules = list(table["rules"])
-    if "baseline" in table:
-        cfg.baseline = str(table["baseline"])
     if "wallclock-allow" in table:
         cfg.wallclock_allow = tuple(table["wallclock-allow"])
     if "faults-paths" in table:

@@ -14,12 +14,10 @@ Design:
   walk per file dispatches nodes to the subscribed rules, maintaining
   an ancestor ``stack`` so rules can ask about enclosing classes,
   functions, or call sites;
-* violations are suppressible three ways, checked in this order —
-  a line pragma (``# repro-lint: disable=D1,P2``), a file pragma
-  (``# repro-lint: disable-file=D1`` anywhere in the file), or an entry
-  in the checked-in baseline file (grandfathered violations, matched by
-  ``(rule, path, stripped source line)`` so line-number churn does not
-  invalidate them);
+* violations are suppressible one way, in the source beside them — a
+  line pragma (``# repro-lint: disable=D1,P2``) or a file pragma
+  (``# repro-lint: disable-file=D1`` anywhere in the file); there is no
+  grandfather list, so every suppression sits next to its reason;
 * rules carry a severity (``error``/``warning``) for reporting; any
   unsuppressed violation fails the run regardless (determinism bugs do
   not become acceptable by being labelled warnings).
@@ -68,15 +66,15 @@ class Violation:
     line: int
     col: int
     message: str
-    line_text: str  # stripped source line (baseline fingerprint)
+    line_text: str  # stripped source line
     #: Dotted symbol path for project-scope findings
     #: (``repro.bgq.params.DEFAULT_PARAMS``); empty for per-file
-    #: findings.  When set it becomes the baseline fingerprint, which
-    #: survives line churn anywhere in the file.
+    #: findings.
     symbol: str = ""
 
     @property
     def fingerprint(self) -> Tuple[str, str, str]:
+        """Identity of the finding that survives line-number churn."""
         if self.symbol:
             return (self.rule, "symbol", self.symbol)
         return (self.rule, self.path, self.line_text)
@@ -256,13 +254,7 @@ class AnalysisResult:
 
     violations: List[Violation] = field(default_factory=list)
     pragma_suppressed: List[Violation] = field(default_factory=list)
-    baseline_suppressed: List[Violation] = field(default_factory=list)
-    stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
     files_analyzed: int = 0
-    #: Root-relative posix paths of every file this run looked at
-    #: (per-file pass plus the project pass) — ``--write-baseline``
-    #: uses it to decide which old entries a run supersedes.
-    analyzed_paths: Set[str] = field(default_factory=set)
     #: Per-file results served from the content-hash cache.
     cache_hits: int = 0
 
@@ -286,13 +278,11 @@ class Analyzer:
         self,
         root: Path,
         rules: Sequence[Rule],
-        baseline=None,
         config=None,
         cache=None,
     ) -> None:
         self.root = Path(root)
         self.rules = list(rules)
-        self.baseline = baseline  # repro.analysis.baseline.Baseline or None
         self.config = config
         self.cache = cache
         self.file_rules = [
@@ -365,16 +355,12 @@ class Analyzer:
 
     def run(self, paths: Iterable[str], exclude: Sequence[str] = ()) -> AnalysisResult:
         result = AnalysisResult()
-        matched_baseline: Set[Tuple[str, str, str]] = set()
 
         def triage(pairs) -> None:
             """Route (violation, pragma-suppressed?) pairs into the result."""
             for v, by_pragma in pairs:
                 if by_pragma:
                     result.pragma_suppressed.append(v)
-                elif self.baseline is not None and self.baseline.contains(v):
-                    result.baseline_suppressed.append(v)
-                    matched_baseline.add(v.fingerprint)
                 else:
                     result.violations.append(v)
 
@@ -383,7 +369,6 @@ class Analyzer:
         for path in self.iter_files(paths, exclude):
             rel = self._rel(path)
             result.files_analyzed += 1
-            result.analyzed_paths.add(rel)
             cached = (
                 self.cache.get_file(rel, path) if self.cache is not None else None
             )
@@ -401,8 +386,6 @@ class Analyzer:
         if self.project_rules and self.config is not None:
             pfiles = self.iter_files(self.config.project_paths, exclude)
             if pfiles:
-                rels = [self._rel(p) for p in pfiles]
-                result.analyzed_paths.update(rels)
                 cached = (
                     self.cache.get_project(pfiles)
                     if self.cache is not None
@@ -428,10 +411,6 @@ class Analyzer:
                         self.cache.put_project(pfiles, pairs)
                     triage(pairs)
 
-        if self.baseline is not None:
-            result.stale_baseline = [
-                fp for fp in self.baseline.fingerprints() if fp not in matched_baseline
-            ]
         if self.cache is not None:
             self.cache.flush()
         return result

@@ -26,12 +26,12 @@ Two passes:
    anchored to the defining file and line.
 
 Project-scope findings may carry a **dotted symbol path**
-(``repro.analysis.core._REGISTRY``) used as their baseline fingerprint:
-stable under line churn *and* under edits elsewhere in the file, unlike
-the per-file ``(rule, path, line text)`` fingerprint.
+(``repro.analysis.core._REGISTRY``) as their fingerprint: stable under
+line churn *and* under edits elsewhere in the file, unlike the per-file
+``(rule, path, line text)`` fingerprint.
 
 Suppression works exactly like the per-file pass: line pragmas on the
-reported line, file pragmas, baseline entries — plus the
+reported line and file pragmas — plus the
 ``global-allow`` config list of dotted symbols for globals that are
 deliberate (each entry should carry a justification comment in
 pyproject.toml).
@@ -273,7 +273,7 @@ class ProjectRule(Rule):
     Subclasses implement :meth:`check_project` instead of :meth:`check`;
     they receive the full :class:`ProjectContext` once per run and call
     ``pctx.report(module, node, self, message, symbol=...)`` per
-    finding.  ``symbol`` (a dotted path) makes the finding's baseline
+    finding.  ``symbol`` (a dotted path) makes the finding's
     fingerprint line-churn-proof; leave it empty for positional
     findings.
     """

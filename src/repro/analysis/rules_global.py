@@ -15,8 +15,8 @@ The G family makes each shape a lint error, project-wide, using the
 pass-1 inventory in :mod:`repro.analysis.project`.  Deliberate globals
 (import-time-only registries) are exempted via the ``global-allow``
 config list; each entry carries a justification comment in
-pyproject.toml.  G findings carry dotted symbol paths as baseline
-fingerprints, so grandfathered entries survive line churn.
+pyproject.toml.  G findings carry the offending binding's dotted
+symbol path.
 """
 
 from __future__ import annotations

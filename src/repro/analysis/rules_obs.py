@@ -68,7 +68,7 @@ class UnguardedObsCallRule(Rule):
         "is off (docs/OBSERVABILITY.md); a recording call not dominated "
         "by an ``if profiler is not None`` test either crashes "
         "unprofiled runs or puts a Python method call on the per-event "
-        "dispatch path, blowing the obs-gate's ≤5%% overhead budget.  "
+        "dispatch path, blowing the profiler's ≤5%% overhead target.  "
         "Metrics mutation calls (inc/observe/...) get the same "
         "treatment: counters belong in the serve layer, and an engine "
         "module touching one must prove it is off the default path.  "

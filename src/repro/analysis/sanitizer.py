@@ -18,10 +18,12 @@ analysis cannot settle:
 
 Activation: set ``REPRO_SANITIZE=1`` before constructing the
 Environment (the flag is sampled once in ``Environment.__init__``, the
-same pattern as ``REPRO_ENGINE_SLOWPATH``).  The checks are hooks in
-the engine's one dispatch loop — same pops, same order, same simulated
-times; the trajectory is bit-identical, only host wall time grows (<2x,
-measured in CI by running the determinism fuzz suite under the flag).
+same pattern as ``REPRO_ENGINE_SLOWPATH``; any value other than unset,
+empty, ``0`` or ``1`` raises :class:`repro.envvar.EnvVarError`).  The
+checks are hooks in the engine's one dispatch loop — same pops, same
+order, same simulated times; the trajectory is bit-identical, only host
+wall time grows (<2x, measured in CI by running the determinism fuzz
+suite under the flag).
 
 This module deliberately imports nothing from ``repro.sim`` — the
 engine imports *us* (lazily, only on sanitized paths), never the other
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+
+from ..envvar import env_switch
 
 __all__ = ["SanitizerError", "sanitize_enabled", "check_ordered", "sanitized"]
 
@@ -47,7 +51,7 @@ class SanitizerError(RuntimeError):
 
 def sanitize_enabled() -> bool:
     """Whether new Environments should run sanitized."""
-    return os.environ.get(_ENV_VAR) == "1"
+    return env_switch(_ENV_VAR)
 
 
 def check_ordered(obj, where: str) -> None:

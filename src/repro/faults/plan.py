@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..bgq.params import CYCLES_PER_US
+from ..envvar import EnvVarError
 from types import MappingProxyType
 
 __all__ = ["FaultRates", "LinkDownWindow", "FaultPlan", "RetryPolicy", "PROFILES"]
@@ -174,8 +175,12 @@ class FaultPlan:
         if not spec or spec in ("0", "none", "off"):
             return None
         name, _, seed_text = spec.partition("@")
-        seed = int(seed_text) if seed_text else 0
-        return cls.profile(name, seed=seed)
+        try:
+            return cls.profile(name, seed=int(seed_text) if seed_text else 0)
+        except ValueError as exc:  # non-integer seed, or unknown profile
+            raise EnvVarError(
+                var, spec, f"<profile>[@<int seed>] ({exc})"
+            ) from None
 
 
 #: Named fault profiles: the chaos suite's seed matrix runs over these

@@ -75,13 +75,13 @@ class Instance:
         return {k: [repr(x) for x in v] for k, v in self.observe().items()}
 
     def checksum(self) -> str:
-        """Bit-exact digest of final sim time, event count and results."""
-        payload = {
-            "now": repr(self.env.now),
-            "events": self.env.events_executed,
-        }
-        payload.update(self.result())
-        return result_checksum(payload)
+        """Bit-exact digest of final sim time and the observed series.
+
+        Simulated observables only (``serve.job.result_checksum``): the
+        event count is read from ``env.events_executed`` beside it, so
+        this instance served, sharded or run serially has one digest.
+        """
+        return result_checksum({"now": repr(self.env.now), **self.result()})
 
 
 def build_pingpong(

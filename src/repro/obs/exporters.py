@@ -40,9 +40,10 @@ def load_profile(path: Any) -> Profile:
 def format_collapsed(profile: Profile) -> str:
     """Collapsed-stack lines: ``engine;<event_type>;<owner> <nanos>``.
 
-    Zero-sample nodes (possible in a merged or hand-edited profile) are
-    skipped — a zero-valued stack renders as a zero-width frame and
-    some flamegraph tools reject it outright.
+    Zero-nanosecond nodes (a site charged only the zero-timed tail
+    interval, or a hand-edited profile) are skipped — a zero-valued
+    stack renders as a zero-width frame and some flamegraph tools
+    reject it outright.
     """
     lines = [
         f"engine;{node['event_type']};{node['owner']} {node['nanos']}"

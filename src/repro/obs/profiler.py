@@ -58,11 +58,6 @@ __all__ = ["EngineProfiler", "Profile", "ProfileSession", "owner_name"]
 
 PROFILE_SCHEMA = 1
 
-#: A profile node's numeric fields, in accumulator-record order.
-_RECORD_FIELDS = (
-    "count", "nanos", "deque_pops", "heap_pops", "span_first", "span_last",
-)
-
 _DIGITS = re.compile(r"\d+")
 
 
@@ -305,18 +300,6 @@ class Profile:
             for (etype, cb), rec in prof.acc.items():
                 cls._fold(merged, etype.__name__, owner_name(cb), rec)
         return cls(label, list(merged.values()), envs=len(profilers))
-
-    @classmethod
-    def merge(cls, label: str, profiles: List["Profile"]) -> "Profile":
-        """Merge already-aggregated profiles (e.g. across gate reps)."""
-        merged: Dict[Tuple[str, str], Dict[str, Any]] = {}
-        for prof in profiles:
-            for src in prof.nodes:
-                cls._fold(
-                    merged, src["event_type"], src["owner"],
-                    [src[field] for field in _RECORD_FIELDS],
-                )
-        return cls(label, list(merged.values()), envs=sum(p.envs for p in profiles))
 
     # -- queries -------------------------------------------------------
 

@@ -41,6 +41,7 @@ __all__ = [
     "FAILED",
     "CANCELLED",
     "TERMINAL_STATES",
+    "COUNT_KEYS",
     "result_checksum",
 ]
 
@@ -63,9 +64,19 @@ CANCELLED = "cancelled"
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
 
+#: ``result()`` keys that count what the engine did, not what the
+#: simulation observed.  Reported beside the digest, never hashed: a
+#: serial, sharded and served run of one workload — or the same run
+#: after an event was optimised away — must have one checksum.
+COUNT_KEYS = frozenset({"events", "windows"})
+
+
 def result_checksum(payload: Mapping[str, Any]) -> str:
-    """Bit-exact digest over repr'd observables (iso-gate convention)."""
-    blob = json.dumps(dict(payload), sort_keys=True)
+    """The one product checksum rule: a bit-exact digest over the
+    simulated observables of a ``result()`` payload (final ``now`` plus
+    the repr'd series), with the :data:`COUNT_KEYS` left out."""
+    observed = {k: v for k, v in payload.items() if k not in COUNT_KEYS}
+    blob = json.dumps(observed, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 

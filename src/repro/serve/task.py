@@ -50,7 +50,7 @@ class SimTask(Protocol):
         """Tear down runtime loops; idempotent, safe mid-run (cancel)."""
 
     def result(self) -> Dict[str, Any]:
-        """Final observables (repr'd) — the checksum payload."""
+        """Final observables (repr'd) plus the ``events``/``windows`` counts."""
 
     def progress(self) -> Dict[str, Any]:
         """Cheap in-flight observables for stream chunks."""
@@ -65,7 +65,7 @@ class SimTask(Protocol):
         """
 
     def checksum(self) -> str:
-        """Bit-exact digest of the completed run."""
+        """Bit-exact digest of the completed run's simulated observables."""
 
     def manifest(self) -> Optional[Dict[str, Any]]:
         """Trace-manifest snapshot (None when untraced)."""
@@ -234,11 +234,7 @@ class ShardedTask:
         return sum(env.events_executed for env in self.shards)
 
     def checksum(self) -> str:
-        payload = self.result()
-        # Windows-run is a coordinator artifact, not a sim observable:
-        # the serial engine runs zero windows yet must checksum equal.
-        payload.pop("windows", None)
-        return result_checksum(payload)
+        return result_checksum(self.result())
 
     def manifest(self) -> Optional[Dict[str, Any]]:
         return None

@@ -75,9 +75,10 @@ sanitized run can be profiled, a profiled run is still checked.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
+
+from ..envvar import env_switch
 
 __all__ = [
     "Environment",
@@ -485,10 +486,10 @@ class Environment:
         self._seq = 0
         #: REPRO_ENGINE_SLOWPATH=1 forces all scheduling through the
         #: heap (reference path, bit-identical results — see module doc).
-        self._fastpath = os.environ.get("REPRO_ENGINE_SLOWPATH") != "1"
+        self._fastpath = not env_switch("REPRO_ENGINE_SLOWPATH")
         #: REPRO_SANITIZE=1 arms the dispatch loop's protocol checks (see
         #: module doc "Sanitizer"); trajectory-neutral, host-time only.
-        self._sanitize = os.environ.get("REPRO_SANITIZE") == "1"
+        self._sanitize = env_switch("REPRO_SANITIZE")
         #: True while _advance is on the stack of a sanitized run (the
         #: reentrancy guard).
         self._stepping = False

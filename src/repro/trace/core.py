@@ -36,10 +36,11 @@ so it can be reused by the analytic-model harnesses as well.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from ..envvar import env_switch
 
 __all__ = [
     "Span",
@@ -140,7 +141,7 @@ class Tracer:
         # Same contract as the engine's REPRO_SANITIZE: sampled once at
         # construction; strict mode turns span-protocol misuse into
         # TracerProtocolError instead of self-healing.
-        self._strict = enabled and os.environ.get("REPRO_SANITIZE") == "1"
+        self._strict = enabled and env_switch("REPRO_SANITIZE")
         # Set by finish(): the tracer is sealed — finish() is
         # idempotent (finalizers run exactly once) and recording calls
         # are rejected (strict) or dropped (self-heal).

@@ -18,9 +18,7 @@ def _analyzer(root, cache, with_project=False):
         project_paths=(".",) if with_project else (),
         global_allow=(),
     )
-    return Analyzer(
-        root, default_rules(cfg), baseline=None, config=cfg, cache=cache
-    )
+    return Analyzer(root, default_rules(cfg), config=cfg, cache=cache)
 
 
 def _fresh(tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer, Baseline, default_rules
+from repro.analysis import Analyzer, default_rules
 from repro.analysis.config import Config
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -22,7 +22,7 @@ PROJECT_RULE_IDS = ["G1", "G2", "G3", "G4", "S1", "S2", "S3"]
 
 def _run_project(
     files, rules=None, spmd_paths=("s2_bad.py", "s2_good.py"),
-    global_allow=(), root=FIXTURES, baseline=None,
+    global_allow=(), root=FIXTURES,
 ):
     cfg = Config(
         root=root,
@@ -31,7 +31,7 @@ def _run_project(
         spmd_paths=tuple(spmd_paths),
         global_allow=tuple(global_allow),
     )
-    analyzer = Analyzer(root, default_rules(cfg), baseline=baseline, config=cfg)
+    analyzer = Analyzer(root, default_rules(cfg), config=cfg)
     return analyzer.run([])
 
 
@@ -128,23 +128,9 @@ def test_project_violation_pragma_suppressed(tmp_path):
     assert [v.rule for v in result.pragma_suppressed] == ["G1"]
 
 
-def test_project_baseline_survives_line_churn(tmp_path):
-    """Symbol fingerprints keep matching when the binding moves lines."""
-    (tmp_path / "mod.py").write_text("CACHE = {}\n")
-    first = _run_project(["mod.py"], rules=["G1"], root=tmp_path)
-    baseline = Baseline.from_violations(first.violations)
-    (tmp_path / "mod.py").write_text(
-        "import os  # pushes the binding down two lines\n\nCACHE = {}\n"
-    )
-    result = _run_project(["mod.py"], rules=["G1"], root=tmp_path, baseline=baseline)
-    assert result.ok
-    assert [v.rule for v in result.baseline_suppressed] == ["G1"]
-    assert result.stale_baseline == []
-
-
 def test_project_pass_needs_config():
     """Without a config the Analyzer runs file rules only (old call sites)."""
-    analyzer = Analyzer(FIXTURES, default_rules(), baseline=None)
+    analyzer = Analyzer(FIXTURES, default_rules())
     result = analyzer.run([])
     assert result.violations == []
 
@@ -152,7 +138,7 @@ def test_project_pass_needs_config():
 # -- the shipped tree is G/S clean -----------------------------------------
 
 def test_src_repro_has_no_unbaselined_project_findings():
-    """The acceptance bar: zero un-baselined G/S findings project-wide.
+    """The acceptance bar: zero unsuppressed G/S findings project-wide.
 
     Uses the real pyproject config (project-paths, global-allow), so a
     reintroduced module-level mutable breaks this test, not just CI.
@@ -162,6 +148,6 @@ def test_src_repro_has_no_unbaselined_project_findings():
     repo_root = Path(__file__).resolve().parents[2]
     cfg = load_config(repo_root)
     cfg.rules = ["G1", "G2", "G3", "G4", "S1", "S2", "S3"]
-    analyzer = Analyzer(repo_root, default_rules(cfg), baseline=None, config=cfg)
+    analyzer = Analyzer(repo_root, default_rules(cfg), config=cfg)
     result = analyzer.run([], exclude=cfg.exclude)
     assert result.violations == [], [v.format() for v in result.violations]

@@ -14,7 +14,7 @@ RULE_IDS = ["D1", "D2", "D3", "D4", "P1", "P2", "P3", "P4"]
 
 
 def _analyze(path: Path):
-    analyzer = Analyzer(FIXTURES, default_rules(), baseline=None)
+    analyzer = Analyzer(FIXTURES, default_rules())
     return analyzer.analyze_file(path).violations
 
 
@@ -68,7 +68,7 @@ def _analyze_f1(filename):
     from repro.analysis.config import Config
 
     cfg = Config(faults_paths=("f1_bad.py", "f1_good.py"))
-    analyzer = Analyzer(FIXTURES, default_rules(cfg), baseline=None)
+    analyzer = Analyzer(FIXTURES, default_rules(cfg))
     return analyzer.analyze_file(FIXTURES / filename).violations
 
 
@@ -111,7 +111,7 @@ def _analyze_f2(filename):
     from repro.analysis.config import Config
 
     cfg = Config(qos_paths=("f2_bad.py", "f2_good.py"))
-    analyzer = Analyzer(FIXTURES, default_rules(cfg), baseline=None)
+    analyzer = Analyzer(FIXTURES, default_rules(cfg))
     return analyzer.analyze_file(FIXTURES / filename).violations
 
 
@@ -149,7 +149,7 @@ def test_f2_clean_on_the_transport_tree():
 
     root = Path(__file__).parents[2]
     cfg = load_config(root)
-    analyzer = Analyzer(root, default_rules(cfg), baseline=None)
+    analyzer = Analyzer(root, default_rules(cfg))
     result = analyzer.run(cfg.qos_paths, exclude=cfg.exclude)
     f2 = [v for v in result.violations if v.rule == "F2"]
     assert f2 == [], [v.format() for v in f2]
@@ -165,7 +165,7 @@ def _analyze_t1(filename):
     from repro.analysis.config import Config
 
     cfg = Config(trace_hot_paths=("t1_bad.py", "t1_good.py"))
-    analyzer = Analyzer(FIXTURES, default_rules(cfg), baseline=None)
+    analyzer = Analyzer(FIXTURES, default_rules(cfg))
     return analyzer.analyze_file(FIXTURES / filename).violations
 
 
@@ -200,7 +200,7 @@ def test_t1_clean_on_the_runtime_tree():
 
     root = Path(__file__).parents[2]
     cfg = load_config(root)
-    analyzer = Analyzer(root, default_rules(cfg), baseline=None)
+    analyzer = Analyzer(root, default_rules(cfg))
     result = analyzer.run(cfg.trace_hot_paths, exclude=cfg.exclude)
     t1 = [v for v in result.violations if v.rule == "T1"]
     assert t1 == [], [v.format() for v in t1]
@@ -216,7 +216,7 @@ def _analyze_o1(filename):
     from repro.analysis.config import Config
 
     cfg = Config(obs_hot_paths=("o1_bad.py", "o1_good.py"))
-    analyzer = Analyzer(FIXTURES, default_rules(cfg), baseline=None)
+    analyzer = Analyzer(FIXTURES, default_rules(cfg))
     return analyzer.analyze_file(FIXTURES / filename).violations
 
 
@@ -253,7 +253,7 @@ def test_o1_clean_on_the_engine_tree():
 
     root = Path(__file__).parents[2]
     cfg = load_config(root)
-    analyzer = Analyzer(root, default_rules(cfg), baseline=None)
+    analyzer = Analyzer(root, default_rules(cfg))
     result = analyzer.run(cfg.obs_hot_paths, exclude=cfg.exclude)
     o1 = [v for v in result.violations if v.rule == "O1"]
     assert o1 == [], [v.format() for v in o1]

@@ -8,7 +8,9 @@ with the flag on or off (the checked path must never change pop order).
 import pytest
 
 from repro.analysis.sanitizer import SanitizerError, sanitize_enabled, sanitized
+from repro.envvar import EnvVarError
 from repro.sim.engine import Environment
+from repro.trace import Tracer
 
 
 def _make_env():
@@ -23,6 +25,23 @@ def test_sanitized_context_toggles_flag():
             assert not sanitize_enabled()
         assert sanitize_enabled()
     assert not sanitize_enabled()
+
+
+@pytest.mark.parametrize("value,on", [("", False), ("0", False), ("1", True)])
+def test_switch_grammar(monkeypatch, value, on):
+    monkeypatch.setenv("REPRO_SANITIZE", value)
+    assert sanitize_enabled() is on
+    assert _make_env()._sanitize is on
+
+
+@pytest.mark.parametrize(
+    "reader", [sanitize_enabled, Environment, lambda: Tracer(None)]
+)
+def test_unknown_switch_value_is_a_named_error_not_a_silent_off(monkeypatch, reader):
+    """REPRO_SANITIZE=true used to build an unsanitized Environment."""
+    monkeypatch.setenv("REPRO_SANITIZE", "true")
+    with pytest.raises(EnvVarError, match=r"REPRO_SANITIZE='true'.*'0' \(off\).*'1' \(on\)"):
+        reader()
 
 
 def test_flag_sampled_at_construction():

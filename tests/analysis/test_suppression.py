@@ -1,10 +1,6 @@
-"""Pragma and baseline suppression semantics."""
+"""Pragma suppression semantics."""
 
-import json
-
-import pytest
-
-from repro.analysis import Analyzer, Baseline, default_rules
+from repro.analysis import Analyzer, default_rules
 
 BAD_SOURCE = """\
 import random
@@ -15,10 +11,10 @@ def jitter():
 """
 
 
-def _run(tmp_path, source, baseline=None, name="mod.py"):
+def _run(tmp_path, source, name="mod.py"):
     f = tmp_path / name
     f.write_text(source)
-    analyzer = Analyzer(tmp_path, default_rules(), baseline=baseline)
+    analyzer = Analyzer(tmp_path, default_rules())
     return analyzer.run([name])
 
 
@@ -68,63 +64,3 @@ def test_disable_all_pragma(tmp_path):
         "return random.random()  # repro-lint: disable=all",
     )
     assert _run(tmp_path, source).ok
-
-
-def test_baseline_suppresses_and_matches_by_line_text(tmp_path):
-    first = _run(tmp_path, BAD_SOURCE)
-    baseline = Baseline.from_violations(first.violations)
-    result = _run(tmp_path, BAD_SOURCE, baseline=baseline)
-    assert result.ok
-    assert [v.rule for v in result.baseline_suppressed] == ["D2"]
-    assert result.stale_baseline == []
-
-
-def test_baseline_does_not_survive_line_edits(tmp_path):
-    baseline = Baseline.from_violations(_run(tmp_path, BAD_SOURCE).violations)
-    edited = BAD_SOURCE.replace(
-        "return random.random()", "return random.random() * 2.0"
-    )
-    result = _run(tmp_path, edited, baseline=baseline)
-    # The edited line no longer matches: fresh violation + stale entry.
-    assert [v.rule for v in result.violations] == ["D2"]
-    assert len(result.stale_baseline) == 1
-
-
-def test_baseline_survives_unrelated_edits(tmp_path):
-    baseline = Baseline.from_violations(_run(tmp_path, BAD_SOURCE).violations)
-    shifted = "import os  # unrelated new first line\n" + BAD_SOURCE
-    result = _run(tmp_path, shifted, baseline=baseline)
-    assert result.ok, "line-number churn must not resurrect grandfathered entries"
-
-
-def test_baseline_round_trip(tmp_path):
-    baseline = Baseline.from_violations(_run(tmp_path, BAD_SOURCE).violations)
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-    assert loaded.fingerprints() == baseline.fingerprints()
-    data = json.loads(path.read_text())
-    assert data["version"] == 2
-    assert data["entries"][0]["rule"] == "D2"
-
-
-def test_baseline_loads_version_1_files(tmp_path):
-    """Pre-symbol baselines (version 1) stay readable after the bump."""
-    path = tmp_path / "baseline.json"
-    path.write_text(
-        '{"version": 1, "entries": '
-        '[{"rule": "D2", "path": "mod.py", "text": "return random.random()"}]}'
-    )
-    loaded = Baseline.load(path)
-    assert loaded.fingerprints() == [("D2", "mod.py", "return random.random()")]
-
-
-def test_baseline_load_missing_file_is_empty(tmp_path):
-    assert len(Baseline.load(tmp_path / "nope.json")) == 0
-
-
-def test_baseline_rejects_unknown_version(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text('{"version": 99, "entries": []}')
-    with pytest.raises(ValueError):
-        Baseline.load(path)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bgq.params import CYCLES_PER_US
+from repro.envvar import EnvVarError
 from repro.faults import FaultPlan, FaultRates, LinkDownWindow, PROFILES
 
 
@@ -145,3 +146,17 @@ def test_from_env_unknown_profile_raises(monkeypatch):
     monkeypatch.setenv("REPRO_FAULTS", "nope")
     with pytest.raises(ValueError):
         FaultPlan.from_env()
+
+
+@pytest.mark.parametrize("spec,detail", [
+    ("drop5@x", "invalid literal for int"),  # used to be all the message said
+    ("nope@3", "known: chaos, corrupt2"),
+])
+def test_from_env_error_names_variable_value_and_grammar(monkeypatch, spec, detail):
+    monkeypatch.setenv("REPRO_FAULTS", spec)
+    with pytest.raises(EnvVarError) as exc:
+        FaultPlan.from_env()
+    message = str(exc.value)
+    assert f"REPRO_FAULTS={spec!r}" in message
+    assert "<profile>[@<int seed>]" in message
+    assert detail in message

@@ -7,22 +7,33 @@ literals were captured at the commit *before* the builders were
 unified (ping-pong x3 and mini-NAMD x4 pasted copies): every way of
 driving a workload must still land on exactly the pre-refactor
 ``(checksum, events_executed)``.
+
+The checksum is a digest of simulated observables only; ``events`` is
+pinned *beside* it.  The six solo/served literals therefore moved once,
+when the event count left the hash — ``PARENT_DIGEST`` keeps the old
+values and a test proves the move was nothing but that.
 """
 
 import asyncio
+import hashlib
+import json
 
 import pytest
 
-from repro.harness import isogate, shardbench
+from repro.bgq.core import Core
+from repro.converse import RunConfig
+from repro.harness import isogate, servebench, shardbench
 from repro.harness.benchgate import _checksum
 from repro.harness.pingpong import FIG4_MODES, pingpong_run
 from repro.harness.workloads import (
+    build_pingpong,
     namd_run,
     namd_sim_times,
     pingpong_sim_times,
     run_instance,
 )
 from repro.serve import EnvTask, JobService, JobSpec
+from repro.serve.job import result_checksum
 
 CONFIG = FIG4_MODES["SMP+commthread"]
 NBYTES, TRIPS = 512, 6
@@ -57,11 +68,8 @@ def sharded(workload, nshards):
     return _checksum(namd_sim_times(run)), run["events"]
 
 
-def served(workload):
-    def build(spec):
-        inst = _instance(workload)
-        return EnvTask(inst.env, inst.done, on_start=inst.start, on_stop=inst.stop,
-                       result_fn=inst.result, label=spec.name)
+def serve_job(build):
+    """One job through a fresh two-worker JobService; the finished Job."""
 
     async def go():
         service = JobService(workers=2)
@@ -71,7 +79,20 @@ def served(workload):
         await service.close()
         return job
 
-    job = asyncio.run(go())
+    return asyncio.run(go())
+
+
+def served_job(workload):
+    def build(spec):
+        inst = _instance(workload)
+        return EnvTask(inst.env, inst.done, on_start=inst.start, on_stop=inst.stop,
+                       result_fn=inst.result, label=spec.name)
+
+    return serve_job(build)
+
+
+def served(workload):
+    job = served_job(workload)
     return job.checksum, job.result["events"]
 
 
@@ -89,23 +110,94 @@ SERIAL_M2M = "5cf40d689e575605d8a8400d679d3647b3dcfc24af116cb9e06391c97041a1f5"
 
 GOLDEN = {
     ("pingpong", "serial"): (SERIAL_PINGPONG, 1534),
-    ("pingpong", "solo"): ("a3f8951eb02f", 1534),
+    ("pingpong", "solo"): ("049518b6790e", 1534),
     ("pingpong", "shards1"): (SERIAL_PINGPONG, 1498),
     ("pingpong", "shards2"): (SERIAL_PINGPONG, 1510),
-    ("pingpong", "served"): ("a3f8951eb02f", 1534),
+    ("pingpong", "served"): ("049518b6790e", 1534),
     ("namd-std", "serial"): (SERIAL_STD, 10970),
-    ("namd-std", "solo"): ("e90809a6726c", 26047),
+    ("namd-std", "solo"): ("9adca0637ee1", 26047),
     ("namd-std", "shards1"): (SERIAL_STD, 9260),
     ("namd-std", "shards2"): (SERIAL_STD, 9830),
-    ("namd-std", "served"): ("e90809a6726c", 26047),
+    ("namd-std", "served"): ("9adca0637ee1", 26047),
     ("namd-m2m", "serial"): (SERIAL_M2M, 18630),
-    ("namd-m2m", "solo"): ("78f9bc28f300", 33520),
+    ("namd-m2m", "solo"): ("e40575d6008b", 33520),
     ("namd-m2m", "shards1"): (SERIAL_M2M, 17136),
     ("namd-m2m", "shards2"): (SERIAL_M2M, 17634),
-    ("namd-m2m", "served"): ("78f9bc28f300", 33520),
+    ("namd-m2m", "served"): ("e40575d6008b", 33520),
 }
 
 
 @pytest.mark.parametrize("workload,driver", sorted(GOLDEN))
 def test_builders_reproduce_the_pre_refactor_trajectory(workload, driver):
     assert DRIVERS[driver](workload) == GOLDEN[(workload, driver)]
+
+
+#: The solo/served digests at the parent commit, when ``events`` was
+#: hashed into them.
+PARENT_DIGEST = {
+    "pingpong": "a3f8951eb02f",
+    "namd-std": "e90809a6726c",
+    "namd-m2m": "78f9bc28f300",
+}
+
+
+def _sha(payload):
+    """The digest spelled out, so the proof does not lean on the rule it checks."""
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("workload", sorted(PARENT_DIGEST))
+def test_new_solo_and_served_literals_are_the_old_payload_minus_events(workload):
+    inst = _instance(workload)
+    run_instance(inst)
+    solo_payload = {
+        "now": repr(inst.env.now),
+        "events": inst.env.events_executed,
+        **inst.result(),
+    }
+    for payload in (solo_payload, served_job(workload).result):
+        assert _sha(payload) == PARENT_DIGEST[workload]
+        new = GOLDEN[(workload, "solo")][0]
+        assert payload.pop("events") == GOLDEN[(workload, "solo")][1]
+        assert _sha(payload) == result_checksum(payload) == new
+    assert inst.checksum() == new
+
+
+def test_an_event_diet_lowers_counts_and_moves_no_checksum(monkeypatch):
+    """ROADMAP item 2A's first slice, applied here and never in src/: a
+    core-membership change schedules nothing when nobody listens.  Same
+    simulated times, fewer events — all 15 cells must say exactly that."""
+
+    def notify_change(self):
+        old, self._change = self._change, self.env.event()
+        if old.callbacks is not None:
+            old.succeed()
+
+    monkeypatch.setattr(Core, "_notify_change", notify_change)
+    dieted = {cell: DRIVERS[cell[1]](cell[0]) for cell in GOLDEN}
+    for cell, (checksum, events) in GOLDEN.items():
+        assert dieted[cell][0] == checksum, cell
+        assert dieted[cell][1] <= events, cell
+        if cell[1] in ("serial", "solo", "served"):
+            assert dieted[cell][1] < events, cell
+    assert [dieted[(w, "serial")][1] for w in ("pingpong", "namd-std", "namd-m2m")] \
+        == [1232, 9994, 16651]
+
+
+def test_served_sharded_pingpong_has_the_serial_digest():
+    """One workload, one digest: serve-gate's sharded job equals the same
+    ping-pong on the serial engine, whatever the shard count."""
+    nnodes, nbytes, trips = 4, 512, 6
+    config = RunConfig(nnodes=nnodes, workers_per_process=2)
+    inst = build_pingpong(
+        config, nbytes, trips, 0, (nnodes - 1) * config.pes_per_node
+    )
+    run_instance(inst)
+    assert inst.checksum() == "572981d887aa"
+    for nshards in (1, 2, 4):
+        job = serve_job(
+            servebench._sharded_task_build(nnodes, nshards, nbytes, trips)
+        )
+        assert job.checksum == inst.checksum(), nshards
+        assert job.result["windows"] > 0

@@ -249,14 +249,3 @@ def test_profile_roundtrip_and_coverage():
 def test_profile_from_json_rejects_unknown_schema():
     with pytest.raises(ValueError):
         Profile.from_json({"schema": 99, "nodes": []})
-
-
-def test_profile_merge_sums_counts():
-    with ProfileSession("a", stride=1) as sa:
-        run_workload(Environment(), n=20)
-    with ProfileSession("b", stride=1) as sb:
-        run_workload(Environment(), n=20)
-    pa, pb = sa.profile(), sb.profile()
-    merged = Profile.merge("ab", [pa, pb])
-    assert merged.total_count == pa.total_count + pb.total_count
-    assert merged.envs == pa.envs + pb.envs
