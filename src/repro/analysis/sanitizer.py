@@ -17,9 +17,9 @@ analysis cannot settle:
   suite can only catch if the wrong interleaving happens to occur.
 
 Activation: set ``REPRO_SANITIZE=1`` before constructing the
-Environment (the flag is sampled once in ``Environment.__init__``, the
-same pattern as ``REPRO_ENGINE_SLOWPATH``; any value other than unset,
-empty, ``0`` or ``1`` raises :class:`repro.envvar.EnvVarError`).  The
+Environment (the flag is sampled once in ``Environment.__init__``; any
+value other than unset, empty, ``0`` or ``1`` raises
+:class:`repro.envvar.EnvVarError`).  The
 checks are hooks in the engine's one dispatch loop — same pops, same
 order, same simulated times; the trajectory is bit-identical, only host
 wall time grows (<2x, measured in CI by running the determinism fuzz

@@ -111,10 +111,6 @@ class WakeupSource:
 
         def deliver(_timeout: Event) -> None:
             ev.succeed()
-            # Stand-in for the delivery process's own completion event:
-            # keeps event counts and sequence numbering exactly equal to
-            # the Process-based implementation (cycle-for-cycle parity).
-            Event(env).succeed()
 
         tramp = Event(env)
         tramp.callbacks = [start]

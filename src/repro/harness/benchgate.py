@@ -43,7 +43,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..converse import RunConfig
-from ..envvar import env_switch
 from .pingpong import pingpong_run
 from .workloads import (
     namd_run,
@@ -328,7 +327,6 @@ def gate(args) -> Tuple[List[str], List[str], Dict[str, Any]]:
         "schema": 1,
         "id": args.json_out.stem,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "engine_fastpath": not env_switch("REPRO_ENGINE_SLOWPATH"),
         "scale": args.scale,
         "benchmarks": benchmarks,
     }

@@ -170,9 +170,8 @@ class EngineProfiler:
 
         Keys stay bounded by code, not events: a bound method or plain
         function keeps per-owner granularity (long-lived, or hash-equal
-        across rebinds); any other callable — ``_FirstWake``-style
-        one-shot wakers are constructed per event — degrades to its
-        class.
+        across rebinds); any other callable — a one-shot callable
+        instance may be constructed per event — degrades to its class.
         """
         t = perf_counter_ns()
         # The loop has already counted this event.

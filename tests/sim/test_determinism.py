@@ -6,18 +6,20 @@ Two properties, checked over randomized producer/consumer workloads:
    trajectories (event counts, final simulated time, queue and L2
    statistics) across repeated runs.
 
-2. **Fast path == slow path** — setting ``REPRO_ENGINE_SLOWPATH=1``
-   (which routes every event through the reference heap instead of the
-   zero-delay deque, see ``repro.sim.engine``) yields a bit-identical
-   trajectory.  This is the engine's core invariant: the fast path must
-   be cycle-for-cycle neutral, not merely "statistically equivalent".
+2. **Fast path == slow path** — the reference scheduler defined here
+   (``_heap_only``: every event, zero-delay ones included, goes through
+   the one ``(time, seq)`` heap instead of the engine's zero-delay
+   deque, see ``repro.sim.engine``) yields a bit-identical trajectory.
+   This is the engine's core invariant: the fast path must be
+   cycle-for-cycle neutral, not merely "statistically equivalent".  The
+   reference lives in this file only; the engine has no switch for it.
 
 3. **Every way of driving the engine is the same engine** — the same
    seed driven by ``run()``, chained ``run(until=t)``, ``peek()``/
    ``step()`` or ``run_window()`` slices, plain or under the sanitizer,
-   the profiler (exact and sampled) or the slow path, ends at the same
-   clock with the same event count and the same time at every process
-   resumption.  ``run``/``run_window``/hooked ``step`` share one
+   the profiler (exact and sampled) or the heap-only reference, ends at
+   the same clock with the same event count and the same time at every
+   process resumption.  ``run``/``run_window``/hooked ``step`` share one
    dispatch loop and un-hooked ``step`` has its own body; this matrix
    is what holds the two together.
 
@@ -26,6 +28,7 @@ workload itself cannot leak host iteration order into the trajectory.
 """
 
 import contextlib
+import heapq
 import random
 
 import pytest
@@ -158,21 +161,65 @@ def test_fuzz_workload_run_twice_identical(seed):
     assert _fuzz_workload(seed) == _fuzz_workload(seed)
 
 
+class _HeapOnlyImm:
+    """Stands in for an Environment's zero-delay deque: it is always
+    empty, because every entry appended to it is pushed onto the heap."""
+
+    __slots__ = ("heap", "diverted")
+
+    def __init__(self, heap: list) -> None:
+        self.heap = heap
+        self.diverted = 0
+
+    def __bool__(self) -> bool:
+        return False
+
+    def append(self, entry) -> None:
+        heapq.heappush(self.heap, entry)
+        self.diverted += 1
+
+
+@contextlib.contextmanager
+def _heap_only():
+    """Every Environment built inside schedules through its heap alone —
+    the single-heap reference the zero-delay deque must reproduce.
+    Yields the list of installed stand-ins."""
+    init = Environment.__init__
+    installed = []
+
+    def heap_only_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._imm = _HeapOnlyImm(self._queue)
+        installed.append(self._imm)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Environment, "__init__", heap_only_init)
+        yield installed
+
+
+def test_heap_only_reference_really_bypasses_the_deque():
+    with _heap_only() as installed:
+        env = Environment()
+    env.event().succeed()
+    env.timeout(0.0)
+    env.run()
+    assert env.events_executed == 2
+    assert [imm.diverted for imm in installed] == [2]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fuzz_workload_fastpath_matches_slowpath(seed, monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE_SLOWPATH", raising=False)
+def test_fuzz_workload_fastpath_matches_slowpath(seed):
     fast = _fuzz_workload(seed)
-    monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
-    slow = _fuzz_workload(seed)
+    with _heap_only():
+        slow = _fuzz_workload(seed)
     assert fast == slow
 
 
-def test_pingpong_fastpath_matches_slowpath(monkeypatch):
+def test_pingpong_fastpath_matches_slowpath():
     """Full-stack coverage: Converse runtime + PAMI + MU + torus."""
-    monkeypatch.delenv("REPRO_ENGINE_SLOWPATH", raising=False)
     fast = _pingpong_fingerprint()
-    monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
-    slow = _pingpong_fingerprint()
+    with _heap_only():
+        slow = _pingpong_fingerprint()
     assert fast == slow
 
 
@@ -181,27 +228,19 @@ def test_pingpong_fastpath_matches_slowpath(monkeypatch):
 DRIVES = ["run", "chained", "step", "window"]
 
 
-@contextlib.contextmanager
-def _slowpath():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_ENGINE_SLOWPATH", "1")
-        yield
-
-
 #: Everything an Environment samples at construction.
 HOOKS = {
     "plain": contextlib.nullcontext,
     "sanitized": sanitized,
     "profiled-exact": lambda: ProfileSession("matrix", stride=1),
     "profiled-sampled": lambda: ProfileSession("matrix", stride=32),
-    "slowpath": _slowpath,
+    "slowpath": _heap_only,
 }
 
 
 @pytest.fixture
 def clean_engine_env(monkeypatch):
     """The matrix sets its own hooks: start every cell from none."""
-    monkeypatch.delenv("REPRO_ENGINE_SLOWPATH", raising=False)
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
 
