@@ -29,7 +29,7 @@ runtime turns it on automatically whenever a plan is installed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from ..sim.rng import StreamRegistry
 from .plan import FaultPlan
@@ -107,7 +107,7 @@ class FaultInjector:
 
     # -- network choke point ----------------------------------------------
     def on_route(
-        self, packet: "Packet", route: List[Tuple[int, int]]
+        self, packet: "Packet", route: Tuple[Tuple[int, int], ...]
     ) -> Optional[RouteAction]:
         """Decide the fate of one routed packet.  None = no fault."""
         plan = self.plan

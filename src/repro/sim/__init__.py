@@ -13,6 +13,7 @@ from .engine import (
     Process,
     SimulationError,
     Timeout,
+    TimeoutOr,
 )
 from .resources import ContentionStats, Mutex, Semaphore, Store
 from .rng import StreamRegistry
@@ -48,6 +49,7 @@ __all__ = [
     "run_sharded_subprocesses",
     "StreamRegistry",
     "Timeout",
+    "TimeoutOr",
     "TimelineRecorder",
     "render_ascii_timeline",
     "utilization_profile",
