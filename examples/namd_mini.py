@@ -18,8 +18,8 @@ import numpy as np
 from repro.bgq.params import CYCLES_PER_US
 from repro.charm import Charm
 from repro.converse import RunConfig
+from repro.harness.timelines import render_ascii_timeline
 from repro.namd import NamdCharm, SequentialMD, build_system
-from repro.sim import render_ascii_timeline
 from repro.trace import format_utilization_table, write_chrome_trace, write_run_manifest
 
 
@@ -43,7 +43,7 @@ def main() -> None:
             nnodes=2,
             workers_per_process=4,
             comm_threads_per_process=1,
-            record_timeline=True,
+            trace=True,
         )
     )
     app = NamdCharm(charm, system2, n_steps=steps, pme_every=2, dt=dt)
@@ -63,7 +63,7 @@ def main() -> None:
           f" ({tracer.get('converse.bytes_sent') / 1024:.0f} KiB),"
           f" L2 atomic ops: {tracer.get('l2.atomic_ops'):.0f}")
     print("\nper-thread timeline (first 6 PEs):")
-    print(render_ascii_timeline(tracer, width=90, threads=tracer.tracks()[:6]))
+    print(render_ascii_timeline(tracer, width=90, tracks=tracer.tracks()[:6]))
     print("\nper-PE utilization (us per category):")
     print(format_utilization_table(tracer, scale=1.0 / CYCLES_PER_US, unit="us"))
     chrome = write_chrome_trace(tracer, "namd_mini.trace.json",

@@ -16,7 +16,6 @@ Entry points: ``python -m repro.analysis`` or ``make lint``; the rule
 catalog lives in docs/ANALYSIS.md.
 """
 
-from .cache import LintCache
 from .config import Config, find_root, load_config
 from .core import (
     AnalysisResult,
@@ -40,7 +39,6 @@ __all__ = [
     "Analyzer",
     "Config",
     "FileContext",
-    "LintCache",
     "ProjectContext",
     "ProjectRule",
     "Rule",

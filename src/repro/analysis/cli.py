@@ -3,7 +3,8 @@
 Exit status: 0 when every finding is suppressed by a pragma,
 1 when unsuppressed violations remain, 2 on usage errors — including
 an unknown rule id in ``--rules`` *or* in the ``[tool.repro-lint]
-rules`` table (a typo there must not silently disable a rule).
+rules`` table, and an unknown key in that table (a typo there must not
+silently disable a rule or a scope).
 ``--self-check`` injects one violation per rule family into a scratch
 directory and verifies the analyzer catches each — CI runs it so a
 silently broken rule set cannot keep returning green.
@@ -19,8 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import List, Optional
 
-from .cache import LintCache
-from .config import Config, find_root, load_config
+from .config import Config, ConfigError, find_root, load_config
 from .core import Analyzer, all_rule_classes, default_rules
 
 __all__ = ["main", "run_self_check"]
@@ -121,10 +121,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write the JSON report to this file (CI artifact)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-hash result cache (.repro-lint-cache.json)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
     parser.add_argument(
@@ -141,7 +137,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         _list_rules()
         return 0
 
-    config = load_config(args.root if args.root else find_root())
+    try:
+        config = load_config(args.root if args.root else find_root())
+    except ConfigError as exc:
+        parser.error(str(exc))
     if args.rules:
         config.rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     if config.rules is not None:
@@ -156,19 +155,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.self_check:
         return run_self_check(config)
 
-    rules = default_rules(config)
-    cache = None
-    if not args.no_cache:
-        cache = LintCache(
-            config.root / ".repro-lint-cache.json", [r.id for r in rules]
-        )
-    analyzer = Analyzer(config.root, rules, config=config, cache=cache)
+    analyzer = Analyzer(config.root, default_rules(config), config=config)
     paths = args.paths or config.paths
     result = analyzer.run(paths, exclude=config.exclude)
 
     payload = {
         "files_analyzed": result.files_analyzed,
-        "cache_hits": result.cache_hits,
         "violations": [v.__dict__ for v in result.violations],
         "pragma_suppressed": len(result.pragma_suppressed),
     }

@@ -16,7 +16,7 @@ defaults below apply unchanged — they mirror the checked-in table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -25,7 +25,7 @@ try:  # Python >= 3.11
 except ImportError:  # pragma: no cover - 3.10 fallback, defaults only
     tomllib = None
 
-__all__ = ["Config", "load_config", "find_root"]
+__all__ = ["Config", "ConfigError", "load_config", "find_root"]
 
 _DEFAULT_PATHS = ("src", "tests")
 _DEFAULT_WALLCLOCK_ALLOW = ("src/repro/harness", "src/repro/trace")
@@ -35,18 +35,10 @@ _DEFAULT_QOS_PATHS = (
     "src/repro/pami",
     "src/repro/converse",
 )
-_DEFAULT_TRACE_HOT_PATHS = (
-    "src/repro/converse",
-    "src/repro/pami",
-    "src/repro/bgq",
-    "src/repro/sim",
-    "src/repro/queues.py",
-    "src/repro/faults",
-)
-#: Engine hot paths where O1 (profiler/metrics recording must be
+#: Hot paths where T1 (tracer/profiler/metrics recording must be
 #: None-guarded) applies.  The serve layer is deliberately absent:
 #: metrics recording there is unconditional by design.
-_DEFAULT_OBS_HOT_PATHS = (
+_DEFAULT_HOT_PATHS = (
     "src/repro/converse",
     "src/repro/pami",
     "src/repro/bgq",
@@ -77,15 +69,12 @@ class Config:
     wallclock_allow: Tuple[str, ...] = _DEFAULT_WALLCLOCK_ALLOW
     #: Paths where F1 (raw RNG forbidden; sim.rng streams only) applies.
     faults_paths: Tuple[str, ...] = _DEFAULT_FAULTS_PATHS
-    #: Hot-path modules where T1 (tracer calls must be None-guarded,
-    #: the zero-cost-when-disabled contract) applies.
-    trace_hot_paths: Tuple[str, ...] = _DEFAULT_TRACE_HOT_PATHS
+    #: Hot-path modules where T1 (tracer/profiler/metrics calls must be
+    #: None-guarded, the zero-cost-when-disabled contract) applies.
+    hot_paths: Tuple[str, ...] = _DEFAULT_HOT_PATHS
     #: Transport/runtime trees where F2 (best-effort QoS branches must
     #: not touch seq/pending reliable-transport state) applies.
     qos_paths: Tuple[str, ...] = _DEFAULT_QOS_PATHS
-    #: Engine hot-path modules where O1 (profiler/metrics recording
-    #: must be None-guarded, the obs zero-cost contract) applies.
-    obs_hot_paths: Tuple[str, ...] = _DEFAULT_OBS_HOT_PATHS
     #: Trees the whole-program pass (ProjectContext, G/S families)
     #: covers.  Entries may be directories or single files.
     project_paths: Tuple[str, ...] = _DEFAULT_PROJECT_PATHS
@@ -108,8 +97,24 @@ def find_root(start: Optional[Path] = None) -> Path:
     return start
 
 
+class ConfigError(ValueError):
+    """A ``[tool.repro-lint]`` table the linter cannot honour."""
+
+
+#: The table's keys: Config's field names, dash-spelled (``root`` is
+#: where the table lives, not a setting).
+_KEYS = tuple(f.name.replace("_", "-") for f in fields(Config) if f.name != "root")
+#: Fields held as lists (the CLI rewrites ``rules``); the scope
+#: allowlists are tuples.
+_LIST_FIELDS = frozenset({"paths", "exclude", "rules"})
+
+
 def load_config(root: Optional[Path] = None) -> Config:
-    """Load ``[tool.repro-lint]`` from ``<root>/pyproject.toml``."""
+    """Load ``[tool.repro-lint]`` from ``<root>/pyproject.toml``.
+
+    Raises :class:`ConfigError` on a key Config does not know: a typo
+    or a retired key would otherwise be silently ignored.
+    """
     root = (root or find_root()).resolve()
     cfg = Config(root=root)
     pyproject = root / "pyproject.toml"
@@ -118,26 +123,13 @@ def load_config(root: Optional[Path] = None) -> Config:
     with open(pyproject, "rb") as f:
         data = tomllib.load(f)
     table = data.get("tool", {}).get("repro-lint", {})
-    if "paths" in table:
-        cfg.paths = list(table["paths"])
-    if "exclude" in table:
-        cfg.exclude = list(table["exclude"])
-    if "rules" in table:
-        cfg.rules = list(table["rules"])
-    if "wallclock-allow" in table:
-        cfg.wallclock_allow = tuple(table["wallclock-allow"])
-    if "faults-paths" in table:
-        cfg.faults_paths = tuple(table["faults-paths"])
-    if "trace-hot-paths" in table:
-        cfg.trace_hot_paths = tuple(table["trace-hot-paths"])
-    if "qos-paths" in table:
-        cfg.qos_paths = tuple(table["qos-paths"])
-    if "obs-hot-paths" in table:
-        cfg.obs_hot_paths = tuple(table["obs-hot-paths"])
-    if "project-paths" in table:
-        cfg.project_paths = tuple(table["project-paths"])
-    if "global-allow" in table:
-        cfg.global_allow = tuple(table["global-allow"])
-    if "spmd-paths" in table:
-        cfg.spmd_paths = tuple(table["spmd-paths"])
+    unknown = sorted(set(table) - set(_KEYS))
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) in [tool.repro-lint]: {', '.join(unknown)} "
+            f"(known: {', '.join(_KEYS)})"
+        )
+    for key, value in table.items():
+        attr = key.replace("-", "_")
+        setattr(cfg, attr, list(value) if attr in _LIST_FIELDS else tuple(value))
     return cfg

@@ -43,7 +43,9 @@ __all__ = [
     "all_rule_classes",
     "default_rules",
     "dotted_name",
+    "guarded",
     "last_name",
+    "under",
 ]
 
 #: Line pragma: ``# repro-lint: disable=D1`` / ``disable=D1,P3`` /
@@ -72,13 +74,6 @@ class Violation:
     #: findings.
     symbol: str = ""
 
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Identity of the finding that survives line-number churn."""
-        if self.symbol:
-            return (self.rule, "symbol", self.symbol)
-        return (self.rule, self.path, self.line_text)
-
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} [{self.severity}] {self.message}"
 
@@ -104,7 +99,6 @@ def all_rule_classes() -> Dict[str, Type["Rule"]]:
         rules_determinism,
         rules_faults,
         rules_global,
-        rules_obs,
         rules_protocol,
         rules_spmd,
         rules_trace,
@@ -178,6 +172,87 @@ def last_name(node: ast.AST) -> Optional[str]:
 def contains(root: ast.AST, target: ast.AST) -> bool:
     """Identity containment: is ``target`` a node inside ``root``'s subtree?"""
     return any(n is target for n in ast.walk(root))
+
+
+def under(rel_path: str, roots: Iterable[str]) -> bool:
+    """Is ``rel_path`` one of ``roots`` or inside one of them?"""
+    return any(
+        rel_path == r or rel_path.startswith(r.rstrip("/") + "/") for r in roots
+    )
+
+
+def _is_none_test(test: ast.AST, op: type, receiver: str) -> bool:
+    """``receiver is None`` (op=ast.Is) / ``receiver is not None`` (ast.IsNot)."""
+    return (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], op)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+        and dotted_name(test.left) == receiver
+    )
+
+
+def _establishes(test: ast.AST, receiver: str) -> bool:
+    """Does this condition establish that ``receiver`` is not None?
+
+    Accepts ``X is not None`` anywhere in the expression (including
+    inside ``and`` chains) and plain truthiness tests of ``X``.
+    """
+    if any(_is_none_test(n, ast.IsNot, receiver) for n in ast.walk(test)):
+        return True
+    if dotted_name(test) == receiver:
+        return True
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return any(dotted_name(v) == receiver for v in test.values)
+    return False
+
+
+def _exits_early(fn: ast.AST, receiver: str, lineno: int) -> bool:
+    """``if X is None: return`` (or ``if not X:``) earlier in ``fn``'s body."""
+    for stmt in getattr(fn, "body", ()):
+        if not isinstance(stmt, ast.If) or stmt.lineno >= lineno:
+            continue
+        test = stmt.test
+        not_x = (
+            isinstance(test, ast.UnaryOp)
+            and isinstance(test.op, ast.Not)
+            and dotted_name(test.operand) == receiver
+        )
+        if (not_x or _is_none_test(test, ast.Is, receiver)) and stmt.body and isinstance(
+            stmt.body[-1], (ast.Return, ast.Continue, ast.Raise)
+        ):
+            return True
+    return False
+
+
+def guarded(node: ast.AST, stack: Sequence[ast.AST], receiver: str) -> bool:
+    """Is ``node`` dominated by a test that ``receiver`` is not None?
+
+    ``stack`` holds ``node``'s ancestors, root first.  Walking them
+    innermost first, the then-branch of an ``if``/``while`` on the
+    receiver, the body of a conditional expression on it, or a later
+    operand of an ``and`` chain testing it dominates.  At the enclosing
+    function the walk stops: a guard in an outer function does not
+    dominate a nested one (closures run later), but an earlier
+    ``if receiver is None: return`` in the same function does.
+    """
+    lineno = getattr(node, "lineno", 1)
+    child = node
+    for anc in reversed(stack):
+        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return _exits_early(anc, receiver, lineno)
+        if isinstance(anc, (ast.If, ast.While)) and _establishes(anc.test, receiver):
+            if any(child is stmt for stmt in anc.body):
+                return True
+        elif isinstance(anc, ast.IfExp) and _establishes(anc.test, receiver):
+            if child is anc.body:
+                return True
+        elif isinstance(anc, ast.BoolOp) and isinstance(anc.op, ast.And):
+            if _establishes(anc, receiver) and child is not anc.values[0]:
+                return True
+        child = anc
+    return False
 
 
 class FileContext:
@@ -255,12 +330,17 @@ class AnalysisResult:
     violations: List[Violation] = field(default_factory=list)
     pragma_suppressed: List[Violation] = field(default_factory=list)
     files_analyzed: int = 0
-    #: Per-file results served from the content-hash cache.
-    cache_hits: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def add(self, v: Violation, ctx: FileContext) -> None:
+        """File ``v`` as suppressed or not by the pragmas of its ``ctx``."""
+        if ctx.suppressed_by_pragma(v):
+            self.pragma_suppressed.append(v)
+        else:
+            self.violations.append(v)
 
 
 class Analyzer:
@@ -269,22 +349,12 @@ class Analyzer:
     ``config`` enables the whole-program pass (project rules run over
     ``config.project_paths``); without it only per-file rules run, so
     pre-existing call sites and fixture harnesses are unaffected.
-    ``cache`` is an optional :class:`repro.analysis.cache.LintCache`;
-    per-file results are reused when a file's content hash and the rule
-    set are both unchanged.
     """
 
-    def __init__(
-        self,
-        root: Path,
-        rules: Sequence[Rule],
-        config=None,
-        cache=None,
-    ) -> None:
+    def __init__(self, root: Path, rules: Sequence[Rule], config=None) -> None:
         self.root = Path(root)
         self.rules = list(rules)
         self.config = config
-        self.cache = cache
         self.file_rules = [
             r for r in self.rules if not getattr(r, "project", False)
         ]
@@ -307,7 +377,6 @@ class Analyzer:
         fixture suite can analyze its own deliberately-bad snippets while
         directory scans skip them).
         """
-        norm_excl = [e.rstrip("/") for e in exclude]
         out: List[Path] = []
         for p in paths:
             full = (self.root / p) if not Path(p).is_absolute() else Path(p)
@@ -315,19 +384,13 @@ class Analyzer:
                 out.append(full)
                 continue
             for f in sorted(full.rglob("*.py")):
-                rel = f.relative_to(self.root).as_posix()
-                if any(rel == e or rel.startswith(e + "/") for e in norm_excl):
-                    continue
-                out.append(f)
+                if not under(f.relative_to(self.root).as_posix(), exclude):
+                    out.append(f)
         return out
 
     # -- analysis -----------------------------------------------------------
     def analyze_file(self, path: Path) -> FileContext:
-        rel = (
-            path.relative_to(self.root).as_posix()
-            if path.is_relative_to(self.root)
-            else path.as_posix()
-        )
+        rel = self._rel(path)
         source = path.read_text()
         tree = ast.parse(source, filename=str(path))
         ctx = FileContext(rel, tree, source)
@@ -355,64 +418,23 @@ class Analyzer:
 
     def run(self, paths: Iterable[str], exclude: Sequence[str] = ()) -> AnalysisResult:
         result = AnalysisResult()
-
-        def triage(pairs) -> None:
-            """Route (violation, pragma-suppressed?) pairs into the result."""
-            for v, by_pragma in pairs:
-                if by_pragma:
-                    result.pragma_suppressed.append(v)
-                else:
-                    result.violations.append(v)
-
-        # Per-file pass (cacheable: pragma suppression depends only on
-        # file content, so the post-pragma pairs are safe to reuse).
         for path in self.iter_files(paths, exclude):
-            rel = self._rel(path)
             result.files_analyzed += 1
-            cached = (
-                self.cache.get_file(rel, path) if self.cache is not None else None
-            )
-            if cached is not None:
-                result.cache_hits += 1
-                triage(cached)
-                continue
             ctx = self.analyze_file(path)
-            pairs = [(v, ctx.suppressed_by_pragma(v)) for v in ctx.violations]
-            if self.cache is not None:
-                self.cache.put_file(rel, path, pairs)
-            triage(pairs)
+            for v in ctx.violations:
+                result.add(v, ctx)
 
         # Whole-program pass (project rules over config.project_paths).
         if self.project_rules and self.config is not None:
             pfiles = self.iter_files(self.config.project_paths, exclude)
             if pfiles:
-                cached = (
-                    self.cache.get_project(pfiles)
-                    if self.cache is not None
-                    else None
-                )
-                if cached is not None:
-                    result.cache_hits += 1
-                    triage(cached)
-                else:
-                    from .project import build_project_context
+                from .project import build_project_context
 
-                    pctx = build_project_context(self.root, pfiles)
-                    for rule in self.project_rules:
-                        rule.check_project(pctx)
-                    pairs = [
-                        (
-                            v,
-                            pctx.by_path[v.path].file_ctx.suppressed_by_pragma(v),
-                        )
-                        for v in pctx.violations
-                    ]
-                    if self.cache is not None:
-                        self.cache.put_project(pfiles, pairs)
-                    triage(pairs)
-
-        if self.cache is not None:
-            self.cache.flush()
+                pctx = build_project_context(self.root, pfiles)
+                for rule in self.project_rules:
+                    rule.check_project(pctx)
+                for v in pctx.violations:
+                    result.add(v, pctx.by_path[v.path].file_ctx)
         return result
 
     def _rel(self, path: Path) -> str:

@@ -26,9 +26,7 @@ Two passes:
    anchored to the defining file and line.
 
 Project-scope findings may carry a **dotted symbol path**
-(``repro.analysis.core._REGISTRY``) as their fingerprint: stable under
-line churn *and* under edits elsewhere in the file, unlike the per-file
-``(rule, path, line text)`` fingerprint.
+(``repro.analysis.core._REGISTRY``) naming the binding they are about.
 
 Suppression works exactly like the per-file pass: line pragmas on the
 reported line and file pragmas — plus the
@@ -273,9 +271,8 @@ class ProjectRule(Rule):
     Subclasses implement :meth:`check_project` instead of :meth:`check`;
     they receive the full :class:`ProjectContext` once per run and call
     ``pctx.report(module, node, self, message, symbol=...)`` per
-    finding.  ``symbol`` (a dotted path) makes the finding's
-    fingerprint line-churn-proof; leave it empty for positional
-    findings.
+    finding.  ``symbol`` (a dotted path) names the binding the finding
+    is about; leave it empty for positional findings.
     """
 
     project = True

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from .core import FileContext, Rule, contains, dotted_name, last_name, register
+from .core import FileContext, Rule, contains, dotted_name, last_name, register, under
 
 __all__ = ["WallClockRule", "UnseededRandomRule", "UnorderedIterationRule", "IdOrderingRule"]
 
@@ -152,9 +152,7 @@ class WallClockRule(Rule):
             if self.config is not None
             else ("src/repro/harness", "src/repro/trace")
         )
-        return not any(
-            rel_path == a or rel_path.startswith(a.rstrip("/") + "/") for a in allow
-        )
+        return not under(rel_path, allow)
 
     def check(self, node: ast.Call, ctx: FileContext) -> None:
         name = dotted_name(node.func)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 
-from .core import FileContext, Rule, dotted_name, register
+from .core import FileContext, Rule, dotted_name, register, under
 
 __all__ = ["FaultsSeededStreamRule", "BestEffortTransportStateRule"]
 
@@ -43,9 +43,7 @@ class FaultsSeededStreamRule(Rule):
             if self.config is not None
             else ("src/repro/faults",)
         )
-        return any(
-            rel_path == p or rel_path.startswith(p.rstrip("/") + "/") for p in paths
-        )
+        return under(rel_path, paths)
 
     def check(self, node: ast.AST, ctx: FileContext) -> None:
         if isinstance(node, ast.Import):
@@ -153,9 +151,7 @@ class BestEffortTransportStateRule(Rule):
             if self.config is not None
             else ("src/repro/faults", "src/repro/pami", "src/repro/converse")
         )
-        return any(
-            rel_path == p or rel_path.startswith(p.rstrip("/") + "/") for p in paths
-        )
+        return under(rel_path, paths)
 
     def check(self, node: ast.AST, ctx: FileContext) -> None:
         if not _mentions_best_effort(node.test):

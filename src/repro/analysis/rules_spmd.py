@@ -20,15 +20,8 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from .core import last_name, register
-from .project import (
-    ModuleInfo,
-    ProjectContext,
-    ProjectRule,
-    enclosing_function,
-    walk_with_stack,
-)
-from .rules_trace import _early_exit_guards, _test_guards
+from .core import guarded, last_name, register, under
+from .project import ProjectContext, ProjectRule, walk_with_stack
 
 __all__ = [
     "ConditionalRegistrationRule",
@@ -48,11 +41,7 @@ def _spmd_scope(config, pctx: ProjectContext):
     """The modules the S family applies to."""
     extra = tuple(getattr(config, "spmd_paths", ()) or ())
     for mi in pctx.modules.values():
-        in_paths = any(
-            mi.rel_path == p or mi.rel_path.startswith(p.rstrip("/") + "/")
-            for p in extra
-        )
-        if in_paths or mi.imports_from(*_SPMD_MODULES):
+        if under(mi.rel_path, extra) or mi.imports_from(*_SPMD_MODULES):
             yield mi
 
 
@@ -143,7 +132,7 @@ class UnguardedShardSeedRule(_SpmdRule):
                 name = receiver.id if isinstance(receiver, ast.Name) else None
                 if name is None:
                     continue
-                if self._guarded(node, stack, name):
+                if guarded(node, stack, name):
                     continue
                 pctx.report(
                     mi,
@@ -168,19 +157,6 @@ class UnguardedShardSeedRule(_SpmdRule):
         ):
             return f.value.value
         return None
-
-    @staticmethod
-    def _guarded(node: ast.AST, stack, name: str) -> bool:
-        lineno = getattr(node, "lineno", 1)
-        child: ast.AST = node
-        for anc in reversed(stack):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return _early_exit_guards(anc, name, lineno)
-            if isinstance(anc, ast.If) and _test_guards(anc.test, name):
-                if any(child is stmt for stmt in anc.body):
-                    return True
-            child = anc
-        return False
 
 
 @register

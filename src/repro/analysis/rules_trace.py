@@ -1,171 +1,96 @@
-"""Tracing-discipline rules (T1).
+"""Hook-discipline rule (T1): recording hooks are zero-cost when off.
 
-The tracing subsystem's zero-cost-when-disabled contract
-(docs/TRACING.md) has one load-bearing clause: hot-path modules hold
-``tracer`` attributes that are ``None`` when tracing is off, and every
-recording call is guarded by ``if tracer is not None``.  An unguarded
-call site either crashes untraced runs (AttributeError on None) or —
-worse — forces the component to hold a disabled Tracer instance, which
-turns the guard's single pointer test into a Python method call per
-event on the DES hot path.  T1 makes the convention checkable.
+The tracer (docs/TRACING.md) and the profiler and metrics
+(docs/OBSERVABILITY.md) share one load-bearing clause: hot-path modules
+hold ``tracer``/``profiler``/``metrics`` attributes that are ``None``
+when the facility is off, and every recording call is guarded by
+``if hook is not None``.  An unguarded call site either crashes
+disabled runs (AttributeError on None) or — worse — forces the
+component to hold a disabled instance, which turns the guard's single
+pointer test into a Python method call per event on the DES hot path.
+``make obs-gate`` and ``make trace-gate`` prove the *shipped* engine is
+neutral; T1 stops a future edit from dropping an unguarded call in.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Optional
 
-from .core import FileContext, Rule, dotted_name, register
+from .core import FileContext, Rule, dotted_name, guarded, register, under
 
-__all__ = ["UnguardedTracerCallRule"]
+__all__ = ["UnguardedHookCallRule"]
 
-#: Recording methods of repro.trace.Tracer that sit on hot paths.
-#: Registration/lifecycle methods (register_track, add_finalizer,
-#: finish) run once per run from already-guarded setup code and are
-#: deliberately not listed.
-_RECORDING_METHODS = frozenset({
-    "begin",
-    "end",
-    "count",
-    "mark",
-    "record",
-    "span",
-    "msg_send",
-    "msg_recv",
-    "msg_exec",
-})
-
-#: Local names conventionally bound to a (possibly-None) tracer.  Like
-#: P3, this rule is name-based: ``rec = self.tracer`` / ``tr = ...`` /
-#: ``tracer = ...`` are the repo-wide spellings.
-_TRACER_NAMES = frozenset({"tracer", "rec", "tr"})
-
-
-def _names_tracer(node: ast.AST) -> Optional[str]:
-    """The receiver's dotted name if it plausibly names a tracer."""
-    name = dotted_name(node)
-    if name is None:
-        return None
-    last = name.rsplit(".", 1)[-1]
-    if last in _TRACER_NAMES or last.endswith("tracer"):
-        return name
-    return None
-
-
-def _test_guards(test: ast.AST, receiver: str) -> bool:
-    """Does this condition establish ``receiver`` is a live tracer?
-
-    Accepts ``X is not None`` (anywhere in the expression, including
-    inside ``and`` chains) and plain truthiness tests of ``X``.
-    """
-    for node in ast.walk(test):
-        if isinstance(node, ast.Compare) and len(node.ops) == 1:
-            if (
-                isinstance(node.ops[0], ast.IsNot)
-                and isinstance(node.comparators[0], ast.Constant)
-                and node.comparators[0].value is None
-                and dotted_name(node.left) == receiver
-            ):
-                return True
-    if dotted_name(test) == receiver:
-        return True
-    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        return any(dotted_name(v) == receiver for v in test.values)
-    return False
-
-
-def _early_exit_guards(fn: ast.AST, receiver: str, lineno: int) -> bool:
-    """``if X is None: return`` earlier in the enclosing function."""
-    for stmt in getattr(fn, "body", ()):
-        if not isinstance(stmt, ast.If) or stmt.lineno >= lineno:
-            continue
-        test = stmt.test
-        is_none = (
-            isinstance(test, ast.Compare)
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.Is)
-            and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value is None
-            and dotted_name(test.left) == receiver
-        )
-        not_x = (
-            isinstance(test, ast.UnaryOp)
-            and isinstance(test.op, ast.Not)
-            and dotted_name(test.operand) == receiver
-        )
-        if (is_none or not_x) and stmt.body and isinstance(
-            stmt.body[-1], (ast.Return, ast.Continue, ast.Raise)
-        ):
-            return True
-    return False
+#: One row per hook kind: (receiver names, receiver-name suffixes,
+#: recording methods, contract doc).  Receivers match by name, like P3:
+#: ``rec = self.tracer`` / ``prof = self.profiler`` / ``metrics =
+#: service.metrics`` are the repo-wide spellings.  Lifecycle and export
+#: methods (register_track, finish, profile, snapshot, to_json...) run
+#: once per run from cold code and are deliberately not listed.  A
+#: receiver is checked only against its own kind's methods, so
+#: ``tracer.observe`` and ``profiler.begin`` stay unflagged.
+_HOOK_KINDS = (
+    (
+        frozenset({"tracer", "rec", "tr"}),
+        ("tracer",),
+        frozenset({
+            "begin", "end", "count", "mark", "record", "span",
+            "msg_send", "msg_recv", "msg_exec",
+        }),
+        "docs/TRACING.md",
+    ),
+    (
+        frozenset({"profiler", "prof", "metrics"}),
+        ("profiler", "metrics"),
+        frozenset({
+            "sample", "charge", "flush", "next_gap",
+            "inc", "dec", "set", "observe", "labels",
+        }),
+        "docs/OBSERVABILITY.md",
+    ),
+)
 
 
 @register
-class UnguardedTracerCallRule(Rule):
-    """T1: tracer recording call without an ``is not None`` guard."""
+class UnguardedHookCallRule(Rule):
+    """T1: tracer/profiler/metrics recording call without a None guard."""
 
     id = "T1"
-    title = "unguarded tracer call in a hot-path module"
+    title = "unguarded hook call in a hot-path module"
     severity = "error"
     rationale = (
-        "Hot-path components hold tracer=None when tracing is off "
-        "(docs/TRACING.md); a recording call not dominated by an "
-        "``if tracer is not None`` test crashes untraced runs or forces "
-        "a per-event method call where a pointer test should be.  The "
-        "check is name-based (receivers named tracer/rec/tr or ending "
-        "in .tracer), mirroring P3's convention-driven matching."
+        "Hot-path components hold tracer=None / profiler=None when "
+        "tracing or profiling is off (docs/TRACING.md, "
+        "docs/OBSERVABILITY.md); a recording call not dominated by an "
+        "``if hook is not None`` test crashes disabled runs or forces a "
+        "per-event method call where a pointer test should be.  The "
+        "check is name-based (receivers named tracer/rec/tr, "
+        "profiler/prof or metrics, or ending in one of tracer, profiler, "
+        "metrics), mirroring P3's convention-driven matching."
     )
     node_types = ("Call",)
 
     def applies_to(self, rel_path: str) -> bool:
-        roots = (
-            self.config.trace_hot_paths
-            if self.config is not None
-            else ()
-        )
-        return any(
-            rel_path == r or rel_path.startswith(r.rstrip("/") + "/")
-            for r in roots
-        )
+        return self.config is not None and under(rel_path, self.config.hot_paths)
 
     def check(self, node: ast.Call, ctx: FileContext) -> None:
         func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr not in _RECORDING_METHODS:
+        if not isinstance(func, ast.Attribute):
             return
-        receiver = _names_tracer(func.value)
-        if receiver is None:
+        for names, suffixes, methods, doc in _HOOK_KINDS:
+            if func.attr not in methods:
+                continue
+            receiver = dotted_name(func.value)
+            if receiver is None:
+                return
+            last = receiver.rsplit(".", 1)[-1]
+            if (last in names or last.endswith(suffixes)) and not guarded(
+                node, ctx.stack, receiver
+            ):
+                ctx.report(
+                    node,
+                    self,
+                    f"{receiver}.{func.attr}(...) is not guarded by "
+                    f"'if {receiver} is not None' — hot-path hook calls "
+                    f"must be zero-cost when disabled ({doc})",
+                )
             return
-        lineno = getattr(node, "lineno", 1)
-        enclosing_fn = None
-        child: ast.AST = node
-        for anc in reversed(ctx.stack):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # A guard in an outer function does not dominate calls in
-                # a nested one (closures run later); stop widening here.
-                enclosing_fn = anc
-                break
-            if isinstance(anc, ast.If) and _test_guards(anc.test, receiver):
-                # Only the then-branch is dominated by the guard.
-                if any(child is stmt for stmt in anc.body):
-                    return
-            elif isinstance(anc, ast.IfExp) and _test_guards(anc.test, receiver):
-                if child is anc.body:
-                    return
-            elif isinstance(anc, ast.BoolOp) and isinstance(anc.op, ast.And):
-                if _test_guards(anc, receiver) and child is not anc.values[0]:
-                    return
-            elif isinstance(anc, ast.While) and _test_guards(anc.test, receiver):
-                if any(child is stmt for stmt in anc.body):
-                    return
-            child = anc
-        if enclosing_fn is not None and _early_exit_guards(
-            enclosing_fn, receiver, lineno
-        ):
-            return
-        ctx.report(
-            node,
-            self,
-            f"{receiver}.{func.attr}(...) is not guarded by "
-            f"'if {receiver} is not None' — hot-path tracer calls must "
-            "be zero-cost when tracing is off (docs/TRACING.md)",
-        )

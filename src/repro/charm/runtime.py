@@ -252,10 +252,6 @@ class Charm:
         return [(idx, getattr(array.element(idx), "_load", 0.0)) for idx in array.indices]
 
     @property
-    def recorder(self):
-        return self.runtime.recorder
-
-    @property
     def tracer(self):
         """The run's Projections-style tracer (None when tracing is off)."""
         return self.runtime.tracer

@@ -45,7 +45,8 @@ from ..faults import (
 from ..pami.commthread import CommThread
 from ..pami.context import AMPayload, Endpoint, PamiClient, PamiContext
 from ..pami.manytomany import ManyToManyRegistry
-from ..sim import Environment, TimelineRecorder
+from ..sim import Environment
+from ..trace import Tracer
 from ..trace.hpm import install_hpm
 from .alloc import make_allocator
 from .messages import ConverseMessage
@@ -97,10 +98,9 @@ class RunConfig:
     #: "l2" = optimized idle poll (§III-D); "naive" = spin loop.
     idle_poll: str = "l2"
     pe_queue_size: int = 1024
-    #: Record per-PE timelines (Figs. 3/9/10); costs memory, off by default.
-    record_timeline: bool = False
-    #: Enable the Projections-style tracer (spans + named counters +
-    #: exporters, see repro.trace).  ``record_timeline`` implies it.
+    #: Enable the Projections-style tracer (per-PE timelines for Figs.
+    #: 3/9/10, named counters, exporters; see repro.trace).  Costs
+    #: memory, off by default.
     trace: bool = False
     #: Fault-injection plan (repro.faults).  None falls back to the
     #: ``REPRO_FAULTS`` environment switch; a null plan means no faults.
@@ -290,11 +290,7 @@ class ConverseRuntime:
         #: The Projections-style tracer (repro.trace): spans + counters.
         #: None when tracing is off — every instrumentation site across
         #: the stack guards on that, keeping the disabled path free.
-        self.tracer: Optional[TimelineRecorder] = (
-            TimelineRecorder(env)
-            if (config.record_timeline or config.trace)
-            else None
-        )
+        self.tracer: Optional[Tracer] = Tracer(env) if config.trace else None
 
         # Fault injection (repro.faults): an explicit plan wins; with
         # none configured the REPRO_FAULTS env switch applies.  A null
@@ -353,11 +349,6 @@ class ConverseRuntime:
 
         if self.tracer is not None:
             self._wire_tracer()
-
-    @property
-    def recorder(self) -> Optional[TimelineRecorder]:
-        """Legacy name for :attr:`tracer` (the old timeline recorder)."""
-        return self.tracer
 
     #: Comm-thread span tracks start here so they never collide with PE
     #: ranks (a BG/Q partition in this reproduction stays well below it).

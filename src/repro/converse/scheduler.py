@@ -20,7 +20,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, TYPE_CHECKING
 from ..bgq.node import HWThread
 from ..bgq.params import BGQParams
 from ..queues import L2AtomicQueue, MutexQueue
-from ..sim import Environment, TimelineRecorder
+from ..sim import Environment
+from ..trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import ConverseProcess, ConverseRuntime
@@ -139,7 +140,7 @@ class PE:
 
     def _execute(self, msg: ConverseMessage):
         p = self.params
-        rec: Optional[TimelineRecorder] = self.runtime.tracer
+        rec: Optional[Tracer] = self.runtime.tracer
         handler = self.runtime.handlers[msg.handler_id]
         t0 = 0.0
         if rec is not None:

@@ -10,6 +10,12 @@ screenshots show:
 * Fig. 9 — binned CPU-utilization profile with and without
   communication threads.
 
+:func:`render_ascii_timeline` and :func:`utilization_profile` turn any
+:class:`~repro.trace.Tracer` into those two shapes.  Activity
+categories follow the paper's colour legend: ``integrate`` (red),
+``nonbonded`` (purple), ``pme``/``fft`` (green), ``comm``/``sched``
+(messaging and runtime overhead) and ``idle`` (white).
+
 Each traced run carries its :class:`~repro.trace.Tracer`, so beyond the
 ASCII renderings a run can be exported with
 :func:`export_trace_artifacts` — a Chrome ``trace_event`` JSON (open in
@@ -22,13 +28,13 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..bgq.params import CYCLES_PER_US
 from ..converse import RunConfig
-from ..sim import render_ascii_timeline, utilization_profile
 from ..trace import (
     Tracer,
     format_utilization_table,
@@ -45,7 +51,90 @@ __all__ = [
     "fig9_commthread_profile",
     "fig10_pme_window",
     "fig3_pme_timeline",
+    "render_ascii_timeline",
+    "utilization_profile",
 ]
+
+
+def utilization_profile(
+    tracer: Tracer,
+    bins: int = 100,
+    categories: Optional[Sequence[str]] = None,
+) -> Dict[str, np.ndarray]:
+    """Bin per-category busy time into a time profile (Fig. 9 shape).
+
+    Returns a mapping ``category -> array(bins)`` of the fraction of
+    track-time spent in that category in each bin, plus ``"_edges"``
+    with the bin edges.
+    """
+    t0, t1 = tracer.time_span()
+    if t1 <= t0:
+        raise ValueError("empty timeline")
+    edges = np.linspace(t0, t1, bins + 1)
+    ntracks = len(tracer.tracks()) or 1
+    width = (t1 - t0) / bins
+    if categories is None:
+        categories = tracer.categories()
+    out: Dict[str, np.ndarray] = {c: np.zeros(bins) for c in categories}
+    for span in tracer.spans:
+        if span.category not in out:
+            continue
+        lo = max(int(np.searchsorted(edges, span.start, side="right")) - 1, 0)
+        hi = min(int(np.searchsorted(edges, span.end, side="left")), bins)
+        for b in range(lo, hi):
+            overlap = min(span.end, edges[b + 1]) - max(span.start, edges[b])
+            if overlap > 0:
+                out[span.category][b] += overlap
+    for c in categories:
+        out[c] /= width * ntracks
+    out["_edges"] = edges
+    return out
+
+
+_GLYPHS = MappingProxyType({
+    "integrate": "R",  # red in the paper
+    "nonbonded": "P",  # purple
+    "bonded": "B",
+    "pme": "G",  # green
+    "fft": "G",
+    "comm": "c",
+    "sched": "s",
+    "alloc": "a",
+    "idle": ".",
+})
+
+
+def render_ascii_timeline(
+    tracer: Tracer,
+    width: int = 80,
+    tracks: Optional[Iterable[int]] = None,
+) -> str:
+    """Render per-track timelines as ASCII art (one row per track).
+
+    This is the textual stand-in for the paper's Projections timeline
+    screenshots (Figs. 3 and 10); the interactive equivalent is
+    :func:`repro.trace.write_chrome_trace` + Perfetto.
+    """
+    t0, t1 = tracer.time_span()
+    if t1 <= t0:
+        return "(empty timeline)"
+    sel = sorted(tracks) if tracks is not None else tracer.tracks()
+    scale = width / (t1 - t0)
+    rows = []
+    for track in sel:
+        row = ["."] * width
+        for span in tracer.spans:
+            if span.track != track:
+                continue
+            a = int((span.start - t0) * scale)
+            b = max(a + 1, int(round((span.end - t0) * scale)))
+            g = _GLYPHS.get(span.category, "?")
+            for i in range(a, min(b, width)):
+                row[i] = g
+        busy, useful = tracer.utilization(track=track)
+        rows.append(f"T{track:3d} |{''.join(row)}| ({busy * 100:.0f}%,{useful * 100:.0f}%)")
+    legend = "legend: R=integrate P=nonbonded G=pme/fft c=comm s=sched .=idle"
+    return "\n".join(rows + [legend])
 
 
 @dataclass
@@ -112,7 +201,7 @@ def run_traced_namd(
             nnodes=nnodes,
             workers_per_process=workers,
             comm_threads_per_process=comm_threads,
-            record_timeline=True,
+            trace=True,
         ),
         n_atoms, n_steps, use_m2m_pme, seed, cutoff=cutoff, pme_every=pme_every,
     )
@@ -130,7 +219,7 @@ def run_traced_namd(
         busy_fraction=busy,
         useful_fraction=useful,
         timeline_ascii=render_ascii_timeline(
-            tracer, width=100, threads=tracer.tracks()[:timeline_threads]
+            tracer, width=100, tracks=tracer.tracks()[:timeline_threads]
         ),
         profile=utilization_profile(tracer, bins=40),
         step_times_us=step_times,

@@ -50,7 +50,7 @@ from __future__ import annotations
 import re
 from time import perf_counter_ns
 from types import FunctionType, MethodType
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim import engine as _engine
 
@@ -257,47 +257,39 @@ class Profile:
 
     # -- aggregation ---------------------------------------------------
 
-    @staticmethod
-    def _fold(
-        merged: Dict[Tuple[str, str], Dict[str, Any]],
-        event_type: str,
-        owner: str,
-        rec: Sequence[int],
-    ) -> None:
-        """Add one ``[count, nanos, deque_pops, heap_pops, span_first,
-        span_last]`` record into the node for ``(event_type, owner)``."""
-        key = (event_type, owner)
-        node = merged.get(key)
-        if node is None:
-            merged[key] = node = {
-                "event_type": event_type,
-                "owner": owner,
-                "count": 0,
-                "nanos": 0,
-                "deque_pops": 0,
-                "heap_pops": 0,
-                "span_first": -1,
-                "span_last": -1,
-            }
-        node["count"] += rec[0]
-        node["nanos"] += rec[1]
-        node["deque_pops"] += rec[2]
-        node["heap_pops"] += rec[3]
-        if rec[4] >= 0:
-            if node["span_first"] < 0 or rec[4] < node["span_first"]:
-                node["span_first"] = rec[4]
-            if rec[5] > node["span_last"]:
-                node["span_last"] = rec[5]
-
     @classmethod
     def from_profilers(
         cls, label: str, profilers: List[EngineProfiler]
     ) -> "Profile":
+        """Merge the profilers' ``[count, nanos, deque_pops, heap_pops,
+        span_first, span_last]`` records into one node per
+        ``(event_type, owner)`` site."""
         merged: Dict[Tuple[str, str], Dict[str, Any]] = {}
         for prof in profilers:
             prof.flush()
             for (etype, cb), rec in prof.acc.items():
-                cls._fold(merged, etype.__name__, owner_name(cb), rec)
+                key = (etype.__name__, owner_name(cb))
+                node = merged.get(key)
+                if node is None:
+                    merged[key] = node = {
+                        "event_type": key[0],
+                        "owner": key[1],
+                        "count": 0,
+                        "nanos": 0,
+                        "deque_pops": 0,
+                        "heap_pops": 0,
+                        "span_first": -1,
+                        "span_last": -1,
+                    }
+                node["count"] += rec[0]
+                node["nanos"] += rec[1]
+                node["deque_pops"] += rec[2]
+                node["heap_pops"] += rec[3]
+                if rec[4] >= 0:
+                    if node["span_first"] < 0 or rec[4] < node["span_first"]:
+                        node["span_first"] = rec[4]
+                    if rec[5] > node["span_last"]:
+                        node["span_last"] = rec[5]
         return cls(label, list(merged.values()), envs=len(profilers))
 
     # -- queries -------------------------------------------------------

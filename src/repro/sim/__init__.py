@@ -23,12 +23,6 @@ from .shard import (
     ShardStallError,
     run_sharded_subprocesses,
 )
-from .trace import (
-    Segment,
-    TimelineRecorder,
-    render_ascii_timeline,
-    utilization_profile,
-)
 
 __all__ = [
     "AllOf",
@@ -39,7 +33,6 @@ __all__ = [
     "Interrupt",
     "Mutex",
     "Process",
-    "Segment",
     "Semaphore",
     "ShardCoordinator",
     "ShardEnvironment",
@@ -50,7 +43,4 @@ __all__ = [
     "StreamRegistry",
     "Timeout",
     "TimeoutOr",
-    "TimelineRecorder",
-    "render_ascii_timeline",
-    "utilization_profile",
 ]

@@ -92,11 +92,6 @@ class Span:
     def duration(self) -> float:
         return self.end - self.start
 
-    @property
-    def thread(self) -> int:
-        """Legacy alias for :attr:`track` (the timeline recorder's name)."""
-        return self.track
-
 
 class Tracer:
     """Per-run tracing and metrics hub (Projections analogue).

@@ -57,9 +57,10 @@ def test_unknown_rule_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("option", ["--write-baseline", "--no-baseline"])
+@pytest.mark.parametrize("option", ["--write-baseline", "--no-baseline", "--no-cache"])
 def test_baseline_options_are_gone(tmp_path, option):
-    """Pragmas are the one way to suppress: no grandfather list to write."""
+    """Pragmas are the one way to suppress (no grandfather list to write),
+    and every run is cold (no result cache to bypass)."""
     root = _project(tmp_path, {"mod.py": BAD_SOURCE})
     with pytest.raises(SystemExit) as exc:
         main(["--root", str(root), option])
@@ -101,19 +102,20 @@ def test_json_out_writes_report_file(tmp_path):
     data = json.loads(out.read_text())
     assert data["files_analyzed"] == 1
     assert data["violations"][0]["rule"] == "D2"
-    assert "cache_hits" in data
+    assert set(data) == {"files_analyzed", "violations", "pragma_suppressed"}
 
 
-def test_cache_hits_on_second_run(tmp_path):
-    root = _project(tmp_path, {"mod.py": BAD_SOURCE})
-    out = root / "lint.json"
-    main(["--root", str(root), "--json-out", str(out)])
-    assert json.loads(out.read_text())["cache_hits"] == 0
-    main(["--root", str(root), "--json-out", str(out)])
-    assert json.loads(out.read_text())["cache_hits"] >= 1
-    # --no-cache forces a cold run.
-    main(["--root", str(root), "--json-out", str(out), "--no-cache"])
-    assert json.loads(out.read_text())["cache_hits"] == 0
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    """A misspelled or retired key must not be silently ignored."""
+    root = _project(
+        tmp_path, {"mod.py": "x = 1\n"}, extra_toml='obs-hot-paths = ["."]\n'
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["--root", str(root)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "obs-hot-paths" in err
+    assert "hot-paths" in err.split("known:", 1)[1]
 
 
 def test_project_rules_report_through_cli(tmp_path, capsys):

@@ -68,7 +68,8 @@ def test_g1_reports_write_site_and_symbol():
     assert set(by_symbol) == {"g1_bad.ROUTE_CACHE", "g1_bad.PENDING"}
     cache = by_symbol["g1_bad.ROUTE_CACHE"]
     assert "written after import time at g1_bad.py:" in cache.message
-    assert cache.fingerprint == ("G1", "symbol", "g1_bad.ROUTE_CACHE")
+    assert (cache.path, cache.symbol) == ("g1_bad.py", "g1_bad.ROUTE_CACHE")
+    assert cache.line_text.startswith("ROUTE_CACHE")
     assert "unfrozen" in by_symbol["g1_bad.PENDING"].message
 
 
@@ -110,6 +111,23 @@ def test_s_family_out_of_scope_without_spmd_marker():
 def test_s2_counts_both_unguarded_shapes():
     result = _run_project(["s2_bad.py"], rules=["S2"])
     assert len(result.violations) == 2  # subscript receiver + unguarded name
+
+
+def test_s2_accepts_conditional_expression_and_and_guards(tmp_path):
+    """S2 shares T1's guard check: every dominating ``is not None`` shape."""
+    (tmp_path / "mod.py").write_text(
+        "def seed_ifexp(rt, msg, rank):\n"
+        "    pe = rt.pes[rank]\n"
+        "    pe.local_q.append(msg) if pe is not None else None\n"
+        "\n\n"
+        "def seed_and(rt, msg, rank):\n"
+        "    pe = rt.pes[rank]\n"
+        "    pe is not None and pe.local_q.append(msg)\n"
+    )
+    result = _run_project(
+        ["mod.py"], rules=["S2"], spmd_paths=("mod.py",), root=tmp_path
+    )
+    assert result.violations == [], [v.format() for v in result.violations]
 
 
 def test_s3_counts_both_short_keys():

@@ -38,13 +38,13 @@ def test_bad_fixture_is_rule_specific(rule_id):
     assert {v.rule for v in violations} == {rule_id}
 
 
-def test_violation_carries_location_and_fingerprint():
+def test_violation_carries_location():
     (v, *_) = _analyze(FIXTURES / "p2_bad.py")
     assert v.rule == "P2"
-    assert v.path.endswith("p2_bad.py")
+    assert v.path == "p2_bad.py"
     assert v.line > 1
     assert "class Signal" in v.line_text
-    assert v.fingerprint == (v.rule, v.path, v.line_text)
+    assert v.symbol == ""  # per-file findings name no project symbol
 
 
 def test_d1_allowlist_exempts_harness_paths():
@@ -155,30 +155,59 @@ def test_f2_clean_on_the_transport_tree():
     assert f2 == [], [v.format() for v in f2]
 
 
-# -- T1: tracer calls in hot-path modules must be None-guarded -------------
+# -- T1: tracer/profiler/metrics calls in hot paths must be None-guarded ---
 #
-# T1 is path-scoped like F1 (it applies inside the configured
-# trace-hot-paths), so its fixture pair is mapped into scope explicitly.
+# T1 is path-scoped like F1 (it applies inside the configured hot-paths),
+# so its fixture pairs are mapped into scope explicitly.  t1_* exercise
+# tracer receivers, o1_* profiler and metrics receivers.
 
 
-def _analyze_t1(filename):
+def _analyze_t1(filename, root=FIXTURES):
     from repro.analysis.config import Config
 
-    cfg = Config(trace_hot_paths=("t1_bad.py", "t1_good.py"))
-    analyzer = Analyzer(FIXTURES, default_rules(cfg))
-    return analyzer.analyze_file(FIXTURES / filename).violations
+    analyzer = Analyzer(root, default_rules(Config(hot_paths=(filename,))))
+    return analyzer.analyze_file(root / filename).violations
 
 
 def test_t1_fires_on_unguarded_tracer_calls():
     violations = _analyze_t1("t1_bad.py")
     assert {v.rule for v in violations} == {"T1"}
     # rec.begin + self.tracer.count + else-branch begin + tr.mark
-    assert len(violations) == 4
+    assert [v.line for v in violations] == [12, 13, 19, 22]
 
 
 def test_t1_silent_on_guarded_calls():
     violations = _analyze_t1("t1_good.py")
     assert violations == [], [v.format() for v in violations]
+
+
+def test_o1_fires_on_unguarded_obs_calls():
+    """Profiler/metrics calls (the former O1 contract) report as T1."""
+    violations = _analyze_t1("o1_bad.py")
+    assert {v.rule for v in violations} == {"T1"}
+    # prof.sample + self.profiler.charge + else-branch flush +
+    # self.metrics.observe + metrics.inc
+    assert [v.line for v in violations] == [12, 13, 19, 22, 25]
+    assert all("docs/OBSERVABILITY.md" in v.message for v in violations)
+
+
+def test_o1_silent_on_guarded_calls():
+    violations = _analyze_t1("o1_good.py")
+    assert violations == [], [v.format() for v in violations]
+
+
+def test_t1_matches_each_receiver_to_its_own_methods(tmp_path):
+    """A tracer method on a profiler (or vice versa) is not a hook call."""
+    (tmp_path / "mod.py").write_text(
+        "def step(tracer, profiler, metrics, prof):\n"
+        "    tracer.observe(1.5)\n"
+        "    tracer.sample(0)\n"
+        "    profiler.begin(0, 'pme')\n"
+        "    metrics.count('x')\n"
+        "    prof.sample(0)\n"
+    )
+    violations = _analyze_t1("mod.py", root=tmp_path)
+    assert [(v.rule, v.line) for v in violations] == [("T1", 6)]
 
 
 def test_t1_scoped_to_hot_paths():
@@ -194,66 +223,38 @@ def test_t1_scoped_to_hot_paths():
     assert not t1.applies_to("src/repro/harness/timelines.py")
 
 
-def test_t1_clean_on_the_runtime_tree():
-    """The shipped hot paths satisfy their own contract (self-check)."""
-    from repro.analysis.config import load_config
-
-    root = Path(__file__).parents[2]
-    cfg = load_config(root)
-    analyzer = Analyzer(root, default_rules(cfg))
-    result = analyzer.run(cfg.trace_hot_paths, exclude=cfg.exclude)
-    t1 = [v for v in result.violations if v.rule == "T1"]
-    assert t1 == [], [v.format() for v in t1]
-
-
-# -- O1: profiler/metrics calls in engine hot paths must be None-guarded ---
-#
-# O1 is path-scoped like T1 (it applies inside the configured
-# obs-hot-paths), so its fixture pair is mapped into scope explicitly.
-
-
-def _analyze_o1(filename):
-    from repro.analysis.config import Config
-
-    cfg = Config(obs_hot_paths=("o1_bad.py", "o1_good.py"))
-    analyzer = Analyzer(FIXTURES, default_rules(cfg))
-    return analyzer.analyze_file(FIXTURES / filename).violations
-
-
-def test_o1_fires_on_unguarded_obs_calls():
-    violations = _analyze_o1("o1_bad.py")
-    assert {v.rule for v in violations} == {"O1"}
-    # prof.sample + self.profiler.charge + else-branch flush +
-    # self.metrics.observe + metrics.inc
-    assert len(violations) == 5
-
-
-def test_o1_silent_on_guarded_calls():
-    violations = _analyze_o1("o1_good.py")
-    assert violations == [], [v.format() for v in violations]
-
-
 def test_o1_scoped_to_engine_hot_paths():
-    """O1 covers the engine tree but not the obs/serve packages."""
+    """The one hot-paths scope covers the engine tree but not obs/serve."""
     from repro.analysis.config import load_config
 
     rules = default_rules(load_config(Path(__file__).parents[2]))
-    o1 = next(r for r in rules if r.id == "O1")
-    assert o1.applies_to("src/repro/sim/engine.py")
-    assert o1.applies_to("src/repro/bgq/mu.py")
-    assert o1.applies_to("src/repro/converse/machine.py")
-    assert not o1.applies_to("src/repro/obs/profiler.py")
-    assert not o1.applies_to("src/repro/serve/manager.py")
-    assert not o1.applies_to("src/repro/harness/obsgate.py")
+    t1 = next(r for r in rules if r.id == "T1")
+    assert t1.applies_to("src/repro/sim/engine.py")
+    assert t1.applies_to("src/repro/bgq/mu.py")
+    assert t1.applies_to("src/repro/converse/machine.py")
+    assert not t1.applies_to("src/repro/obs/profiler.py")
+    assert not t1.applies_to("src/repro/serve/manager.py")
+    assert not t1.applies_to("src/repro/harness/obsgate.py")
 
 
-def test_o1_clean_on_the_engine_tree():
-    """The shipped hot paths satisfy their own contract (self-check)."""
+def _t1_on_shipped_hot_paths():
     from repro.analysis.config import load_config
 
     root = Path(__file__).parents[2]
     cfg = load_config(root)
     analyzer = Analyzer(root, default_rules(cfg))
-    result = analyzer.run(cfg.obs_hot_paths, exclude=cfg.exclude)
-    o1 = [v for v in result.violations if v.rule == "O1"]
-    assert o1 == [], [v.format() for v in o1]
+    result = analyzer.run(cfg.hot_paths, exclude=cfg.exclude)
+    return [v for v in result.violations if v.rule == "T1"]
+
+
+def test_t1_clean_on_the_runtime_tree():
+    """The shipped hot paths satisfy their own contract (self-check)."""
+    t1 = _t1_on_shipped_hot_paths()
+    assert t1 == [], [v.format() for v in t1]
+
+
+def test_o1_clean_on_the_engine_tree():
+    """No unguarded profiler/metrics call in the shipped hot paths."""
+    obs = [v for v in _t1_on_shipped_hot_paths()
+           if "docs/OBSERVABILITY.md" in v.message]
+    assert obs == [], [v.format() for v in obs]

@@ -1,11 +1,10 @@
-"""Report formatters for the obs surfaces.
+"""Report formatter for the serve metrics surface.
 
-Contract: when the obs layer is absent (no snapshot, no profile), both
-formatters return the empty string so existing report output stays
-byte-identical.
+Contract: when the obs layer is absent (no snapshot), the formatter
+returns the empty string so existing report output stays byte-identical.
 """
 
-from repro.harness.report import format_hotspot_summary, format_serve_metrics
+from repro.harness.report import format_serve_metrics
 
 
 SNAPSHOT = {
@@ -37,31 +36,12 @@ SNAPSHOT = {
     },
 }
 
-PROFILE = {
-    "schema": 1,
-    "label": "pingpong",
-    "total_nanos": 2_500_000,
-    "nodes": [
-        {"event_type": "Timeout", "owner": "Process._resume:pe*",
-         "count": 9000, "nanos": 2_000_000, "share": 0.8},
-        {"event_type": "Event", "owner": "(no-callback)",
-         "count": 1000, "nanos": 500_000, "share": 0.2},
-    ],
-}
-
-
 # -- byte-stability when obs is absent ---------------------------------
 
 
 def test_serve_metrics_absent_is_empty_string():
     assert format_serve_metrics(None) == ""
     assert format_serve_metrics({}) == ""
-
-
-def test_hotspot_summary_absent_is_empty_string():
-    assert format_hotspot_summary(None) == ""
-    assert format_hotspot_summary({}) == ""
-    assert format_hotspot_summary({"schema": 1, "nodes": []}) == ""
 
 
 # -- rendering ---------------------------------------------------------
@@ -81,16 +61,3 @@ def test_serve_metrics_skips_missing_metrics():
     text = format_serve_metrics(partial)
     assert text == "serve queue depth: 0"
 
-
-def test_hotspot_summary_top_lines():
-    text = format_hotspot_summary(PROFILE)
-    lines = text.splitlines()
-    assert lines[0] == "engine hotspots (pingpong, 2.5 ms attributed):"
-    assert "80.0%" in lines[1] and "Timeout/Process._resume:pe*" in lines[1]
-    assert "(9,000 events)" in lines[1]
-    assert "20.0%" in lines[2] and "Event/(no-callback)" in lines[2]
-
-
-def test_hotspot_summary_respects_top():
-    text = format_hotspot_summary(PROFILE, top=1)
-    assert len(text.splitlines()) == 2  # header + one site

@@ -133,12 +133,11 @@ def test_step_log_and_kinetic_energy_recorded():
 def test_timeline_recording_produces_categories():
     system = small_system()
     charm = Charm(
-        RunConfig(nnodes=1, workers_per_process=4, record_timeline=True)
+        RunConfig(nnodes=1, workers_per_process=4, trace=True)
     )
     app = NamdCharm(charm, system, pme_enabled=True, pme_every=2, n_steps=2, dt=0.005)
     app.run()
-    rec = charm.recorder
-    cats = {s.category for s in rec.segments}
+    cats = {s.category for s in charm.tracer.spans}
     assert "integrate" in cats
     assert "nonbonded" in cats
     assert "pme" in cats

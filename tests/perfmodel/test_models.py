@@ -8,13 +8,13 @@ quantitative anchors.
 
 import pytest
 
-from repro.bgp import BGP, bgp_step_time
 from repro.namd.system import APOA1, STMV100M, STMV20M
 from repro.perfmodel import (
     FIG7_CONFIGS,
     PAPER_TABLE1,
     NamdRunConfig,
     best_config,
+    bgp_step_time,
     core_issue_rate,
     fft_step_time,
     fft_table,

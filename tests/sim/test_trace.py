@@ -1,128 +1,120 @@
-"""Tests for the timeline recorder and utilization profiles."""
+"""Tests for timeline spans on the DES clock and utilization profiles."""
 
 import numpy as np
 import pytest
 
-from repro.sim import Environment, TimelineRecorder
-from repro.sim.trace import render_ascii_timeline, utilization_profile
+from repro.harness.timelines import render_ascii_timeline, utilization_profile
+from repro.sim import Environment
+from repro.trace import Tracer
 
 
-def make_recorder():
+def make_tracer():
     env = Environment()
-    rec = TimelineRecorder(env)
+    tracer = Tracer(env)
 
     def worker():
-        rec.begin(0, "integrate")
+        tracer.begin(0, "integrate")
         yield env.timeout(10)
-        rec.begin(0, "pme")
+        tracer.begin(0, "pme")
         yield env.timeout(30)
-        rec.begin(0, "idle")
+        tracer.begin(0, "idle")
         yield env.timeout(60)
-        rec.end(0)
+        tracer.end(0)
 
     env.process(worker())
     env.run()
-    return env, rec
+    return env, tracer
 
 
 def test_segments_recorded():
-    _, rec = make_recorder()
-    cats = [(s.category, s.start, s.end) for s in rec.segments]
+    _, tracer = make_tracer()
+    cats = [(s.category, s.start, s.end) for s in tracer.spans]
     assert cats == [("integrate", 0, 10), ("pme", 10, 40), ("idle", 40, 100)]
 
 
 def test_time_in_category():
-    _, rec = make_recorder()
-    assert rec.time_in("pme") == 30
-    assert rec.time_in("idle") == 60
-    assert rec.time_in("missing") == 0
+    _, tracer = make_tracer()
+    assert tracer.time_in("pme") == 30
+    assert tracer.time_in("idle") == 60
+    assert tracer.time_in("missing") == 0
 
 
 def test_utilization_busy_and_useful():
-    _, rec = make_recorder()
-    busy, useful = rec.utilization()
+    _, tracer = make_tracer()
+    busy, useful = tracer.utilization()
     assert busy == pytest.approx(0.4)  # 40/100 non-idle
     assert useful == pytest.approx(0.4)  # integrate+pme are useful
 
 
 def test_utilization_excludes_overhead_from_useful():
-    env = Environment()
-    rec = TimelineRecorder(env)
-    rec.record(0, "comm", 0, 50)
-    rec.record(0, "pme", 50, 100)
-    busy, useful = rec.utilization()
+    tracer = Tracer(Environment())
+    tracer.record(0, "comm", 0, 50)
+    tracer.record(0, "pme", 50, 100)
+    busy, useful = tracer.utilization()
     assert busy == pytest.approx(1.0)
     assert useful == pytest.approx(0.5)
 
 
 def test_finish_closes_open_segments():
     env = Environment()
-    rec = TimelineRecorder(env)
+    tracer = Tracer(env)
 
     def worker():
-        rec.begin(3, "nonbonded")
+        tracer.begin(3, "nonbonded")
         yield env.timeout(25)
         # never ends explicitly
 
     env.process(worker())
     env.run()
-    rec.finish()
-    assert len(rec.segments) == 1
-    seg = rec.segments[0]
-    assert (seg.thread, seg.category, seg.start, seg.end) == (3, "nonbonded", 0, 25)
+    tracer.finish()
+    assert len(tracer.spans) == 1
+    span = tracer.spans[0]
+    assert (span.track, span.category, span.start, span.end) == (3, "nonbonded", 0, 25)
 
 
 def test_record_validates_order():
-    env = Environment()
-    rec = TimelineRecorder(env)
+    tracer = Tracer(Environment())
     with pytest.raises(ValueError):
-        rec.record(0, "pme", 10, 5)
+        tracer.record(0, "pme", 10, 5)
 
 
 def test_zero_length_segments_dropped():
-    env = Environment()
-    rec = TimelineRecorder(env)
-    rec.record(0, "pme", 5, 5)
-    assert rec.segments == []
+    tracer = Tracer(Environment())
+    tracer.record(0, "pme", 5, 5)
+    assert tracer.spans == []
 
 
 def test_utilization_profile_bins_sum():
-    env = Environment()
-    rec = TimelineRecorder(env)
-    rec.record(0, "pme", 0, 50)
-    rec.record(0, "idle", 50, 100)
-    prof = utilization_profile(rec, bins=10)
+    tracer = Tracer(Environment())
+    tracer.record(0, "pme", 0, 50)
+    tracer.record(0, "idle", 50, 100)
+    prof = utilization_profile(tracer, bins=10)
     assert prof["pme"][:5] == pytest.approx(np.ones(5))
     assert prof["pme"][5:] == pytest.approx(np.zeros(5))
     assert prof["idle"][5:] == pytest.approx(np.ones(5))
 
 
 def test_utilization_profile_multi_thread_normalized():
-    env = Environment()
-    rec = TimelineRecorder(env)
-    rec.record(0, "pme", 0, 100)
-    rec.record(1, "idle", 0, 100)
-    prof = utilization_profile(rec, bins=4)
-    # Only half of thread-time is pme.
+    tracer = Tracer(Environment())
+    tracer.record(0, "pme", 0, 100)
+    tracer.record(1, "idle", 0, 100)
+    prof = utilization_profile(tracer, bins=4)
+    # Only half of track-time is pme.
     assert prof["pme"] == pytest.approx(0.5 * np.ones(4))
 
 
 def test_utilization_profile_empty_raises():
-    env = Environment()
-    rec = TimelineRecorder(env)
     with pytest.raises(ValueError):
-        utilization_profile(rec)
+        utilization_profile(Tracer(Environment()))
 
 
 def test_ascii_render_contains_threads_and_legend():
-    _, rec = make_recorder()
-    art = render_ascii_timeline(rec, width=40)
+    _, tracer = make_tracer()
+    art = render_ascii_timeline(tracer, width=40)
     assert "T  0" in art
     assert "legend:" in art
     assert "R" in art and "G" in art
 
 
 def test_ascii_render_empty():
-    env = Environment()
-    rec = TimelineRecorder(env)
-    assert "empty" in render_ascii_timeline(rec)
+    assert "empty" in render_ascii_timeline(Tracer(Environment()))

@@ -119,30 +119,3 @@ def test_manifest_export_crash_preserves_prior_manifest(tmp_path):
     assert path.read_text() == before
     assert json.loads(before)["counters"]["msgs"] == 3
 
-
-def test_lint_cache_flush_is_atomic(tmp_path, monkeypatch):
-    """A cache flush that dies mid-write must not corrupt the old cache."""
-    from repro.analysis.cache import LintCache
-    import repro.analysis.cache as cache_mod
-
-    path = tmp_path / ".repro-lint-cache.json"
-    src = tmp_path / "m.py"
-    src.write_text("x = 1\n")
-    c1 = LintCache(path, ["D1"])
-    c1.put_file("m.py", src, [])
-    c1.flush()
-    before = path.read_text()
-
-    c2 = LintCache(path, ["D1"])
-    c2.put_file("m.py", src, [])
-
-    def boom(p, text):
-        raise RuntimeError("killed mid-flush")
-
-    monkeypatch.setattr(cache_mod, "atomic_write_text", boom)
-    with pytest.raises(RuntimeError):
-        c2.flush()
-    assert path.read_text() == before
-    # And a fresh load still parses (treated-as-valid, not as-empty).
-    c3 = LintCache(path, ["D1"])
-    assert c3.get_file("m.py", src) == []

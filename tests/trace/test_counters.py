@@ -75,7 +75,6 @@ def test_runtime_counters_flow_end_to_end():
     rt.run_until(done)
     tr = rt.tracer
     tr.finish()  # harvests engine-maintained counters (engine.events)
-    assert tr is rt.recorder  # legacy alias
     assert tr.get("converse.msgs_sent") == 1
     assert tr.get("converse.bytes_sent") == 256
     assert tr.get("converse.msgs_delivered") == 1

@@ -4,7 +4,6 @@ import pytest
 
 pytestmark = pytest.mark.trace
 
-from repro.sim import Environment
 from repro.trace import Span, Tracer
 
 
@@ -23,7 +22,6 @@ def test_begin_end_produces_one_span():
     tr.end(0)
     assert tr.spans == [Span(0, "compute", 0.0, 10.0)]
     assert tr.spans[0].duration == 10.0
-    assert tr.spans[0].thread == 0  # legacy alias
 
 
 def test_begin_closes_previous_activity():
@@ -143,14 +141,3 @@ def test_track_labels():
     assert tr.label_of(10_000) == "commthread-n0t2"
     assert tr.label_of(3) == "pe3"
 
-
-def test_timeline_recorder_is_a_tracer():
-    """The legacy recorder API is a thin subclass of the new Tracer."""
-    from repro.sim import TimelineRecorder
-
-    env = Environment()
-    rec = TimelineRecorder(env)
-    assert isinstance(rec, Tracer)
-    rec.record(0, "compute", 0.0, 5.0, )
-    assert rec.segments == rec.spans
-    assert rec.threads() == rec.tracks() == [0]
