@@ -25,10 +25,11 @@ is owned here.  Design constraints, in order:
    unprofiled ones.
 3. **Cheap when on.** Per-event keying costs several hundred ns in
    CPython — over budget on a ~µs dispatch — so sampling is by stride:
-   non-sampled events pay one countdown decrement, and each sampled
-   event charges the whole interval since the previous sample (wall
-   time, exact event count, pop-site split) to the previous sample's
-   ``(event class, first callback)`` key.  Gaps come from a seeded LCG
+   non-sampled events pay one countdown decrement.  A sampled event
+   opens an interval the next event closes; that one dispatch's wall
+   time and pop site, scaled by the gap the sample stands for, go to
+   its ``(event class, first callback)`` key — so shares and counts
+   are estimates, the total count exact.  Gaps come from a seeded LCG
    (:meth:`EngineProfiler.next_gap`), deterministic per run and
    jittered so periodic workloads cannot alias with the stride;
    ``stride=1`` is exact per-event mode.  All name resolution,
@@ -39,8 +40,8 @@ is owned here.  Design constraints, in order:
 
 The accumulator record layout is ``[count, nanos, deque_pops,
 heap_pops, span_first, span_last]``.  The span fields hold the first/
-last :mod:`repro.trace` span index closed during the intervals charged
-to the site — the profile↔trace correlation handle (span ids are the
+last :mod:`repro.trace` span index closed while the site's sampled
+events ran — the profile↔trace correlation handle (span ids are the
 span's index in ``tracer.spans``, the same id the Chrome exporter emits
 as ``args.span_id``).
 """
@@ -112,7 +113,7 @@ class EngineProfiler:
 
     __slots__ = (
         "acc", "index", "stride", "env", "skip", "_rng",
-        "_key", "_t0", "_site", "_span0", "_ev0",
+        "_key", "_t0", "_site", "_span0", "_weight", "_last", "_gap",
     )
 
     def __init__(self, index: int = 0, stride: int = 32, env: Any = None) -> None:
@@ -132,15 +133,16 @@ class EngineProfiler:
         # LCG state, seeded per-profiler so sibling Environments do not
         # sample in lockstep.  No wall-clock entropy: deterministic.
         self._rng = (0x9E3779B9 ^ (index * 0x85EBCA6B)) & 0x7FFFFFFF or 1
-        # The interval opened at the last sampled event, settled by the
-        # next sample() or by flush(): its key (None = nothing open),
-        # opening clock read, pop-site slot in the record (2 deque,
-        # 3 heap), tracer span count and event index at opening.
+        # The last sample: key (None = none yet), opening clock read (-1
+        # once closed), pop-site slot (2 deque, 3 heap), tracer span
+        # count, the events it stands for, its index, the next gap.
         self._key: Optional[Tuple[type, Any]] = None
-        self._t0 = 0
+        self._t0 = -1
         self._site = 2
         self._span0 = -1
-        self._ev0 = 0
+        self._weight = 0
+        self._last = -1
+        self._gap = 1
 
     def next_gap(self) -> int:
         """Events until the next sample, jittered around ``stride``.
@@ -158,26 +160,27 @@ class EngineProfiler:
         return 1 + x % (2 * stride - 1)
 
     def sample(self, event: Any, callbacks: Optional[list], from_heap: bool) -> int:
-        """Close the open interval, open one keyed on ``event``.
+        """Close the open interval; open one on ``event`` if it is due.
 
-        Called by the dispatch loop on sampled events only, after the
-        pop and before the callbacks run; returns the countdown to the
-        next sample.  One clock read serves both ends: the interval
-        since the previous sample — its wall time, its *exact* event
-        count (every event lands in exactly one interval) and its
-        pop-site split — is charged to the previous sample's key, the
-        classic sampling-profiler attribution.
+        Called by the dispatch loop after the pop and before the
+        callbacks run; returns the countdown to the next call.  Opening
+        reads the clock last and returns 1; closing, on the next event,
+        reads it first.  The interval between is the sampled event's own
+        dispatch, profiler excluded, and is charged times its gap.
 
         Keys stay bounded by code, not events: a bound method or plain
         function keeps per-owner granularity (long-lived, or hash-equal
         across rebinds); any other callable — a one-shot callable
         instance may be constructed per event — degrades to its class.
         """
-        t = perf_counter_ns()
+        if self._t0 >= 0:
+            weight = self._weight
+            self._settle(weight, (perf_counter_ns() - self._t0) * weight)
+            self._t0 = -1
+            if self._gap > 1:
+                return self._gap - 1
         # The loop has already counted this event.
         ev = self.env.events_executed - 1
-        if self._key is not None:
-            self._settle(ev - self._ev0, t - self._t0)
         if callbacks:
             cb0 = callbacks[0]
             kind = cb0.__class__
@@ -186,15 +189,17 @@ class EngineProfiler:
         else:
             cb0 = None
         self._key = (event.__class__, cb0)
-        self._t0 = t
         self._site = 3 if from_heap else 2
         tracer = self.env.tracer
         self._span0 = len(tracer.spans) if tracer is not None else -1
-        self._ev0 = ev
-        return self.next_gap()
+        self._weight = ev - self._last
+        self._last = ev
+        self._gap = self.next_gap()
+        self._t0 = perf_counter_ns()
+        return 1
 
     def _settle(self, count: int, nanos: int) -> None:
-        """Charge the open interval to its key."""
+        """Charge ``count`` events and ``nanos`` to the last sample's key."""
         rec = self.acc.get(self._key)
         if rec is None:
             self.acc[self._key] = rec = [0, 0, 0, 0, -1, -1]
@@ -209,17 +214,15 @@ class EngineProfiler:
                 rec[5] = closed - 1
 
     def flush(self) -> None:
-        """Charge the still-open final interval (zero-timed).
-
-        Interval charging leaves the tail since the last sampled event
-        unsettled; its wall interval has no defined end (the engine
-        stopped), so it contributes its event count and pop site but no
-        nanoseconds.  Idempotent — the open interval is consumed.
-        """
+        """Charge an interval the stopped engine left open and the events
+        after the last sample to the last key: counts, no nanoseconds.
+        Idempotent."""
         if self._key is None:
             return
-        self._settle(self.env.events_executed - self._ev0, 0)
-        self._key = None
+        last = self.env.events_executed - 1
+        self._settle((self._weight if self._t0 >= 0 else 0) + last - self._last, 0)
+        self._t0 = -1
+        self._last = last
 
     def total_nanos(self) -> int:
         return sum(rec[1] for rec in self.acc.values())

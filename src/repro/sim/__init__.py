@@ -12,8 +12,8 @@ from .engine import (
     Interrupt,
     Process,
     SimulationError,
+    Ticket,
     Timeout,
-    TimeoutOr,
 )
 from .resources import ContentionStats, Mutex, Semaphore, Store
 from .rng import StreamRegistry
@@ -41,6 +41,6 @@ __all__ = [
     "Store",
     "run_sharded_subprocesses",
     "StreamRegistry",
+    "Ticket",
     "Timeout",
-    "TimeoutOr",
 ]

@@ -37,6 +37,8 @@ same simulated times — but cheaper on the host:
   wait instead of materialising a new bound method per yield;
 * :class:`Timeout` initialises its slots directly — the common
   ``timeout -> resume`` cycle runs without intermediate method calls;
+  so does :class:`Ticket`, whose key is taken when it is made but which
+  costs a pop only if scheduled (a core schedules one chunk end at once);
 * every :class:`Event` subclass is ``__slots__``-complete (no instance
   dicts on the hot path).
 
@@ -84,7 +86,7 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
-    "TimeoutOr",
+    "Ticket",
     "Process",
     "Interrupt",
     "AllOf",
@@ -233,17 +235,6 @@ class Event:
         else:
             cbs.append(cb)
 
-    def _process_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._state = _PROCESSED
-        if callbacks is not None:
-            for cb in callbacks:
-                cb(self)
-        if self._exc is not None and not self._defused:
-            # Nobody waited on a failed event: surface the error rather
-            # than losing it silently.
-            raise self._exc
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         st = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
         return f"<{type(self).__name__} {st[self._state]} at {id(self):#x}>"
@@ -274,35 +265,28 @@ class Timeout(Event):
             heapq.heappush(env._queue, (env._now + delay, seq, self))
 
 
-class TimeoutOr(Timeout):
-    """A :class:`Timeout` that the :class:`Process` yielding it also
-    leaves if ``other`` pops first: ``any_of([timeout, other])`` without
-    the condition event and its zero-delay hop.  The process resumes
-    once, at the winner's pop with the winner's outcome; the loser is
-    retracted (timeout cancelled, or the resume taken off ``other``), and
-    an :class:`Interrupt` retracts both.  Only that process may wait on it.
-    """
+class Ticket(Event):
+    """Due at ``at``, with its ``(time, seq)`` key taken now; it enters
+    the heap, with ``callbacks`` set, only when :meth:`schedule` runs —
+    once (a twin key makes ``heapq`` compare events), and by ``at``."""
 
-    __slots__ = ("other",)
+    __slots__ = ("at", "seq")
 
-    def __init__(self, env: "Environment", delay: float, other: Event) -> None:
-        if env._active_process is None:
-            raise SimulationError("a TimeoutOr must be yielded by a Process")
-        if other._state == _PROCESSED:
-            raise SimulationError(f"TimeoutOr on already-processed {other!r}")
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        # Inline, as in Timeout; the heap keeps a zero delay's (time, seq).
+    def __init__(self, env: "Environment", at: float, value: Any = None) -> None:
+        # Inline, as in Timeout: a core makes one per compute chunk.
         self.env = env
         self.callbacks = None
-        self._value = None
+        self._value = value
         self._exc = None
         self._state = _TRIGGERED
         self._defused = False
-        self.delay = delay
-        self.other = other
-        env._seq = seq = env._seq + 1
-        heapq.heappush(env._queue, (env._now + delay, seq, self))
+        self.at = at
+        env._seq = self.seq = env._seq + 1
+
+    def schedule(self, callbacks: list) -> None:
+        """Enter the heap at the reserved key; ``callbacks`` run at the pop."""
+        self.callbacks = callbacks
+        heapq.heappush(self.env._queue, (self.at, self.seq, self))
 
 
 class _ConditionValue:
@@ -347,7 +331,7 @@ class _Condition(Event):
             # The condition already triggered.  A constituent that
             # *fails* afterwards must still be defused here — this
             # callback is its only consumer, and an un-defused failure
-            # would crash the run from _process_callbacks (e.g. an
+            # would crash the run at its pop (e.g. an
             # AnyOf whose losing member later fails).
             if event._exc is not None:
                 event._defused = True
@@ -390,7 +374,7 @@ class Process(Event):
     Event that fires with the generator's return value when it finishes.
     """
 
-    __slots__ = ("gen", "name", "_target", "_race", "_interrupts", "_resume_cb")
+    __slots__ = ("gen", "name", "_target", "_interrupts", "_resume_cb")
 
     def __init__(
         self,
@@ -404,8 +388,6 @@ class Process(Event):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._target: Optional[Event] = None
-        #: The TimeoutOr being waited on, until either side resumes.
-        self._race: Optional[TimeoutOr] = None
         self._interrupts: list[Interrupt] = []
         #: One bound method reused for every wait (a fresh bound-method
         #: object per yield is pure allocator churn on the hot path).
@@ -424,11 +406,6 @@ class Process(Event):
             raise SimulationError(f"cannot interrupt finished {self.name}")
         self._interrupts.append(Interrupt(cause))
         target = self._target
-        race = self._race
-        if race is not None:
-            self._race = None
-            race.cancel()
-            target = race.other
         if target is not None and target.callbacks is not None:
             try:
                 target.callbacks.remove(self._resume_cb)
@@ -442,16 +419,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         env = self.env
         env._active_process = self
-        race = self._race
-        if race is not None:
-            # A TimeoutOr wait ended: retract the side that lost.
-            self._race = None
-            if event is race:
-                cbs = race.other.callbacks
-                if cbs is not None:
-                    cbs.remove(self._resume_cb)
-            else:
-                race.cancel()
         gen = self.gen
         while True:
             try:
@@ -483,15 +450,11 @@ class Process(Event):
 
             if next_ev._state != _PROCESSED:
                 # Not yet processed: wait for it.
-                cb = self._resume_cb
-                if type(next_ev) is TimeoutOr:
-                    next_ev.other._add_callback(cb)
-                    self._race = next_ev
                 cbs = next_ev.callbacks
                 if cbs is None:
-                    next_ev.callbacks = [cb]
+                    next_ev.callbacks = [self._resume_cb]
                 else:
-                    cbs.append(cb)
+                    cbs.append(self._resume_cb)
                 self._target = next_ev
                 env._active_process = None
                 return
@@ -614,7 +577,7 @@ class Environment:
             raise SimulationError("step() on empty event queue")
         self._now = when
         self.events_executed += 1
-        # Inlined Event._process_callbacks (hot loop).
+        # Dispatch inline (hot loop).
         callbacks = event.callbacks
         event.callbacks = None
         event._state = _PROCESSED
@@ -678,7 +641,7 @@ class Environment:
                     break
                 self._now = when
                 self.events_executed += 1
-                # Inlined Event._process_callbacks (hot loop).
+                # Dispatch inline (hot loop).
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._state = _PROCESSED

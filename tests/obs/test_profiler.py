@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.sanitizer import SanitizerError, sanitized
 from repro.obs import EngineProfiler, Profile, ProfileSession, owner_name
+from repro.obs import profiler as profiler_mod
 from repro.obs.profiler import _norm
 from repro.sim import Environment
 from repro.sim import engine as engine_mod
@@ -61,6 +62,41 @@ def test_event_counts_are_exact_despite_sampling():
     # Pop-site split also covers every event exactly once.
     pops = sum(n["deque_pops"] + n["heap_pops"] for n in profile.nodes)
     assert pops == env.events_executed
+
+
+def test_sampled_shares_estimate_the_exact_shares(monkeypatch):
+    """At stride 32 a site's share is its sampled events' own time scaled
+    by their gaps.  Charging each sample the whole interval since the
+    previous one instead gave the free no-callback events — four in
+    five here — about 0.8 of a wall time they never spent."""
+    clock = [0]
+    monkeypatch.setattr(profiler_mod, "perf_counter_ns", lambda: clock[0])
+
+    def expensive(_ev):
+        clock[0] += 1000
+
+    def cheap(_ev):
+        clock[0] += 10
+
+    def shares(stride):
+        with ProfileSession("t", stride=stride) as sess:
+            env = Environment()
+        for i in range(1, 6001):
+            ev = env.timeout(i)
+            if i % 20 == 0:
+                ev.callbacks = [expensive]
+            elif i % 5 == 0:
+                ev.callbacks = [cheap]
+        env.run()
+        profile = sess.profile()
+        assert profile.total_count == env.events_executed
+        return {n["owner"]: n["share"] for n in profile.nodes}
+
+    exact, sampled = shares(1), shares(32)
+    assert exact["(no-callback)"] == 0.0
+    assert set(sampled) <= set(exact)
+    for owner, share in exact.items():
+        assert abs(sampled.get(owner, 0.0) - share) < 0.05, owner
 
 
 def test_exact_mode_attributes_every_event():

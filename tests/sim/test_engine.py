@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, TimeoutOr
+from repro.sim import Environment, Interrupt, SimulationError, Ticket
 
 
 def test_timeout_advances_clock():
@@ -318,123 +318,19 @@ def test_interrupt_thrown_into_waiting_process():
     assert log == [(4, "wakeup")]
 
 
-def _race(env, delay, other, log, tag):
-    """Wait on a TimeoutOr, log ``(tag, now, value)``, then sleep on."""
-    value = yield TimeoutOr(env, delay, other)
-    log.append((tag, env.now, value))
-    yield env.timeout(1000)
-    log.append((tag, env.now, "slept"))
-
-
-def test_timeout_or_timeout_wins_and_leaves_other_unwatched():
+def test_a_ticket_keeps_the_place_it_was_made_at():
+    """A Ticket's ``(time, seq)`` is taken when it is made: scheduled
+    after a later-made event due at the same time, it still pops first;
+    never scheduled, it costs no pop."""
     env = Environment()
-    other, log = env.event(), []
-    env.process(_race(env, 5, other, log, "a"))
-    env.run(until=6)
-    assert log == [("a", 5, None)] and not other.callbacks
-    other.succeed("late")
+    order = []
+    first = Ticket(env, 5.0, "first")
+    unused = Ticket(env, 5.0)
+    env.timeout(5.0).callbacks = [lambda ev: order.append("timeout")]
+    first.schedule([lambda ev: order.append(ev.value)])
     env.run()
-    assert log == [("a", 5, None), ("a", 1005, "slept")]
-
-
-def test_timeout_or_other_wins_and_cancels_the_timeout():
-    env = Environment()
-    other, log = env.event(), []
-    p = env.process(_race(env, 50, other, log, "a"))
-    q = env.process(_race(env, 80, other, log, "b"))
-    env.run(until=1)
-    race = p._target
-    env.timeout(10).callbacks = [lambda _: other.succeed("change")]
-    env.run()
-    # Both racers left at the change's pop (t=11); neither cancelled
-    # timeout (due at 50 and 80) resumed anybody.
-    assert log == [("a", 11, "change"), ("b", 11, "change"),
-                   ("a", 1011, "slept"), ("b", 1011, "slept")]
-    assert race.processed and race.callbacks is None
-    assert q.ok and p.ok
-
-
-def test_timeout_or_failing_other_throws_into_the_waiter():
-    env = Environment()
-    other, caught = env.event(), []
-
-    def waiter():
-        try:
-            yield TimeoutOr(env, 50, other)
-        except KeyError as exc:
-            caught.append((env.now, exc.args[0]))
-
-    env.process(waiter())
-    env.timeout(3).callbacks = [lambda _: other.fail(KeyError("gone"))]
-    env.run()
-    assert caught == [(3, "gone")]
-
-
-def test_interrupt_retracts_both_sides_of_a_timeout_or():
-    env = Environment()
-    other, log = env.event(), []
-
-    def victim():
-        try:
-            yield TimeoutOr(env, 50, other)
-        except Interrupt as i:
-            log.append(("interrupted", env.now, i.cause))
-        yield env.timeout(500)
-        log.append(("slept", env.now))
-
-    def attacker(p):
-        yield env.timeout(4)
-        other.succeed()  # queued ahead of the interrupt's own wake
-        p.interrupt("stop")
-
-    p = env.process(victim())
-    env.process(attacker(p))
-    env.run()
-    assert log == [("interrupted", 4, "stop"), ("slept", 504)]
-
-
-@pytest.mark.parametrize("winner", ["timeout", "other"])
-def test_interrupt_after_a_timeout_or_wait_targets_the_current_wait(winner):
-    """Once a TimeoutOr wait is over, an interrupt of the process's next
-    plain wait retracts that wait, not the finished race."""
-    env = Environment()
-    other, log = env.event(), []
-
-    def victim():
-        yield TimeoutOr(env, 5, other)
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield env.timeout(500)
-        log.append(("slept", env.now))
-
-    def attacker(p):
-        if winner == "other":
-            other.succeed()
-        yield env.timeout(20)
-        p.interrupt()
-
-    p = env.process(victim())
-    env.process(attacker(p))
-    env.run()
-    assert log == [("interrupted", 20), ("slept", 520)]
-
-
-def test_timeout_or_needs_a_process_and_a_pending_other():
-    env = Environment()
-    with pytest.raises(SimulationError, match="yielded by a Process"):
-        TimeoutOr(env, 5, env.event())
-    done = env.event().succeed()
-    env.run()
-
-    def waiter():
-        yield TimeoutOr(env, 5, done)
-
-    env.process(waiter())
-    with pytest.raises(SimulationError, match="already-processed"):
-        env.run()
-    assert env.peek() == float("inf")  # and no timeout was scheduled
+    assert order == ["first", "timeout"]
+    assert env.events_executed == 2 and unused.callbacks is None
 
 
 def test_interrupt_finished_process_is_error():
