@@ -68,9 +68,9 @@ chaos:           ## chaos suite: pingpong/m2m/jacobi/lattice under seeded fault
 		--qos reliable best_effort fresh \
 		--json-out chaos_matrix.json
 
-trace-gate:      ## trace-diff regression gate: re-runs the figure trace configs
-                 ## and diffs counters / utilization / critical-path length vs the
-                 ## committed baselines in benchmarks/baselines/ (docs/TRACING.md)
+trace-gate:      ## trace-diff regression gate: re-runs the figure trace configs;
+                 ## each manifest must equal its committed baseline in
+                 ## benchmarks/baselines/ (engine.events alone is a note; docs/TRACING.md)
 	$(PYTHON) -m repro.harness trace
 
 trace-test:      ## just the tracing-subsystem tests (pytest -m trace)

@@ -59,9 +59,10 @@ def main() -> None:
     tracer.finish()
     busy, useful = tracer.utilization()
     print(f"  utilization: busy={busy * 100:.0f}% useful={useful * 100:.0f}%")
-    print(f"  messages sent: {tracer.get('converse.msgs_sent'):.0f}"
-          f" ({tracer.get('converse.bytes_sent') / 1024:.0f} KiB),"
-          f" L2 atomic ops: {tracer.get('l2.atomic_ops'):.0f}")
+    counters = tracer.counters
+    print(f"  messages sent: {counters['converse.msgs_sent']:.0f}"
+          f" ({counters['converse.bytes_sent'] / 1024:.0f} KiB),"
+          f" L2 atomic ops: {counters['l2.atomic_ops']:.0f}")
     print("\nper-thread timeline (first 6 PEs):")
     print(render_ascii_timeline(tracer, width=90, tracks=tracer.tracks()[:6]))
     print("\nper-PE utilization (us per category):")

@@ -201,18 +201,6 @@ class ProjectContext:
         other = self.modules.get(target_mod)
         return other.bindings.get(target_name) if other is not None else None
 
-    def resolve_class(self, module: ModuleInfo, name: str) -> Optional[ClassInfo]:
-        """Resolve a bare name to a project class definition (one hop)."""
-        cls = module.classes.get(name)
-        if cls is not None:
-            return cls
-        target = module.imports.get(name)
-        if target is None or "." not in target:
-            return None
-        target_mod, _, target_name = target.rpartition(".")
-        other = self.modules.get(target_mod)
-        return other.classes.get(target_name) if other is not None else None
-
     def writes_to(self, symbol: str) -> List[WriteSite]:
         """Every project write site resolving to the given dotted symbol."""
         if self._writes is None:

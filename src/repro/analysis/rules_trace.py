@@ -33,7 +33,7 @@ _HOOK_KINDS = (
         frozenset({"tracer", "rec", "tr"}),
         ("tracer",),
         frozenset({
-            "begin", "end", "count", "mark", "record", "span",
+            "begin", "end", "mark", "record", "span",
             "msg_send", "msg_recv", "msg_exec",
         }),
         "docs/TRACING.md",

@@ -57,8 +57,9 @@ class L2AtomicUnit:
         self._counters: Dict[str, L2Counter] = {}
         self.op_count = 0
         # Native HPM-style stats (always on, harvested at finish() by
-        # repro.trace.hpm): per-op-type counts and bounded-increment
-        # failures — the "queue full / queue empty" events of §III-A.
+        # ConverseRuntime._flush_stats): per-op-type counts and
+        # bounded-increment failures — the "queue full / queue empty"
+        # events of §III-A.
         self.op_counts: Dict[str, int] = {}
         self.bounded_failed = 0
         #: Source for auto-generated queue names (L2AtomicQueue with no

@@ -252,9 +252,6 @@ class MessagingUnit:
             self._rdma_ififo = self.allocate_injection_fifo()
         return self._rdma_ififo
 
-    def reception_fifo(self, fifo_id: int) -> ReceptionFifo:
-        return self._reception[fifo_id]
-
     # -- send paths -----------------------------------------------------------
     def make_descriptor(
         self,

@@ -48,10 +48,6 @@ class Packet:
     seq: int = 0
     is_last: bool = True
 
-    @property
-    def wire_bytes(self) -> int:
-        return self.payload_bytes  # header accounted via effective bandwidth
-
 
 class TorusNetwork:
     """The torus interconnect: routes packets, models link contention.

@@ -90,7 +90,7 @@ class Torus:
             acc *= s
         self._strides = tuple(reversed(strides))
         # Native HPM-style stats: routing decisions and total link hops
-        # computed (harvested by repro.trace.hpm at finish()).
+        # computed (harvested by ConverseRuntime._flush_stats at finish()).
         self.routes_computed = 0
         self.hops_routed = 0
         #: Dimension-ordered routes by (src, dst): at most nnodes**2.

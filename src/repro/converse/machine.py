@@ -47,7 +47,6 @@ from ..pami.context import AMPayload, Endpoint, PamiClient, PamiContext
 from ..pami.manytomany import ManyToManyRegistry
 from ..sim import Environment
 from ..trace import Tracer
-from ..trace.hpm import install_hpm
 from .alloc import make_allocator
 from .messages import ConverseMessage
 from .scheduler import PE
@@ -76,6 +75,35 @@ def _unique_by_identity(items) -> List[Any]:
             seen.add(key)
             out.append(obj)
     return out
+
+
+def _hpm_group(node: Node) -> Dict[str, float]:
+    """One node's simulated HPM counter group, zero-valued counters skipped.
+
+    The reproduction's analogue of reading the BG/Q performance monitor
+    (``bgpm``): L2 atomics by op type, MU descriptor/packet traffic and
+    FIFO high-water marks, wakeup-unit signals — read from the native
+    statistics those components maintain anyway.
+    """
+    group: Dict[str, float] = {}
+    l2 = node.l2
+    for op, n in sorted(l2.op_counts.items()):
+        group[f"l2.{op}"] = n
+    group["l2.bounded_failed"] = l2.bounded_failed
+    mu = node.mu
+    group["mu.descriptors"] = mu.descriptors_processed
+    group["mu.packets_injected"] = mu.packets_injected
+    group["mu.packets_received"] = mu.packets_received
+    group["mu.ififo_occupancy_hwm"] = max(
+        (f.occupancy_hwm for f in mu._injection), default=0
+    )
+    group["mu.rfifo_occupancy_hwm"] = max(
+        (f.occupancy_hwm for f in mu._reception), default=0
+    )
+    group["wu.signals"] = sum(f.wakeup.signals for f in mu._reception)
+    group["wu.wakeups"] = sum(f.wakeup.wakeups for f in mu._reception)
+    group["wu.latched"] = sum(f.wakeup.latched_fires for f in mu._reception)
+    return {k: v for k, v in group.items() if v}
 
 
 @dataclass
@@ -388,41 +416,29 @@ class ConverseRuntime:
                     if ctx.reliability is not None:
                         ctx.reliability.tracer = tracer
         tracer.add_finalizer(self._flush_stats)
-        # Simulated hardware-performance-counter groups (repro.trace.hpm):
-        # per-node L2/MU/wakeup-unit/comm-thread counters, harvested from
-        # the same native stats at finish().
-        install_hpm(tracer, self)
 
     def _flush_stats(self) -> None:
-        """Snapshot component statistics into the tracer's counters.
+        """Snapshot component statistics into the tracer — the one harvest.
 
         Runs from ``Tracer.finish()``.  Assigns (never adds) so calling
         finish() twice is safe; zero-valued stats are skipped so e.g.
         ``commthread.*`` counters only appear in runs with comm threads.
+        Fills both ``tracer.counters`` and the per-node simulated HPM
+        groups in ``tracer.hpm`` (catalogue in docs/TRACING.md).
         """
         tracer = self.tracer
-        counters, per_track = tracer.counters, tracer.track_counters
+        counters = tracer.counters
 
         def put(name: str, value: float) -> None:
             if value:
                 counters[name] = value
 
-        def put_tracks(name: str, pairs) -> None:
-            d = {t: v for t, v in pairs if v}
-            if d:
-                counters[name] = sum(d.values())
-                per_track[name] = d
-
         pes = [pe for pe in self.pes if pe is not None]
-        put_tracks("converse.msgs_sent", [(pe.rank, pe.msgs_sent) for pe in pes])
-        put_tracks("converse.bytes_sent", [(pe.rank, pe.bytes_sent) for pe in pes])
-        put_tracks(
-            "converse.msgs_executed", [(pe.rank, pe.messages_executed) for pe in pes]
-        )
-        put_tracks(
-            "converse.bytes_received", [(pe.rank, pe.bytes_received) for pe in pes]
-        )
-        put_tracks("sched.idle_entries", [(pe.rank, pe.idle_entries) for pe in pes])
+        put("converse.msgs_sent", sum(pe.msgs_sent for pe in pes))
+        put("converse.bytes_sent", sum(pe.bytes_sent for pe in pes))
+        put("converse.msgs_executed", sum(pe.messages_executed for pe in pes))
+        put("converse.bytes_received", sum(pe.bytes_received for pe in pes))
+        put("sched.idle_entries", sum(pe.idle_entries for pe in pes))
         put("sched.polls", sum(pe.polls for pe in pes))
         put("converse.msgs_delivered", self.messages_delivered)
         put("converse.intraprocess_sends", self.intraprocess_sends)
@@ -456,8 +472,8 @@ class ConverseRuntime:
         put("alloc.pool_misses", sum(getattr(a, "pool_misses", 0) for a in allocs))
         put("alloc.spills", sum(getattr(a, "spills", 0) for a in allocs))
         cts = [ct for proc in procs for ct in proc.comm_threads]
-        put_tracks("commthread.items", [(ct.track, ct.items_processed) for ct in cts])
-        put_tracks("commthread.wakeups", [(ct.track, ct.wakeup_count) for ct in cts])
+        put("commthread.items", sum(ct.items_processed for ct in cts))
+        put("commthread.wakeups", sum(ct.wakeup_count for ct in cts))
         inj = self.fault_injector
         if inj is not None:
             for name, value in sorted(inj.stats.as_dict().items()):
@@ -476,6 +492,31 @@ class ConverseRuntime:
             put("rel.in_flight_at_finish", sum(r.in_flight for r in rels))
         put("qd.rounds", self.qd_rounds)
         put("qd.protocol_msgs", self.qd_protocol_msgs)
+        # Simulated HPM groups, one per node; a node's comm threads add
+        # their interrupt/round counts to its group.  The ``hpm.*``
+        # totals sum over nodes, except ``*_hwm`` marks (max over nodes).
+        hpm = {node.node_id: _hpm_group(node) for node in nodes}
+        for proc in procs:
+            group = hpm[proc.node.node_id]
+            for ct in proc.comm_threads:
+                group["commthread.interrupts"] = (
+                    group.get("commthread.interrupts", 0) + ct.wakeup_count
+                )
+                group["commthread.rounds"] = (
+                    group.get("commthread.rounds", 0) + ct.advance_rounds
+                )
+        tracer.hpm = hpm
+        totals: Dict[str, float] = {}
+        for group in hpm.values():
+            for name, value in group.items():
+                if name.endswith("_hwm"):
+                    totals[name] = max(totals.get(name, 0), value)
+                else:
+                    totals[name] = totals.get(name, 0) + value
+        totals["torus.routes"] = self.machine.torus.routes_computed
+        totals["torus.hops"] = self.machine.torus.hops_routed
+        for name, value in totals.items():
+            put(f"hpm.{name}", value)
 
     # -- PE -> endpoint addressing ---------------------------------------------
     def rank_endpoint(self, rank: int) -> Endpoint:
@@ -608,12 +649,11 @@ class ConverseRuntime:
             # (schema of Tracer.msg_send) — this is the per-message hot
             # path, and a method call per event is what the <5% tracer
             # overhead budget can't afford.
-            if rec.enabled:
-                src_pe.msg_seq += 1
-                msg_id = (src_pe.rank, src_pe.msg_seq)
-                rec.provenance.append(
-                    ("send", msg_id, src_pe.rank, dst_rank, nbytes, env.now)
-                )
+            src_pe.msg_seq += 1
+            msg_id = (src_pe.rank, src_pe.msg_seq)
+            rec.provenance.append(
+                ("send", msg_id, src_pe.rank, dst_rank, nbytes, env.now)
+            )
 
         if dst_pe is not None and dst_pe.process is proc:
             # Intra-process: pointer exchange into the peer's L2 queue.
@@ -716,7 +756,7 @@ class ConverseRuntime:
         else:
             yield from pe.enqueue_from(thread, msg)
         rec = self.tracer
-        if rec is not None and msg.msg_id is not None and rec.enabled:
+        if rec is not None and msg.msg_id is not None:
             # Receive edge: arrival in the destination PE's queue.  A
             # retransmitted message can arrive twice; analysis keeps the
             # first recv event per id.  Inlined append (schema of

@@ -157,7 +157,7 @@ class PE:
             yield from self.process.alloc.free(self.thread, msg.buffer)
             msg.buffer = None
         if rec is not None:
-            if msg.msg_id is not None and rec.enabled:
+            if msg.msg_id is not None:
                 # Inlined append (schema of Tracer.msg_exec) — one per
                 # executed message, on the scheduler hot path.
                 rec.provenance.append(

@@ -309,16 +309,3 @@ class ReliableTransport:
             ACK_BYTES,
             (ctx.endpoint, payload.seq),
         )
-
-    def stats_dict(self) -> dict:
-        return {
-            "retries": self.retries,
-            "gave_up": self.gave_up,
-            "dup_suppressed": self.dup_suppressed,
-            "reordered_accepted": self.reordered_accepted,
-            "acks_sent": self.acks_sent,
-            "corrupt_dropped": self.corrupt_dropped,
-            "stale_dropped": self.stale_dropped,
-            "holes_skipped": self.holes_skipped,
-            "timers_cancelled": self.timers_cancelled,
-        }

@@ -338,10 +338,6 @@ class FFT3D:
             self._setup_m2m()
 
     # -- topology helpers ---------------------------------------------------
-    def proc_of_pencil(self, idx) -> int:
-        pe = self.charm.runtime.pes[self.array.pe_of(idx)]
-        return self._proc_index(pe.process)
-
     def pencils_of_process(self, proc_idx: int) -> List[Tuple[int, int]]:
         out = []
         for idx in self.array.indices:
@@ -349,9 +345,6 @@ class FFT3D:
             if self._proc_index(pe.process) == proc_idx:
                 out.append(idx)
         return out
-
-    def local_pencils(self, proc_idx: int) -> int:
-        return len(self.pencils_of_process(proc_idx))
 
     def _proc_index(self, process) -> int:
         return self.charm.runtime.processes.index(process)

@@ -123,12 +123,6 @@ class PencilGrid:
     def nz(self) -> int:
         return self.shape3[2]
 
-    def chare_index(self, r: int, c: int) -> int:
-        return r * self.pc + c
-
-    def chare_coords(self, index: int) -> Tuple[int, int]:
-        return divmod(index, self.pc)
-
     # -- shapes ---------------------------------------------------------------
     def z_shape(self, r: int, c: int) -> Tuple[int, int, int]:
         (x0, x1), (y0, y1) = self.x_ranges[r], self.y_ranges[c]

@@ -7,12 +7,14 @@ manifest against the committed baseline in ``benchmarks/baselines/``
 with :func:`repro.trace.diff.diff_manifests`.
 
 This is to trace-shaped behavior what ``benchgate`` is to simulated
-time: the DES is deterministic, so a counter, a utilization fraction
-or the critical-path length moving outside tolerance (``diff_manifests``
-defaults: 10% counters, 5 points utilization, 10% critical path) means
-a code change altered the simulated machine's behavior — either
-intentionally (re-run with ``--write-baselines`` and commit the new
-baselines) or as a regression the gate just caught.
+time: the DES is deterministic, so the manifests must be equal — any
+counter, utilization fraction, message statistic, critical-path field
+or HPM value that differs means a code change altered the simulated
+machine's behavior, either intentionally (re-run with
+``--write-baselines`` and commit the new baselines) or as a regression
+the gate just caught.  The one exception is ``engine.events``: a
+difference there alone is printed as a note and passes (event counts
+sit beside the simulated observables, not among them).
 
 A missing baseline is "could not run" (``FileNotFoundError``; the
 driver exits 2), not a failure.
@@ -102,7 +104,7 @@ def gate(args) -> Tuple[List[str], List[str], Dict[str, Any]]:
         notes.extend(format_diff(result).splitlines())
         if not result["ok"]:
             failures.append(
-                f"{cfg['name']}: {len(result['violations'])} violation(s) vs "
+                f"{cfg['name']}: {len(result['violations'])} difference(s) vs "
                 f"{base_path}"
             )
     if missing:

@@ -16,7 +16,9 @@ temp.  Concurrent writers last-write-wins at whole-file granularity.
 
 These helpers are dependency-free (no simulation imports) so every
 layer — harness, analysis, trace exporters, the serve runtime — can
-use them.
+use them.  The read side is :func:`load_json`: an artifact that is
+missing or not JSON raises :class:`ArtifactError` naming the path, which
+the analysis CLIs turn into one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -27,9 +29,33 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable, IO, Optional, Union
 
-__all__ = ["atomic_write_text", "atomic_write_json", "atomic_write_with"]
+__all__ = [
+    "ArtifactError",
+    "atomic_write_text",
+    "atomic_write_json",
+    "atomic_write_with",
+    "load_json",
+]
 
 PathLike = Union[str, os.PathLike]
+
+
+class ArtifactError(ValueError):
+    """An input artifact is missing, unreadable or of the wrong kind.
+
+    The message starts with the artifact's path.
+    """
+
+
+def load_json(path: PathLike) -> Any:
+    """Parse the JSON file at ``path``; :class:`ArtifactError` if it can't."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ArtifactError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: not JSON ({exc})") from exc
 
 
 def atomic_write_with(path: PathLike, write: Callable[[IO[str]], None]) -> Path:

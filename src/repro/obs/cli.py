@@ -9,7 +9,9 @@ Verbs:
 
 Profiles come from ``make obs-gate`` (committed baseline plus the
 per-benchmark reports under ``benchmarks/output/``) or from any code
-using :class:`repro.obs.ProfileSession` directly.
+using :class:`repro.obs.ProfileSession` directly.  A profile that is
+missing, not JSON or not a profile exits 2 with one line on stderr
+naming the path and the problem.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from ..ioutil import ArtifactError
 from .exporters import (
     format_collapsed,
     format_compare,
@@ -50,7 +53,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_cmp.add_argument("--top", type=int, default=10)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ArtifactError as exc:
+        print(f"repro.obs: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.cmd == "hotspots":
         sys.stdout.write(format_hotspots(load_profile(args.profile), top=args.top))
         return 0
@@ -62,14 +72,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             sys.stdout.write(format_collapsed(profile))
         return 0
-    if args.cmd == "compare":
-        sys.stdout.write(
-            format_compare(
-                load_profile(args.before),
-                load_profile(args.after),
-                top=args.top,
-            )
+    # argparse admits only the three verbs: this is "compare".
+    sys.stdout.write(
+        format_compare(
+            load_profile(args.before),
+            load_profile(args.after),
+            top=args.top,
         )
-        return 0
-    parser.error(f"unknown command {args.cmd!r}")
-    return 2
+    )
+    return 0

@@ -9,7 +9,6 @@ hierarchy ``engine;<event type>;<owner>`` valued in nanoseconds.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -33,8 +32,12 @@ def write_profile_json(profile: Profile, path: Any) -> Path:
 
 
 def load_profile(path: Any) -> Profile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Profile.from_json(json.load(fh))
+    """Load a profile JSON; :class:`repro.ioutil.ArtifactError` if it isn't one."""
+    data = ioutil.load_json(path)
+    try:
+        return Profile.from_json(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ioutil.ArtifactError(f"{path}: not a hotspot profile ({exc})") from exc
 
 
 def format_collapsed(profile: Profile) -> str:

@@ -229,15 +229,6 @@ class Histogram(_Metric):
         self._guard_unlabelled()
         return percentile(self.samples, q)
 
-    def merged_samples(self) -> List[float]:
-        """All samples across children (labelled) or self (unlabelled)."""
-        if not self.label_names:
-            return list(self.samples)
-        out: List[float] = []
-        for _, child in self._series():
-            out.extend(child.samples)  # type: ignore[attr-defined]
-        return out
-
 
 # -- exposition --------------------------------------------------------
 

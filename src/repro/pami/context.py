@@ -275,9 +275,6 @@ class PamiContext:
         self.rfifo.wakeup.signal()
 
     # -- progress -----------------------------------------------------------
-    def has_pending(self) -> bool:
-        return len(self.rfifo) > 0 or len(self.work) > 0 or len(self.completions) > 0
-
     def advance(self, thread: HWThread):
         """PAMI_Context_advance: returns the number of items processed."""
         p = self.params

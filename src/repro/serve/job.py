@@ -105,11 +105,6 @@ class JobSpec:
     #: Emit a progress chunk to stream subscribers every N slices.
     stream_every: int = 4
 
-    def config_key(self) -> str:
-        """Canonical repr of (seed, config, qos) — cache/diff friendly."""
-        items = sorted((str(k), repr(v)) for k, v in self.config.items())
-        return repr((self.seed, items, self.qos))
-
 
 class Job:
     """Service-side record of one submitted job."""

@@ -149,17 +149,6 @@ class ShardEnvironment(Environment):
         self._key_counter = 0
         self._seq = _SeqKey(self._now, self.shard_id, 0, self)
 
-    def next_key(self) -> _SeqKey:
-        """Allocate one ordering key from the engine's own sequence.
-
-        Used at cross-shard injection points: the key consumed when a
-        packet leaves its source shard later orders both its delivery
-        (destination shard) and its completion (source shard) against
-        unrelated same-time events.
-        """
-        self._seq = key = self._seq + 1
-        return key
-
     def schedule_external(self, when: float, key: _SeqKey, fn: Callable[[], None]) -> None:
         """Schedule ``fn()`` at ``when`` under a pre-allocated key.
 

@@ -11,9 +11,14 @@ Projections tool would:
 * ``messages``    — message latency/size aggregates and histograms
 * ``idle``        — longest idle gaps with the message each waited for
 * ``hpm``         — simulated per-node hardware counter groups
-* ``diff``        — compare two manifests (the trace-gate engine)
+* ``diff``        — exact manifest comparison (the trace-gate engine)
 
 All subcommands take ``--format text|json``; text is the default.
+
+Exit status: 0 on success; 1 when ``diff`` finds the manifests differ;
+2 when an artifact is missing, not JSON or of the wrong kind (one line
+on stderr names the path and the problem), or when a span-level report
+is asked of a manifest.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict
+from typing import Any, Dict, List
 
+from ..ioutil import ArtifactError
 from .analyze import (
-    TraceDoc,
     critical_path_report,
     format_critical_path,
     format_histogram,
@@ -38,7 +43,6 @@ from .analyze import (
     message_report,
     time_profile,
     utilization_histogram,
-    utilization_rows,
 )
 from .diff import diff_manifests, format_diff, load_manifest
 
@@ -51,53 +55,51 @@ def _emit(args: argparse.Namespace, payload: Dict[str, Any], text: str) -> None:
         print(text)
 
 
-def _unit(doc: TraceDoc) -> str:
-    if doc.kind == "trace":
-        # Chrome exports carry microsecond ts/dur by convention.
-        return "us"
-    return doc.time_unit or "cycles"
+def _unit(manifest: Dict[str, Any]) -> str:
+    return manifest.get("time_unit") or "cycles"
 
 
-def _format_utilization(doc: TraceDoc, unit: str) -> str:
-    rows = utilization_rows(doc)
+def _format_utilization(rows: List[Dict[str, Any]]) -> str:
     if not rows:
         return "(no utilization data)"
-    lines = []
-    for r in rows:
-        lines.append(
-            f"  {r.get('label', r.get('track')):>16}  "
-            f"busy {r.get('busy', 0.0) * 100:5.1f}%  "
-            f"useful {r.get('useful', 0.0) * 100:5.1f}%"
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        f"  {r.get('label', r.get('track')):>16}  "
+        f"busy {r.get('busy', 0.0) * 100:5.1f}%  "
+        f"useful {r.get('useful', 0.0) * 100:5.1f}%"
+        for r in rows
+    )
+
+
+def _needs_trace(what: str) -> int:
+    print(f"{what} needs a full .trace.json artifact "
+          "(manifests carry only aggregates)", file=sys.stderr)
+    return 2
 
 
 def cmd_timeprofile(args: argparse.Namespace) -> int:
-    doc = load_artifact(args.artifact)
-    if doc.kind == "manifest":
-        print("time profile needs a full .trace.json artifact "
-              "(manifests carry only aggregates)", file=sys.stderr)
-        return 2
-    profile = time_profile(doc.spans, bins=args.bins)
-    _emit(args, profile, format_time_profile(profile, _unit(doc)))
+    manifest, tracer = load_artifact(args.artifact)
+    if tracer is None:
+        return _needs_trace("time profile")
+    profile = time_profile(tracer.spans, bins=args.bins)
+    _emit(args, profile, format_time_profile(profile, _unit(manifest)))
     return 0
 
 
 def cmd_utilization(args: argparse.Namespace) -> int:
-    doc = load_artifact(args.artifact)
-    rows = utilization_rows(doc)
-    hist = utilization_histogram(doc)
-    imb = load_imbalance(doc)
+    manifest, _ = load_artifact(args.artifact)
+    rows = manifest.get("utilization", [])
+    hist = utilization_histogram(manifest)
+    imb = load_imbalance(manifest)
     text = "\n".join(
         [
-            f"per-track utilization ({doc.label or doc.path}):",
-            _format_utilization(doc, _unit(doc)),
+            f"per-track utilization ({manifest.get('label') or args.artifact}):",
+            _format_utilization(rows),
             "",
             "busy-fraction histogram:",
             format_histogram(hist),
             "",
             "load imbalance (max/avg per category):",
-            format_imbalance(imb, _unit(doc)),
+            format_imbalance(imb, _unit(manifest)),
         ]
     )
     _emit(args, {"utilization": rows, "histogram": hist, "imbalance": imb}, text)
@@ -105,33 +107,31 @@ def cmd_utilization(args: argparse.Namespace) -> int:
 
 
 def cmd_critpath(args: argparse.Namespace) -> int:
-    doc = load_artifact(args.artifact)
-    report = critical_path_report(doc, top=args.top)
-    _emit(args, report, format_critical_path(report, _unit(doc)))
+    manifest, tracer = load_artifact(args.artifact)
+    report = critical_path_report(manifest, tracer, top=args.top)
+    _emit(args, report, format_critical_path(report, _unit(manifest)))
     return 0
 
 
 def cmd_messages(args: argparse.Namespace) -> int:
-    doc = load_artifact(args.artifact)
-    stats = message_report(doc)
-    _emit(args, stats, format_messages(stats, _unit(doc)))
+    manifest, tracer = load_artifact(args.artifact)
+    stats = message_report(manifest, tracer)
+    _emit(args, stats, format_messages(stats, _unit(manifest)))
     return 0
 
 
 def cmd_idle(args: argparse.Namespace) -> int:
-    doc = load_artifact(args.artifact)
-    if doc.kind == "manifest":
-        print("idle attribution needs a full .trace.json artifact",
-              file=sys.stderr)
-        return 2
-    rows = idle_report(doc, top=args.top)
+    _, tracer = load_artifact(args.artifact)
+    if tracer is None:
+        return _needs_trace("idle attribution")
+    rows = idle_report(tracer, top=args.top)
     lines = ["longest idle gaps (blamed on the arrival that ended each):"]
     for r in rows:
         blame = (f"msg ({r['msg_id'][0]},{r['msg_id'][1]}) from "
-                 f"{doc.label_of(r['blamed_src'])}"
+                 f"{tracer.label_of(r['blamed_src'])}"
                  if r["msg_id"] is not None else "no arrival (wind-down)")
         lines.append(
-            f"  {doc.label_of(r['track']):>16}  "
+            f"  {tracer.label_of(r['track']):>16}  "
             f"{r['start']:.0f}-{r['end']:.0f}  "
             f"dur {r['duration']:.0f}  <- {blame}"
         )
@@ -140,60 +140,52 @@ def cmd_idle(args: argparse.Namespace) -> int:
 
 
 def cmd_hpm(args: argparse.Namespace) -> int:
-    doc = load_artifact(args.artifact)
-    _emit(args, {"hpm": doc.hpm}, format_hpm(doc.hpm))
+    manifest, _ = load_artifact(args.artifact)
+    hpm = manifest.get("hpm", {})
+    _emit(args, {"hpm": hpm}, format_hpm(hpm))
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    doc = load_artifact(args.artifact)
-    unit = _unit(doc)
-    payload: Dict[str, Any] = {
-        "artifact": doc.path,
-        "kind": doc.kind,
-        "label": doc.label,
-    }
-    sections = [f"== {doc.label or doc.path} ({doc.kind}, times in {unit}) =="]
+    manifest, tracer = load_artifact(args.artifact)
+    unit = _unit(manifest)
+    kind = "manifest" if tracer is None else "trace"
+    label = manifest.get("label", "")
+    payload: Dict[str, Any] = {"artifact": args.artifact, "kind": kind, "label": label}
+    sections = [f"== {label or args.artifact} ({kind}, times in {unit}) =="]
 
-    rows = utilization_rows(doc)
+    rows = manifest.get("utilization", [])
     payload["utilization"] = rows
-    sections += ["", "-- utilization --", _format_utilization(doc, unit)]
-    imb = load_imbalance(doc)
+    sections += ["", "-- utilization --", _format_utilization(rows)]
+    imb = load_imbalance(manifest)
     payload["imbalance"] = imb
     if imb:
         sections += ["", "-- load imbalance --", format_imbalance(imb, unit)]
 
-    if doc.kind == "trace":
-        profile = time_profile(doc.spans, bins=args.bins)
+    if tracer is not None:
+        profile = time_profile(tracer.spans, bins=args.bins)
         payload["time_profile"] = profile
         sections += ["", "-- time profile --", format_time_profile(profile, unit)]
 
-    cp = critical_path_report(doc, top=args.top)
+    cp = critical_path_report(manifest, tracer, top=args.top)
     payload["critical_path"] = cp
     sections += ["", "-- critical path --", format_critical_path(cp, unit)]
 
-    stats = message_report(doc)
+    stats = message_report(manifest, tracer)
     payload["messages"] = stats
     sections += ["", "-- messages --", format_messages(stats, unit)]
 
-    if doc.hpm:
-        payload["hpm"] = doc.hpm
-        sections += ["", "-- simulated HPM counters --", format_hpm(doc.hpm)]
+    hpm = manifest.get("hpm")
+    if hpm:
+        payload["hpm"] = hpm
+        sections += ["", "-- simulated HPM counters --", format_hpm(hpm)]
 
     _emit(args, payload, "\n".join(sections))
     return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    base = load_manifest(args.baseline)
-    cand = load_manifest(args.candidate)
-    result = diff_manifests(
-        base,
-        cand,
-        rel_tol=args.rel_tol,
-        util_tol=args.util_tol,
-        critpath_tol=args.critpath_tol,
-    )
+    result = diff_manifests(load_manifest(args.baseline), load_manifest(args.candidate))
     _emit(args, result, format_diff(result))
     return 0 if result["ok"] else 1
 
@@ -237,19 +229,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("hpm", cmd_hpm, "simulated per-node hardware counters")
     p.add_argument("artifact")
 
-    p = add("diff", cmd_diff, "compare two manifests with tolerances")
+    p = add("diff", cmd_diff, "exit 1 unless two manifests are equal")
     p.add_argument("baseline")
     p.add_argument("candidate")
-    p.add_argument("--rel-tol", type=float, default=0.10)
-    p.add_argument("--util-tol", type=float, default=0.05)
-    p.add_argument("--critpath-tol", type=float, default=0.10)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ArtifactError as exc:
+        print(f"repro.trace: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,19 @@
 """Artifact loading and Projections-style report builders.
 
 The analysis half of ``python -m repro.trace``: load a ``.trace.json``
-(Chrome ``trace_event`` export) or ``.manifest.json`` artifact back
-into an analyzable form and produce the reports Projections would —
-time profile, utilization histogram, load-imbalance summary, critical
-path, message latency/size histograms.
+(Chrome ``trace_event`` export) or ``.manifest.json`` artifact and
+produce the reports Projections would — time profile, utilization
+histogram, load-imbalance summary, critical path, message latency/size
+histograms.
+
+Every artifact loads as a run manifest: a Chrome trace is rebuilt into
+a finished :class:`~repro.trace.core.Tracer` and summarised with the
+exporters' own :func:`~repro.trace.exporters.run_manifest`, so the
+aggregate reports (utilization, imbalance, histogram, messages,
+critical-path summary, HPM) read one shape computed by one formula.
+Only the span-level reports — time profile, idle attribution,
+critical-path top segments, message histograms — need the Tracer, and
+take it when the artifact was a full trace.
 
 Every report builder returns a JSON-able dict; the ``format_*``
 companions render the same dict as an aligned text table, so the CLI's
@@ -13,25 +22,21 @@ companions render the same dict as an aligned text table, so the CLI's
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .core import Span, USEFUL_CATEGORIES
-from .provenance import (
-    critical_path,
-    critical_path_summary,
-    idle_attribution,
-    message_stats,
-)
+from ..ioutil import ArtifactError, load_json
+from .core import Span, Tracer
+from .exporters import run_manifest
+from .provenance import build_messages, critical_path, idle_attribution
 
 __all__ = [
-    "TraceDoc",
     "load_artifact",
     "time_profile",
-    "utilization_rows",
     "utilization_histogram",
     "load_imbalance",
+    "message_report",
+    "critical_path_report",
+    "idle_report",
     "format_time_profile",
     "format_histogram",
     "format_imbalance",
@@ -41,76 +46,42 @@ __all__ = [
 ]
 
 
-@dataclass
-class TraceDoc:
-    """One loaded artifact (full trace or manifest)."""
+def load_artifact(path: str) -> Tuple[Dict[str, Any], Optional[Tracer]]:
+    """Load an artifact as ``(manifest, tracer)``.
 
-    kind: str  # "trace" | "manifest"
-    path: str
-    label: str = ""
-    time_unit: str = ""
-    spans: List[Span] = field(default_factory=list)
-    track_labels: Dict[int, str] = field(default_factory=dict)
-    counters: Dict[str, float] = field(default_factory=dict)
-    provenance: List[List[Any]] = field(default_factory=list)
-    hpm: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: The raw manifest document (manifest artifacts only).
-    manifest: Optional[Dict[str, Any]] = None
-
-    def label_of(self, track: int) -> str:
-        return self.track_labels.get(track, f"pe{track}")
-
-    def tracks(self) -> List[int]:
-        return sorted({s.track for s in self.spans})
-
-    def categories(self) -> List[str]:
-        return sorted({s.category for s in self.spans})
-
-    def time_span(self) -> Tuple[float, float]:
-        if not self.spans:
-            return (0.0, 0.0)
-        return (min(s.start for s in self.spans), max(s.end for s in self.spans))
-
-
-def load_artifact(path: str) -> TraceDoc:
-    """Load a ``.trace.json`` or ``.manifest.json`` artifact.
-
-    Chrome traces are recognized by their ``traceEvents`` key: complete
-    ("X") events become spans, thread-name metadata becomes track
-    labels, the final counter ("C") samples become counters, and the
-    ``provenance``/``hpm`` sections are carried through.  Any other
-    JSON object is treated as a run manifest.
+    A run manifest loads as itself, with no tracer.  A Chrome trace
+    (recognized by its ``traceEvents`` key) is rebuilt into a finished
+    Tracer — complete ("X") events become spans, thread-name metadata
+    track labels, counter ("C") samples counters, and the
+    ``provenance``/``hpm`` sections ride along — then summarised by
+    :func:`run_manifest` in the trace's microseconds.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
-    if "traceEvents" in raw:
-        doc = TraceDoc(kind="trace", path=path,
-                       label=str(raw.get("otherData", {}).get("label", "")),
-                       time_unit=str(raw.get("displayTimeUnit", "")))
+    raw = load_json(path)
+    if not isinstance(raw, dict):
+        raise ArtifactError(f"{path}: not a Chrome trace or run manifest")
+    if "traceEvents" not in raw:
+        return raw, None
+    tracer = Tracer(None)
+    try:
         for ev in raw["traceEvents"]:
             ph = ev.get("ph")
             if ph == "X":
                 t0 = float(ev["ts"])
-                doc.spans.append(
+                tracer.spans.append(
                     Span(int(ev["tid"]), ev["name"], t0, t0 + float(ev["dur"]))
                 )
             elif ph == "M" and ev.get("name") == "thread_name":
-                doc.track_labels[int(ev["tid"])] = ev["args"]["name"]
+                tracer.register_track(int(ev["tid"]), ev["args"]["name"])
             elif ph == "C":
-                doc.counters[ev["name"]] = float(ev["args"]["value"])
-        doc.provenance = [list(e) for e in raw.get("provenance", [])]
-        doc.hpm = raw.get("hpm", {})
-        return doc
-    doc = TraceDoc(kind="manifest", path=path,
-                   label=str(raw.get("label", "")),
-                   time_unit=str(raw.get("time_unit", "")),
-                   manifest=raw)
-    doc.counters = dict(raw.get("counters", {}))
-    doc.hpm = raw.get("hpm", {})
-    for row in raw.get("utilization", []):
-        if row.get("track", -1) >= 0:
-            doc.track_labels[int(row["track"])] = row.get("label", "")
-    return doc
+                tracer.counters[ev["name"]] = ev["args"]["value"]
+        tracer.hpm = {int(nid): g for nid, g in raw.get("hpm", {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: malformed Chrome trace ({exc!r})") from exc
+    tracer.provenance = raw.get("provenance", [])
+    tracer.finish()
+    label = str(raw.get("otherData", {}).get("label", ""))
+    # Chrome exports carry microsecond ts/dur by convention.
+    return run_manifest(tracer, label=label, time_unit="us"), tracer
 
 
 # -- reports ---------------------------------------------------------------
@@ -149,37 +120,14 @@ def time_profile(spans: Sequence[Span], bins: int = 20) -> Dict[str, Any]:
     }
 
 
-def utilization_rows(doc: TraceDoc) -> List[Dict[str, Any]]:
-    """Per-track busy/useful rows, from spans or the manifest."""
-    if doc.kind == "manifest":
-        return list(doc.manifest.get("utilization", []))
-    t0, t1 = doc.time_span()
-    horizon = t1 - t0
-    rows: List[Dict[str, Any]] = []
-    if horizon <= 0:
-        return rows
-    for track in doc.tracks():
-        cat_times: Dict[str, float] = {}
-        for s in doc.spans:
-            if s.track == track:
-                cat_times[s.category] = cat_times.get(s.category, 0.0) + s.duration
-        busy = sum(t for c, t in cat_times.items() if c != "idle")
-        useful = sum(t for c, t in cat_times.items() if c in USEFUL_CATEGORIES)
-        rows.append(
-            {
-                "track": track,
-                "label": doc.label_of(track),
-                "busy": busy / horizon,
-                "useful": useful / horizon,
-                "categories": cat_times,
-            }
-        )
-    return rows
+def _track_rows(manifest: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Per-track utilization rows (the ``all`` aggregate row dropped)."""
+    return [r for r in manifest.get("utilization", []) if r.get("track", -1) >= 0]
 
 
-def utilization_histogram(doc: TraceDoc, bins: int = 10) -> Dict[str, Any]:
+def utilization_histogram(manifest: Dict[str, Any], bins: int = 10) -> Dict[str, Any]:
     """Histogram of tracks by busy fraction (how balanced is the run)."""
-    rows = [r for r in utilization_rows(doc) if r.get("track", -1) >= 0]
+    rows = _track_rows(manifest)
     counts = [0] * bins
     for r in rows:
         b = min(int(r["busy"] * bins), bins - 1)
@@ -193,9 +141,9 @@ def utilization_histogram(doc: TraceDoc, bins: int = 10) -> Dict[str, Any]:
     }
 
 
-def load_imbalance(doc: TraceDoc) -> List[Dict[str, Any]]:
+def load_imbalance(manifest: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Per-category max/avg time across tracks (max/avg = imbalance)."""
-    rows = [r for r in utilization_rows(doc) if r.get("track", -1) >= 0]
+    rows = _track_rows(manifest)
     cats: Dict[str, List[float]] = {}
     for r in rows:
         for c, t in r.get("categories", {}).items():
@@ -232,54 +180,52 @@ def _histogram(values: Sequence[float], bins: int = 8) -> List[Dict[str, float]]
     ]
 
 
-def message_report(doc: TraceDoc, bins: int = 8) -> Dict[str, Any]:
-    """Message latency/size aggregates + histograms (trace artifacts)."""
-    if doc.kind == "manifest":
-        return dict(doc.manifest.get("messages", {}))
-    from .provenance import build_messages
-
-    stats = message_stats(doc.provenance)
-    msgs = build_messages(doc.provenance).values()
-    stats["latency_histogram"] = _histogram(
-        [m.latency for m in msgs if m.latency is not None], bins
-    )
-    stats["size_histogram"] = _histogram(
-        [float(m.nbytes) for m in msgs if m.sent is not None], bins
-    )
+def message_report(
+    manifest: Dict[str, Any], tracer: Optional[Tracer] = None, bins: int = 8
+) -> Dict[str, Any]:
+    """Message latency/size aggregates, plus histograms from a full trace."""
+    stats = dict(manifest.get("messages", {}))
+    if tracer is not None and tracer.provenance:
+        msgs = build_messages(tracer.provenance).values()
+        stats["latency_histogram"] = _histogram(
+            [m.latency for m in msgs if m.latency is not None], bins
+        )
+        stats["size_histogram"] = _histogram(
+            [float(m.nbytes) for m in msgs if m.sent is not None], bins
+        )
     return stats
 
 
-def critical_path_report(doc: TraceDoc, top: int = 10) -> Dict[str, Any]:
-    """Critical-path summary + the top-k longest segments."""
-    if doc.kind == "manifest":
-        return {"summary": dict(doc.manifest.get("critical_path", {})), "top": []}
-    path = critical_path(doc.provenance, doc.spans)
-    summary = critical_path_summary(doc.provenance, doc.spans)
-    ranked = sorted(path, key=lambda s: s.duration, reverse=True)[:top]
-    return {
-        "summary": summary,
-        "path_segments": len(path),
-        "top": [
-            {
-                "kind": s.kind,
-                "track": s.track,
-                "label": doc.label_of(s.track),
-                "start": s.start,
-                "end": s.end,
-                "duration": s.duration,
-                "msg_id": list(s.msg_id),
-                "category": s.category,
-            }
-            for s in ranked
-        ],
+def critical_path_report(
+    manifest: Dict[str, Any], tracer: Optional[Tracer] = None, top: int = 10
+) -> Dict[str, Any]:
+    """Critical-path summary, plus the top-k longest segments of a full trace."""
+    report: Dict[str, Any] = {
+        "summary": dict(manifest.get("critical_path", {})), "top": [],
     }
+    if tracer is None:
+        return report
+    path = critical_path(tracer.provenance, tracer.spans)
+    ranked = sorted(path, key=lambda s: s.duration, reverse=True)[:top]
+    report["top"] = [
+        {
+            "kind": s.kind,
+            "track": s.track,
+            "label": tracer.label_of(s.track),
+            "start": s.start,
+            "end": s.end,
+            "duration": s.duration,
+            "msg_id": list(s.msg_id),
+            "category": s.category,
+        }
+        for s in ranked
+    ]
+    return report
 
 
-def idle_report(doc: TraceDoc, top: int = 10) -> List[Dict[str, Any]]:
+def idle_report(tracer: Tracer, top: int = 10) -> List[Dict[str, Any]]:
     """Longest idle gaps with the message each one waited for."""
-    if doc.kind == "manifest":
-        return []
-    rows = idle_attribution(doc.provenance, doc.spans)
+    rows = idle_attribution(tracer.provenance, tracer.spans)
     rows.sort(key=lambda r: r["duration"], reverse=True)
     return rows[:top]
 

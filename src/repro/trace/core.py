@@ -1,4 +1,4 @@
-"""The unified tracer: named counters + span-based activity recording.
+"""The unified tracer: harvested counters + span-based activity recording.
 
 This is the reproduction's analogue of Charm++ **Projections** tracing
 (the tool behind the paper's Figs. 3, 9 and 10): a single per-run
@@ -8,11 +8,12 @@ unit, the Charm++ facade and the NAMD/FFT harnesses — reports into.
 
 Two kinds of data are collected:
 
-* **Counters** — monotonically accumulated named integers (messages
-  sent/received, bytes, scheduler polls, L2 atomic operations,
-  allocator pool hits...).  ``count(name)`` is a dict add; optional
-  per-track breakdowns use ``count(name, track=rank)``.  The full
-  catalogue lives in ``docs/TRACING.md``.
+* **Counters** — named totals (messages sent/received, bytes,
+  scheduler polls, L2 atomic operations, allocator pool hits...).
+  Nothing counts into the tracer per event: components keep plain
+  integer statistics and the runtime's finalizer harvests them into
+  :attr:`Tracer.counters` at :meth:`Tracer.finish`.  The full catalogue
+  lives in ``docs/TRACING.md``.
 
 * **Spans** — contiguous activity intervals on a *track* (a PE rank or
   a communication thread).  The flat :meth:`begin`/:meth:`end` API
@@ -24,10 +25,8 @@ Two kinds of data are collected:
 
 Zero-cost-when-disabled contract: components hold ``tracer`` attributes
 that are ``None`` when tracing is off, and every instrumentation site
-is guarded by ``if tracer is not None``.  A constructed Tracer can also
-be soft-disabled (``enabled=False``) which turns every recording call
-into an early-out — used by the overhead benchmark to separate guard
-cost from recording cost.
+is guarded by ``if tracer is not None``: a run either has a Tracer or
+has ``None``.
 
 The tracer is deliberately free of simulation imports: it only needs an
 object with a ``now`` attribute (duck-typed ``repro.sim.Environment``),
@@ -96,22 +95,14 @@ class Span:
 class Tracer:
     """Per-run tracing and metrics hub (Projections analogue).
 
-    Parameters
-    ----------
-    env:
-        Clock source; anything with a ``now`` attribute.
-    enabled:
-        Soft switch.  When False every recording method early-outs; the
-        hard zero-cost switch is holding ``None`` instead of a Tracer.
+    ``env`` is the clock source: anything with a ``now`` attribute.
     """
 
-    def __init__(self, env: Any, enabled: bool = True) -> None:
+    def __init__(self, env: Any) -> None:
         self.env = env
-        self.enabled = enabled
-        #: Global named counters (see docs/TRACING.md for the catalogue).
+        #: Named counters, assigned by finalizers at :meth:`finish`
+        #: (see docs/TRACING.md for the catalogue).
         self.counters: Dict[str, float] = {}
-        #: Optional per-track breakdown: name -> {track: value}.
-        self.track_counters: Dict[str, Dict[int, float]] = {}
         #: Closed activity spans, in close order.
         self.spans: List[Span] = []
         #: Human-readable labels for non-PE tracks (comm threads...).
@@ -130,13 +121,13 @@ class Tracer:
         #: :meth:`msg_send`; schema in docs/TRACING.md).
         self.provenance: List[Tuple[Any, ...]] = []
         #: Simulated hardware-performance-monitor groups, one dict of
-        #: counters per node id; populated at finish() when the runtime
-        #: installed the HPM finalizer (``repro.trace.hpm``).
+        #: counters per node id; assigned at finish() by the Converse
+        #: runtime's harvest (``ConverseRuntime._flush_stats``).
         self.hpm: Dict[int, Dict[str, float]] = {}
         # Same contract as the engine's REPRO_SANITIZE: sampled once at
         # construction; strict mode turns span-protocol misuse into
         # TracerProtocolError instead of self-healing.
-        self._strict = enabled and env_switch("REPRO_SANITIZE")
+        self._strict = env_switch("REPRO_SANITIZE")
         # Set by finish(): the tracer is sealed — finish() is
         # idempotent (finalizers run exactly once) and recording calls
         # are rejected (strict) or dropped (self-heal).
@@ -157,8 +148,6 @@ class Tracer:
     # -- instant events ----------------------------------------------------
     def mark(self, track: int, name: str) -> None:
         """Record a zero-duration instant event on ``track`` at ``now``."""
-        if not self.enabled:
-            return
         if self._finished and self._sealed("mark()"):
             return
         self.marks.append((track, name, self.env.now))
@@ -179,49 +168,26 @@ class Tracer:
     #
     # The per-message hot paths (converse/machine.py send/deliver,
     # converse/scheduler.py execute) append these tuples to
-    # ``self.provenance`` directly after checking ``enabled`` — a method
+    # ``self.provenance`` directly inside their tracer guard — a method
     # call per message event does not fit the <5% tracer overhead budget
     # (benchmarks/test_trace_overhead.py).  Keep the schemas in sync.
     def msg_send(self, msg_id: Any, track: int, dst: int, nbytes: int) -> None:
         """Record the send edge of message ``msg_id`` from ``track``."""
-        if not self.enabled:
-            return
         if self._finished and self._sealed("msg_send()"):
             return
         self.provenance.append(("send", msg_id, track, dst, nbytes, self.env.now))
 
     def msg_recv(self, msg_id: Any, track: int) -> None:
         """Record message arrival at the destination track's queue."""
-        if not self.enabled:
-            return
         if self._finished and self._sealed("msg_recv()"):
             return
         self.provenance.append(("recv", msg_id, track, self.env.now))
 
     def msg_exec(self, msg_id: Any, track: int, start: float, end: float) -> None:
         """Record the handler-execution interval for ``msg_id``."""
-        if not self.enabled:
-            return
         if self._finished and self._sealed("msg_exec()"):
             return
         self.provenance.append(("exec", msg_id, track, start, end))
-
-    # -- counters ---------------------------------------------------------
-    def count(self, name: str, n: float = 1, track: Optional[int] = None) -> None:
-        """Accumulate ``n`` into counter ``name`` (and a track bucket)."""
-        if not self.enabled:
-            return
-        if self._finished and self._sealed("count()"):
-            return
-        counters = self.counters
-        counters[name] = counters.get(name, 0) + n
-        if track is not None:
-            per = self.track_counters.setdefault(name, {})
-            per[track] = per.get(track, 0) + n
-
-    def get(self, name: str, default: float = 0) -> float:
-        """Read a counter (0 if never incremented)."""
-        return self.counters.get(name, default)
 
     # -- track identity ----------------------------------------------------
     def register_track(self, track: int, label: str) -> None:
@@ -234,8 +200,6 @@ class Tracer:
     # -- spans: flat begin/end (scheduler hot path) ------------------------
     def begin(self, track: int, category: str) -> None:
         """Start activity ``category`` on ``track``, closing any open one."""
-        if not self.enabled:
-            return
         if self._finished and self._sealed("begin()"):
             return
         self._begin(track, category, None)
@@ -258,8 +222,6 @@ class Tracer:
 
     def end(self, track: int) -> None:
         """Close the open activity on ``track`` (no-op if none)."""
-        if not self.enabled:
-            return
         if self._finished and self._sealed("end()"):
             return
         prev = self._open.pop(track, None)
@@ -271,8 +233,6 @@ class Tracer:
 
     def record(self, track: int, category: str, start: float, end: float) -> None:
         """Record a fully-known span directly."""
-        if not self.enabled:
-            return
         if self._finished and self._sealed("record()"):
             return
         if end < start:
@@ -290,9 +250,6 @@ class Tracer:
         splits its parent into before/after segments, which is what the
         timeline renderers and the Chrome exporter expect.
         """
-        if not self.enabled:
-            yield
-            return
         if self._finished and self._sealed("span()"):
             yield
             return
@@ -329,9 +286,9 @@ class Tracer:
     def add_finalizer(self, fn: Any) -> None:
         """Register a zero-arg callable run by :meth:`finish`.
 
-        Hot components don't call :meth:`count` per event — they keep
-        plain integer statistics (hardware-perf-counter style, always
-        on, an int add each) and a finalizer snapshots them into
+        Hot components never report per event — they keep plain
+        integer statistics (hardware-perf-counter style, always on, an
+        int add each) and a finalizer snapshots them into
         :attr:`counters` when the run ends.  Snapshots must *assign*
         (not add) so finish() stays idempotent.
         """
@@ -353,9 +310,6 @@ class Tracer:
         for track in list(self._open):
             self.end(track)
         self._nest.clear()
-        if not self.enabled:
-            self._finished = True
-            return
         # The DES engine counts processed events with a bare int (its
         # hottest loop; a tracer call there costs ~10% wall time).
         n = getattr(self.env, "events_executed", 0)
@@ -383,13 +337,6 @@ class Tracer:
         return (
             min(s.start for s in self.spans),
             max(s.end for s in self.spans),
-        )
-
-    def time_in(self, category: str, track: Optional[int] = None) -> float:
-        return sum(
-            s.duration
-            for s in self.spans
-            if s.category == category and (track is None or s.track == track)
         )
 
     def utilization(self, track: Optional[int] = None) -> Tuple[float, float]:

@@ -1,224 +1,94 @@
-"""Trace-diff regression gate: compare two run manifests.
+"""Trace-diff regression gate: two run manifests must be equal.
 
-Counters, per-track utilization and critical-path length are the
-trace-shaped quantities a refactor should *not* silently move.  This
-module compares a candidate manifest against a committed baseline with
-configurable tolerances and reports every violation — the engine behind
-``make trace-gate`` (see :mod:`repro.harness.tracegate`).
+The DES is deterministic, so a manifest — counters, per-track
+utilization, message statistics, critical path, HPM groups — is a
+function of the code alone.  :func:`diff_manifests` therefore compares
+the parsed JSON exactly and lists every differing JSON path (RFC 6901
+pointer, e.g. ``/counters/sched.polls``) with both values; it is the
+engine behind ``make trace-gate`` (see :mod:`repro.harness.tracegate`).
 
-Three families of checks:
-
-* **counters** — relative delta per counter name (default tolerance
-  ``rel_tol``, overridable per counter via ``counter_tols``, e.g. a
-  looser bound for timing-dependent FIFO high-water marks).  Counters
-  present on only one side are violations too (an instrumentation
-  point appeared or vanished).
-* **utilization** — absolute delta on each track's busy/useful
-  fractions (``util_tol``).
-* **critical path** — relative delta on the path length
-  (``critpath_tol``); segment-count drift is reported as info, not a
-  failure (path shape is more timing-sensitive than its length).
-
-Everything returns plain dicts so the CLI can emit ``--format json``.
+One exception: ``engine.events`` is a count that sits beside the
+simulated observables, not among them — a change that schedules fewer
+events at identical simulated times moves only it.  A difference there
+is a note, not a failure.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional
-from types import MappingProxyType
+from typing import Any, Dict, Iterator, Tuple
+
+from ..ioutil import ArtifactError, load_json
 
 __all__ = ["diff_manifests", "format_diff", "load_manifest"]
 
-#: Counters that are expected to wobble between byte-identical runs is
-#: a contradiction in a deterministic DES — but high-water marks and
-#: round counts are legitimately sensitive to unrelated host-side
-#: ordering, so the gate ships looser defaults for them.
-DEFAULT_COUNTER_TOLS = MappingProxyType({
-    "hpm.mu.ififo_occupancy_hwm": 0.5,
-    "hpm.mu.rfifo_occupancy_hwm": 0.5,
-    "hpm.commthread.rounds": 0.25,
-})
+#: Paths whose difference is reported as a note, never a failure.
+COUNT_PATHS = frozenset({"/counters/engine.events"})
+
+_ABSENT = object()
 
 
 def load_manifest(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"{path}: not a run manifest")
     if "traceEvents" in doc:
-        raise ValueError(
-            f"{path} is a Chrome trace, not a run manifest — "
+        raise ArtifactError(
+            f"{path}: a Chrome trace, not a run manifest — "
             "the diff gate compares .manifest.json artifacts"
         )
     return doc
 
 
-def _rel_delta(a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    denom = max(abs(a), abs(b))
-    return abs(a - b) / denom if denom else 0.0
+def _diffs(base: Any, cand: Any, path: str) -> Iterator[Tuple[str, Any, Any]]:
+    """Yield ``(pointer, baseline, candidate)`` for every differing leaf."""
+    if isinstance(base, list) and isinstance(cand, list):
+        base, cand = dict(enumerate(base)), dict(enumerate(cand))
+    if not (isinstance(base, dict) and isinstance(cand, dict)):
+        if base != cand:
+            yield path, base, cand
+        return
+    for key in list(base) + [k for k in cand if k not in base]:
+        sub = f"{path}/{str(key).replace('~', '~0').replace('/', '~1')}"
+        b, c = base.get(key, _ABSENT), cand.get(key, _ABSENT)
+        if b is _ABSENT or c is _ABSENT:
+            yield sub, b, c
+        else:
+            yield from _diffs(b, c, sub)
 
 
-def diff_manifests(
-    baseline: Dict[str, Any],
-    candidate: Dict[str, Any],
-    rel_tol: float = 0.10,
-    util_tol: float = 0.05,
-    critpath_tol: float = 0.10,
-    counter_tols: Optional[Dict[str, float]] = None,
-) -> Dict[str, Any]:
-    """Compare ``candidate`` against ``baseline``.
+def diff_manifests(baseline: Dict[str, Any], candidate: Dict[str, Any]) -> Dict[str, Any]:
+    """Compare ``candidate`` against ``baseline`` exactly.
 
-    Returns ``{"ok": bool, "violations": [...], "info": [...],
-    "checked": {...}}`` where each violation is a dict naming the check
-    family, the key, both values and the tolerance that was exceeded.
+    Returns ``{"ok", "baseline_label", "candidate_label", "violations",
+    "notes"}``; each violation or note names its JSON ``path``, both
+    values (``None`` where absent) and ``why``.
     """
-    tols = dict(DEFAULT_COUNTER_TOLS)
-    tols.update(counter_tols or {})
-    violations: List[Dict[str, Any]] = []
-    info: List[Dict[str, Any]] = []
-
-    # -- counters (global counters + flattened HPM totals) -----------------
-    base_counters = dict(baseline.get("counters", {}))
-    cand_counters = dict(candidate.get("counters", {}))
-    ncounters = 0
-    for name in sorted(set(base_counters) | set(cand_counters)):
-        ncounters += 1
-        if name not in base_counters or name not in cand_counters:
-            violations.append(
-                {
-                    "check": "counter",
-                    "key": name,
-                    "baseline": base_counters.get(name),
-                    "candidate": cand_counters.get(name),
-                    "tol": None,
-                    "why": "present on only one side",
-                }
-            )
-            continue
-        tol = tols.get(name, rel_tol)
-        delta = _rel_delta(base_counters[name], cand_counters[name])
-        if delta > tol:
-            violations.append(
-                {
-                    "check": "counter",
-                    "key": name,
-                    "baseline": base_counters[name],
-                    "candidate": cand_counters[name],
-                    "delta": delta,
-                    "tol": tol,
-                    "why": f"relative delta {delta:.3f} > {tol}",
-                }
-            )
-
-    # -- per-track utilization --------------------------------------------
-    def util_map(doc: Dict[str, Any]) -> Dict[Any, Dict[str, float]]:
-        return {
-            row.get("label", row.get("track")): row
-            for row in doc.get("utilization", [])
+    violations, notes = [], []
+    for path, b, c in _diffs(baseline, candidate, ""):
+        entry = {
+            "path": path,
+            "baseline": None if b is _ABSENT else b,
+            "candidate": None if c is _ABSENT else c,
+            "why": "present on only one side" if _ABSENT in (b, c) else "differs",
         }
-
-    base_util = util_map(baseline)
-    cand_util = util_map(candidate)
-    nutil = 0
-    for key in sorted(set(base_util) | set(cand_util), key=str):
-        if key not in base_util or key not in cand_util:
-            violations.append(
-                {
-                    "check": "utilization",
-                    "key": key,
-                    "baseline": key in base_util or None,
-                    "candidate": key in cand_util or None,
-                    "tol": None,
-                    "why": "track present on only one side",
-                }
-            )
-            continue
-        for metric in ("busy", "useful"):
-            nutil += 1
-            b = float(base_util[key].get(metric, 0.0))
-            c = float(cand_util[key].get(metric, 0.0))
-            if abs(b - c) > util_tol:
-                violations.append(
-                    {
-                        "check": "utilization",
-                        "key": f"{key}.{metric}",
-                        "baseline": b,
-                        "candidate": c,
-                        "delta": abs(b - c),
-                        "tol": util_tol,
-                        "why": f"absolute delta {abs(b - c):.3f} > {util_tol}",
-                    }
-                )
-
-    # -- critical path -----------------------------------------------------
-    base_cp = baseline.get("critical_path", {})
-    cand_cp = candidate.get("critical_path", {})
-    ncp = 0
-    if base_cp or cand_cp:
-        ncp = 1
-        b = float(base_cp.get("length", 0.0))
-        c = float(cand_cp.get("length", 0.0))
-        delta = _rel_delta(b, c)
-        if delta > critpath_tol:
-            violations.append(
-                {
-                    "check": "critical_path",
-                    "key": "length",
-                    "baseline": b,
-                    "candidate": c,
-                    "delta": delta,
-                    "tol": critpath_tol,
-                    "why": f"relative delta {delta:.3f} > {critpath_tol}",
-                }
-            )
-        bn = base_cp.get("nsegments")
-        cn = cand_cp.get("nsegments")
-        if bn != cn:
-            info.append(
-                {
-                    "check": "critical_path",
-                    "key": "nsegments",
-                    "baseline": bn,
-                    "candidate": cn,
-                    "why": "segment count drifted (informational)",
-                }
-            )
-
+        (notes if path in COUNT_PATHS else violations).append(entry)
     return {
         "ok": not violations,
         "baseline_label": baseline.get("label", ""),
         "candidate_label": candidate.get("label", ""),
         "violations": violations,
-        "info": info,
-        "checked": {
-            "counters": ncounters,
-            "utilization": nutil,
-            "critical_path": ncp,
-        },
+        "notes": notes,
     }
 
 
 def format_diff(result: Dict[str, Any]) -> str:
     """Render a :func:`diff_manifests` result as text."""
-    checked = result["checked"]
-    lines = [
-        f"trace-diff: {result['baseline_label']!r} vs "
-        f"{result['candidate_label']!r} — "
-        f"{checked['counters']} counters, "
-        f"{checked['utilization']} utilization metrics, "
-        f"{checked['critical_path']} critical-path checks"
-    ]
-    for v in result["violations"]:
-        lines.append(
-            f"  FAIL {v['check']}:{v['key']} "
-            f"baseline={v['baseline']} candidate={v['candidate']} ({v['why']})"
-        )
-    for i in result["info"]:
-        lines.append(
-            f"  info {i['check']}:{i['key']} "
-            f"baseline={i['baseline']} candidate={i['candidate']} ({i['why']})"
-        )
+    lines = [f"trace-diff: {result['baseline_label']!r} vs "
+             f"{result['candidate_label']!r} (exact)"]
+    for kind, entries in (("FAIL", result["violations"]), ("note", result["notes"])):
+        for e in entries:
+            lines.append(f"  {kind} {e['path']} baseline={e['baseline']} "
+                         f"candidate={e['candidate']} ({e['why']})")
     lines.append("OK" if result["ok"] else
-                 f"FAILED: {len(result['violations'])} violation(s)")
+                 f"FAILED: {len(result['violations'])} difference(s)")
     return "\n".join(lines)

@@ -10,7 +10,7 @@ class Scheduler:
     def execute(self, msg):
         rec = self.runtime.tracer
         rec.begin(self.rank, "sched")  # bad: no `is not None` guard
-        self.tracer.count("sched.polls")  # bad: attribute receiver, unguarded
+        self.tracer.mark(self.rank, "poll")  # bad: attribute receiver, unguarded
 
     def deliver(self, msg, tracer):
         if tracer is not None:

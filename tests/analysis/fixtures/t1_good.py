@@ -20,7 +20,7 @@ class Scheduler:
     def poll(self, tr):
         if tr is None:
             return
-        tr.count("sched.polls")
+        tr.mark(self.rank, "poll")
 
     def flush(self, tracer):
         tracer is not None and tracer.end(self.rank)

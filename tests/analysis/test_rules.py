@@ -172,7 +172,7 @@ def _analyze_t1(filename, root=FIXTURES):
 def test_t1_fires_on_unguarded_tracer_calls():
     violations = _analyze_t1("t1_bad.py")
     assert {v.rule for v in violations} == {"T1"}
-    # rec.begin + self.tracer.count + else-branch begin + tr.mark
+    # rec.begin + self.tracer.mark + else-branch begin + tr.mark
     assert [v.line for v in violations] == [12, 13, 19, 22]
 
 

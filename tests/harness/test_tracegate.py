@@ -73,7 +73,7 @@ def test_perturbed_baseline_fails_the_gate(tmp_path, capsys):
     rc = main(["--baselines", str(basedir), "--output", str(outdir)])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "FAIL counter:hpm.mu.descriptors" in out
+    assert "FAIL /counters/hpm.mu.descriptors" in out
     assert "trace: FAIL" in out
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs import (
     Profile,
     ProfileSession,
@@ -148,3 +150,21 @@ def test_cli_compare(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "profile compare:" in out
     assert "delta" in out
+
+
+@pytest.mark.parametrize("kind", ["missing", "not-json", "chrome-trace", "hotspots-baseline"])
+def test_cli_bad_profile_exits_2_with_a_named_error(kind, tmp_path, capsys):
+    bad = tmp_path / f"{kind}.json"
+    if kind == "not-json":
+        bad.write_text("{truncated")
+    elif kind == "chrome-trace":
+        bad.write_text(json.dumps({"traceEvents": []}))
+    elif kind == "hotspots-baseline":
+        bad.write_text(json.dumps({"benchmarks": {}}))
+    good = tmp_path / "good.json"
+    write_profile_json(make_profile(), good)
+    for argv in (["hotspots", str(bad)], ["flame", str(bad)],
+                 ["compare", str(good), str(bad)]):
+        assert obs_main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"repro.obs: {bad}: ")

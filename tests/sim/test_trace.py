@@ -34,9 +34,8 @@ def test_segments_recorded():
 
 def test_time_in_category():
     _, tracer = make_tracer()
-    assert tracer.time_in("pme") == 30
-    assert tracer.time_in("idle") == 60
-    assert tracer.time_in("missing") == 0
+    assert tracer.category_times(0) == {"integrate": 10, "pme": 30, "idle": 60}
+    assert tracer.category_times(1) == {}
 
 
 def test_utilization_busy_and_useful():

@@ -109,7 +109,7 @@ def test_manifest_export_crash_preserves_prior_manifest(tmp_path):
         now = 0.0
 
     tr = Tracer(Clock())
-    tr.count("msgs", 3)
+    tr.add_finalizer(lambda: tr.counters.update(msgs=3))
     tr.finish()
     path = tmp_path / "run.manifest.json"
     write_run_manifest(tr, str(path), label="good")

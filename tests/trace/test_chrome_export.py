@@ -33,8 +33,7 @@ def traced():
     tr.record(0, "pme", 100.0, 250.0)
     tr.record(0, "idle", 250.0, 400.0)
     tr.record(10_000, "comm", 0.0, 400.0)
-    tr.count("converse.msgs_sent", 12)
-    tr.count("l2.atomic_ops", 34)
+    tr.counters.update({"converse.msgs_sent": 12, "l2.atomic_ops": 34})
     return tr
 
 

@@ -116,8 +116,8 @@ def test_diff_identical_passes_perturbed_fails(artifacts, tmp_path, capsys):
     capsys.readouterr()
     with open(man) as fh:
         doc = json.load(fh)
-    # Perturb one HPM-backed counter well past tolerance: the gate must
-    # fail — this is the regression the trace-diff gate exists to catch.
+    # Perturb one HPM-backed counter: the gate must fail — this is the
+    # regression the trace-diff gate exists to catch.
     doc["counters"]["hpm.mu.descriptors"] = (
         doc["counters"]["hpm.mu.descriptors"] * 2 + 100
     )
@@ -125,4 +125,4 @@ def test_diff_identical_passes_perturbed_fails(artifacts, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["diff", man, str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "FAIL counter:hpm.mu.descriptors" in out
+    assert "FAIL /counters/hpm.mu.descriptors" in out

@@ -65,8 +65,8 @@ def test_zero_duration_activity_never_exports_spans():
 
 def test_counter_only_run_exports_counters_at_t0():
     tr = Tracer(Clock())
-    tr.count("converse.msgs_sent", 7)
-    tr.count("l2.atomic_ops", 99)
+    tr.add_finalizer(lambda: tr.counters.update(
+        {"converse.msgs_sent": 7, "l2.atomic_ops": 99}))
     tr.finish()
     doc = to_chrome_trace(tr, scale=0.5)
     phases = _phases(doc)

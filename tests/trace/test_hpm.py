@@ -1,175 +1,115 @@
-"""Simulated HPM counter groups: collection, totals, end-to-end wiring."""
+"""Simulated HPM groups: filled by the Converse runtime's one harvest.
+
+A real 2-node traced ping-pong (two comm threads per process) checks
+each node's group against the component statistics it is read from,
+and the trace gate's Fig. 9 configuration pins names, per-node key
+order and values to the committed baseline.
+"""
+
+import json
+import pathlib
 
 import pytest
 
 pytestmark = pytest.mark.trace
 
-from repro.trace import Tracer
-from repro.trace.hpm import collect_hpm, install_hpm
+from repro.converse import ConverseRuntime, RunConfig
+from repro.converse.messages import ConverseMessage
+from repro.sim import Environment
+
+BASELINES = pathlib.Path(__file__).parents[2] / "benchmarks" / "baselines"
 
 
-class Clock:
-    def __init__(self):
-        self.now = 0.0
-
-
-# -- duck-typed stand-ins matching the attributes hpm.py harvests ----------
-
-class FakeL2:
-    def __init__(self, ops, bounded_failed=0):
-        self.op_counts = ops
-        self.bounded_failed = bounded_failed
-
-
-class FakeWakeup:
-    def __init__(self, signals=0, wakeups=0, latched=0):
-        self.signals = signals
-        self.wakeups = wakeups
-        self.latched_fires = latched
-
-
-class FakeFifo:
-    def __init__(self, hwm, wakeup=None):
-        self.occupancy_hwm = hwm
-        self.wakeup = wakeup or FakeWakeup()
-
-
-class FakeMU:
-    def __init__(self, descriptors, injected, received, ififos, rfifos):
-        self.descriptors_processed = descriptors
-        self.packets_injected = injected
-        self.packets_received = received
-        self._injection = ififos
-        self._reception = rfifos
-
-
-class FakeNode:
-    def __init__(self, node_id, l2, mu):
-        self.node_id = node_id
-        self.l2 = l2
-        self.mu = mu
-
-
-class FakeCommThread:
-    def __init__(self, wakeups, rounds):
-        self.wakeup_count = wakeups
-        self.advance_rounds = rounds
-
-
-class FakeProcess:
-    def __init__(self, node, comm_threads):
-        self.node = node
-        self.comm_threads = comm_threads
-
-
-class FakeTorus:
-    def __init__(self, routes, hops):
-        self.routes_computed = routes
-        self.hops_routed = hops
-
-
-class FakeMachine:
-    def __init__(self, nodes, torus):
-        self.nodes = nodes
-        self.torus = torus
-
-
-class FakeRuntime:
-    def __init__(self, machine, processes):
-        self.machine = machine
-        self.processes = processes
-
-
-@pytest.fixture
+@pytest.fixture(scope="module")
 def runtime():
-    n0 = FakeNode(
-        0,
-        FakeL2({"load_increment_bounded": 40, "store_add": 10}, bounded_failed=3),
-        FakeMU(
-            descriptors=20, injected=25, received=30,
-            ififos=[FakeFifo(4), FakeFifo(7)],
-            rfifos=[FakeFifo(2, FakeWakeup(signals=9, wakeups=5, latched=1))],
-        ),
-    )
-    n1 = FakeNode(
-        1,
-        FakeL2({"store_add": 6}),
-        FakeMU(
-            descriptors=8, injected=9, received=11,
-            ififos=[FakeFifo(2)],
-            rfifos=[FakeFifo(5, FakeWakeup(signals=3, wakeups=3))],
-        ),
-    )
-    return FakeRuntime(
-        FakeMachine([n0, n1], FakeTorus(routes=100, hops=250)),
-        [
-            FakeProcess(n0, [FakeCommThread(wakeups=12, rounds=40)]),
-            FakeProcess(n1, [FakeCommThread(wakeups=7, rounds=22),
-                             FakeCommThread(wakeups=1, rounds=5)]),
-        ],
-    )
+    env = Environment()
+    rt = ConverseRuntime(env, RunConfig(
+        nnodes=2, workers_per_process=2, comm_threads_per_process=2, trace=True,
+    ))
+    done = env.event()
+    trips = []
+
+    def pong(pe, msg):
+        yield from pe.send(0, hid_ping, 2048, None)
+
+    def ping(pe, msg):
+        if len(trips) == 4:
+            done.succeed()
+            return
+        trips.append(env.now)
+        yield from pe.send(rt.config.pes_per_node, hid_pong, 2048, None)
+
+    hid_pong = rt.register_handler(pong)
+    hid_ping = rt.register_handler(ping)
+    rt.pes[0].local_q.append(ConverseMessage(hid_ping, 0, None, 0, 0))
+    rt.run_until(done)
+    rt.tracer.finish()
+    return rt
 
 
 def test_collect_hpm_groups_per_node(runtime):
-    groups = collect_hpm(runtime)
-    assert set(groups) == {0, 1}
-    g0 = groups[0]
-    assert g0["l2.load_increment_bounded"] == 40
-    assert g0["l2.bounded_failed"] == 3
-    assert g0["mu.descriptors"] == 20
-    assert g0["mu.ififo_occupancy_hwm"] == 7  # max over the node's ififos
-    assert g0["wu.signals"] == 9 and g0["wu.latched"] == 1
-    assert g0["commthread.interrupts"] == 12
-    assert g0["commthread.rounds"] == 40
-    g1 = groups[1]
-    # Two comm threads on node 1 sum into one group.
-    assert g1["commthread.interrupts"] == 8
-    assert g1["commthread.rounds"] == 27
-    # Zero-valued counters are skipped, not reported as 0.
-    assert "l2.bounded_failed" not in g1
-    assert "wu.latched" not in g1
+    hpm = runtime.tracer.hpm
+    assert list(hpm) == [0, 1]
+    for node, proc in zip(runtime.machine.nodes, runtime.processes):
+        group = hpm[node.node_id]
+        mu = node.mu
+        assert group["mu.descriptors"] == mu.descriptors_processed > 0
+        assert group["mu.packets_injected"] == mu.packets_injected
+        assert group["mu.packets_received"] == mu.packets_received
+        # High-water marks are the max over the node's FIFOs.
+        assert group["mu.rfifo_occupancy_hwm"] == max(
+            f.occupancy_hwm for f in mu._reception
+        )
+        for op, n in node.l2.op_counts.items():
+            assert group.get(f"l2.{op}", 0) == n
+        # The process's two comm threads sum into one group.
+        assert len(proc.comm_threads) == 2
+        assert group["commthread.rounds"] == sum(
+            ct.advance_rounds for ct in proc.comm_threads
+        )
+        assert group["commthread.interrupts"] == sum(
+            ct.wakeup_count for ct in proc.comm_threads
+        )
+        # Zero-valued hardware counters are skipped, not reported as 0.
+        assert all(v for k, v in group.items() if not k.startswith("commthread."))
+        assert ("l2.bounded_failed" in group) == bool(node.l2.bounded_failed)
 
 
 def test_install_hpm_totals_into_counters(runtime):
-    tr = Tracer(Clock())
-    install_hpm(tr, runtime)
-    tr.finish()
-    assert tr.hpm == collect_hpm(runtime)
-    # Sums across nodes...
-    assert tr.counters["hpm.mu.descriptors"] == 28
-    assert tr.counters["hpm.l2.store_add"] == 16
-    assert tr.counters["hpm.commthread.interrupts"] == 20
-    # ...except high-water marks, which take the max.
-    assert tr.counters["hpm.mu.ififo_occupancy_hwm"] == 7
-    assert tr.counters["hpm.mu.rfifo_occupancy_hwm"] == 5
+    tr = runtime.tracer
+    groups = list(tr.hpm.values())
+    names = {name for g in groups for name in g}
+    for name in names:
+        values = [g.get(name, 0) for g in groups]
+        # Sums across nodes, except high-water marks, which take the max.
+        want = max(values) if name.endswith("_hwm") else sum(values)
+        assert tr.counters.get(f"hpm.{name}", 0) == want, name
+    assert any(name.endswith("_hwm") for name in names)
     # Machine-wide torus counters ride along.
-    assert tr.counters["hpm.torus.routes"] == 100
-    assert tr.counters["hpm.torus.hops"] == 250
+    torus = runtime.machine.torus
+    assert tr.counters["hpm.torus.routes"] == torus.routes_computed > 0
+    assert tr.counters["hpm.torus.hops"] == torus.hops_routed
 
 
 def test_finish_is_idempotent(runtime):
-    tr = Tracer(Clock())
-    install_hpm(tr, runtime)
+    tr = runtime.tracer
+    counters, hpm = dict(tr.counters), {n: dict(g) for n, g in tr.hpm.items()}
     tr.finish()
-    first = dict(tr.counters)
-    tr.finish()
-    assert tr.counters == first  # assignment, not accumulation
+    assert tr.counters == counters  # assignment, not accumulation
+    assert tr.hpm == hpm
 
 
 def test_traced_run_harvests_hpm():
-    """End-to-end: a real traced NAMD run yields per-node HPM groups."""
+    """The Fig. 9 gate run reproduces the committed HPM section exactly."""
     from repro.harness.timelines import run_traced_namd
+    from repro.harness.tracegate import GATE_CONFIGS
 
-    result = run_traced_namd(
-        "hpm-unit", n_atoms=128, nnodes=2, workers=2, comm_threads=1,
-        n_steps=2, seed=3,
-    )
-    tr = result.tracer
-    assert set(tr.hpm) == {0, 1}
-    for group in tr.hpm.values():
-        assert group.get("mu.descriptors", 0) > 0
-        assert group.get("commthread.rounds", 0) > 0
-    assert tr.counters["hpm.torus.routes"] > 0
-    assert tr.counters["hpm.mu.descriptors"] == sum(
-        g["mu.descriptors"] for g in tr.hpm.values()
-    )
+    (cfg,) = [c for c in GATE_CONFIGS if c["name"] == "gate_fig9_ct"]
+    tr = run_traced_namd(cfg["label"], **cfg["kwargs"]).tracer
+    baseline = json.loads((BASELINES / "gate_fig9_ct.manifest.json").read_text())
+    got = {str(nid): list(g.items()) for nid, g in tr.hpm.items()}
+    assert got == {nid: list(g.items()) for nid, g in baseline["hpm"].items()}
+    hpm_counters = {k: v for k, v in tr.counters.items() if k.startswith("hpm.")}
+    assert hpm_counters == {
+        k: v for k, v in baseline["counters"].items() if k.startswith("hpm.")
+    }

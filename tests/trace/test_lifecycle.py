@@ -62,7 +62,6 @@ def test_post_finish_recording_dropped_outside_sanitize():
     clk.now = 9.0
     tr.begin(0, "comm")
     tr.end(0)
-    tr.count("late.msgs", 3)
     tr.mark(0, "late.mark")
     tr.record(1, "pme", 5.0, 6.0)
     tr.msg_send((0, 1), 0, 1, 64)
@@ -83,8 +82,6 @@ def test_post_finish_recording_raises_under_sanitize():
         tr.finish()
         with pytest.raises(TracerProtocolError):
             tr.begin(0, "sched")
-        with pytest.raises(TracerProtocolError):
-            tr.count("x")
         with pytest.raises(TracerProtocolError):
             tr.mark(0, "m")
         with pytest.raises(TracerProtocolError):
@@ -109,7 +106,7 @@ def test_snapshot_manifest_mid_run_is_wellformed_and_nonmutating():
     must be valid JSON and must not close them."""
     clk = Clock()
     tr = Tracer(clk)
-    tr.count("msgs", 2)
+    tr.counters["msgs"] = 2
     tr.begin(0, "compute")
     clk.now = 5.0
     doc = run_manifest(tr, label="snapshot")
@@ -120,7 +117,7 @@ def test_snapshot_manifest_mid_run_is_wellformed_and_nonmutating():
     clk.now = 8.0
     tr.end(0)
     tr.finish()
-    assert tr.time_in("compute") == 8.0
+    assert tr.category_times(0) == {"compute": 8.0}
 
 
 def test_cancelled_job_manifest_identical_across_teardown_paths(tmp_path):
@@ -128,7 +125,7 @@ def test_cancelled_job_manifest_identical_across_teardown_paths(tmp_path):
     well-formed and byte-identical (the second finish changed nothing)."""
     clk = Clock()
     tr = Tracer(clk)
-    tr.count("msgs", 5)
+    tr.counters["msgs"] = 5
     tr.begin(3, "comm")
     clk.now = 7.0
     tr.finish()  # worker cancel handler

@@ -6,7 +6,7 @@ suspended category on exit.  If the flat API had taken the track away
 in the meantime — ``begin()`` called (once or twice) without a matching
 ``end()``, or an explicit ``end()`` — the exit fabricated a resumed
 span covering time the track had already relinquished, inflating
-``time_in()`` and busy utilization.  Post-fix the tracer raises
+``category_times()`` and busy utilization.  Post-fix the tracer raises
 ``TracerProtocolError`` under ``REPRO_SANITIZE=1`` and self-heals (no
 fabricated resume) otherwise.
 """
@@ -30,7 +30,7 @@ def test_double_begin_inside_span_no_fabricated_resume():
     begin() twice (no end) inside a span(), then end(): before the fix,
     the span() exit re-opened "sched" at t=8 and finish() closed it at
     t=20 — 12 cycles of *idle* time double-counted as busy, i.e.
-    time_in("sched") reported 14.0 instead of 2.0.
+    category_times(0)["sched"] reported 14.0 instead of 2.0.
     """
     clk = Clock()
     tr = Tracer(clk)
@@ -46,9 +46,9 @@ def test_double_begin_inside_span_no_fabricated_resume():
         clk.now = 8.0
     clk.now = 20.0
     tr.finish()
-    assert tr.time_in("sched") == 2.0
-    assert tr.time_in("work") == 2.0
-    assert tr.time_in("comm") == 2.0
+    assert tr.category_times(0)["sched"] == 2.0
+    assert tr.category_times(0)["work"] == 2.0
+    assert tr.category_times(0)["comm"] == 2.0
     # Nothing may cover the idle tail [6, 20].
     assert all(s.end <= 6.0 for s in tr.spans)
 
@@ -82,8 +82,8 @@ def test_spans_never_overlap_after_mixed_use():
     for a, b in zip(spans, spans[1:]):
         assert a.end <= b.start
     # The flat preemption keeps the track: comm runs [2, 4].
-    assert tr.time_in("comm") == 2.0
-    assert tr.time_in("fft") == 1.0
+    assert tr.category_times(1)["comm"] == 2.0
+    assert tr.category_times(1)["fft"] == 1.0
 
 
 def test_nested_spans_still_resume_outer():
@@ -99,9 +99,9 @@ def test_nested_spans_still_resume_outer():
         clk.now = 4.0
     clk.now = 5.0
     tr.end(0)
-    assert tr.time_in("sched") == 2.0  # [0,1] + resumed tail [4,5]
-    assert tr.time_in("pme") == 2.0    # [1,2] + resumed [3,4]
-    assert tr.time_in("fft") == 1.0    # [2,3]
+    assert tr.category_times(0)["sched"] == 2.0  # [0,1] + resumed tail [4,5]
+    assert tr.category_times(0)["pme"] == 2.0    # [1,2] + resumed [3,4]
+    assert tr.category_times(0)["fft"] == 1.0    # [2,3]
 
 
 def test_strict_mode_raises_on_flat_preemption():
@@ -124,8 +124,8 @@ def test_strict_mode_allows_pure_flat_api():
     tr.begin(0, "comm")
     clk.now = 3.0
     tr.end(0)
-    assert tr.time_in("sched") == 2.0
-    assert tr.time_in("comm") == 1.0
+    assert tr.category_times(0)["sched"] == 2.0
+    assert tr.category_times(0)["comm"] == 1.0
 
 
 def test_strict_mode_allows_nested_spans():
@@ -137,5 +137,5 @@ def test_strict_mode_allows_nested_spans():
         with tr.span(0, "fft"):
             clk.now = 2.0
         clk.now = 3.0
-    assert tr.time_in("fft") == 1.0
-    assert tr.time_in("pme") == 2.0
+    assert tr.category_times(0)["fft"] == 1.0
+    assert tr.category_times(0)["pme"] == 2.0

@@ -34,14 +34,6 @@ def test_tracer_records_provenance_events():
     ]
 
 
-def test_disabled_tracer_records_nothing():
-    tr = Tracer(Clock(), enabled=False)
-    tr.msg_send((0, 1), 0, 1, 8)
-    tr.msg_recv((0, 1), 1)
-    tr.msg_exec((0, 1), 1, 0.0, 1.0)
-    assert tr.provenance == []
-
-
 def test_build_messages_folds_events():
     prov = [
         ("send", (0, 1), 0, 2, 64, 1.0),

@@ -30,7 +30,8 @@ def test_all_activity_categories_have_time(traced_run):
     # The mini-NAMD app emits the paper's full Fig. 3 legend.
     assert {"integrate", "nonbonded", "pme", "comm", "idle"} <= cats
     for cat in cats:
-        assert tr.time_in(cat) > 0, f"category {cat!r} recorded no time"
+        total = sum(s.duration for s in tr.spans if s.category == cat)
+        assert total > 0, f"category {cat!r} recorded no time"
 
 
 def test_utilization_nonempty_everywhere(traced_run):

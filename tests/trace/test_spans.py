@@ -124,8 +124,6 @@ def test_queries_and_utilization():
     assert tr.tracks() == [0, 1]
     assert tr.categories() == ["comm", "compute", "idle"]
     assert tr.time_span() == (0.0, 10.0)
-    assert tr.time_in("compute") == 6.0
-    assert tr.time_in("comm", track=0) == 0.0
     busy, useful = tr.utilization()
     assert busy == pytest.approx((6.0 + 10.0) / 20.0)
     assert useful == pytest.approx(6.0 / 20.0)
