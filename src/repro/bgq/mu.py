@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..sim import Environment, Event
 from .network import MEMFIFO, RDMA_DATA, RGET_REQUEST, Packet, TorusNetwork
@@ -76,6 +76,10 @@ class Descriptor:
         #: the receive-side reliability gate discards such messages.
         self.corrupted: bool = False
 
+    def _on_last_arrival(self, _event: Event) -> None:
+        if not self.delivered.triggered:
+            self.delivered.succeed()
+
 
 class InjectionFifo:
     """One MU injection FIFO and its descriptor-processing engine."""
@@ -123,7 +127,6 @@ class InjectionFifo:
             desc = self._queue.popleft()
             self.descriptors_processed += 1
             npackets = max(1, math.ceil(desc.nbytes / p.packet_payload_max))
-            last_arrival: Optional[Event] = None
             remaining = desc.nbytes
             for seq in range(npackets):
                 chunk = min(p.packet_payload_max, remaining) if remaining else 0
@@ -143,16 +146,9 @@ class InjectionFifo:
                 self.packets_injected += 1
             if not desc.injected.triggered:
                 desc.injected.succeed()
-            if desc.kind in (MEMFIFO, RDMA_DATA) and last_arrival is not None:
-                self._chain_delivery(desc, last_arrival)
-
-    def _chain_delivery(self, desc: Descriptor, last_arrival: Event) -> None:
-        def watch():
-            yield last_arrival
-            if not desc.delivered.triggered:
-                desc.delivered.succeed()
-
-        self.env.process(watch(), name="mu-delivery-watch")
+            if desc.kind in (MEMFIFO, RDMA_DATA):
+                # npackets >= 1, and the last one is still in flight.
+                last_arrival._add_callback(desc._on_last_arrival)
 
 
 class ReceptionFifo:

@@ -13,11 +13,16 @@ contention at a cost of O(hops) per packet — cheap enough that the
 sharded engine (docs/SCALING.md) simulates the paper's 128-512 node
 partitions for real, with :mod:`repro.perfmodel` cross-validated
 against it at that scale.
+
+Packets fly without processes: a flight is one :class:`~repro.sim.Timeout`
+due at the arrival, whose callback delivers the packet, then succeeds
+the sender's ``done``.  A routed packet costs three events (the shared
+reservation flush, flight, ``done``), a loopback packet two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from ..sim import Environment, Event, Timeout
@@ -135,19 +140,13 @@ class TorusNetwork:
         if packet.src == packet.dst:
             # MU loopback (sends between processes on one node, or to
             # self): no torus links, just the MU ingress/egress path.
-            def loop():
-                yield env.timeout(self.params.nic_latency)
-                if self.deliver is not None:
-                    self.deliver(packet)
-                done.succeed(packet)
-
-            env.process(loop(), name=f"pkt-loopback-{packet.src}")
+            Timeout(env, self.params.nic_latency, (packet, done)).callbacks = [self._arrive]
             return done
         return self._inject_routed(packet, done)
 
-    def reserve_route(self, route, ser: float, t_inject: float) -> Tuple[float, float]:
-        """Run the cut-through reservation for one packet; returns
-        ``(arrival, stall)`` and updates the link busy-until timeline.
+    def reserve_route(self, route, ser: float, t_inject: float) -> float:
+        """Run the cut-through reservation for one packet; returns its
+        arrival time and updates the link busy-until timeline.
 
         The head advances one hop_latency per link; each link is busy
         for the serialization time starting when the head reaches it (or
@@ -159,16 +158,12 @@ class TorusNetwork:
         """
         p = self.params
         t_head = t_inject + p.nic_latency
-        stall = 0.0
         link_free = self._link_free
         for link in route:
-            free_at = link_free.get(link, 0.0)
-            start = max(t_head, free_at)
-            stall += start - t_head
+            start = max(t_head, link_free.get(link, 0.0))
             link_free[link] = start + ser
             t_head = start + p.hop_latency
-        arrival = t_head + ser
-        return arrival, stall
+        return t_head + ser
 
     def _inject_routed(self, packet: Packet, done: Event) -> Event:
         """Route + reserve + deliver one non-loopback packet.
@@ -229,7 +224,7 @@ class TorusNetwork:
         """Reserve the route and start the packet's flight."""
         env = self.env
         ser = self._serialization(packet)
-        arrival, stall = self.reserve_route(route, ser, env.now)
+        arrival = self.reserve_route(route, ser, env.now)
 
         if action is not None:
             if action.drop:
@@ -239,24 +234,17 @@ class TorusNetwork:
                 return
             arrival += action.extra_delay
             if action.dup_gap is not None:
-                dup_at = arrival + action.dup_gap
+                dup = Timeout(env, arrival + action.dup_gap - env.now, (packet, None))
+                dup.callbacks = [self._arrive]  # delivery only: no sender waits
+        Timeout(env, arrival - env.now, (packet, done)).callbacks = [self._arrive]
 
-                def fly_dup():
-                    yield env.timeout(dup_at - env.now)
-                    if self.deliver is not None:
-                        self.deliver(packet)
-
-                env.process(
-                    fly_dup(), name=f"pkt-dup-{packet.src}->{packet.dst}"
-                )
-
-        def fly():
-            yield env.timeout(arrival - env.now)
-            if self.deliver is not None:
-                self.deliver(packet)
+    def _arrive(self, flight: Timeout) -> None:
+        """A flight lands: deliver the packet, then complete its sender."""
+        packet, done = flight._value
+        if self.deliver is not None:
+            self.deliver(packet)
+        if done is not None:
             done.succeed(packet)
-
-        env.process(fly(), name=f"pkt-{packet.src}->{packet.dst}")
 
     def link_utilization(self) -> Dict[Tuple[int, int], float]:
         """Busy-until horizon per link (diagnostics)."""

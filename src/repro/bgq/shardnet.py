@@ -201,11 +201,11 @@ class ReservationFabric:
             pkt = r.packet
             route = self.torus.route(pkt.src, pkt.dst, dim_order=None)
             ser = TorusNetwork._serialization(self, pkt)
-            arrival, _stall = TorusNetwork.reserve_route(self, route, ser, r.t)
+            arrival = TorusNetwork.reserve_route(self, route, ser, r.t)
             # Origins >= nshards sort external events after any local
             # event key (origin = shard id < nshards) at an equal heap
-            # time — mirroring the serial engine, where the flight
-            # timeout is created at the reservation flush, after every
+            # time — the serial order: `TorusNetwork._launch` creates
+            # the flight timeout in the reservation flush, after every
             # local event that existed at the inject timestamp.
             key = _SeqKey(r.t, self.nshards + r.node, r.n, None)
             src_shard = self.shard_of(pkt.src)
@@ -249,7 +249,7 @@ class ReservationFabric:
         for r in requests:
             route = self.torus.route(r["src"], r["dst"], dim_order=None)
             ser = TorusNetwork._serialization(self, _WirePacket(r["payload_bytes"]))
-            arrival, _stall = TorusNetwork.reserve_route(self, route, ser, r["t"])
+            arrival = TorusNetwork.reserve_route(self, route, ser, r["t"])
             key3 = tuple(r["key"])  # (t, src_node, per-node counter)
             src_shard = self.shard_of(r["src"])
             dst_shard = self.shard_of(r["dst"])

@@ -109,8 +109,7 @@ class CmiDirectHandle:
         pe = self.pe
         hid = self.completion_handler
 
-        def watch():
-            yield recv_done
+        def watch(_ev):
             # Deliver the completion through the PE's own queue so it
             # executes in scheduler context, charged to a real thread.
             ctx = pe.process.contexts[0]
@@ -134,7 +133,8 @@ class CmiDirectHandle:
 
             ctx.post_completion(completion)
 
-        self.runtime.env.process(watch(), name=f"m2m-{self.tag}-completion")
+        # recv_done is fresh (register/reset just minted it): pending.
+        recv_done._add_callback(watch)
 
     # -- start ------------------------------------------------------------------
     def start(self):

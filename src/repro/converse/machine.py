@@ -798,11 +798,8 @@ class ConverseRuntime:
             yield from self._deliver_to_pe(t, msg)
             yield from c.send_immediate(t, ack_ep, DISPATCH_ACK, 16, token)
 
-        def watch():
-            yield desc.delivered
-            ctx.post_completion(completion)
-
-        self.env.process(watch(), name="rts-rget-watch")
+        # The read is still in flight: its arrival posts the completion.
+        desc.delivered._add_callback(lambda _ev: ctx.post_completion(completion))
 
     def _ack_dispatch(self, ctx: PamiContext, thread: HWThread, payload: AMPayload):
         proc = self._proc_of_context(ctx)

@@ -66,7 +66,7 @@ def _norm(name: str) -> str:
     """Collapse digit runs to ``*`` so per-rank owners aggregate.
 
     Process names are typically instance-numbered (``pe3``,
-    ``mu0-ififo2``, ``pkt-1->5``); a hotspot profile keyed on raw names
+    ``mu0-ififo2``, ``commthread-n1t5``); a hotspot profile keyed on raw names
     would shatter one dispatch site into hundreds of one-sample nodes.
     """
     return _DIGITS.sub("*", name)

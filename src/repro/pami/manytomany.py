@@ -171,16 +171,20 @@ class ManyToManyRegistry:
         """
         env = self.env
         recv_done = handle.recv_done
-        deadline = env.timeout(handle.deadline_cycles)
 
-        def watch():
-            yield env.any_of([recv_done, deadline])
+        def force(_ev):
             if not recv_done.triggered:
                 handle.shortfall += handle.expected_recvs - handle._recv_count
                 handle.deadline_completions += 1
                 recv_done.succeed()
 
-        env.process(watch(), name=f"m2m-{handle.tag}-shortfall")
+        def expire(_ev):
+            # Decide one zero-delay hop after the deadline pops: a receive
+            # completing at the deadline instant, ahead of the hop, counts.
+            if not recv_done.triggered:
+                env.timeout(0.0).callbacks = [force]
+
+        env.timeout(handle.deadline_cycles).callbacks = [expire]
 
     # -- start ---------------------------------------------------------------
     def start(self, thread: HWThread, handle: ManyToManyHandle):

@@ -307,13 +307,17 @@ class ShmRing:
             self._buf[16 : 16 + need - first] = data[first:]
         self._set(8, tail + need)
 
-    def _read_bytes(self, need: int, deadline: float) -> bytes:
+    def _read_bytes(self, need: int, deadline: float, peer=None) -> bytes:
         cap = self.capacity
         while True:
             head = self._get(0)
             tail = self._get(8)
             if tail - head >= need:
                 break
+            # A dead producer never fills the ring (its last frame may
+            # have landed since the tail was read: read it once more).
+            if peer is not None and peer.exitcode is not None and self._get(8) - head < need:
+                raise ShardStallError(f"{peer.name} exited with exit code {peer.exitcode}")
             if time.monotonic() > deadline:  # repro-lint: disable=D1
                 raise TimeoutError("ShmRing read timed out (ring empty)")
             time.sleep(0.0002)
@@ -332,10 +336,11 @@ class ShmRing:
         self._write_bytes(_LEN.pack(len(data)), deadline)
         self._write_bytes(data, deadline)
 
-    def recv(self, timeout: float = 120.0) -> Any:
+    def recv(self, timeout: float = 120.0, peer=None) -> Any:
+        """Next frame; ShardStallError if the producer process ``peer`` dies."""
         deadline = time.monotonic() + timeout  # repro-lint: disable=D1
-        (n,) = _LEN.unpack(self._read_bytes(_LEN.size, deadline))
-        return pickle.loads(self._read_bytes(n, deadline))
+        (n,) = _LEN.unpack(self._read_bytes(_LEN.size, deadline, peer))
+        return pickle.loads(self._read_bytes(n, deadline, peer))
 
     def close(self) -> None:
         self._buf = None
@@ -409,18 +414,20 @@ def run_sharded_subprocesses(
     to_child = [ShmRing(ring_bytes) for _ in range(nshards)]
     to_parent = [ShmRing(ring_bytes) for _ in range(nshards)]
     procs = []
+    clean = False
     try:
         for i in range(nshards):
             pr = ctx.Process(
                 target=_shard_worker,
                 args=(i, nshards, build_client, to_child[i], to_parent[i]),
+                name=f"shard {i} child",
                 daemon=True,
             )
             pr.start()
             procs.append(pr)
 
         def read_sync(i: int) -> dict:
-            msg = to_parent[i].recv(timeout=600.0)
+            msg = to_parent[i].recv(timeout=600.0, peer=procs[i])
             if msg["type"] == "error":
                 raise RuntimeError(
                     f"shard {i} failed:\n{msg['traceback']}"
@@ -471,11 +478,13 @@ def run_sharded_subprocesses(
             if msg["type"] != "result":  # pragma: no cover - protocol error
                 raise RuntimeError(f"expected result frame, got {msg['type']!r}")
             results[i] = msg["value"]
+        clean = True
         return results
     finally:
         for pr in procs:
-            pr.join(timeout=5.0)
-            if pr.is_alive():  # pragma: no cover - hung child
+            # After a failure, survivors wait for frames that never come.
+            pr.join(timeout=5.0 if clean else 0.0)
+            if pr.is_alive():
                 pr.terminate()
         for ring in to_child + to_parent:
             ring.close()

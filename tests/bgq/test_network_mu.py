@@ -1,10 +1,12 @@
 """Tests for the torus network model and messaging unit."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bgq import BGQMachine, BGQParams, MEMFIFO
-from repro.bgq.network import Packet
-from repro.sim import Environment
+from repro.bgq.network import RDMA_DATA, Packet
+from repro.sim import Environment, Process
 
 
 def make_machine(nnodes=2, **kw):
@@ -198,3 +200,111 @@ def test_per_fifo_message_rate_bounded_multiple_fifos_scale():
     t1 = run_with_fifos(1)
     t2 = run_with_fifos(2)
     assert t1 / t2 > 1.5
+
+
+# -- packets fly without processes ----------------------------------------
+
+def _fly_one(dst):
+    """Inject one 512 B packet from node 0 on an idle 2-node machine;
+    returns (engine events it cost, arrival time, reception FIFO)."""
+    env, m, p = make_machine(2)
+    rfifo = m.node(dst).mu.allocate_reception_fifo()
+    env.run()
+    before = env.events_executed
+    done = m.network.inject(
+        Packet(src=0, dst=dst, kind=MEMFIFO, payload_bytes=512, rec_fifo=rfifo.fifo_id)
+    )
+    landed = []
+    done.callbacks = [lambda ev: landed.append(env.now)]
+    env.run()
+    return env.events_executed - before, landed, rfifo
+
+
+def test_routed_packet_costs_three_events():
+    """Reservation flush, flight timeout, completion: nothing else."""
+    events, landed, rfifo = _fly_one(dst=1)
+    assert events == 3
+    assert landed == [1299.2]  # nic 800 + one hop 64 + 544 B at 1.25 B/cycle
+    assert len(rfifo) == 1
+
+
+def test_loopback_packet_costs_two_events():
+    events, landed, rfifo = _fly_one(dst=0)
+    assert events == 2
+    assert landed == [800.0]
+    assert len(rfifo) == 1
+
+
+def _count_processes(monkeypatch):
+    made = []
+    init = Process.__init__
+
+    def counting_init(self, env, gen, name=None):
+        made.append(name)
+        init(self, env, gen, name=name)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    return made
+
+
+def test_rdma_messages_start_no_process_beyond_the_fifo_engines(monkeypatch):
+    env, m, p = make_machine(2)
+    ififo = m.node(0).mu.allocate_injection_fifo()
+    m.node(1).mu.rdma_ififo  # the remote read-response engine, made up front
+    env.run()
+    made = _count_processes(monkeypatch)
+    rget = m.node(0).mu.post_rget(ififo, dst=1, nbytes=8192)
+    rput = m.node(0).mu.make_descriptor(dst=1, nbytes=4096, kind=RDMA_DATA)
+    ififo.post(rput)
+    env.run(until=env.all_of([rget.delivered, rput.delivered]))
+    assert made == []
+    assert m.network.packets_sent == 1 + 16 + 8
+
+
+def test_delivered_fires_at_the_last_arrival_after_its_done():
+    env, m, p = make_machine(2)
+    rfifo = m.node(1).mu.allocate_reception_fifo()
+    ififo = m.node(0).mu.allocate_injection_fifo()
+    inject = m.network.inject
+    order = []
+
+    def recording_inject(packet):
+        done = inject(packet)
+        done._add_callback(lambda ev: order.append(("done", packet.seq, env.now)))
+        return done
+
+    m.network.inject = recording_inject
+    desc = m.node(0).mu.make_descriptor(dst=1, nbytes=2048, rec_fifo=rfifo.fifo_id)
+    desc.delivered._add_callback(lambda ev: order.append(("delivered", None, env.now)))
+    ififo.post(desc)
+    env.run()
+    assert [kind for kind, _, _ in order] == ["done"] * 4 + ["delivered"]
+    last_done, delivered = order[-2], order[-1]
+    assert last_done[1] == 3
+    assert delivered[2] == last_done[2]
+
+
+def test_fault_dup_delivers_twice():
+    env, m, p = make_machine(2)
+    rfifo = m.node(1).mu.allocate_reception_fifo()
+    gap = 100.0
+    m.network.fault = SimpleNamespace(
+        on_route=lambda packet, route: SimpleNamespace(
+            drop=False, extra_delay=0.0, dup_gap=gap
+        )
+    )
+    deliver = m.network.deliver
+    landed = []
+
+    def recording_deliver(packet):
+        landed.append(env.now)
+        deliver(packet)
+
+    m.network.deliver = recording_deliver
+    done = m.network.inject(
+        Packet(src=0, dst=1, kind=MEMFIFO, payload_bytes=512, rec_fifo=rfifo.fifo_id)
+    )
+    env.run()
+    assert done.value.dst == 1
+    assert landed == [1299.2, 1299.2 + gap]
+    assert len(rfifo) == 2

@@ -14,9 +14,9 @@ when the event count left the hash — ``PARENT_DIGEST`` keeps the old
 values and a test proves the move was nothing but that.  The ``events``
 column is regenerated whenever the simulator deliberately schedules
 fewer events at identical simulated times (the compute-chunk wait, the
-listener-less membership change, the wakeup parity event and the
-cancelled ends of re-keyed chunks are gone); a checksum literal never
-is.
+listener-less membership change, the wakeup parity event, the
+cancelled ends of re-keyed chunks and the per-packet flight and
+watcher processes are gone); a checksum literal never is.
 """
 
 import asyncio
@@ -114,21 +114,21 @@ SERIAL_STD = "f33b5a33a722e4b473e20b0ecf7ba51ca3d4a42be0da328923f8299e9b43b403"
 SERIAL_M2M = "5cf40d689e575605d8a8400d679d3647b3dcfc24af116cb9e06391c97041a1f5"
 
 GOLDEN = {
-    ("pingpong", "serial"): (SERIAL_PINGPONG, 653),
-    ("pingpong", "solo"): ("049518b6790e", 653),
-    ("pingpong", "shards1"): (SERIAL_PINGPONG, 617),
-    ("pingpong", "shards2"): (SERIAL_PINGPONG, 629),
-    ("pingpong", "served"): ("049518b6790e", 653),
-    ("namd-std", "serial"): (SERIAL_STD, 6889),
-    ("namd-std", "solo"): ("9adca0637ee1", 14746),
-    ("namd-std", "shards1"): (SERIAL_STD, 5179),
-    ("namd-std", "shards2"): (SERIAL_STD, 5749),
-    ("namd-std", "served"): ("9adca0637ee1", 14746),
-    ("namd-m2m", "serial"): (SERIAL_M2M, 11625),
-    ("namd-m2m", "solo"): ("e40575d6008b", 20050),
-    ("namd-m2m", "shards1"): (SERIAL_M2M, 10131),
-    ("namd-m2m", "shards2"): (SERIAL_M2M, 10629),
-    ("namd-m2m", "served"): ("e40575d6008b", 20050),
+    ("pingpong", "serial"): (SERIAL_PINGPONG, 605),
+    ("pingpong", "solo"): ("049518b6790e", 605),
+    ("pingpong", "shards1"): (SERIAL_PINGPONG, 593),
+    ("pingpong", "shards2"): (SERIAL_PINGPONG, 605),
+    ("pingpong", "served"): ("049518b6790e", 605),
+    ("namd-std", "serial"): (SERIAL_STD, 5537),
+    ("namd-std", "solo"): ("9adca0637ee1", 12370),
+    ("namd-std", "shards1"): (SERIAL_STD, 4967),
+    ("namd-std", "shards2"): (SERIAL_STD, 5537),
+    ("namd-std", "served"): ("9adca0637ee1", 12370),
+    ("namd-m2m", "serial"): (SERIAL_M2M, 8874),
+    ("namd-m2m", "solo"): ("e40575d6008b", 15643),
+    ("namd-m2m", "shards1"): (SERIAL_M2M, 8376),
+    ("namd-m2m", "shards2"): (SERIAL_M2M, 8874),
+    ("namd-m2m", "served"): ("e40575d6008b", 15643),
 }
 
 
@@ -194,7 +194,7 @@ def test_an_event_diet_lowers_counts_and_moves_no_checksum(monkeypatch):
         assert fattened[cell][0] == checksum, cell
         assert fattened[cell][1] > events, cell
     assert [fattened[(w, "serial")][1] for w in ("pingpong", "namd-std", "namd-m2m")] \
-        == [1225, 8505, 15255]
+        == [1177, 7153, 12504]
 
 
 def test_served_sharded_pingpong_has_the_serial_digest():

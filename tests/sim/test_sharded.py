@@ -9,6 +9,8 @@ observe each other (ISSUE satellite: concurrent Environments).
 """
 
 import dataclasses
+import os
+import signal
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.converse.messages import ConverseMessage
 from repro.harness.pingpong import pingpong_run
 from repro.harness.shardbench import run_sharded_namd, run_sharded_pingpong
 from repro.sim import Environment
+from repro.sim.shard import ShardStallError, run_sharded_subprocesses
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -141,6 +144,28 @@ def test_mp_transport_matches_serial():
         pytest.skip(f"shared-memory subprocess transport unavailable: {exc}")
     assert repr(sharded["sim_time"]) == repr(serial["sim_time"])
     assert [repr(t) for t in sharded["rtts"]] == [repr(t) for t in serial["rtts"]]
+
+
+def test_dead_shard_child_is_reported_within_seconds():
+    """A child that dies without an error frame is named within 10 s,
+    not waited on for the 600 s IPC deadline."""
+
+    def build_client(shard_id, nshards):
+        os._exit(3)
+
+    def too_slow(signum, frame):
+        raise AssertionError("dead shard child not reported within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ShardStallError, match=r"shard 0 child exited with exit code 3"):
+            run_sharded_subprocesses(2, 1.0, build_client, fabric=None)
+    except (ImportError, OSError, PermissionError) as exc:
+        pytest.skip(f"shared-memory subprocess transport unavailable: {exc}")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- rank -> endpoint formula -------------------------------------------------
