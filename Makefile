@@ -2,9 +2,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: tier1 test lint trace-test trace-demo trace-gate bench bench-gate bench-smoke chaos shard-gate iso-gate serve-gate obs-gate
+.PHONY: tier1 test lint trace-test trace-demo trace-gate bench bench-gate bench-smoke chaos shard-gate serve-gate
 
-tier1: test bench-smoke bench-gate trace-gate iso-gate serve-gate obs-gate lint  ## full tier-1 flow: tests + gates + lint
+tier1: test bench-smoke bench-gate trace-gate serve-gate lint  ## full tier-1 flow: tests + gates + lint
 # tier1 checks the trajectory without recording it (as CI does), so it
 # leaves `git status` clean; `make bench-gate` alone writes the next record.
 tier1: BENCH_OUT = --json-out BENCH_CI.json
@@ -19,7 +19,9 @@ lint:            ## repro-lint static analysis (determinism + runtime protocol,
 
 bench-gate:      ## benchmark gate: writes the next BENCH_NNNN.json at the repo root
                  ## and exits nonzero on any simulated-time checksum drift vs the
-                 ## prior record of the same scale (EXPERIMENTS.md); host time is
+                 ## prior record of the same scale (EXPERIMENTS.md); a profiled rerun
+                 ## of each serial benchmark must match it exactly, with hotspot
+                 ## attribution concentrated and its top site stable; host time is
                  ## recorded there but judged by `python3 -m bench` (bench/README.md);
                  ## as a `make tier1` leg it checks into the ignored BENCH_CI.json
 	$(PYTHON) -m repro.harness bench $(BENCH_OUT)
@@ -36,27 +38,14 @@ shard-gate:      ## sharded-vs-serial equivalence gate: every gated benchmark mu
                  ## (docs/SCALING.md)
 	$(PYTHON) -m repro.harness shard
 
-iso-gate:        ## concurrent-Environment isolation gate: N independent
-                 ## Environments stepped in adversarial interleaving must
-                 ## checksum bit-identically to solo runs (docs/ANALYSIS.md,
-                 ## G/S rule families); checked-engine mode catches protocol
-                 ## violations the interleaving might expose
-	REPRO_SANITIZE=1 $(PYTHON) -m repro.harness iso
-
-serve-gate:      ## simulation-as-a-service gate: a synthetic many-client load
-                 ## (mixed iso-gate, sharded-PDES and perfmodel jobs across
-                 ## priorities and pacing) over one JobService process; every
-                 ## served job must checksum bit-identically to its solo run
-                 ## (ARCHITECTURE.md, "Simulation as a service")
+serve-gate:      ## concurrency gate: N independent Environments stepped in
+                 ## adversarial interleaving (docs/ANALYSIS.md, G rule family),
+                 ## then a synthetic many-client load (mixed ping-pong, mini-NAMD,
+                 ## sharded-PDES and perfmodel jobs across priorities and pacing)
+                 ## over one JobService process; each must checksum bit-identically
+                 ## to its solo run (ARCHITECTURE.md, "Simulation as a service");
+                 ## checked-engine mode catches protocol violations either exposes
 	REPRO_SANITIZE=1 $(PYTHON) -m repro.harness serve --json-out serve_report.json
-
-obs-gate:        ## host-side observability gate: a profiled run of each gated
-                 ## benchmark must checksum bit-identically to the unprofiled run
-                 ## and the committed BENCH record (cycle neutrality), and hotspot
-                 ## attribution must stay concentrated and stable vs the committed
-                 ## baseline; what profiling costs in host time is measured by
-                 ## `python3 -m bench` (docs/OBSERVABILITY.md)
-	$(PYTHON) -m repro.harness obs --json-out benchmarks/output/obsgate_report.json
 
 chaos:           ## chaos suite: pingpong/m2m/jacobi/lattice under seeded fault
                  ## profiles x delivery-QoS modes with the checked DES engine;

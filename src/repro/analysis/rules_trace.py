@@ -8,7 +8,7 @@ when the facility is off, and every recording call is guarded by
 disabled runs (AttributeError on None) or — worse — forces the
 component to hold a disabled instance, which turns the guard's single
 pointer test into a Python method call per event on the DES hot path.
-``make obs-gate`` and ``make trace-gate`` prove the *shipped* engine is
+``make bench-gate`` and ``make trace-gate`` prove the *shipped* engine is
 neutral; T1 stops a future edit from dropping an unguarded call in.
 """
 

@@ -27,8 +27,6 @@ from ..ioutil import atomic_write_json
 from . import (
     benchgate,
     chaosbench,
-    isogate,
-    obsgate,
     servebench,
     shardbench,
     tracegate,
@@ -38,9 +36,7 @@ from . import (
 GATES = MappingProxyType({
     "bench": benchgate,
     "shard": shardbench,
-    "iso": isogate,
     "serve": servebench,
-    "obs": obsgate,
     "trace": tracegate,
     "chaos": chaosbench,
 })

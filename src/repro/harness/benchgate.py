@@ -26,7 +26,14 @@ Each benchmark records:
   neutral**: any checksum drift against the latest prior record of the
   same scale is a hard failure;
 * ``wall_s`` / ``events`` / ``events_per_sec`` — host-side engine
-  throughput as measured, recorded but never gated.
+  throughput as measured, recorded but never gated;
+* ``profile`` (the three serial benchmarks only) — a summary of a
+  second run inside a :class:`~repro.obs.ProfileSession`.  That run
+  must equal the plain one on checksum and event count (an observer
+  neither perturbs event order nor schedules events), its top-10
+  dispatch sites must cover ≥80% of engine wall time, and the prior
+  record's top site must still appear in it (share drift is a note).
+  The full profiles go to ``benchmarks/output/hotspots_<name>.json``.
 
 Results are written to ``BENCH_NNNN.json`` at the repo root.  See
 EXPERIMENTS.md ("Benchmark gate") for the schema and workflow, and
@@ -43,6 +50,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..converse import RunConfig
+from ..obs import Profile, ProfileSession, write_profile_json
 from .pingpong import pingpong_run
 from .workloads import (
     namd_run,
@@ -61,6 +69,8 @@ __all__ = [
     "bench_serve_load",
     "gate_runners",
     "run_gate",
+    "profile_summary",
+    "check_profiles",
     "compare_records",
     "find_bench_files",
     "next_bench_path",
@@ -72,6 +82,16 @@ __all__ = [
 
 #: Benchmarks the gate runs, in order.
 GATE_BENCHMARKS: Tuple[str, ...] = ("pingpong", "fig3_m2m", "fig10_window")
+
+#: The top-N dispatch sites of each profile must cover this share of
+#: engine wall time: a profiler that dumps most time into a long tail
+#: of unmergeable one-off names is useless for choosing what to speed up.
+COVERAGE_MIN = 0.80
+COVERAGE_TOP = 10
+#: Sites kept per benchmark in the record's ``profile`` summary.
+PROFILE_TOP = 5
+#: Where the full per-benchmark profiles land, under ``--root``.
+PROFILE_DIR = pathlib.Path("benchmarks/output")
 
 _BENCH_RE = re.compile(r"^BENCH_(\d{4})\.json$")
 
@@ -193,10 +213,9 @@ def gate_runners(scale: str = "full") -> Dict[str, "Callable[[], dict]"]:
     """Zero-arg runners for the three :data:`GATE_BENCHMARKS`, by name.
 
     The single source of truth for what "run ``pingpong`` at ``scale``"
-    means: :func:`run_gate` composes these into the BENCH record,
-    and ``repro.harness.obsgate`` replays the *same* runners off/on
-    under profiling — so the obs-gate's cycle-neutrality claim is about
-    exactly the workloads the BENCH trajectory gates, not lookalikes.
+    means: :func:`run_gate` runs each one plain for the BENCH record,
+    then once more under profiling — so the profiler's cycle-neutrality
+    claim is about exactly the workloads the trajectory gates.
     """
     if scale == "tiny":
         return {
@@ -215,20 +234,114 @@ def gate_runners(scale: str = "full") -> Dict[str, "Callable[[], dict]"]:
     }
 
 
-def run_gate(scale: str = "full") -> Dict[str, dict]:
+def run_gate(
+    scale: str = "full",
+) -> Tuple[Dict[str, dict], Dict[str, Tuple[dict, Profile]]]:
     """Run every gated benchmark; ``scale="tiny"`` for fast self-tests.
 
+    Returns ``(benchmarks, profiled)``: the record's entries, and for
+    each serial benchmark its second run inside a
+    :class:`~repro.obs.ProfileSession` with that profile (summarised
+    in the entry's ``profile``).
     Full scale additionally records the two large-node sharded-engine
     runs (the paper's 128-512 node regime, simulated for real rather
     than through the analytic model — docs/SCALING.md) and the served
     load.
     """
-    out = {name: run() for name, run in gate_runners(scale).items()}
+    out: Dict[str, dict] = {}
+    profiled: Dict[str, Tuple[dict, Profile]] = {}
+    for name, run in gate_runners(scale).items():
+        out[name] = run()
+        with ProfileSession(name) as session:
+            rerun = run()
+        profile = session.profile()
+        out[name]["profile"] = profile_summary(profile)
+        profiled[name] = (rerun, profile)
     if scale != "tiny":
         out["pingpong_512n_sharded"] = bench_pingpong_512n_sharded()
         out["fig3_m2m_128n_sharded"] = bench_fig3_m2m_128n_sharded()
         out["serve_load"] = bench_serve_load()
-    return out
+    return out, profiled
+
+
+def profile_summary(profile: Profile) -> Dict[str, Any]:
+    """The record's ``profile`` field: top sites, coverage, event count."""
+    return {
+        "total_events": profile.total_count,
+        "coverage_top10": round(profile.coverage(COVERAGE_TOP), 4),
+        "top": [
+            {
+                "event_type": node["event_type"],
+                "owner": node["owner"],
+                "share": round(node["share"], 4),
+                "count": node["count"],
+            }
+            for node in profile.top(PROFILE_TOP)
+        ],
+    }
+
+
+def check_profiles(
+    benchmarks: Dict[str, dict],
+    profiled: Dict[str, Tuple[dict, Profile]],
+    prior: dict,
+) -> Tuple[List[str], List[str]]:
+    """Gate each profiled rerun against its plain run and ``prior``.
+
+    Returns (failures, notes).  The rerun must equal the plain run on
+    checksum and event count, and its top-10 sites must cover
+    :data:`COVERAGE_MIN`.  The *identity* of the top site in ``prior``
+    (the prior same-scale record, ``{}`` if none) is gated: its
+    disappearance means broken attribution or a restructured engine,
+    and a deliberate move is recorded once as a failing BENCH record.
+    Share drift is a note, since shares are host time.
+    """
+    failures: List[str] = []
+    notes: List[str] = []
+    prior_id = prior.get("id", "the prior record")
+    for name, (rerun, profile) in profiled.items():
+        plain = benchmarks[name]
+        off, on = plain["checksum"], rerun["checksum"]
+        if (on, rerun["events"]) != (off, plain["events"]):
+            failures.append(
+                f"{name}: profiled run ({on[:12]}, {rerun['events']} "
+                f"events) != unprofiled ({off[:12]}, {plain['events']} "
+                "events) (HARD FAIL) — an observer must neither perturb "
+                "event order nor schedule events of its own"
+            )
+        coverage = profile.coverage(COVERAGE_TOP)
+        if coverage < COVERAGE_MIN:
+            failures.append(
+                f"{name}: top-{COVERAGE_TOP} sites cover only "
+                f"{coverage * 100:.1f}% of engine wall time "
+                f"(< {COVERAGE_MIN * 100:.0f}%) — attribution too shattered"
+            )
+        notes.append(
+            f"{name:22s} profiled: top-{COVERAGE_TOP} coverage {coverage * 100:.1f}%"
+        )
+        if name not in prior.get("benchmarks", {}):
+            continue
+        top = prior["benchmarks"][name].get("profile", {}).get("top")
+        if not top:
+            notes.append(f"{name}: no profile in {prior_id} — top site not gated")
+            continue
+        key = (top[0]["event_type"], top[0]["owner"])
+        node = next(
+            (n for n in profile.nodes if (n["event_type"], n["owner"]) == key),
+            None,
+        )
+        if node is None:
+            failures.append(
+                f"{name}: top dispatch site {key[0]}/{key[1]} of {prior_id} "
+                "absent from this run's profile — attribution broke or the "
+                "engine was restructured"
+            )
+            continue
+        notes.append(
+            f"{name}: top site {key[0]}/{key[1]} share {node['share'] * 100:.1f}% "
+            f"({prior_id} {top[0]['share'] * 100:.1f}%)"
+        )
+    return failures, notes
 
 
 def find_bench_files(root: pathlib.Path) -> List[pathlib.Path]:
@@ -277,14 +390,21 @@ def latest_record(
 def compare_records(baseline: dict, current: dict) -> Tuple[List[str], List[str]]:
     """Compare two gate records; returns (failures, notes).
 
-    Any simulated-time checksum difference is a hard failure.
-    Checksums are portable across machines, so CI and the dev box gate
-    identically; the records' wall-clock fields are not compared.
+    Any simulated-time checksum difference is a hard failure, and so is
+    a benchmark of the baseline missing from ``current``.  Checksums are
+    portable across machines, so CI and the dev box gate identically;
+    the records' wall-clock fields are not compared.
     """
     failures: List[str] = []
     notes: List[str] = []
     base_b = baseline.get("benchmarks", {})
-    for name, c in current.get("benchmarks", {}).items():
+    cur_b = current.get("benchmarks", {})
+    for name in sorted(set(base_b) - set(cur_b)):
+        failures.append(
+            f"{name}: in the baseline record but not in this run (HARD FAIL) "
+            "— a gated benchmark may not vanish from the trajectory"
+        )
+    for name, c in cur_b.items():
         if name not in base_b:
             notes.append(f"{name}: no baseline entry (new benchmark)")
             continue
@@ -321,8 +441,9 @@ def gate(args) -> Tuple[List[str], List[str], Dict[str, Any]]:
     if args.json_out is None:
         args.json_out = next_bench_path(root)
     prior = latest_record(root, args.scale, exclude=args.json_out)
+    baseline = prior[1] if prior is not None else {}
 
-    benchmarks = run_gate(scale=args.scale)
+    benchmarks, profiled = run_gate(scale=args.scale)
     record = {
         "schema": 1,
         "id": args.json_out.stem,
@@ -335,13 +456,18 @@ def gate(args) -> Tuple[List[str], List[str], Dict[str, Any]]:
         f"{b['events_per_sec']:>10,.0f} ev/s  checksum {b['checksum'][:12]}"
         for name, b in benchmarks.items()
     ]
+    failures, profile_notes = check_profiles(benchmarks, profiled, baseline)
+    notes += profile_notes
+    profile_dir = root / PROFILE_DIR
+    profile_dir.mkdir(parents=True, exist_ok=True)
+    for name, (_, profile) in profiled.items():
+        write_profile_json(profile, profile_dir / f"hotspots_{name}.json")
     if prior is None:
         notes.append(
             f"no prior {args.scale}-scale BENCH_*.json under {root} — "
-            "recorded baseline, nothing to gate"
+            "recorded baseline, nothing to gate the trajectory against"
         )
-        return [], notes, record
-    baseline_path, baseline = prior
-    failures, compared = compare_records(baseline, record)
-    notes.append(f"compared against {baseline_path.name}")
-    return failures, notes + compared, record
+        return failures, notes, record
+    drift, compared = compare_records(baseline, record)
+    notes.append(f"compared against {prior[0].name}")
+    return failures + drift, notes + compared, record

@@ -1,8 +1,9 @@
-"""Concurrent-Environment isolation gate (``make iso-gate``).
+"""Concurrent-Environment isolation: the workloads and the interleaver.
 
 The whole-program lint families prove *statically* that no module-level
 mutable state can leak between simulator instances (rules G1-G4, see
-docs/ANALYSIS.md).  This harness proves it *dynamically*: N independent
+docs/ANALYSIS.md).  The serve gate (:mod:`repro.harness.servebench`)
+proves it *dynamically* with :func:`run_interleaved`: N independent
 :class:`~repro.sim.Environment` instances are built in one process and
 stepped in an adversarial round-robin interleaving (varying stride per
 instance per turn), and every instance must produce a **bit-identical**
@@ -30,16 +31,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..converse import RunConfig
 from .pingpong import FIG4_MODES
-from .workloads import Instance, build_namd, build_pingpong, run_instance
+from .workloads import Instance, build_namd, build_pingpong
 
 __all__ = [
     "build_pingpong_instance",
     "build_namd_instance",
     "gate_workloads",
-    "run_solo",
     "run_interleaved",
-    "isolation_gate",
-    "gate",
 ]
 
 #: Per-turn step strides; instance ``i`` advances ``STRIDES[(turn + i) %
@@ -104,13 +102,6 @@ def gate_workloads(scale: str = "full") -> List[Tuple[str, Callable[[], Instance
     return workloads
 
 
-def run_solo(build: Callable[[], Instance]) -> Tuple[str, str]:
-    """Run one workload alone via the normal run path; return (name, checksum)."""
-    inst = build()
-    run_instance(inst)
-    return inst.name, inst.checksum()
-
-
 def run_interleaved(
     builders: Sequence[Callable[[], Instance]],
     strides: Sequence[int] = STRIDES,
@@ -146,39 +137,3 @@ def run_interleaved(
     for inst in instances:
         inst.stop()
     return {inst.name: inst.checksum() for inst in instances}
-
-
-def isolation_gate(scale: str = "full") -> Dict[str, dict]:
-    """Solo pass, then fresh interleaved pass; compare checksums.
-
-    Returns ``{name: {"solo": cs, "interleaved": cs, "ok": bool}}``.
-    """
-    workloads = gate_workloads(scale)
-    solo = {name: run_solo(build)[1] for name, build in workloads}
-    inter = run_interleaved([build for _, build in workloads])
-    return {
-        name: {
-            "solo": solo[name],
-            "interleaved": inter[name],
-            "ok": solo[name] == inter[name],
-        }
-        for name, _ in workloads
-    }
-
-
-def gate(args) -> Tuple[List[str], List[str], Dict[str, object]]:
-    """The ``iso`` gate: (failures, notes, report body)."""
-    report = isolation_gate(args.scale)
-    failures = [
-        f"{name}: diverged under interleaving (solo {rec['solo']} != "
-        f"interleaved {rec['interleaved']})"
-        for name, rec in report.items() if not rec["ok"]
-    ]
-    notes = [
-        f"{name:32s} solo {rec['solo']}  interleaved {rec['interleaved']}"
-        for name, rec in report.items()
-    ]
-    notes.append(
-        f"{len(report)} concurrent Environments, adversarial interleaving"
-    )
-    return failures, notes, {"instances": report}

@@ -1,19 +1,25 @@
-"""Serve-gate: synthetic many-client load over the job service.
+"""Serve-gate: concurrent Environments, then many-client load over the job service.
 
-``make iso-gate`` proves the engine-level property (interleaved
-Environments checksum bit-identically to solo runs); this harness
-proves the *service-level* consequence end to end: N clients submit
-simulation jobs to one :class:`~repro.serve.JobService` process —
-mixed workloads, mixed priorities, mixed pacing — and **every job's
-result checksum must equal the same workload run solo** through the
-normal ``run(until=event)`` path.  On top of the correctness gate it
-records the service-shaped load numbers (jobs/sec, p50/p99
-submit-to-done latency, calibration-cache hit rate) that
-``BENCH_NNNN.json`` archives as the ``serve_load`` benchmark.
+Both halves are checked against one solo pass — every workload run
+alone through the normal ``run(until=event)`` path:
+
+1. **Engine level.**  The isolation workloads
+   (:func:`repro.harness.isogate.gate_workloads`) are built as
+   independent Environments in one process and stepped in an
+   adversarial round-robin interleaving (:data:`~repro.harness.isogate.STRIDES`);
+   each must checksum bit-identically to its solo run, the dynamic
+   proof of lint rules G1-G4.
+2. **Service level.**  N clients submit simulation jobs to one
+   :class:`~repro.serve.JobService` process — mixed workloads, mixed
+   priorities, mixed pacing — and **every job's result checksum must
+   equal the same workload run solo**.  On top of the correctness gate
+   it records the service-shaped load numbers (jobs/sec, p50/p99
+   submit-to-done latency, calibration-cache hit rate) that
+   ``BENCH_NNNN.json`` archives as the ``serve_load`` benchmark.
 
 Workload mix (full scale, 9 distinct jobs x :data:`REPEATS` copies):
 
-* the six iso-gate workloads (Converse ping-pongs in four run modes +
+* the six isolation workloads (Converse ping-pongs in four run modes +
   two Charm mini-NAMD runs) as :class:`~repro.serve.EnvTask` jobs;
 * one sharded conservative-PDES ping-pong as a
   :class:`~repro.serve.ShardedTask` job (windowed advancement
@@ -37,7 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..serve import DONE, EnvTask, JobService, JobSpec, ModelTask, ShardedTask
-from .isogate import gate_workloads
+from .isogate import STRIDES, gate_workloads, run_interleaved
 from .report import format_serve_metrics
 from .workloads import Instance
 
@@ -54,8 +60,8 @@ __all__ = [
 ]
 
 #: Per-copy pacing values — distinct slice sizes shift which jobs share
-#: the loop at any instant, the serve-level analogue of the iso-gate's
-#: stride rotation.
+#: the loop at any instant, the serve-level analogue of the interleave
+#: pass's stride rotation (:data:`~repro.harness.isogate.STRIDES`).
 SLICE_CYCLE: Tuple[int, ...] = (32, 96, 256)
 #: Per-copy priorities: copies land in different priority bands, so the
 #: heap reorders execution relative to submission order.
@@ -231,7 +237,7 @@ def run_serve_load(
     metrics_out: Optional[Path] = None,
     prom_out: Optional[Path] = None,
 ) -> Dict[str, Any]:
-    """The benchmark body: solo oracle pass, then the served load.
+    """The benchmark body: solo oracle pass, interleave pass, served load.
 
     Returns a JSON-friendly report::
 
@@ -239,6 +245,7 @@ def run_serve_load(
          "latency_p50_s", "latency_p99_s", "cache": {...},
          "events": total engine events across jobs,
          "serve_metrics": live-metrics snapshot (JobService.metrics),
+         "interleaved": {name: {"checksum", "solo", "ok"}},
          "jobs": {job_id: {"name", "state", "checksum", "solo",
                            "ok", "latency_s"}}}
 
@@ -251,6 +258,9 @@ def run_serve_load(
     # The oracle pass builds model tasks uncached (service=None): served
     # cache hits must still match the uncached solo evaluation.
     solo = solo_checksums(serve_workloads(scale))
+    interleaved = run_interleaved(
+        [build for _, build in gate_workloads(scale)], STRIDES
+    )
 
     jobs, wall_s, service = asyncio.run(_drive_load(scale))
     cache_stats = service.cache.stats()
@@ -287,6 +297,10 @@ def run_serve_load(
         "cache": cache_stats,
         "events": events,
         "serve_metrics": serve_metrics,
+        "interleaved": {
+            name: {"checksum": cs, "solo": solo[name], "ok": cs == solo[name]}
+            for name, cs in interleaved.items()
+        },
         "jobs": report_jobs,
     }
 
@@ -304,6 +318,16 @@ def serve_gate(
         failures.append(
             f"load too small: {report['njobs']} jobs (< 8 concurrent jobs)"
         )
+    for name, rec in report["interleaved"].items():
+        if not rec["ok"]:
+            failures.append(
+                f"{name}: diverged under interleaving (solo {rec['solo']} != "
+                f"interleaved {rec['checksum']})"
+            )
+    notes.append(
+        f"{len(report['interleaved'])} Environments interleaved "
+        f"(strides {STRIDES}), each checked against its solo run"
+    )
     for job_id, rec in sorted(report["jobs"].items()):
         if rec["ok"]:
             notes.append(

@@ -4,9 +4,10 @@ Two complementary layers (docs/OBSERVABILITY.md):
 
 * :mod:`repro.obs.profiler` — a deterministic, opt-in hotspot profiler
   for the simulation engine's dispatch loop.  Cycle-neutral when off
-  (``Environment.profiler is None``), ≤5% overhead when on, and the
-  profiled run's simulated times are bit-identical to an unprofiled
-  run — both enforced by ``make obs-gate``.
+  (``Environment.profiler is None``), and the profiled run's simulated
+  times and event count are identical to an unprofiled run's — the
+  bench gate (``make bench-gate``) enforces it; the overhead when on is
+  measured by ``python3 -m bench`` (``obs.profiler_overhead_ratio``).
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram instruments with
   labels, explicit buckets, JSON snapshots and Prometheus text
   exposition, instrumenting the serve runtime (``JobService.metrics``).

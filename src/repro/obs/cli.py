@@ -7,8 +7,8 @@ Verbs:
   lines (feed to ``flamegraph.pl`` or paste into speedscope)
 * ``compare BEFORE.json AFTER.json [--top N]`` — per-site share deltas
 
-Profiles come from ``make obs-gate`` (committed baseline plus the
-per-benchmark reports under ``benchmarks/output/``) or from any code
+Profiles come from ``make bench-gate`` (one per serial benchmark under
+``benchmarks/output/``, summarised in each ``BENCH_NNNN.json``) or from any code
 using :class:`repro.obs.ProfileSession` directly.  A profile that is
 missing, not JSON or not a profile exits 2 with one line on stderr
 naming the path and the problem.
@@ -40,7 +40,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_hot = sub.add_parser("hotspots", help="ranked dispatch-site table")
-    p_hot.add_argument("profile", help="profile JSON (from obs-gate or ProfileSession)")
+    p_hot.add_argument("profile", help="profile JSON (from bench-gate or ProfileSession)")
     p_hot.add_argument("--top", type=int, default=10, help="rows to show")
 
     p_flame = sub.add_parser("flame", help="collapsed-stack flamegraph lines")

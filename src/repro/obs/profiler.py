@@ -17,7 +17,8 @@ is owned here.  Design constraints, in order:
 1. **Cycle-neutral when off.** ``Environment.profiler`` is ``None``
    unless a :class:`ProfileSession` is active at construction time; the
    unprofiled loop pays one ``is not None`` test of a local per event.
-   ``make obs-gate`` proves checksums are bit-identical either way.
+   The bench gate (``make bench-gate``) proves checksums are
+   bit-identical either way.
 2. **Deterministic.** Profiling only *reads* ``perf_counter_ns``; it
    never schedules from it and never perturbs pop order — there is no
    second loop to keep in step, profiled and unprofiled runs execute
@@ -34,9 +35,9 @@ is owned here.  Design constraints, in order:
    jittered so periodic workloads cannot alias with the stride;
    ``stride=1`` is exact per-event mode.  All name resolution,
    normalization and aggregation happen at export time in
-   :meth:`ProfileSession.profile`.  Budget: ≤5% overhead, enforced by
-   ``make obs-gate`` (interleaved median, the tracer-overhead
-   methodology).
+   :meth:`ProfileSession.profile`.  What sampling costs is host time,
+   measured by ``python3 -m bench --trace 1``
+   (``obs.profiler_overhead_ratio``).
 
 The accumulator record layout is ``[count, nanos, deque_pops,
 heap_pops, span_first, span_last]``.  The span fields hold the first/
@@ -238,7 +239,7 @@ class Profile:
     descending wall time (ties broken lexically, so exports are
     deterministic for a given set of measurements).  Wall-time *shares*
     are fractions of the profile's own total, so the top-N coverage the
-    obs-gate checks (≥80%) is well defined without any external
+    bench gate checks (≥80%) is well defined without any external
     reference.
     """
 

@@ -6,7 +6,7 @@ tooling: one process runs N independent simulation jobs concurrently on
 an asyncio event loop, each job a private deterministic
 :class:`~repro.sim.Environment` advanced in cooperative slices through
 the public ``peek()``/``step()`` surface.  The whole design leans on the
-isolation property ``make iso-gate`` proves (PR 8): interleaved
+isolation property the serve gate's interleave pass proves: interleaved
 execution is bit-identical to solo execution, so serving adds
 throughput without touching results.  ``make serve-gate``
 (:mod:`repro.harness.servebench`) re-proves that end to end under a

@@ -12,8 +12,8 @@ service-side record that tracks its lifecycle::
 Concurrency contract (the paper's theme, applied to the service): every
 job owns a private :class:`~repro.sim.Environment`, so N jobs can
 interleave on one event loop with **bit-identical** results to solo
-runs — the property ``make iso-gate`` proves and ``make serve-gate``
-re-proves under real service load.  A per-job *session mutex*
+runs — the property ``make serve-gate`` proves for interleaved
+Environments and re-proves under real service load.  A per-job *session mutex*
 (``Job.mutex``) serializes lifecycle transitions between the executing
 worker and control-plane calls (``cancel``, shutdown), never the
 stepping itself.

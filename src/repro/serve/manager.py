@@ -10,7 +10,7 @@ jobs multiplexed onto one process.  Architecture:
   their :class:`~repro.serve.task.SimTask` in *cooperative slices*:
   ``task.advance(spec.slice_events)`` then ``await asyncio.sleep(0)``,
   so concurrent jobs interleave at slice granularity while each
-  Environment's internal event order is untouched (the iso-gate
+  Environment's internal event order is untouched (the isolation
   property makes this bit-identical to solo execution).
 * **session mutex** — each job's ``mutex`` serializes lifecycle
   transitions between its executing worker and control-plane calls

@@ -9,8 +9,9 @@ service's job classes:
 
 * :class:`EnvTask` — one :class:`~repro.sim.Environment` advanced
   through the **public** ``peek()``/``step()``/``Event.processed``
-  surface only (lint rule P3; the exact oracle ``make iso-gate``
-  validates, so interleaved execution is bit-identical to solo);
+  surface only (lint rule P3; the exact oracle the serve gate's
+  interleave pass validates, so interleaved execution is bit-identical
+  to solo);
 * :class:`ShardedTask` — a windowed conservative-PDES run
   (:mod:`repro.sim.shard`): each ``advance()`` executes one
   barrier-to-barrier window across all shard Environments;
@@ -74,11 +75,11 @@ class SimTask(Protocol):
 class EnvTask:
     """A single-Environment simulation advanced via peek()/step().
 
-    Exactly the iso-gate execution model: stepping stops the moment
-    ``done`` is processed — the same stopping point as
+    Exactly the ``isogate.run_interleaved`` execution model: stepping
+    stops the moment ``done`` is processed — the same stopping point as
     ``env.run(until=done)`` — so the checksum can differ from a solo
     run only through cross-instance interference, which the G/S lint
-    families and the iso-gate exclude.
+    families and the serve gate exclude.
     """
 
     def __init__(

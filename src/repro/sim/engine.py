@@ -43,7 +43,7 @@ same simulated times — but cheaper on the host:
   dicts on the hot path).
 
 The only other copy of pop-merge-dispatch is the body of an *un-hooked*
-``step()``: the serve layer and the iso-gate drive whole runs through
+``step()``: the serve layer and the serve gate's interleave pass drive whole runs through
 ``peek()``/``step()``, and a budgeted turn of the loop per call measured
 100-150 ns/event dearer.  The drive-mode matrix in
 ``tests/sim/test_determinism.py`` holds the two to one trajectory, and
@@ -512,7 +512,7 @@ class Environment:
         #: off (the hard zero-cost switch, mirroring ``tracer``).  An
         #: active :class:`repro.obs.ProfileSession` attaches one at
         #: construction; profiling only *measures* — simulated times
-        #: stay bit-identical (``make obs-gate`` proves it).
+        #: stay bit-identical (``make bench-gate`` proves it).
         factory = _PROFILER_FACTORY[0]
         self.profiler = factory(self) if factory is not None else None
 

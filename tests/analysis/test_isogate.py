@@ -1,6 +1,6 @@
-"""The concurrent-Environment isolation gate is itself a sound oracle.
+"""The serve gate's interleave pass is itself a sound oracle.
 
-Beyond "the shipped workloads pass", the gate must *fail* when
+Beyond "the shipped workloads pass", the pass must *fail* when
 instances genuinely share mutable state — otherwise it proves nothing.
 The leak test builds a workload pair coupled through one shared list
 (exactly the module-global shape rules G1/G4 forbid) and asserts the
@@ -12,22 +12,25 @@ import json
 import pytest
 
 from repro.harness.__main__ import main
-from repro.harness.isogate import (
-    STRIDES,
-    gate_workloads,
-    isolation_gate,
-    run_interleaved,
-    run_solo,
-)
-from repro.harness.workloads import Instance
+from repro.harness.isogate import STRIDES, gate_workloads, run_interleaved
+from repro.harness.servebench import serve_workloads, solo_checksums
+from repro.harness.workloads import Instance, run_instance
 from repro.sim import Environment
 
 
+def solo(build):
+    """One workload alone through the normal ``run(until=done)`` path."""
+    inst = build()
+    run_instance(inst)
+    return inst.checksum()
+
+
 def test_tiny_gate_is_bit_identical():
-    report = isolation_gate(scale="tiny")
-    assert len(report) == 4
-    for name, rec in report.items():
-        assert rec["ok"], f"{name}: {rec['solo']} != {rec['interleaved']}"
+    workloads = gate_workloads("tiny")
+    inter = run_interleaved([build for _, build in workloads])
+    assert len(inter) == 4
+    for name, build in workloads:
+        assert inter[name] == solo(build), name
 
 
 def test_workload_builders_are_fresh_each_call():
@@ -38,10 +41,12 @@ def test_workload_builders_are_fresh_each_call():
 
 
 def test_solo_matches_plain_run_path():
-    """run_solo goes through env.run(until=done) — the production path."""
-    _, build = gate_workloads("tiny")[0]
-    name, cs = run_solo(build)
-    assert name and len(cs) == 12
+    """The serve gate's one solo map (EnvTasks run to done) is the plain
+    ``run_instance`` digest, so the interleaved pass can be held to it."""
+    served_solo = solo_checksums(serve_workloads("tiny"))
+    for name, build in gate_workloads("tiny"):
+        assert served_solo[name] == solo(build)
+        assert len(served_solo[name]) == 12
 
 
 def _leaky_builder(shared):
@@ -81,32 +86,23 @@ def _leaky_builder(shared):
 def test_gate_detects_shared_mutable_state():
     shared = []
     build_a = _leaky_builder(shared)
-    shared_b = shared  # same object: the leak
-    build_b = _leaky_builder(shared_b)
-
-    solo = {}
-    for build in (build_a, build_b):
-        shared.clear()
-        _, cs = run_solo(build)
-        solo.setdefault("leaky", []).append(cs)
+    build_b = _leaky_builder(shared)  # same list: the leak
 
     shared.clear()
-    inter = run_interleaved([build_a])  # alone: matches solo
-    assert inter["leaky"] == solo["leaky"][0]
+    alone = solo(build_a)
 
     shared.clear()
-    # Two coupled instances interleaved: run_interleaved keys by name,
-    # so give the second a distinguishable wrapper.
-    insts = {}
+    assert run_interleaved([build_a])["leaky"] == alone  # alone: matches solo
 
     def build_b_named():
         inst = build_b()
         inst.name = "leaky-2"
         return inst
 
+    shared.clear()
     inter = run_interleaved([build_a, build_b_named])
-    assert inter["leaky"] != solo["leaky"][0], (
-        "the gate failed to detect deliberately shared state"
+    assert inter["leaky"] != alone, (
+        "the interleave pass failed to detect deliberately shared state"
     )
 
 
@@ -114,18 +110,21 @@ def test_interleaving_strides_vary():
     assert len(set(STRIDES)) > 1
 
 
+@pytest.mark.slow
 def test_main_tiny_json_report(tmp_path, capsys):
-    out = tmp_path / "iso.json"
-    assert main(["iso", "--scale", "tiny", "--json-out", str(out)]) == 0
+    out = tmp_path / "serve.json"
+    assert main(["serve", "--scale", "tiny", "--json-out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["gate"] == "iso" and report["pass"] is True
-    assert len(report["instances"]) == 4
-    assert all(rec["ok"] for rec in report["instances"].values())
-    assert "iso: PASS" in capsys.readouterr().out
+    assert report["gate"] == "serve" and report["pass"] is True
+    assert len(report["interleaved"]) == 4
+    assert all(rec["ok"] for rec in report["interleaved"].values())
+    assert "serve: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.slow
 def test_full_gate_includes_charm_layer():
-    report = isolation_gate(scale="full")
-    assert "namd/std-PME" in report and "namd/m2m-PME" in report
-    assert all(rec["ok"] for rec in report.values())
+    workloads = gate_workloads("full")
+    inter = run_interleaved([build for _, build in workloads])
+    assert "namd/std-PME" in inter and "namd/m2m-PME" in inter
+    for name, build in workloads:
+        assert inter[name] == solo(build), name

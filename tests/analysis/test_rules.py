@@ -234,7 +234,7 @@ def test_o1_scoped_to_engine_hot_paths():
     assert t1.applies_to("src/repro/converse/machine.py")
     assert not t1.applies_to("src/repro/obs/profiler.py")
     assert not t1.applies_to("src/repro/serve/manager.py")
-    assert not t1.applies_to("src/repro/harness/obsgate.py")
+    assert not t1.applies_to("src/repro/harness/benchgate.py")
 
 
 def _t1_on_shipped_hot_paths():

@@ -66,8 +66,8 @@ def test_bench_fig3_is_deterministic_across_runs():
 
 @pytest.mark.slow
 def test_run_gate_tiny_covers_all_benchmarks():
-    out = run_gate(scale="tiny")
-    assert set(out) == set(GATE_BENCHMARKS)
+    out, profiled = run_gate(scale="tiny")
+    assert set(out) == set(profiled) == set(GATE_BENCHMARKS)
     for rec in out.values():
         assert rec["events"] > 0
         assert rec["checksum"] == _checksum(rec["sim_times"])
@@ -126,6 +126,15 @@ def test_compare_new_benchmark_is_note_not_failure():
     failures, notes = compare_records(_record_with(), _record_with(x=_rec(1.0)))
     assert failures == []
     assert any("no baseline" in n for n in notes)
+
+
+def test_compare_vanished_benchmark_is_a_failure():
+    """A benchmark of the prior record missing from this run used to
+    compare as ([], []) — the trajectory could lose a row silently."""
+    base = _record_with(pingpong=_rec(1.0), serve_load=_rec(1.0))
+    failures, _ = compare_records(base, _record_with(pingpong=_rec(1.0)))
+    assert len(failures) == 1
+    assert failures[0].startswith("serve_load: in the baseline record but not")
 
 
 def test_checksum_is_order_independent():
@@ -204,7 +213,7 @@ def test_json_out_parent_directory_is_created(tmp_path, monkeypatch):
     """`--out sub/dir/x.json` used to raise FileNotFoundError."""
     from repro.harness import benchgate
 
-    monkeypatch.setattr(benchgate, "run_gate", lambda scale: {})
+    monkeypatch.setattr(benchgate, "run_gate", lambda scale: ({}, {}))
     out = tmp_path / "sub" / "dir" / "x.json"
     assert main(["--root", str(tmp_path), "--json-out", str(out)]) == 0
     assert json.loads(out.read_text())["id"] == "x"

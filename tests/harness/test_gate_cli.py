@@ -2,7 +2,7 @@
 
 Every gate gets the same closing line, report envelope and exit status
 from ``harness/__main__.py``; these tests pin that contract with a stub
-gate, then drive the real iso gate red through the CLI.
+gate, then drive the real serve gate red through the CLI.
 """
 
 import json
@@ -11,7 +11,7 @@ import types
 import pytest
 
 from repro.harness import __main__ as cli
-from repro.harness import isogate
+from repro.harness import servebench
 from repro.harness.workloads import Instance
 from repro.sim import Environment
 
@@ -62,18 +62,17 @@ def test_unknown_gate_name_is_exit_2(capsys):
 
 
 def test_every_shipped_gate_is_registered():
-    assert sorted(cli.GATES) == [
-        "bench", "chaos", "iso", "obs", "serve", "shard", "trace",
-    ]
+    assert sorted(cli.GATES) == ["bench", "chaos", "serve", "shard", "trace"]
     assert all(callable(module.gate) for module in cli.GATES.values())
 
 
-def test_coupled_instances_turn_the_iso_gate_red_through_the_cli(
+@pytest.mark.slow
+def test_coupled_instances_turn_the_serve_gate_red_through_the_cli(
     tmp_path, capsys, monkeypatch
 ):
-    """The gate is only worth its green if shared state turns it red:
-    two instances coupled through one list (the module-global shape
-    lint rules G1/G4 forbid) must fail `iso` end to end."""
+    """The interleave pass is only worth its green if shared state turns
+    it red: two instances coupled through one list (the module-global
+    shape lint rules G1/G4 forbid) must fail `serve` end to end."""
     shared = []
 
     def leaky(name):
@@ -96,14 +95,14 @@ def test_coupled_instances_turn_the_iso_gate_red_through_the_cli(
         return build
 
     monkeypatch.setattr(
-        isogate, "gate_workloads",
+        servebench, "gate_workloads",
         lambda scale: [(name, leaky(name)) for name in ("leaky-a", "leaky-b")],
     )
-    out = tmp_path / "iso.json"
-    assert cli.main(["iso", "--scale", "tiny", "--json-out", str(out)]) == 1
+    out = tmp_path / "serve.json"
+    assert cli.main(["serve", "--scale", "tiny", "--json-out", str(out)]) == 1
     report = json.loads(out.read_text())
     assert report["pass"] is False
-    assert not any(rec["ok"] for rec in report["instances"].values())
+    assert not any(rec["ok"] for rec in report["interleaved"].values())
     captured = capsys.readouterr()
-    assert "diverged under interleaving" in captured.err
-    assert captured.out.rstrip().splitlines()[-1].startswith("iso: FAIL")
+    assert "leaky-a: diverged under interleaving" in captured.err
+    assert captured.out.rstrip().splitlines()[-1].startswith("serve: FAIL")

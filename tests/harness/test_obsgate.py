@@ -1,14 +1,17 @@
-"""Obs-gate self-tests (tiny scale) and baseline-diff logic."""
+"""The bench gate's profiled pass: an observer changes nothing it observes.
+
+Each serial benchmark runs once more inside a ``ProfileSession``; the
+checks here were a gate of their own (``obs``) until the bench gate,
+which already ran the unprofiled half, took them over.
+"""
+
+import json
 
 import pytest
 
+from repro.harness import benchgate
 from repro.harness.__main__ import main as harness_main
-from repro.harness.obsgate import (
-    BASELINE_TOP,
-    baseline_summary,
-    _check_baseline,
-    obs_gate,
-)
+from repro.harness.benchgate import PROFILE_TOP, check_profiles, profile_summary
 from repro.obs import Profile
 
 
@@ -27,27 +30,37 @@ def fake_profile(label, owner="Process._resume:pe*"):
     )
 
 
-@pytest.mark.slow
-def test_obs_gate_tiny_passes():
-    failures, notes, report, profiles = obs_gate(scale="tiny")
-    assert failures == [], failures
-    assert set(report["benchmarks"]) == {"pingpong", "fig3_m2m", "fig10_window"}
-    for name, entry in report["benchmarks"].items():
-        # checksum recorded and identical off/on (else the gate would
-        # have failed above)
-        assert entry["checksum"]
-        assert entry["coverage_top10"] >= 0.80
-        assert entry["profiled_events"] > 0
-        # No verdict reads a host clock: one run per side, no ratios.
-        assert not {"reps", "ratios", "best_ratio"} & set(entry)
-    assert not {"budget", "median_overhead"} & set(report)
-    assert profiles["pingpong"].total_count > 0
+def bench(root, *argv):
+    return harness_main(["bench", "--root", str(root), "--scale", "tiny", *argv])
+
+
+def _plain(checksum="c0ffee", events=100):
+    return {"checksum": checksum, "events": events}
 
 
 @pytest.mark.slow
-def test_obs_gate_fails_on_a_profiler_that_schedules_an_event(monkeypatch):
-    """The seeded defect the gate exists for: an observer that touches
-    the event queue.  Profiled != unprofiled must turn the gate red."""
+def test_bench_gate_profiles_every_serial_benchmark(tmp_path, capsys):
+    assert bench(tmp_path) == 0
+    record = json.loads((tmp_path / "BENCH_0001.json").read_text())
+    for name, entry in record["benchmarks"].items():
+        profile = entry["profile"]
+        # The profile counts every event the plain run executed.
+        assert profile["total_events"] == entry["events"]
+        assert profile["coverage_top10"] >= 0.80
+        assert 0 < len(profile["top"]) <= PROFILE_TOP
+        assert (tmp_path / "benchmarks/output" / f"hotspots_{name}.json").exists()
+    # The next run gates its profiles against this record's top sites.
+    assert bench(tmp_path) == 0
+    out = capsys.readouterr().out
+    assert out.count("top site") == 3 and "(BENCH_0001 " in out
+
+
+@pytest.mark.slow
+def test_bench_gate_fails_on_a_profiler_that_schedules_an_event(
+    tmp_path, capsys, monkeypatch
+):
+    """The seeded defect: an observer that touches the event queue.
+    Profiled != unprofiled must turn the bench gate red."""
     from repro.obs.profiler import EngineProfiler
 
     sample = EngineProfiler.sample
@@ -57,103 +70,115 @@ def test_obs_gate_fails_on_a_profiler_that_schedules_an_event(monkeypatch):
         return sample(self, event, callbacks, from_heap)
 
     monkeypatch.setattr(EngineProfiler, "sample", meddling_sample)
-    failures, _, _, _ = obs_gate(scale="tiny")
-    assert any("profiled run" in f and "!= unprofiled" in f for f in failures)
-
-
-def test_budget_option_is_gone():
-    with pytest.raises(SystemExit) as exc:
-        harness_main(["obs", "--budget", "0.1"])
-    assert exc.value.code == 2
+    assert bench(tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "profiled run" in err and "!= unprofiled" in err
 
 
 @pytest.mark.slow
-def test_obs_gate_cli_tiny(tmp_path, capsys):
-    rc = harness_main([
-        "obs", "--scale", "tiny",
-        "--baseline", str(tmp_path / "hotspots.json"),
-        "--write-baseline",
-        "--profile-dir", str(tmp_path / "profiles"),
-        "--json-out", str(tmp_path / "report.json"),
-    ])
-    assert rc == 0
-    assert (tmp_path / "hotspots.json").exists()
-    assert (tmp_path / "report.json").exists()
-    assert (tmp_path / "profiles" / "hotspots_pingpong.json").exists()
-    out = capsys.readouterr().out
-    assert "obs: PASS" in out
+def test_shattered_attribution_turns_bench_red(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Profile, "coverage", lambda self, n=10: 0.5)
+    assert bench(tmp_path) == 1
+    assert "cover only 50.0%" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_vanished_prior_top_site_turns_bench_red(tmp_path, capsys):
+    assert bench(tmp_path) == 0
+    path = tmp_path / "BENCH_0001.json"
+    record = json.loads(path.read_text())
+    record["benchmarks"]["fig3_m2m"]["profile"]["top"][0]["owner"] = "Gone.site"
+    path.write_text(json.dumps(record))
+    assert bench(tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "fig3_m2m: top dispatch site" in err and "Gone.site" in err
+    assert "absent from this run's profile" in err
+
+
+def test_budget_option_is_gone():
+    for gate in ("obs", "iso"):
+        with pytest.raises(SystemExit) as exc:
+            harness_main([gate, "--budget", "0.1"])
+        assert exc.value.code == 2
 
 
 def test_baseline_summary_shape():
-    summary = baseline_summary({"pingpong": fake_profile("pingpong")}, "t")
-    entry = summary["benchmarks"]["pingpong"]
-    assert entry["total_events"] == 100
-    assert len(entry["top"]) <= BASELINE_TOP
-    assert entry["top"][0]["owner"] == "Process._resume:pe*"
-    assert entry["top"][0]["share"] == pytest.approx(0.9)
+    summary = profile_summary(fake_profile("pingpong"))
+    assert summary["total_events"] == 100
+    assert summary["coverage_top10"] == 1.0
+    assert len(summary["top"]) <= PROFILE_TOP
+    assert summary["top"][0]["owner"] == "Process._resume:pe*"
+    assert summary["top"][0]["share"] == pytest.approx(0.9)
 
 
 def test_check_baseline_gates_top_site_identity():
-    baseline = baseline_summary({"pingpong": fake_profile("pingpong")})
-    failures, notes = [], []
-    _check_baseline(
-        baseline, {"pingpong": fake_profile("now")}, failures, notes
+    prior = {"id": "BENCH_0001", "benchmarks": {
+        "pingpong": {"profile": profile_summary(fake_profile("then"))}}}
+
+    failures, notes = check_profiles(
+        {"pingpong": _plain()}, {"pingpong": (_plain(), fake_profile("now"))}, prior
     )
     assert failures == []
-    assert any("top site" in n for n in notes)
+    assert any("top site" in n and "BENCH_0001" in n for n in notes)
 
     # The dominant site vanishing is a hard failure...
-    failures, notes = [], []
-    _check_baseline(
-        baseline,
-        {"pingpong": fake_profile("now", owner="Somewhere.else")},
-        failures,
-        notes,
+    failures, _ = check_profiles(
+        {"pingpong": _plain()},
+        {"pingpong": (_plain(), fake_profile("now", owner="Somewhere.else"))},
+        prior,
     )
-    assert len(failures) == 1
-    assert "absent" in failures[0]
+    assert len(failures) == 1 and "absent" in failures[0]
 
-    # ...but a benchmark missing from the run is only a note.
-    failures, notes = [], []
-    _check_baseline(baseline, {}, failures, notes)
+    # ...but a prior record without a profile is only a note.
+    failures, notes = check_profiles(
+        {"pingpong": _plain()},
+        {"pingpong": (_plain(), fake_profile("now", owner="Somewhere.else"))},
+        {"id": "BENCH_0016", "benchmarks": {"pingpong": _plain()}},
+    )
     assert failures == []
-    assert any("not in this run" in n for n in notes)
+    assert "pingpong: no profile in BENCH_0016 — top site not gated" in notes
 
 
-def _stub_runners(monkeypatch, checksum):
-    """One instant 'benchmark' so the committed-record clause is testable
+def _stub_run_gate(monkeypatch, owner):
+    """One instant 'benchmark' so the full-scale clauses are testable
     without running the engine."""
-    from repro.harness import obsgate
-
     monkeypatch.setattr(
-        obsgate, "gate_runners",
-        lambda scale: {"pingpong": lambda: {"checksum": checksum, "events": 7}},
+        benchgate, "run_gate",
+        lambda scale: (
+            {"pingpong": {**_plain(), "sim_times": {}, "wall_s": 1.0,
+                          "events_per_sec": 100.0,
+                          "profile": profile_summary(fake_profile("now", owner))}},
+            {"pingpong": (_plain(), fake_profile("now", owner=owner))},
+        ),
     )
 
 
 def test_committed_record_clause_survives_a_stray_tiny_record(tmp_path, monkeypatch):
     """A tiny-scale BENCH record newer than the committed full-scale one
-    used to switch the 'checksum == committed record' clause off, silently."""
-    import json
-
-    committed = {"id": "BENCH_0011", "scale": "full",
-                 "benchmarks": {"pingpong": {"checksum": "c0ffee"}}}
+    must not hide the committed record's top site."""
+    committed = {"id": "BENCH_0011", "scale": "full", "benchmarks": {"pingpong": {
+        **_plain(), "sim_times": {},
+        "profile": profile_summary(fake_profile("then")),
+    }}}
     (tmp_path / "BENCH_0011.json").write_text(json.dumps(committed))
     (tmp_path / "BENCH_0012.json").write_text(
         json.dumps({"id": "BENCH_0012", "scale": "tiny", "benchmarks": {}}))
+    out = tmp_path / "out.json"
+    argv = ["bench", "--root", str(tmp_path), "--json-out", str(out)]
 
-    _stub_runners(monkeypatch, "c0ffee")
-    _, notes, report, _ = obs_gate(scale="full", bench_root=tmp_path)
-    assert report["bench_record"] == "BENCH_0011"
-    assert "pingpong: checksum matches BENCH_0011" in notes
+    _stub_run_gate(monkeypatch, "Process._resume:pe*")
+    assert harness_main(argv) == 0
+    assert any("(BENCH_0011 90.0%)" in n for n in json.loads(out.read_text())["notes"])
 
-    _stub_runners(monkeypatch, "decade")
-    failures, _, _, _ = obs_gate(scale="full", bench_root=tmp_path)
-    assert any("!= committed BENCH_0011" in f for f in failures)
+    _stub_run_gate(monkeypatch, "Somewhere.else")
+    assert harness_main(argv) == 1
+    assert any("of BENCH_0011 absent" in f
+               for f in json.loads(out.read_text())["failures"])
 
 
 def test_missing_full_scale_record_is_a_note_not_silence(tmp_path, monkeypatch):
-    _stub_runners(monkeypatch, "c0ffee")
-    _, notes, report, _ = obs_gate(scale="full", bench_root=tmp_path)
-    assert report["bench_record"] == ""
-    assert any("no full-scale BENCH_*.json" in n for n in notes)
+    _stub_run_gate(monkeypatch, "Process._resume:pe*")
+    out = tmp_path / "out.json"
+    assert harness_main(["bench", "--root", str(tmp_path), "--json-out", str(out)]) == 0
+    assert any("no prior full-scale BENCH_*.json" in n
+               for n in json.loads(out.read_text())["notes"])

@@ -1,7 +1,7 @@
 """Golden pins for the shared workload builders (harness/workloads.py).
 
-The iso and serve gates are self-referential — their solo and
-interleaved/served sides run the same builder, so a builder edit that
+The serve gate is self-referential — its solo, interleaved and served
+sides run the same builder, so a builder edit that
 moves the trajectory moves both sides and the gate stays green.  These
 literals were captured at the commit *before* the builders were
 unified (ping-pong x3 and mini-NAMD x4 pasted copies): every way of
