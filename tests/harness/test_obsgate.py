@@ -39,7 +39,26 @@ def _plain(checksum="c0ffee", events=100):
 
 
 @pytest.mark.slow
-def test_bench_gate_profiles_every_serial_benchmark(tmp_path, capsys):
+def test_obs_gate_tiny_passes():
+    """The profiled pass at tiny scale, below the CLI: every rerun
+    matches its plain run and attribution stays concentrated."""
+    benchmarks, profiled = benchgate.run_gate(scale="tiny")
+    failures, notes = check_profiles(benchmarks, profiled, {})
+    assert failures == [], failures
+    assert set(profiled) == {"pingpong", "fig3_m2m", "fig10_window"}
+    for name, (rerun, profile) in profiled.items():
+        assert rerun["checksum"] == benchmarks[name]["checksum"]
+        assert profile.coverage(10) >= 0.80
+        assert profile.total_count == benchmarks[name]["events"] > 0
+        # No verdict reads a host clock: one run per side, no ratios.
+        assert not {"reps", "ratios", "best_ratio"} & set(benchmarks[name]["profile"])
+    assert sum("profiled: top-10 coverage" in n for n in notes) == 3
+
+
+@pytest.mark.slow
+def test_obs_gate_cli_tiny(tmp_path, capsys):
+    """The same checks through ``bench`` on the command line, which
+    writes each profile and gates the next run against this record."""
     assert bench(tmp_path) == 0
     record = json.loads((tmp_path / "BENCH_0001.json").read_text())
     for name, entry in record["benchmarks"].items():
