@@ -6,6 +6,12 @@ path produces identical numbers but is charged at the scalar cost in
 the simulated-cost model.  The paper measured +15.8% serial speedup
 from the QPX/L1P work; the cost model in :mod:`repro.perfmodel` carries
 that ratio.
+
+Loop-order contract: :func:`pair_forces` evaluates its kernel on the
+in-cutoff pairs only, but the arrays its energy and force reductions
+see keep the full block's shape and values, so results are
+byte-identical to the full-block form that
+``tests/namd/test_kernel_identity.py`` keeps as a reference.
 """
 
 from __future__ import annotations
@@ -74,24 +80,30 @@ def pair_forces(
     n_pairs = int(np.count_nonzero(mask))
     if n_pairs == 0:
         return 0.0, np.zeros_like(pos_i), np.zeros_like(pos_j), 0
-    r2s = np.where(mask, r2, 1.0)
+    # The kernel runs on the in-cutoff pairs only; the sums below run on
+    # the full zero-padded arrays, whose shape fixes their add order.
+    pairs = np.nonzero(mask)
+    r2s = r2[pairs]
     r = np.sqrt(r2s)
-    qq = q_i[:, None] * q_j[None, :]
+    qq = q_i[pairs[0]] * q_j[pairs[1]]
     # Screened Coulomb (real-space Ewald term).
-    e_coul = qq * erfc(beta * r) / r
+    erfc_br = erfc(beta * r)
+    e_coul = qq * erfc_br / r
     dedr_coul = -qq * (
-        erfc(beta * r) / r2s
+        erfc_br / r2s
         + 2 * beta / math.sqrt(math.pi) * np.exp(-(beta**2) * r2s) / r
     )
     # Lennard-Jones.
     s6 = (LJ_SIGMA**2 / r2s) ** 3
-    e_lj = 4 * LJ_EPSILON * (s6**2 - s6)
-    dedr_lj = 4 * LJ_EPSILON * (-12 * s6**2 + 6 * s6) / r
-    e_pair = np.where(mask, e_coul + e_lj, 0.0)
-    dedr = np.where(mask, dedr_coul + dedr_lj, 0.0)
+    s12 = s6**2
+    e_lj = 4 * LJ_EPSILON * (s12 - s6)
+    dedr_lj = 4 * LJ_EPSILON * (-12 * s12 + 6 * s6) / r
+    e_pair = np.zeros_like(r2)
+    e_pair[pairs] = e_coul + e_lj
     energy = float(np.sum(e_pair))
-    fmag = -dedr / r
-    fvec = np.where(mask[..., None], fmag[..., None] * delta, 0.0)
+    fmag = -(dedr_coul + dedr_lj) / r
+    fvec = np.zeros_like(delta)
+    fvec[pairs] = fmag[:, None] * delta[pairs]
     f_i = np.sum(fvec, axis=1)
     f_j = -np.sum(fvec, axis=0)
     if same_block:

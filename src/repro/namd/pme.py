@@ -18,6 +18,12 @@ against numerical gradients.
 The distributed version of steps 2-4 runs over the Charm++ runtime via
 the pencil FFT (see :mod:`repro.namd.charm_app`); this module holds the
 kernels both versions share.
+
+Loop-order contract: spreading and interpolation run without Python
+loops over the ``order**3`` spline offsets, but each does the float
+operations of the ``(j, k, l)`` loop in that loop's order (see each
+function), so results are byte-identical to the loop form that
+``tests/namd/test_kernel_identity.py`` keeps as a reference.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ def bspline_weights(frac: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarra
     w = np.zeros((n, order))
     w[:, 0] = 1.0 - frac
     w[:, 1] = frac
+    prev = w  # ends as M_{order-1} (M_2 itself at order 2), for dw
     for k in range(3, order + 1):
         # Recursion M_k(u) = u/(k-1) M_{k-1}(u) + (k-u)/(k-1) M_{k-1}(u-1)
         prev = w.copy()
@@ -67,17 +74,6 @@ def bspline_weights(frac: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarra
             right = prev[:, j] if j < k - 1 else 0.0
             w[:, j] = (u * left + (k - u) * right) / (k - 1)
     # Derivative: M_n'(u) = M_{n-1}(u) - M_{n-1}(u-1), mapped to offsets.
-    prev = np.zeros((n, order))
-    prev[:, 0] = 1.0 - frac
-    prev[:, 1] = frac
-    for k in range(3, order):
-        nxt = np.zeros((n, order))
-        for j in range(k):
-            u = frac + (k - 1 - j)
-            left = prev[:, j - 1] if j >= 1 else 0.0
-            right = prev[:, j] if j < k - 1 else 0.0
-            nxt[:, j] = (u * left + (k - u) * right) / (k - 1)
-        prev = nxt
     dw = np.zeros((n, order))
     for j in range(order):
         m_here = prev[:, j] if j < order - 1 else 0.0
@@ -88,12 +84,28 @@ def bspline_weights(frac: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarra
     return w, dw
 
 
-def _grid_indices(positions: np.ndarray, box: np.ndarray, K: Tuple[int, int, int], order: int):
-    """Base indices and fractional offsets per dimension."""
+def _support(positions: np.ndarray, box: np.ndarray, K: Tuple[int, int, int], order: int, window):
+    """Each particle's spline support as ``(ix, iy, iz, w, dw, shape)``:
+    cell indices of shape (order, n), weights of shape (3, order, n), all
+    three dimensions from one :func:`bspline_weights` call (it is
+    elementwise), and the shape of the grid the indices address — with a
+    window, its dense slab, which must cover every support in x and y."""
+    n = positions.shape[0]
     u = positions / box * np.asarray(K)  # scaled fractional coords in [0, K)
     base = np.floor(u).astype(np.int64)
-    frac = u - base
-    return base, frac
+    w, dw = bspline_weights((u - base).T.reshape(-1), order)
+    cells = base.T[:, None, :] - (order - 1) + np.arange(order)[:, None]
+    ix, iy, iz = cells[0], cells[1], cells[2] % K[2]
+    if window is None:
+        ix, iy, shape = ix % K[0], iy % K[1], K
+    else:
+        (x0, x1), (y0, y1) = window
+        ix, iy, shape = ix - x0, iy - y0, (x1 - x0, y1 - y0, K[2])
+        for axis, idx, width in (("x", ix, shape[0]), ("y", iy, shape[1])):
+            if np.any(idx < 0) or np.any(idx >= width):
+                raise ValueError(f"window does not cover {axis} spline support")
+    w, dw = (a.reshape(3, n, order).transpose(0, 2, 1) for a in (w, dw))
+    return ix, iy, iz, w, dw, shape
 
 
 def spread_charges(
@@ -111,50 +123,25 @@ def spread_charges(
     ``(x1-x0, y1-y0, K[2])`` instead of the full grid — the shape a
     patch sends to the PME pencils.  The window must cover the spline
     support of every particle in x and y.
+
+    Particle ``a`` adds ``q * wx_j * wy_k * wz_l`` (left to right) to cell
+    ``(j, k, l)``, and each grid point sums in ``(j, k, l, a)`` order.
     """
     positions = np.asarray(positions, dtype=np.float64)
     charges = np.asarray(charges, dtype=np.float64)
     box = np.asarray(box, dtype=np.float64)
-    Kx, Ky, Kz = K
-    base, frac = _grid_indices(positions, box, K, order)
-    wx, _ = bspline_weights(frac[:, 0], order)
-    wy, _ = bspline_weights(frac[:, 1], order)
-    wz, _ = bspline_weights(frac[:, 2], order)
-    if window is None:
-        grid = np.zeros(K)
-        for j in range(order):
-            ix = (base[:, 0] - (order - 1) + j) % Kx
-            for k in range(order):
-                iy = (base[:, 1] - (order - 1) + k) % Ky
-                wxy = charges * wx[:, j] * wy[:, k]
-                for l in range(order):
-                    iz = (base[:, 2] - (order - 1) + l) % Kz
-                    np.add.at(grid, (ix, iy, iz), wxy * wz[:, l])
-        return grid
-    (x0, x1), (y0, y1) = window
-    grid = np.zeros((x1 - x0, y1 - y0, Kz))
-    for j in range(order):
-        ix = base[:, 0] - (order - 1) + j - x0
-        if np.any(ix < 0) or np.any(ix >= x1 - x0):
-            raise ValueError("window does not cover x spline support")
-        for k in range(order):
-            iy = base[:, 1] - (order - 1) + k - y0
-            if np.any(iy < 0) or np.any(iy >= y1 - y0):
-                raise ValueError("window does not cover y spline support")
-            wxy = charges * wx[:, j] * wy[:, k]
-            for l in range(order):
-                iz = (base[:, 2] - (order - 1) + l) % Kz
-                np.add.at(grid, (ix, iy, iz), wxy * wz[:, l])
-    return grid
+    ix, iy, iz, (wx, wy, wz), _, shape = _support(positions, box, K, order, window)
+    # Axes (j, k, l, a): one sequential scatter in the loop's order.
+    terms = charges * wx[:, None, None] * wy[None, :, None] * wz[None, None]
+    flat = (ix[:, None, None] * shape[1] + iy[None, :, None]) * shape[2] + iz[None, None]
+    grid = np.bincount(flat.ravel(), weights=terms.ravel(), minlength=math.prod(shape))
+    # With no particles bincount returns integer zeros.
+    return grid.astype(np.float64, copy=False).reshape(shape)
 
 
 def _bspline_euler_factor(K: int, order: int) -> np.ndarray:
     """|b(m)|^2 for one dimension (Essmann eq. 4.4)."""
     m = np.arange(K)
-    # M_n values at integer arguments 1..n-1.
-    w, _ = bspline_weights(np.zeros(1), order)
-    # M_n(k+1) for k=0..n-2: with frac=0, w[0, j] = M_n at u = n-1-j... use
-    # direct evaluation instead: M_n(x) at integers via recursion.
     mn = _bspline_at_integers(order)  # M_n(1..n-1)
     phase = np.exp(2j * np.pi * np.outer(m, np.arange(order - 1)) / K)
     denom = phase @ mn
@@ -240,34 +227,31 @@ def interpolate_forces(
 
     ``phi`` is the full grid, or — with ``window`` — the dense local
     slab ``(x1-x0, y1-y0, K[2])`` in unwrapped coordinates (the shape a
-    patch receives back from the PME pencils).
+    patch receives back from the PME pencils), which must cover every
+    particle's spline support in x and y.
+
+    The x force term of cell ``(j, k, l)`` is ``q * dwx_j * wy_k * wz_l *
+    phi * sx`` (left to right; y and z alike), and each component starts
+    at 0.0 and subtracts its terms one at a time in ``(j, k, l)`` order.
     """
     positions = np.asarray(positions, dtype=np.float64)
+    charges = np.asarray(charges, dtype=np.float64)
     box = np.asarray(box, dtype=np.float64)
-    Kx, Ky, Kz = K
     n = positions.shape[0]
-    base, frac = _grid_indices(positions, box, K, order)
-    wx, dwx = bspline_weights(frac[:, 0], order)
-    wy, dwy = bspline_weights(frac[:, 1], order)
-    wz, dwz = bspline_weights(frac[:, 2], order)
-    forces = np.zeros((n, 3))
-    sx, sy, sz = Kx / box[0], Ky / box[1], Kz / box[2]
-    if window is not None:
-        (x0, _x1), (y0, _y1) = window
-    for j in range(order):
-        for k in range(order):
-            for l in range(order):
-                if window is None:
-                    ix = (base[:, 0] - (order - 1) + j) % Kx
-                    iy = (base[:, 1] - (order - 1) + k) % Ky
-                else:
-                    ix = base[:, 0] - (order - 1) + j - x0
-                    iy = base[:, 1] - (order - 1) + k - y0
-                iz = (base[:, 2] - (order - 1) + l) % Kz
-                p = phi[ix, iy, iz]
-                forces[:, 0] -= charges * dwx[:, j] * wy[:, k] * wz[:, l] * p * sx
-                forces[:, 1] -= charges * wx[:, j] * dwy[:, k] * wz[:, l] * p * sy
-                forces[:, 2] -= charges * wx[:, j] * wy[:, k] * dwz[:, l] * p * sz
+    ix, iy, iz, (wx, wy, wz), (dwx, dwy, dwz), _ = _support(positions, box, K, order, window)
+    # Axes (j, k, l, a), as in spread_charges.
+    p = phi[ix[:, None, None], iy[None, :, None], iz[None, None]]
+    wx, dwx, wy, dwy = wx[:, None, None], dwx[:, None, None], wy[None, :, None], dwy[None, :, None]
+    wz, dwz = wz[None, None], dwz[None, None]
+    terms = (
+        charges * dwx * wy * wz * p * (K[0] / box[0]),
+        charges * wx * dwy * wz * p * (K[1] / box[1]),
+        charges * wx * wy * dwz * p * (K[2] / box[2]),
+    )
+    forces = np.empty((n, 3))
+    for axis, term in enumerate(terms):
+        # ((0.0 - t_0) - t_1) - ..., t in (j, k, l) order: the loop's `-=`.
+        forces[:, axis] = np.subtract.reduce(term.reshape(order**3, n), axis=0, initial=0.0)
     return forces
 
 
