@@ -3,7 +3,8 @@
 Models the BG/Q features the paper's runtime optimizations exploit:
 the 4-way SMT A2 cores, L2 atomic operations, the wakeup unit, the
 messaging unit with its large FIFO arrays, the 5D torus network and
-the GNU arena heap allocator.
+the GNU arena heap allocator.  Simulated time is in A2 cycles
+(:data:`CYCLES_PER_US` per microsecond).
 """
 
 from .core import Core, CoreMember
@@ -13,7 +14,7 @@ from .memory import ArenaAllocator, Buffer
 from .mu import Descriptor, InjectionFifo, MessagingUnit, ReceptionFifo
 from .network import MEMFIFO, RDMA_DATA, RGET_REQUEST, Packet, TorusNetwork
 from .node import HWThread, Node
-from .params import BGQParams, DEFAULT_PARAMS, CYCLES_PER_US, cycles_to_us, us
+from .params import BGQParams, DEFAULT_PARAMS, CYCLES_PER_US
 from .torus import PARTITION_SHAPES, Torus, bgq_partition_shape
 from .wakeup import WakeupSource
 
@@ -44,6 +45,4 @@ __all__ = [
     "TorusNetwork",
     "WakeupSource",
     "bgq_partition_shape",
-    "cycles_to_us",
-    "us",
 ]

@@ -121,14 +121,6 @@ class Core:
         if self._members.pop(member.id, None) is not None:
             self._notify_change()
 
-    def set_weight(self, member: CoreMember, weight: float) -> None:
-        """Change an occupant's weight (e.g. idle poll -> wait state)."""
-        if member.id not in self._members:
-            raise KeyError("member not registered on this core")
-        if member.weight != weight:
-            member.weight = weight
-            self._notify_change()
-
     def _notify_change(self) -> None:
         self._rates = None
         attached = self._attached

@@ -86,7 +86,7 @@ class ArenaAllocator:
         # Allocation work under the arena lock.
         yield from thread.compute(p.gnu_malloc_instr)
         yield from thread.compute(p.mutex_release_instr)
-        self.locks[chosen].release_nowait()
+        self.locks[chosen].release()
         return Buffer(size=size, arena=chosen, origin="gnu")
 
     def free(self, thread: "HWThread", buffer: Buffer):
@@ -99,7 +99,7 @@ class ArenaAllocator:
         yield from self.locks[buffer.arena].acquire()
         yield from thread.compute(p.gnu_free_instr)
         yield from thread.compute(p.mutex_release_instr)
-        self.locks[buffer.arena].release_nowait()
+        self.locks[buffer.arena].release()
 
     # -- diagnostics -------------------------------------------------------
     def total_contention_wait(self) -> float:

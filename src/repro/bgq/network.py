@@ -245,7 +245,3 @@ class TorusNetwork:
             self.deliver(packet)
         if done is not None:
             done.succeed(packet)
-
-    def link_utilization(self) -> Dict[Tuple[int, int], float]:
-        """Busy-until horizon per link (diagnostics)."""
-        return dict(self._link_free)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..sim import Environment
 from .core import Core
@@ -10,7 +10,6 @@ from .l2 import L2AtomicUnit
 from .memory import ArenaAllocator
 from .mu import MessagingUnit
 from .params import BGQParams, DEFAULT_PARAMS
-from .wakeup import WakeupSource
 
 __all__ = ["HWThread", "Node"]
 
@@ -20,8 +19,10 @@ class HWThread:
 
     Runtime code runs *on* a hardware thread: all software path lengths
     are charged through :meth:`compute` so that SMT sharing on the
-    owning core applies, and :meth:`wait_on` models the PowerPC ``wait``
-    instruction (zero core occupancy until a wakeup-unit interrupt).
+    owning core applies.  A thread waiting on an armed
+    :class:`~repro.bgq.wakeup.WakeupSource` models the PowerPC ``wait``
+    instruction: it registers no core member, so it consumes nothing
+    until the wakeup-unit interrupt [paper §II].
     """
 
     def __init__(self, env: Environment, node: "Node", core: Core, slot: int, tid: int) -> None:
@@ -45,23 +46,6 @@ class HWThread:
         """
         self.instructions += instructions
         return self.core.compute(instructions, weight=weight)
-
-    def wait_on(self, source: WakeupSource):
-        """Enter the ``wait`` state until the wakeup source fires.
-
-        While waiting the thread consumes no core resources [paper §II]:
-        no core member is registered at all.
-        """
-        ev = source.arm()
-        yield ev
-
-    def spin(self, duration: float, weight: float):
-        """Occupy the core at ``weight`` for a fixed duration (poll loop)."""
-        member = self.core.register(weight)
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.core.unregister(member)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<HWThread node={self.node.node_id} tid={self.tid}>"

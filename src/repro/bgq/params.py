@@ -13,21 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["BGQParams", "DEFAULT_PARAMS", "us", "cycles_to_us"]
+__all__ = ["BGQParams", "DEFAULT_PARAMS"]
 
 #: A2 core clock [paper: "running at 1.6 GHz"].
 CLOCK_HZ = 1.6e9
 CYCLES_PER_US = CLOCK_HZ / 1e6  # 1600
-
-
-def us(t_us: float) -> float:
-    """Convert microseconds to cycles."""
-    return t_us * CYCLES_PER_US
-
-
-def cycles_to_us(t_cycles: float) -> float:
-    """Convert cycles to microseconds."""
-    return t_cycles / CYCLES_PER_US
 
 
 @dataclass(frozen=True)
@@ -155,15 +145,6 @@ class BGQParams:
     @property
     def threads_per_node(self) -> int:
         return self.cores_per_node * self.threads_per_core
-
-    @property
-    def bytes_per_cycle(self) -> float:
-        """Effective link payload bandwidth in bytes/cycle."""
-        return self.link_effective_bandwidth / CLOCK_HZ
-
-    def instr_cycles_solo(self, instructions: float) -> float:
-        """Cycles to run `instructions` alone on a core (no SMT sharing)."""
-        return instructions / self.base_ipc
 
 
 DEFAULT_PARAMS = BGQParams()

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..sim import Environment, Event
+from ..sim import Event
 from ..sim.shard import ShardEnvironment, _SeqKey
 from .machine import BGQMachine
 from .network import MEMFIFO, Packet, TorusNetwork
@@ -160,11 +160,6 @@ class ReservationFabric:
         self.requests_processed = 0
 
     # -- protocol constants -----------------------------------------------
-    @property
-    def lookahead(self) -> float:
-        """Minimum cross-node packet latency: NIC + first hop (+ ser > 0)."""
-        return self.params.nic_latency + self.params.hop_latency
-
     @property
     def window(self) -> float:
         """The synchronization window: the NIC latency, safely below

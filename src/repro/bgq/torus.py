@@ -116,16 +116,6 @@ class Torus:
         return r
 
     # -- metrics -----------------------------------------------------------
-    def dim_distance(self, a: int, b: int, dim: int) -> int:
-        """Signed minimal wrap distance along one dimension (b - a).
-
-        Ties (exactly half way around) resolve to the positive direction,
-        matching the deterministic router.
-        """
-        s = self.shape[dim]
-        d = (self.coords(b)[dim] - self.coords(a)[dim]) % s
-        return d if d <= s // 2 else d - s
-
     def hops(self, a: int, b: int) -> int:
         """Minimal hop count between two ranks."""
         ca, cb = self.coords(a), self.coords(b)
@@ -199,13 +189,3 @@ class Torus:
         for r in range(self.nnodes):
             for n in self.neighbors(r):
                 yield (r, n)
-
-    def bisection_links(self) -> int:
-        """Directed links crossing a bisection of the longest dimension."""
-        longest = max(range(self.ndim), key=lambda d: self.shape[d])
-        s = self.shape[longest]
-        if s < 2:
-            return 0
-        cross_sections = 2 if s > 2 else 1  # torus wraps: two cut planes
-        per_plane = self.nnodes // s
-        return per_plane * cross_sections * 2  # both directions

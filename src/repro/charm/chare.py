@@ -163,16 +163,3 @@ class ChareArray:
             src_pe, dst_rank, self.charm.entry_handler_id(method), nbytes, payload,
             priority=priority, qos=qos, fresh_key=fresh_key,
         )
-
-    def broadcast_from(self, src_pe, method: str, nbytes: int, *args: Any):
-        """Invoke ``method`` on every element via a spanning tree.
-
-        Uses a cached full-array multicast section: one message per
-        hosting PE (tree edge), local pointer-exchange fan-out — how
-        Charm++ implements array broadcasts.
-        """
-        section = getattr(self, "_bcast_section", None)
-        if section is None:
-            section = self.charm.create_section(self, self.indices)
-            self._bcast_section = section
-        yield from section.multicast_from(src_pe, method, nbytes, *args)

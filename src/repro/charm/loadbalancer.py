@@ -8,9 +8,9 @@ the Charm++ array-map signature ``(index, ordinal, npes) -> pe_rank``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Sequence, Tuple
 
-__all__ = ["blocked_map", "round_robin_map", "node_aware_map", "greedy_rebalance"]
+__all__ = ["blocked_map", "round_robin_map", "greedy_rebalance"]
 
 
 def blocked_map(n_elements: int) -> Callable:
@@ -28,26 +28,6 @@ def round_robin_map() -> Callable:
 
     def fn(index: Hashable, ordinal: int, npes: int) -> int:
         return ordinal % npes
-
-    return fn
-
-
-def node_aware_map(pes_per_node: int, n_elements: int) -> Callable:
-    """Blocks elements onto nodes, round-robins within the node.
-
-    Keeps communicating neighbours on the same SMP node so their
-    messages become pointer exchanges — the placement the Charm++ load
-    balancer aims for on BG/Q (§III).
-    """
-    if pes_per_node < 1:
-        raise ValueError("pes_per_node must be >= 1")
-
-    def fn(index: Hashable, ordinal: int, npes: int) -> int:
-        nnodes = max(1, npes // pes_per_node)
-        per_node = (n_elements + nnodes - 1) // nnodes
-        node = min(ordinal // per_node, nnodes - 1)
-        within = ordinal % pes_per_node
-        return node * pes_per_node + within
 
     return fn
 

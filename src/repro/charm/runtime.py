@@ -10,7 +10,6 @@ from ..converse import CmiDirectManytomany, ConverseRuntime, RunConfig
 from ..converse.messages import ConverseMessage
 from ..sim import Environment, Event
 from .chare import Chare, ChareArray
-from .group import Group
 from .loadbalancer import blocked_map, round_robin_map
 from .reduction import ReductionManager
 from .section import Section
@@ -168,14 +167,6 @@ class Charm:
         array = ChareArray(self, name, factory, indices, map_fn)
         self.arrays[name] = array
         return array
-
-    def create_group(self, name: str, factory: Callable[[int], Chare]) -> Group:
-        """Create a group: one chare per PE, indexed by PE rank."""
-        if name in self.arrays:
-            raise ValueError(f"array {name!r} already exists")
-        group = Group(self, name, factory)
-        self.arrays[name] = group
-        return group
 
     # -- section multicast plumbing --------------------------------------------
     def create_section(self, array: ChareArray, indices) -> Section:

@@ -15,13 +15,12 @@ pool-size threshold, buffers spill back to the heap.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict
 
-from ..bgq.memory import ArenaAllocator, Buffer
+from ..bgq.memory import Buffer
 from ..bgq.node import HWThread, Node
 from ..bgq.params import BGQParams, DEFAULT_PARAMS
 from ..queues import L2AtomicQueue
-from ..sim import Environment
 
 __all__ = ["PoolAllocator", "GnuAllocator", "make_allocator"]
 

@@ -28,7 +28,7 @@ dedicated communication threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..bgq.machine import BGQMachine
@@ -169,15 +169,6 @@ class RunConfig:
     @property
     def total_pes(self) -> int:
         return self.nnodes * self.pes_per_node
-
-    def describe(self) -> str:
-        if not self.is_smp:
-            return f"non-SMP ({self.processes_per_node} proc/node)"
-        ct = self.comm_threads_per_process
-        return (
-            f"SMP {self.processes_per_node}x({self.workers_per_process}w"
-            f"+{ct}c)/node" + ("" if ct else " (no comm threads)")
-        )
 
 
 class ConverseProcess:

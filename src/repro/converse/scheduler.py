@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Deque, List, Optional, TYPE_CHECKING
 
 from ..bgq.node import HWThread
 from ..bgq.params import BGQParams

@@ -338,17 +338,6 @@ class FFT3D:
             self._setup_m2m()
 
     # -- topology helpers ---------------------------------------------------
-    def pencils_of_process(self, proc_idx: int) -> List[Tuple[int, int]]:
-        out = []
-        for idx in self.array.indices:
-            pe = self.charm.runtime.pes[self.array.pe_of(idx)]
-            if self._proc_index(pe.process) == proc_idx:
-                out.append(idx)
-        return out
-
-    def _proc_index(self, process) -> int:
-        return self.charm.runtime.processes.index(process)
-
     def slot_for(self, phase, src, dst) -> Slot:
         key = (phase, src, dst)
         slot = self.slots.get(key)

@@ -21,7 +21,6 @@ Grids may be non-cubic (NAMD's PME grids are, e.g. ApoA1's
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 

@@ -1,8 +1,8 @@
 """Benchmark harness: one driver per table/figure of the paper (the
 names exported here), one definition per gated workload (``workloads``),
 and one gate CLI — ``python -m repro.harness
-<bench|shard|iso|serve|obs|trace|chaos>`` (``__main__``; exit 0 pass /
-1 fail / 2 could not run), which each gate module feeds a
+<bench|shard|serve|trace|chaos>`` (``__main__``; exit 0 pass / 1 fail /
+2 could not run), which each gate module feeds a
 ``gate(args) -> (failures, notes, report)`` function.
 """
 
@@ -27,7 +27,7 @@ from .pingpong import (
     pingpong_oneway_us,
     pingpong_run,
 )
-from .report import banner, format_comparison, format_manifest, format_table
+from .report import banner, format_manifest, format_table
 from .timelines import (
     TraceResult,
     export_trace_artifacts,
@@ -58,7 +58,6 @@ __all__ = [
     "fig7_configurations",
     "fig8_l2_atomics",
     "fig9_commthread_profile",
-    "format_comparison",
     "format_manifest",
     "format_table",
     "pingpong_oneway_us",

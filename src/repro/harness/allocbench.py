@@ -19,6 +19,9 @@ from ..sim import Environment
 
 __all__ = ["AllocBenchResult", "run_alloc_bench", "fig6_allocator"]
 
+#: Size of every buffer the Fig. 6 workload allocates.
+BUFFER_BYTES = 1024
+
 
 @dataclass
 class AllocBenchResult:
@@ -37,7 +40,6 @@ def run_alloc_bench(
     kind: str,
     n_threads: int = 64,
     buffers_per_thread: int = 100,
-    buffer_size: int = 1024,
     params: BGQParams = DEFAULT_PARAMS,
     warm: bool = False,
 ) -> AllocBenchResult:
@@ -56,7 +58,7 @@ def run_alloc_bench(
         thread = node.thread(tid)
         bufs = []
         for _ in range(buffers_per_thread):
-            b = yield from alloc.malloc(thread, buffer_size)
+            b = yield from alloc.malloc(thread, BUFFER_BYTES)
             bufs.append(b)
         for b in bufs:
             yield from alloc.free(thread, b)

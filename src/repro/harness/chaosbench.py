@@ -67,6 +67,12 @@ HORIZON_CYCLES = 600_000_000.0
 #: Chaos quiescence polling is coarse (the workloads are long).
 QD_POLL_US = 20.0
 
+#: Best-effort round deadline of the m2m and lattice workloads (us).
+DEADLINE_US = 400.0
+
+#: Jacobi converged-residual bound against the exact solution.
+JACOBI_TOL = 1.0e-3
+
 #: Profiles where loss is total by construction: the gate degrades to
 #: "the run still quiesces" (plus give-up accounting for reliable
 #: traffic) — payload delivery is impossible, not merely lossy.
@@ -186,7 +192,6 @@ def run_m2m_chaos(
     fanout: int = 12,
     nbytes: int = 96,
     qos="reliable",
-    deadline_us: float = 400.0,
 ) -> Dict[str, object]:
     """Fig. 3-style many-to-many bursts under a fault profile.
 
@@ -199,7 +204,7 @@ def run_m2m_chaos(
 
     Reliable: the transport's dedup makes per-round arrival counting
     exact — the full payload multiset must arrive.  Best-effort: each
-    round completes at ``deadline_us`` with whatever arrived
+    round completes at :data:`DEADLINE_US` with whatever arrived
     (shortfall accounted); the gate is that every arrival is a
     bit-exact expected payload and the run quiesces.
     """
@@ -215,7 +220,7 @@ def run_m2m_chaos(
     rt = ConverseRuntime(env, cfg)
     procs = rt.processes
     received: Dict[int, List[object]] = {0: [], 1: []}
-    deadline = None if q == QOS_RELIABLE else deadline_us * CYCLES_PER_US
+    deadline = None if q == QOS_RELIABLE else DEADLINE_US * CYCLES_PER_US
 
     def payload_for(src_proc: int, rnd: int, i: int):
         return ("m2m", src_proc, rnd, i, bytes([(src_proc + rnd + i) % 251]))
@@ -318,7 +323,6 @@ def run_jacobi_chaos(
     seed: int,
     ncells: int = 8,
     sweeps: int = 60,
-    tol: float = 1.0e-3,
     qos="reliable",
 ) -> Dict[str, object]:
     """Asynchronous Jacobi under a fault profile (degraded-but-correct).
@@ -354,7 +358,7 @@ def run_jacobi_chaos(
     env.run(until=env.any_of([charm.done, quiesced, env.timeout(HORIZON_CYCLES)]))
     result = _finish(env, charm.runtime, qd, quiesced, "jacobi", plan, q)
     result["residual"] = box["residual"]
-    result["converged"] = box["residual"] is not None and box["residual"] <= tol
+    result["converged"] = box["residual"] is not None and box["residual"] <= JACOBI_TOL
     if profile in DEGRADED_PROFILES:
         result["payload_ok"] = True
         result["ok"] = bool(result["quiesced"] and result["gave_up"] > 0)
@@ -369,7 +373,6 @@ def run_lattice_chaos(
     seed: int,
     rounds: int = 4,
     qos="reliable",
-    deadline_us: float = 400.0,
 ) -> Dict[str, object]:
     """4D lattice halo exchange under a fault profile.
 
@@ -396,7 +399,7 @@ def run_lattice_chaos(
         cmidirect,
         rounds=rounds,
         qos=q,
-        deadline_cycles=deadline_us * CYCLES_PER_US,
+        deadline_cycles=DEADLINE_US * CYCLES_PER_US,
     ).install()
     qd = QuiescenceDetector(rt, poll_interval_us=QD_POLL_US)
     quiesced = qd.start()

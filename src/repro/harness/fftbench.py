@@ -10,8 +10,7 @@ Two engines, cross-validated where they overlap:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..bgq.params import CYCLES_PER_US
 from ..charm import Charm

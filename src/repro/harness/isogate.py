@@ -14,10 +14,10 @@ Why this is a sound oracle: ``Environment.run(until=event)`` is exactly
 "``step()`` until the event is processed", so a manual step loop over
 instance A interleaved with steps of instances B..N can only diverge
 from A's solo run if stepping B..N mutates state A reads — i.e. if some
-shared mutable module global exists that the static pass missed.
-
-Only the public Environment surface is used — ``peek()``, ``step()``,
-``Event.processed`` — never ``_queue``/``_imm`` (lint rule P3).
+shared mutable module global exists that the static pass missed.  The
+step loop is the serve layer's :class:`~repro.serve.EnvTask`, which uses
+only the public ``peek()``/``step()``/``Event.processed`` surface (lint
+rule P3).
 
 Workloads (N=4 tiny, N=6 full): Converse-level ping-pongs in distinct
 run modes plus, at full scale, two Charm-level mini-NAMD runs (std and
@@ -30,6 +30,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..converse import RunConfig
+from ..serve import EnvTask
 from .pingpong import FIG4_MODES
 from .workloads import Instance, build_namd, build_pingpong
 
@@ -108,31 +109,24 @@ def run_interleaved(
 ) -> Dict[str, str]:
     """Build every workload fresh, step them round-robin, return checksums.
 
-    Each instance stops exactly when its done event is processed — the
-    same stopping point as ``env.run(until=done)`` — so a checksum can
-    differ from the solo run only through cross-instance interference.
+    Each turn is one :meth:`~repro.serve.EnvTask.advance` per instance,
+    which stops exactly when the done event is processed — the same
+    stopping point as ``env.run(until=done)`` — so a checksum can differ
+    from the solo run only through cross-instance interference.  An
+    instance whose queue drains first raises
+    :class:`~repro.serve.JobStallError` naming it.
     """
     instances = [build() for build in builders]
+    tasks = [EnvTask(inst.env, inst.done, label=inst.name) for inst in instances]
     for inst in instances:
         inst.start()
     active = list(range(len(instances)))
     turn = 0
     while active:
-        still: List[int] = []
-        for i in active:
-            inst = instances[i]
-            for _ in range(strides[(turn + i) % len(strides)]):
-                if inst.done.processed:
-                    break
-                if inst.env.peek() == float("inf"):
-                    raise RuntimeError(
-                        f"{inst.name}: event queue drained before the done "
-                        "event was processed"
-                    )
-                inst.env.step()
-            if not inst.done.processed:
-                still.append(i)
-        active = still
+        active = [
+            i for i in active
+            if not tasks[i].advance(strides[(turn + i) % len(strides)])
+        ]
         turn += 1
     for inst in instances:
         inst.stop()

@@ -3,9 +3,7 @@
 Provenance: every table and figure of the paper (§IV, Tables I-II,
 Figs. 3-12) is regenerated by a benchmark under ``benchmarks/`` whose
 rows flow through these formatters into
-``benchmarks/output/results.txt``; the paper-vs-reproduced comparison
-convention (the ``model/paper`` ratio column) follows the shape-first
-reproduction target set in DESIGN.md.  :func:`format_manifest` renders
+``benchmarks/output/results.txt``.  :func:`format_manifest` renders
 the machine-readable run manifests produced by
 :func:`repro.trace.run_manifest` — the third exporter of the tracing
 subsystem (docs/TRACING.md) — so traced benchmark runs (Figs. 3/9/10)
@@ -14,11 +12,10 @@ report counters and per-PE utilization alongside their tables.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = [
     "format_table",
-    "format_comparison",
     "format_manifest",
     "format_trace_summary",
     "format_serve_metrics",
@@ -50,31 +47,6 @@ def format_table(
     for row in srows:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_comparison(
-    headers: Sequence[str],
-    rows: Iterable[Sequence],
-    title: Optional[str] = None,
-    ratio_of: Optional[tuple] = None,
-) -> str:
-    """Table with an extra reproduced/paper ratio column.
-
-    ``ratio_of=(i_paper, i_model)`` appends model/paper for those
-    column indices.
-    """
-    out_rows: List[List] = []
-    hdrs = list(headers)
-    if ratio_of is not None:
-        hdrs.append("model/paper")
-    for row in rows:
-        row = list(row)
-        if ratio_of is not None:
-            ip, im = ratio_of
-            paper, model = float(row[ip]), float(row[im])
-            row.append(f"{model / paper:.2f}x" if paper else "-")
-        out_rows.append(row)
-    return format_table(hdrs, out_rows, title=title)
 
 
 def format_manifest(manifest: Mapping[str, Any], counters: bool = True) -> str:

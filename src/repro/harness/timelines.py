@@ -29,7 +29,7 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +59,6 @@ __all__ = [
 def utilization_profile(
     tracer: Tracer,
     bins: int = 100,
-    categories: Optional[Sequence[str]] = None,
 ) -> Dict[str, np.ndarray]:
     """Bin per-category busy time into a time profile (Fig. 9 shape).
 
@@ -73,8 +72,7 @@ def utilization_profile(
     edges = np.linspace(t0, t1, bins + 1)
     ntracks = len(tracer.tracks()) or 1
     width = (t1 - t0) / bins
-    if categories is None:
-        categories = tracer.categories()
+    categories = tracer.categories()
     out: Dict[str, np.ndarray] = {c: np.zeros(bins) for c in categories}
     for span in tracer.spans:
         if span.category not in out:
@@ -286,7 +284,6 @@ def fig10_pme_window(
     workers: int = 2,
     comm_threads: int = 2,
     pme_every: int = 1,
-    window_us: Optional[float] = None,
 ) -> Dict[str, object]:
     """Standard vs many-to-many PME: steps completed in a fixed window.
 
@@ -306,8 +303,7 @@ def fig10_pme_window(
         workers=workers, comm_threads=comm_threads, pme_every=pme_every,
         use_m2m_pme=True, n_steps=n_steps,
     )
-    if window_us is None:
-        window_us = std.total_us * 0.75
+    window_us = std.total_us * 0.75
     steps_std = sum(1 for t in std.step_times_us if t <= window_us)
     steps_m2m = sum(1 for t in m2m.step_times_us if t <= window_us)
     return {

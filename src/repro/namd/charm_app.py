@@ -24,15 +24,12 @@ produces the timeline/utilization figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..charm import Chare, Charm
-from ..converse import RunConfig
 from ..fft.fft3d import FFT3D
-from ..fft.pencil import choose_grid
 from .forces import bonded_forces, nonbonded_instructions, pair_forces
 from .integrator import kinetic_energy
 from .patches import PatchGrid

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 __all__ = ["kick", "drift", "kinetic_energy", "temperature", "remove_drift"]

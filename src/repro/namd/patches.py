@@ -17,6 +17,9 @@ import numpy as np
 
 __all__ = ["PatchGrid"]
 
+#: Atom drift (Angstrom) a patch's PME footprint allows beyond its extent.
+DRIFT_MARGIN = 2.0
+
 
 @dataclass(frozen=True)
 class PatchGrid:
@@ -94,11 +97,10 @@ class PatchGrid:
         patch: int,
         pme_grid: Tuple[int, int, int],
         order: int,
-        margin: float = 2.0,
     ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         """Unwrapped (x, y) grid-index window a patch's charges touch.
 
-        Covers the patch's spatial extent plus ``margin`` Angstrom of
+        Covers the patch's spatial extent plus :data:`DRIFT_MARGIN` of
         atom drift plus the B-spline support.  Windows are *unwrapped*
         (may extend below 0 or beyond K); the PME pencil mapping wraps
         them modulo the grid.
@@ -108,8 +110,8 @@ class PatchGrid:
         out = []
         for c, dim, K, b in ((cx, self.dims[0], Kx, self.box[0]), (cy, self.dims[1], Ky, self.box[1])):
             width = b / dim
-            lo = (c * width - margin) / b * K
-            hi = ((c + 1) * width + margin) / b * K
+            lo = (c * width - DRIFT_MARGIN) / b * K
+            hi = ((c + 1) * width + DRIFT_MARGIN) / b * K
             g0 = int(np.floor(lo)) - order  # spline support below
             g1 = int(np.ceil(hi)) + 1
             out.append((g0, g1))

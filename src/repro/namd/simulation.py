@@ -13,8 +13,8 @@ analytic scaling model in :mod:`repro.perfmodel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 

@@ -161,14 +161,6 @@ class Gauge(_Metric):
         self._guard_unlabelled()
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._guard_unlabelled()
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._guard_unlabelled()
-        self.value -= amount
-
 
 class Histogram(_Metric):
     """Distribution with explicit buckets *and* retained samples.

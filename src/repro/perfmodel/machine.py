@@ -10,10 +10,9 @@ suite).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..bgq.params import BGQParams, CLOCK_HZ, DEFAULT_PARAMS
+from ..bgq.params import BGQParams, DEFAULT_PARAMS
 
 __all__ = [
     "per_thread_ipc",

@@ -27,15 +27,14 @@ of the model structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..bgq.params import BGQParams, CLOCK_HZ, DEFAULT_PARAMS
-from ..bgq.torus import Torus, bgq_partition_shape
-from ..namd.system import APOA1, STMV100M, STMV20M, SystemSpec
+from ..bgq.torus import bgq_partition_shape
+from ..namd.system import SystemSpec
 from .machine import (
     BGP,
-    BGPParams,
     commthread_message_instr,
     node_issue_rate,
     per_thread_ipc,
@@ -244,12 +243,11 @@ def _pow2_at_least(n: int) -> int:
 def best_config(
     spec: SystemSpec,
     nodes: int,
-    configs: Iterable[NamdRunConfig] = FIG7_CONFIGS,
     consts: NamdModelConstants = DEFAULT_NAMD_CONSTANTS,
 ) -> Tuple[NamdRunConfig, float]:
-    """The fastest configuration at a node count (Fig. 11's 'best')."""
+    """The fastest Fig. 7 configuration at a node count (Fig. 11's 'best')."""
     best = None
-    for cfg in configs:
+    for cfg in FIG7_CONFIGS:
         t = namd_step_time(spec, nodes, cfg, consts)
         if best is None or t < best[1]:
             best = (cfg, t)
@@ -262,10 +260,10 @@ def bgp_step_time(
     spec: SystemSpec,
     nodes: int,
     consts: NamdModelConstants = DEFAULT_NAMD_CONSTANTS,
-    bgp: BGPParams = BGP,
 ) -> float:
     """ApoA1 step time on the BG/P model (4 cores @850 MHz, 3D torus)."""
     c = consts
+    bgp = BGP
     ppa = (4.0 / 3.0) * math.pi * spec.cutoff**3 * spec.density * c.pair_margin
     pairs = spec.n_atoms * ppa / 2.0
     # The PPC450's 2-wide double hummer instead of 4-wide QPX: the

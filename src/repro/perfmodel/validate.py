@@ -16,7 +16,7 @@ scale, and the shapes are the validated quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..bgq.params import CYCLES_PER_US
 from .fftmodel import fft_step_time

@@ -1,6 +1,6 @@
 """Lockless producer-consumer queues over L2 atomics (§III-A, Fig. 2).
 
-Three queue flavours, matching the paper's comparison:
+Two queue flavours, matching the paper's comparison:
 
 * :class:`MutexQueue` — the "typical" implementation: a deque guarded by
   a pthread mutex.  The mutex becomes a bottleneck when several peers
@@ -13,15 +13,10 @@ Three queue flavours, matching the paper's comparison:
   slot.  The consumer dequeues and then advances the bound, re-enabling
   producers.  When the bounded increment fails (queue full) producers
   fall back to a mutex-protected *overflow queue*.  Because Charm++ has
-  **no message-ordering requirement**, the consumer only touches the
-  overflow queue when the L2 queue is empty — the overflow mutex is off
-  the fast path entirely.
-
-* :class:`MPIOrderedQueue` — the PAMI/MPI variant.  MPI match ordering
-  requires that a consumer never overtake messages parked in the
-  overflow queue, so every dequeue must lock the overflow queue and
-  check it *before* advancing the bound — the extra overhead the paper
-  calls out when contrasting with the Charm++ design.
+  **no message-ordering requirement** — unlike PAMI's MPI variant, which
+  must lock and check the overflow queue on every dequeue (§III-A) —
+  the consumer only touches the overflow queue when the L2 queue is
+  empty, so the overflow mutex is off the fast path entirely.
 
 All operations are generator-style and charge both the L2 atomic
 latencies (via the :class:`~repro.bgq.l2.L2AtomicUnit`) and the software
@@ -48,7 +43,7 @@ from .bgq.params import BGQParams, DEFAULT_PARAMS
 from .bgq.wakeup import WakeupSource
 from .sim import Environment, Mutex
 
-__all__ = ["MutexQueue", "L2AtomicQueue", "MPIOrderedQueue"]
+__all__ = ["MutexQueue", "L2AtomicQueue"]
 
 #: Small fixed software cost (instructions) around each queue operation
 #: (pointer write, index arithmetic).
@@ -112,7 +107,7 @@ class MutexQueue(_QueueBase):
         yield from thread.compute(_SLOT_INSTR)
         self._items.append(item)
         yield from thread.compute(p.mutex_release_instr)
-        self.lock.release_nowait()
+        self.lock.release()
         self.enqueues += 1
         self.wakeup.signal()
 
@@ -123,7 +118,7 @@ class MutexQueue(_QueueBase):
         yield from self.lock.acquire()
         item = self._items.popleft() if self._items else None
         yield from thread.compute(p.mutex_release_instr)
-        self.lock.release_nowait()
+        self.lock.release()
         if item is not None:
             self.dequeues += 1
         return item
@@ -171,7 +166,7 @@ class L2AtomicQueue(_QueueBase):
             yield from thread.compute(_SLOT_INSTR)
             self.overflow.append(item)
             yield from thread.compute(p.mutex_release_instr)
-            self.overflow_lock.release_nowait()
+            self.overflow_lock.release()
             self.overflow_enqueues += 1
         else:
             yield from thread.compute(_SLOT_INSTR)
@@ -219,58 +214,7 @@ class L2AtomicQueue(_QueueBase):
             yield from self.overflow_lock.acquire()
             item = self.overflow.popleft() if self.overflow else None
             yield from thread.compute(p.mutex_release_instr)
-            self.overflow_lock.release_nowait()
-            if item is not None:
-                self.dequeues += 1
-            return item
-        return None
-
-
-class MPIOrderedQueue(L2AtomicQueue):
-    """PAMI's MPI-ordered variant: overflow check on *every* dequeue.
-
-    MPI match ordering means a message parked in the overflow queue must
-    not be overtaken by a later L2-queue message, so the consumer locks
-    and checks the overflow queue before advancing the bound — paying
-    the mutex on the fast path the Charm++ queue avoids (§III-A).
-    """
-
-    def has_ready(self) -> bool:
-        # Ordered semantics: an in-flight head slot blocks delivery (no
-        # overtaking), so a dequeue then returns None with zero events.
-        if self.l2.peek(self.counter) > self._consumed:
-            return self.slots[self._consumed % self.size] is not None
-        return bool(self.overflow)
-
-    def dequeue(self, thread: HWThread):
-        p = self.params
-        if self._l2_nonempty():
-            slot = self._consumed % self.size
-            item = self.slots[slot]
-            if item is None:
-                return None
-            self.slots[slot] = None
-            self._consumed += 1
-            yield from thread.compute(_SLOT_INSTR)
-            # The ordering requirement: before advancing the bound, lock
-            # and inspect the overflow queue (a later producer must not
-            # lap a message parked there).  This lock/check on the fast
-            # path is exactly the overhead the Charm++ queue avoids
-            # (the match-order bookkeeping itself is not modelled).
-            yield from thread.compute(p.mutex_acquire_instr)
-            yield from self.overflow_lock.acquire()
-            yield from thread.compute(_SLOT_INSTR)  # the ordering check
-            yield from thread.compute(p.mutex_release_instr)
-            self.overflow_lock.release_nowait()
-            yield from self.l2.store_add_bound(self.counter, 1)
-            self.dequeues += 1
-            return item
-        if self.overflow:
-            yield from thread.compute(p.mutex_acquire_instr)
-            yield from self.overflow_lock.acquire()
-            item = self.overflow.popleft() if self.overflow else None
-            yield from thread.compute(p.mutex_release_instr)
-            self.overflow_lock.release_nowait()
+            self.overflow_lock.release()
             if item is not None:
                 self.dequeues += 1
             return item

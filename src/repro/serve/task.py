@@ -9,9 +9,9 @@ service's job classes:
 
 * :class:`EnvTask` — one :class:`~repro.sim.Environment` advanced
   through the **public** ``peek()``/``step()``/``Event.processed``
-  surface only (lint rule P3; the exact oracle the serve gate's
-  interleave pass validates, so interleaved execution is bit-identical
-  to solo);
+  surface only (lint rule P3; the serve gate's interleave pass steps
+  its instances through it too, so interleaved execution is checked
+  bit-identical to solo);
 * :class:`ShardedTask` — a windowed conservative-PDES run
   (:mod:`repro.sim.shard`): each ``advance()`` executes one
   barrier-to-barrier window across all shard Environments;
@@ -75,11 +75,11 @@ class SimTask(Protocol):
 class EnvTask:
     """A single-Environment simulation advanced via peek()/step().
 
-    Exactly the ``isogate.run_interleaved`` execution model: stepping
-    stops the moment ``done`` is processed — the same stopping point as
-    ``env.run(until=done)`` — so the checksum can differ from a solo
-    run only through cross-instance interference, which the G/S lint
-    families and the serve gate exclude.
+    Stepping stops the moment ``done`` is processed — the same stopping
+    point as ``env.run(until=done)`` — so the checksum can differ from a
+    solo run only through cross-instance interference, which the G/S
+    lint families exclude and the serve gate's interleave pass
+    (``isogate.run_interleaved``, built on this class) checks.
     """
 
     def __init__(

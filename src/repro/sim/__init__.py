@@ -2,6 +2,9 @@
 
 All simulated BG/Q hardware and all runtime threads in this
 reproduction execute as processes on :class:`~repro.sim.Environment`.
+Beside the engine: the contention-counting :class:`Mutex` (the one
+software lock the model needs), seeded random streams, and the
+sharded conservative-PDES coordinator.
 """
 
 from .engine import (
@@ -15,7 +18,7 @@ from .engine import (
     Ticket,
     Timeout,
 )
-from .resources import ContentionStats, Mutex, Semaphore, Store
+from .resources import ContentionStats, Mutex
 from .rng import StreamRegistry
 from .shard import (
     ShardCoordinator,
@@ -33,12 +36,10 @@ __all__ = [
     "Interrupt",
     "Mutex",
     "Process",
-    "Semaphore",
     "ShardCoordinator",
     "ShardEnvironment",
     "ShardStallError",
     "SimulationError",
-    "Store",
     "run_sharded_subprocesses",
     "StreamRegistry",
     "Ticket",

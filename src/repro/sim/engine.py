@@ -196,13 +196,6 @@ class Event:
         env._imm.append((env._now, seq, self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the same outcome as another (for chaining)."""
-        if event._exc is not None:
-            self.fail(event._exc)
-        else:
-            self.succeed(event._value)
-
     def cancel(self) -> None:
         """Lazily retire a scheduled event: its pop becomes a no-op.
 

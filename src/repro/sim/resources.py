@@ -1,22 +1,22 @@
 """Synchronisation resources with contention accounting.
 
-These model the *software* synchronisation objects the paper contrasts
-with BG/Q L2 atomics: pthread-style mutexes (whose contention is the
-pathology in §III-A/III-B) and simple FIFO stores used as mailboxes.
+This models the *software* synchronisation object the paper contrasts
+with BG/Q L2 atomics: the pthread-style mutex whose contention is the
+pathology in §III-A/III-B.
 
-Every resource records how long acquirers waited, so benchmarks can
-report contention directly (Fig. 6 is essentially a mutex-contention
+The mutex records how long acquirers waited, so benchmarks can report
+contention directly (Fig. 6 is essentially a mutex-contention
 measurement).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from .engine import Environment, Event, SimulationError
 
-__all__ = ["Mutex", "Semaphore", "Store", "ContentionStats"]
+__all__ = ["Mutex", "ContentionStats"]
 
 
 class ContentionStats:
@@ -37,10 +37,6 @@ class ContentionStats:
             self.total_wait += wait
             self.max_wait = max(self.max_wait, wait)
 
-    @property
-    def mean_wait(self) -> float:
-        return self.total_wait / self.acquisitions if self.acquisitions else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"ContentionStats(acq={self.acquisitions}, contended={self.contended},"
@@ -49,25 +45,16 @@ class ContentionStats:
 
 
 class Mutex:
-    """FIFO mutex with uncontended/contended cost model.
+    """FIFO mutex; waiters pay the queueing delay.
 
-    ``acquire_cost`` is charged even when the lock is free (an atomic
-    compare-and-swap plus memory fencing); waiters additionally pay the
-    queueing delay.  This is the mutex the GNU arena allocator and the
-    MPI-ordered PAMI work queues pay for, which L2 atomic queues avoid.
+    This is the mutex the GNU arena allocator and the mutex-guarded
+    queues pay for, which L2 atomic queues avoid.  The instruction cost
+    of locking is charged by the caller on its hardware thread.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str = "mutex",
-        acquire_cost: float = 0.0,
-        release_cost: float = 0.0,
-    ) -> None:
+    def __init__(self, env: Environment, name: str = "mutex") -> None:
         self.env = env
         self.name = name
-        self.acquire_cost = acquire_cost
-        self.release_cost = release_cost
         self._locked = False
         self._waiters: Deque[tuple[Event, float]] = deque()
         self.stats = ContentionStats()
@@ -78,115 +65,30 @@ class Mutex:
 
     def acquire(self):
         """Process-style acquire; ``yield from mutex.acquire()``."""
-        if self.acquire_cost:
-            yield self.env.timeout(self.acquire_cost)
-        t0 = self.env.now
         if self._locked:
             ev = self.env.event()
-            self._waiters.append((ev, t0))
+            self._waiters.append((ev, self.env.now))
             yield ev
             # Ownership transferred to us by release(); wait recorded there.
         else:
             self._locked = True
-            self.stats.record(self.env.now - t0)
+            self.stats.record(0.0)
 
     def try_acquire(self) -> bool:
-        """Non-blocking acquire; returns False if held (no cost charged)."""
+        """Non-blocking acquire; returns False if held."""
         if self._locked:
             return False
         self._locked = True
         self.stats.record(0.0)
         return True
 
-    def release(self):
-        """Process-style release; ``yield from mutex.release()``."""
-        if not self._locked:
-            raise SimulationError(f"release of unlocked {self.name}")
-        if self.release_cost:
-            yield self.env.timeout(self.release_cost)
-        if self._waiters:
-            ev, t0 = self._waiters.popleft()
-            # Hand the lock directly to the next waiter (still locked).
-            self.stats.record(self.env.now - t0)
-            ev.succeed()
-        else:
-            self._locked = False
-
-    def release_nowait(self) -> None:
-        """Zero-cost release (for try_acquire pairing)."""
-        if not self._locked:
-            raise SimulationError(f"release of unlocked {self.name}")
-        if self._waiters:
-            ev, t0 = self._waiters.popleft()
-            self.stats.record(self.env.now - t0)
-            ev.succeed()
-        else:
-            self._locked = False
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeups."""
-
-    def __init__(self, env: Environment, value: int = 0, name: str = "sem") -> None:
-        if value < 0:
-            raise SimulationError("semaphore initial value must be >= 0")
-        self.env = env
-        self.name = name
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self):
-        if self._value > 0:
-            self._value -= 1
-            return
-            yield  # pragma: no cover - makes this a generator
-        ev = self.env.event()
-        self._waiters.append(ev)
-        yield ev
-
     def release(self) -> None:
+        """Release; a waiting acquirer takes the lock over directly."""
+        if not self._locked:
+            raise SimulationError(f"release of unlocked {self.name}")
         if self._waiters:
-            self._waiters.popleft().succeed()
+            ev, t0 = self._waiters.popleft()
+            self.stats.record(self.env.now - t0)
+            ev.succeed()
         else:
-            self._value += 1
-
-
-class Store:
-    """Unbounded FIFO store: put never blocks, get blocks when empty.
-
-    Used as a simple mailbox between simulated threads where the paper's
-    specialised queues are *not* the object of study.
-    """
-
-    def __init__(self, env: Environment, name: str = "store") -> None:
-        self.env = env
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self):
-        """Process-style get; ``item = yield from store.get()``."""
-        if self._items:
-            return self._items.popleft()
-        ev = self.env.event()
-        self._getters.append(ev)
-        item = yield ev
-        return item
-
-    def try_get(self) -> Optional[Any]:
-        if self._items:
-            return self._items.popleft()
-        return None
+            self._locked = False

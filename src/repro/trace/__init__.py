@@ -15,7 +15,6 @@ and ``docs/ARCHITECTURE.md`` for where each layer hooks in.  Try
 """
 
 from .core import (
-    OVERHEAD_CATEGORIES,
     Span,
     Tracer,
     TracerProtocolError,
@@ -31,7 +30,6 @@ from .exporters import (
 )
 
 __all__ = [
-    "OVERHEAD_CATEGORIES",
     "Span",
     "Tracer",
     "TracerProtocolError",

@@ -46,7 +46,6 @@ __all__ = [
     "Tracer",
     "TracerProtocolError",
     "USEFUL_CATEGORIES",
-    "OVERHEAD_CATEGORIES",
 ]
 
 
@@ -70,8 +69,6 @@ class TracerProtocolError(RuntimeError):
 USEFUL_CATEGORIES = frozenset(
     {"integrate", "nonbonded", "pme", "bonded", "compute", "fft"}
 )
-#: Categories counted as busy (useful + overhead) but not idle.
-OVERHEAD_CATEGORIES = frozenset({"comm", "sched", "alloc", "pack", "unpack"})
 
 
 @dataclass(frozen=True)

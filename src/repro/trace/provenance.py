@@ -29,7 +29,7 @@ Events arrive either as the tracer's tuples or as JSON-decoded lists
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .core import Span

@@ -26,7 +26,7 @@ so the converged residual is a direct end-to-end correctness measure.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..bgq.params import CYCLES_PER_US
 from ..charm import Chare
@@ -36,6 +36,13 @@ __all__ = ["SIGMA", "JacobiCell", "build_jacobi", "exact_solution", "forcing"]
 
 #: Damping: iteration contraction factor is 2 / (2 + SIGMA) = 1/2.
 SIGMA = 2.0
+
+#: Compute per sweep: at 25 us a halo that needs one retransmit (25 us
+#: base timeout) arrives only ~1 sweep stale, which keeps the effective
+#: contraction rate high under lossy profiles.
+SWEEP_INSTR = 25.0 * CYCLES_PER_US
+#: Bytes of one halo message.
+HALO_BYTES = 32
 
 
 def exact_solution(ncells: int):
@@ -80,7 +87,7 @@ class JacobiCell(Chare):
         cfg = self.cfg
         i = self.thisIndex
         n = cfg["ncells"]
-        yield from self.charge(cfg["compute_instr"])
+        yield from self.charge(SWEEP_INSTR)
         self.u = (self.left + self.right + cfg["f"][i]) / (2.0 + SIGMA)
         self.sweeps_done += 1
         # Push the fresh value to both neighbours under the configured
@@ -90,12 +97,12 @@ class JacobiCell(Chare):
         # inbound sides of one cell into a single flow.
         if i > 0:
             yield from self.send(
-                i - 1, "halo", cfg["halo_bytes"], 1, self.u,
+                i - 1, "halo", HALO_BYTES, 1, self.u,
                 fresh_key=("halo", i - 1, 1),
             )
         if i < n - 1:
             yield from self.send(
-                i + 1, "halo", cfg["halo_bytes"], 0, self.u,
+                i + 1, "halo", HALO_BYTES, 0, self.u,
                 fresh_key=("halo", i + 1, 0),
             )
         if self.sweeps_done < cfg["sweeps"]:
@@ -112,16 +119,11 @@ def build_jacobi(
     ncells: int = 8,
     sweeps: int = 60,
     qos: int = QOS_RELIABLE,
-    compute_us: float = 25.0,
-    halo_bytes: int = 32,
 ) -> Dict[str, Any]:
     """Wire the solver into a Charm instance; seeds every cell's sweep.
 
-    ``compute_us`` paces the sweeps: at 25 us per sweep a halo that
-    needs one retransmit (25 us base timeout) arrives only ~1 sweep
-    stale, which keeps the effective contraction rate high under lossy
-    profiles.  Returns a box whose ``residual`` the reduction root
-    fills in (also the value passed to ``charm.exit``).
+    Returns a box whose ``residual`` the reduction root fills in (also
+    the value passed to ``charm.exit``).
     """
     if ncells < 2:
         raise ValueError("jacobi needs at least 2 cells")
@@ -134,8 +136,6 @@ def build_jacobi(
         "sweeps": sweeps,
         "f": forcing(ncells),
         "exact": exact_solution(ncells),
-        "compute_instr": compute_us * CYCLES_PER_US,
-        "halo_bytes": halo_bytes,
     }
 
     def finish(value: float) -> None:

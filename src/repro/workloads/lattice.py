@@ -41,6 +41,9 @@ SITES: Tuple[Tuple[int, int, int, int], ...] = tuple(
     for t in range(2)
 )
 
+#: Instructions of the stencil update a process runs between exchanges.
+STENCIL_INSTR = 4000.0
+
 
 def site_value(site: Tuple[int, int, int, int], rnd: int) -> int:
     """Deterministic per-(site, round) field value for integrity checks."""
@@ -66,7 +69,6 @@ class LatticeHalo:
         qos: int = QOS_RELIABLE,
         deadline_cycles: Optional[float] = None,
         nbytes: int = 48,
-        compute_instr: float = 4000.0,
     ) -> None:
         if len(runtime.processes) != 2:
             raise ValueError("lattice workload needs exactly 2 processes")
@@ -78,7 +80,6 @@ class LatticeHalo:
         # let a round complete short and break exactly-once accounting.
         self.deadline_cycles = None if qos == QOS_RELIABLE else deadline_cycles
         self.nbytes = nbytes
-        self.compute_instr = compute_instr
         self.owned: List[List[Tuple[int, int, int, int]]] = [
             [s for s in SITES if s[3] == p] for p in range(2)
         ]
@@ -143,7 +144,7 @@ class LatticeHalo:
             yield h.send_done
             yield h.recv_done
             # The stencil update between exchanges.
-            yield from pe.thread.compute(self.compute_instr)
+            yield from pe.thread.compute(STENCIL_INSTR)
         self._finished += 1
         if self._finished == 2 and not self.all_done.triggered:
             self.all_done.succeed()

@@ -15,6 +15,7 @@ from repro.harness.__main__ import main
 from repro.harness.isogate import STRIDES, gate_workloads, run_interleaved
 from repro.harness.servebench import serve_workloads, solo_checksums
 from repro.harness.workloads import Instance, run_instance
+from repro.serve import JobStallError
 from repro.sim import Environment
 
 
@@ -104,6 +105,20 @@ def test_gate_detects_shared_mutable_state():
     assert inter["leaky"] != alone, (
         "the interleave pass failed to detect deliberately shared state"
     )
+
+
+def test_drained_queue_is_a_named_stall():
+    """An instance whose queue drains before ``done`` is processed stops
+    the interleaver with a JobStallError naming it, not a silent hang."""
+    env = Environment()
+    env.timeout(3.0)  # the only event: nothing ever succeeds ``done``
+    stuck = Instance(
+        name="stuck", env=env, start=lambda: None, stop=lambda: None,
+        done=env.event(), observe=lambda: {},
+    )
+    _, fine = gate_workloads("tiny")[0]
+    with pytest.raises(JobStallError, match="stuck: event queue drained before"):
+        run_interleaved([fine, lambda: stuck])
 
 
 def test_interleaving_strides_vary():

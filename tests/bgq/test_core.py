@@ -464,7 +464,8 @@ def _scenario(script, ncores, drive):
         yield env.timeout(start)
         member = core.register(w0)
         yield env.timeout(hold)
-        core.set_weight(member, w1)
+        core.unregister(member)
+        member = core.register(w1)
         yield env.timeout(hold)
         core.unregister(member)
         outcome[i] = ("left", repr(env.now))
@@ -511,11 +512,11 @@ def _windows(env):
 @given(script=st.lists(_STEP, min_size=1, max_size=9), ncores=st.sampled_from([1, 2]))
 def test_interleaved_computes_resume_once_and_drive_alike(script, ncores):
     """Computes (equal sizes at equal times among them), occupants that
-    come, reweigh and go, and interrupts, on one or two cores: every
-    compute resumes its process exactly once — from its chunk, or by its
-    Interrupt and then never from the chunk — nothing is left on the
-    heap or the cores, and run(), peek()/step() and run_window slices
-    finish every step at the same repr'd time."""
+    come, rejoin at a new weight and go, and interrupts, on one or two
+    cores: every compute resumes its process exactly once — from its
+    chunk, or by its Interrupt and then never from the chunk — nothing
+    is left on the heap or the cores, and run(), peek()/step() and
+    run_window slices finish every step at the same repr'd time."""
     ran = _scenario(script, ncores, lambda env: env.run())
     assert _scenario(script, ncores, _step_all) == ran
     assert _scenario(script, ncores, _windows) == ran
@@ -551,7 +552,7 @@ _WEIGHTS = st.one_of(
 )
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["register", "set_weight", "unregister"]),
+        st.sampled_from(["register", "unregister"]),
         st.integers(0, 7),
         _WEIGHTS,
     ),
@@ -567,10 +568,6 @@ def test_cached_rate_equals_the_uncached_formula_at_every_step(ops, params):
     for op, i, w in ops:
         if op == "register" or not members:
             members.append(core.register(w))
-        elif op == "set_weight":
-            m = members[i % len(members)]
-            if m.id in core._members:
-                core.set_weight(m, w)
         else:
             core.unregister(members[i % len(members)])
         for m in members:

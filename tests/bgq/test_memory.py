@@ -86,7 +86,7 @@ def test_malloc_falls_over_to_free_arena():
         # Hold arena 0's lock for a long time.
         yield from alloc.locks[0].acquire()
         yield env.timeout(1e6)
-        yield from alloc.locks[0].release()
+        alloc.locks[0].release()
 
     def worker():
         yield env.timeout(10)
@@ -109,7 +109,7 @@ def test_all_arenas_locked_blocks_on_home():
     def hog(i, hold):
         yield from alloc.locks[i].acquire()
         yield env.timeout(hold)
-        yield from alloc.locks[i].release()
+        alloc.locks[i].release()
 
     for i in range(alloc.n_arenas):
         env.process(hog(i, 50_000 if i == 0 else 200_000))

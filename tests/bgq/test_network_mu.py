@@ -138,7 +138,7 @@ def test_wakeup_signal_on_packet_arrival():
 
     def sleeper():
         thread = m.node(1).thread(0)
-        yield from thread.wait_on(rfifo.wakeup)
+        yield rfifo.wakeup.arm()
         woke.append(env.now)
 
     env.process(sleeper())
@@ -160,7 +160,7 @@ def test_loopback_send_delivers_locally():
     env.run(until=desc.delivered)
     assert len(rfifo) == 1
     assert env.now == pytest.approx(p.mu_packet_overhead + p.nic_latency)
-    assert m.network.link_utilization() == {}
+    assert m.network._link_free == {}
 
 
 def test_fifo_pools_bounded():

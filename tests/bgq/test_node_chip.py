@@ -14,7 +14,7 @@ def one_node(**kw):
 
 def test_node_thread_layout():
     env, node = one_node()
-    assert node.n_threads == 64
+    assert node.n_threads == node.params.threads_per_node == 64
     # Threads map to cores in groups of 4 (BG/Q numbering).
     assert node.thread(0).core is node.thread(3).core
     assert node.thread(4).core is not node.thread(0).core
@@ -23,12 +23,16 @@ def test_node_thread_layout():
 
 
 def test_hwthread_spin_occupies_core():
+    """A spinning thread is a core member (how an idle PE polls), so it
+    slows the threads it shares the core with."""
     env, node = one_node()
     core = node.thread(0).core
     done = {}
 
     def spinner():
-        yield from node.thread(0).spin(10_000, weight=1.0)
+        member = core.register(1.0)
+        yield env.timeout(10_000)
+        core.unregister(member)
 
     def worker():
         yield from node.thread(1).compute(6_000)
@@ -48,7 +52,7 @@ def test_hwthread_wait_consumes_nothing():
     done = {}
 
     def waiter():
-        yield from node.thread(0).wait_on(src)
+        yield src.arm()
 
     def worker():
         yield from node.thread(1).compute(6_000)
@@ -123,10 +127,3 @@ def test_wakeup_multiple_waiters_all_fire():
     env.process(signaller())
     env.run()
     assert sorted(got) == ["a", "b"]
-
-
-def test_instr_cycles_solo_helper():
-    p = BGQParams()
-    assert p.instr_cycles_solo(600) == pytest.approx(1000)
-    assert p.bytes_per_cycle == pytest.approx(1.8e9 / 1.6e9)
-    assert p.threads_per_node == 64

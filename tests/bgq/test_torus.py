@@ -133,19 +133,6 @@ def test_links_are_all_directed_pairs():
         assert v in t.neighbors(u)
 
 
-def test_bisection_scales_with_shape():
-    big = Torus((4, 4, 4, 4, 2))
-    small = Torus((2, 2, 2, 2, 2))
-    assert big.bisection_links() > small.bisection_links()
-
-
-def test_dim_distance_signed():
-    t = Torus((8,))
-    assert t.dim_distance(0, 3, 0) == 3
-    assert t.dim_distance(0, 7, 0) == -1
-    assert t.dim_distance(0, 4, 0) == 4  # tie resolves positive
-
-
 # -- memoised routes ---------------------------------------------------------
 
 #: Routes from node 0 to (2, 3, 1) on a 4x4x2 torus per dimension order,

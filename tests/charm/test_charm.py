@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.charm import Chare, Charm, blocked_map, greedy_rebalance, node_aware_map, round_robin_map
+from repro.charm import Chare, Charm, blocked_map, greedy_rebalance, round_robin_map
 from repro.converse import RunConfig
 
 
@@ -99,7 +99,8 @@ def test_broadcast_reaches_every_element():
             pass
 
         def go(self):
-            yield from arr.broadcast_from(self._pe, "bump", 32, 5)
+            everyone = charm.create_section(arr, arr.indices)
+            yield from everyone.multicast_from(self._pe, "bump", 32, 5)
             # Exit after enough time for delivery via a second broadcast
             # barrier: use a reduction instead.
             yield from self.charge(1)
@@ -216,13 +217,6 @@ def test_reduction_tag_reusable_after_completion():
     charm.env.run(until=30_000_000)
     charm.runtime.stop()
     assert seen == [4, 4]
-
-
-def test_node_aware_map_keeps_blocks_on_node():
-    fn = node_aware_map(pes_per_node=4, n_elements=8)
-    pes = [fn(i, i, 8) for i in range(8)]  # 2 nodes x 4 PEs
-    assert all(p < 4 for p in pes[:4])
-    assert all(p >= 4 for p in pes[4:])
 
 
 def test_greedy_rebalance_balances_loads():

@@ -1,8 +1,8 @@
-"""Tests for chare groups, multicast sections and message priorities."""
+"""Tests for multicast sections and message priorities."""
 
 import pytest
 
-from repro.charm import Chare, Charm, Group, Section
+from repro.charm import Chare, Charm, Section
 from repro.converse import RunConfig
 from repro.converse.messages import ConverseMessage
 
@@ -17,46 +17,6 @@ class Member(Chare):
 
 def make(nnodes=2, workers=2, **kw):
     return Charm(RunConfig(nnodes=nnodes, workers_per_process=workers, **kw))
-
-
-# ---------- groups -------------------------------------------------------------
-
-def test_group_one_element_per_pe():
-    charm = make()
-    g = charm.create_group("mgr", Member)
-    assert len(g) == charm.npes
-    for pe in range(charm.npes):
-        assert g.pe_of(pe) == pe
-        assert g.local_element(pe) is g.element(pe)
-
-
-def test_group_name_collision_rejected():
-    charm = make()
-    charm.create_group("mgr", Member)
-    with pytest.raises(ValueError):
-        charm.create_group("mgr", Member)
-
-
-def test_group_entry_method_delivery():
-    charm = make()
-    g = charm.create_group("mgr", Member)
-
-    class Driver(Chare):
-        def __init__(self, idx):
-            pass
-
-        def go(self):
-            for pe in range(charm.npes):
-                yield from self.send_to(g, pe, "take", 32, pe * 10)
-            yield from self.charge(1)
-
-    d = charm.create_array("drv", Driver, [0])
-    charm.seed(d, 0, "go")
-    charm.start()
-    charm.env.run(until=30_000_000)
-    charm.runtime.stop()
-    for pe in range(charm.npes):
-        assert g.element(pe).got == [pe * 10]
 
 
 # ---------- sections ------------------------------------------------------------
@@ -105,29 +65,6 @@ def test_section_multicast_reaches_exactly_members():
     for i in range(12):
         expected = ["hello"] if i in members else []
         assert arr.element(i).got == expected, i
-
-
-def test_array_broadcast_uses_section_tree():
-    charm = make(nnodes=2, workers=2)
-    arr = charm.create_array("a", Member, range(8))
-
-    class Driver(Chare):
-        def __init__(self, idx):
-            pass
-
-        def go(self):
-            yield from arr.broadcast_from(self._pe, "take", 32, 5)
-            yield from arr.broadcast_from(self._pe, "take", 32, 6)
-
-    d = charm.create_array("drv", Driver, [0])
-    charm.seed(d, 0, "go")
-    charm.start()
-    charm.env.run(until=60_000_000)
-    charm.runtime.stop()
-    for i in range(8):
-        assert arr.element(i).got == [5, 6]
-    # The cached section was reused.
-    assert arr._bcast_section.multicasts == 2
 
 
 # ---------- priorities -----------------------------------------------------------

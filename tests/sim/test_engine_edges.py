@@ -58,21 +58,6 @@ def test_all_of_with_pre_processed_events():
     assert got == [["x"]]
 
 
-def test_event_trigger_chains_outcome():
-    env = Environment()
-    src, dst = env.event(), env.event()
-    src.succeed(7)
-    dst.trigger(src)
-    got = []
-
-    def proc():
-        got.append((yield dst))
-
-    env.process(proc())
-    env.run()
-    assert got == [7]
-
-
 def test_fail_requires_exception():
     env = Environment()
     with pytest.raises(TypeError):

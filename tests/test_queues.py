@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgq import BGQMachine, BGQParams
-from repro.queues import L2AtomicQueue, MPIOrderedQueue, MutexQueue
+from repro.queues import L2AtomicQueue, MutexQueue
 from repro.sim import Environment
 
 
@@ -34,16 +34,14 @@ def drain_all(env, node, q, consumer_tid=0):
     return items, stop, proc
 
 
-@pytest.mark.parametrize("qcls", ["mutex", "l2", "mpi"])
+@pytest.mark.parametrize("qcls", ["mutex", "l2"])
 def test_single_producer_fifo_order_without_overflow(qcls):
     """FIFO holds as long as the overflow path never engages."""
     env, node = one_node()
     if qcls == "mutex":
         q = MutexQueue(env)
-    elif qcls == "l2":
-        q = L2AtomicQueue(env, node.l2, size=64)
     else:
-        q = MPIOrderedQueue(env, node.l2, size=64)
+        q = L2AtomicQueue(env, node.l2, size=64)
     items, stop, proc = drain_all(env, node, q)
 
     def producer():
@@ -92,15 +90,13 @@ def test_overflow_path_may_reorder_by_design():
     assert items == [0, 1, 4, 5, 2, 3]
 
 
-@pytest.mark.parametrize("qcls", ["mutex", "l2", "mpi"])
+@pytest.mark.parametrize("qcls", ["mutex", "l2"])
 def test_many_producers_no_loss_no_dup(qcls):
     env, node = one_node()
     if qcls == "mutex":
         q = MutexQueue(env)
-    elif qcls == "l2":
-        q = L2AtomicQueue(env, node.l2, size=4)  # tiny: forces overflow
     else:
-        q = MPIOrderedQueue(env, node.l2, size=4)
+        q = L2AtomicQueue(env, node.l2, size=4)  # tiny: forces overflow
     items, stop, proc = drain_all(env, node, q)
     n_producers, per = 7, 15
     finished = []
@@ -205,38 +201,13 @@ def test_l2_queue_cheaper_than_mutex_queue_under_contention():
     assert t_l2 < t_mutex
 
 
-def test_mpi_ordered_dequeue_costs_more_than_charm():
-    """The PAMI/MPI ordering check makes its dequeue strictly slower."""
-
-    def run(qcls):
-        env, node = one_node()
-        q = qcls(env, node.l2, size=64)
-        times = []
-
-        def flow():
-            thread = node.thread(1)
-            for i in range(20):
-                yield from q.enqueue(thread, i)
-            t0 = env.now
-            for _ in range(20):
-                item = yield from q.dequeue(node.thread(0))
-                assert item is not None
-            times.append(env.now - t0)
-
-        env.process(flow())
-        env.run()
-        return times[0]
-
-    assert run(MPIOrderedQueue) > run(L2AtomicQueue)
-
-
 def test_wakeup_signalled_on_enqueue():
     env, node = one_node()
     q = L2AtomicQueue(env, node.l2, size=4)
     woke = []
 
     def sleeper():
-        yield from node.thread(0).wait_on(q.wakeup)
+        yield q.wakeup.arm()
         woke.append(env.now)
 
     def producer():
@@ -333,30 +304,6 @@ def test_inflight_head_does_not_starve_overflow():
     env.process(consumer())
     env.run()
     assert got == ["parked"]  # pre-fix: [None] forever
-
-
-def test_mpi_ordered_inflight_head_blocks_overflow():
-    """Contrast case: the MPI-ordered queue must *not* overtake an
-    in-flight head — ordering requires returning None until the stalled
-    producer completes."""
-    from repro.bgq.l2 import BOUNDED_INCREMENT_FAILED
-
-    env, node = one_node()
-    q = MPIOrderedQueue(env, node.l2, size=1)
-    got = []
-
-    def flow():
-        prod = node.thread(4)
-        cons = node.thread(0)
-        slot = yield from q.l2.load_increment_bounded(q.counter)
-        assert slot is not BOUNDED_INCREMENT_FAILED
-        yield from q.enqueue(prod, "parked")  # -> overflow
-        assert not q.has_ready()
-        got.append((yield from q.dequeue(cons)))
-
-    env.process(flow())
-    env.run()
-    assert got == [None]
 
 
 def test_has_ready_matches_dequeue_progress():
