@@ -33,7 +33,6 @@ order, so every rate is bit-identical to the plain formula.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..sim import Environment, Event, SimulationError, Ticket
@@ -42,12 +41,12 @@ from .params import BGQParams, DEFAULT_PARAMS
 __all__ = ["Core", "CoreMember"]
 
 _EPS = 1e-9
+_INF = float("inf")
 _MEMO_CAP = 64
-_weight = attrgetter("weight")
 
 
 class CoreMember:
-    """One registered activity (compute job or occupant) on a core."""
+    """One registered occupant (idle spinner, busy-wait) of a core."""
 
     __slots__ = ("id", "weight")
 
@@ -57,12 +56,14 @@ class CoreMember:
 
 
 class _Chunk(Event):
-    """A running compute, and the event its process waits on: ``left``
-    instructions at ``rate`` since ``t0``, ending at ticket ``key`` (None
-    once off the core), re-keyed next by ``gen``'s change pop.  An
-    Interrupt empties ``callbacks``; the core then skips the chunk."""
+    """A running compute: its own core member (``id``, ``weight``) and
+    the event its process waits on.  ``left`` instructions at ``rate``
+    since ``t0`` end at ``(at, seq)`` (``at`` None once off the core),
+    on a :class:`Ticket` only while pushed; ``gen``'s change pop re-keys
+    it next.  An Interrupt empties ``callbacks``; the core then skips
+    the chunk."""
 
-    __slots__ = ("member", "left", "t0", "rate", "key", "gen")
+    __slots__ = ("id", "weight", "left", "t0", "rate", "at", "seq", "ticket", "gen")
 
 
 class Core:
@@ -81,7 +82,8 @@ class Core:
         # key this core's membership dict, and a shared counter would
         # leak state between concurrent environments in one process.
         self._ids = itertools.count()
-        self._members: Dict[int, CoreMember] = {}
+        #: Member id -> weight, in registration order.
+        self._members: Dict[int, float] = {}
         #: Chunks armed since the last scheduled change, in arm order.
         self._attached: List[_Chunk] = []
         #: Every compute on the core, in start order.
@@ -102,7 +104,7 @@ class Core:
     @property
     def occupancy(self) -> float:
         """Current effective weighted occupancy n_eff."""
-        return sum(m.weight for m in self._members.values())
+        return sum(self._members.values())
 
     @property
     def n_members(self) -> int:
@@ -113,7 +115,7 @@ class Core:
         if weight < 0:
             raise ValueError("member weight must be >= 0")
         m = CoreMember(next(self._ids), weight)
-        self._members[m.id] = m
+        self._members[m.id] = weight
         self._notify_change()
         return m
 
@@ -134,8 +136,8 @@ class Core:
                 return
 
     # -- rate model -------------------------------------------------------
-    def rate_of(self, member: CoreMember) -> float:
-        """Instructions/cycle this member currently receives."""
+    def rate_of(self, member) -> float:
+        """Instructions/cycle a member (occupant or chunk) currently receives."""
         w = member.weight
         if w <= 0:
             return 0.0
@@ -150,8 +152,7 @@ class Core:
     def _rate_inputs(self) -> Tuple[float, float, float, float]:
         """``(per_unit, cap, width_scale, unit-weight rate)``, memoised by
         the weights in member order (the formula's summation order)."""
-        members = self._members.values()
-        key = tuple(map(_weight, members))
+        key = tuple(self._members.values())
         rates = self._memo.get(key)
         if rates is None:
             p = self.params
@@ -180,45 +181,54 @@ class Core:
         be driven by a :class:`~repro.sim.Process`, which resumes once,
         when the work is done.
         """
-        if instructions < 0:
-            raise ValueError("instruction count must be >= 0")
+        if not 0 <= instructions < _INF:
+            raise ValueError(f"instruction count must be finite and >= 0, got {instructions!r}")
         if instructions == 0:
             return 0.0
-        if weight <= 0:
-            raise ValueError("a compute needs weight > 0: at 0 it never ends")
+        if not 0 < weight < _INF:
+            raise ValueError(
+                f"a compute needs weight > 0 and finite (at 0 it never ends), got {weight!r}"
+            )
         env = self.env
         if env.active_process is None:
             raise SimulationError("Core.compute() must be yielded by a Process")
-        member = self.register(weight)
-        started = env.now
         chunk = _Chunk(env)
-        chunk.member = member
+        chunk.id = cid = next(self._ids)
+        chunk.weight = weight
         chunk.left = float(instructions)
-        chunk.key = None
+        chunk.at = None
+        members = self._members
+        members[cid] = weight
+        self._notify_change()
+        started = env.now
         try:
             if self._arm(chunk, started):
                 self._running.append(chunk)
                 self._push_next(started)
                 yield chunk
         finally:
-            if chunk.key is not None:  # an Interrupt ended the wait
+            if chunk.at is not None:  # an Interrupt ended the wait
                 self._drop(chunk)
-            self.unregister(member)
+            del members[cid]
+            self._notify_change()
         self.instructions_retired += instructions
         return env.now - started
 
     def _arm(self, c: _Chunk, now: float) -> bool:
         """Start ``c``'s next chunk at ``now``; False if its work is done
         (the residual test, the rate, the end, then the guard for a
-        residual below the clock's resolution, in the chunk loop's order)."""
+        residual below the clock's resolution, in the chunk loop's order).
+        The end's seq is reserved here; its ticket is made only if pushed."""
         left = c.left
         if left > _EPS:
-            rate = self.rate_of(c.member)
+            rate = self.rate_of(c)
             at = now + left / rate
             if at != now:
                 c.t0 = now
                 c.rate = rate
-                c.key = Ticket(self.env, at, c)
+                c.at = at
+                c.seq = self.env.reserve_seq()
+                c.ticket = None
                 attached = c.gen = self._attached
                 attached.append(c)
                 return True
@@ -227,7 +237,7 @@ class Core:
     def _finish(self, c: _Chunk) -> None:
         """Take a done compute off the core and resume its process here."""
         self._running.remove(c)
-        c.key = None
+        c.at = c.ticket = c.gen = None
         cbs, c.callbacks = c.callbacks, None
         cbs[0](c)
 
@@ -238,18 +248,18 @@ class Core:
         for c in ev.value:
             if not c.callbacks:
                 continue  # interrupted: its process drops it
-            key = c.key
-            if key.callbacks is not None:
-                key.cancel()  # the fresh key below replaces it
+            ticket = c.ticket
+            if ticket is not None:
+                ticket.cancel()  # the fresh end below replaces it
             c.left -= (now - c.t0) * c.rate
             if not self._arm(c, now):
                 self._finish(c)
         self._push_next(now)
 
-    def _expire(self, key: Ticket) -> None:
+    def _expire(self, ticket: Ticket) -> None:
         """A chunk-end pop: finish the compute, or arm its residual."""
-        c = key.value
-        now = key.at
+        c = ticket._value
+        now = c.at
         if c.callbacks:
             c.gen.remove(c)
             c.left -= (now - c.t0) * c.rate
@@ -263,22 +273,32 @@ class Core:
         """Take an interrupted compute off the core.  A change pop pushes
         the next end: the one the unregister that follows schedules, or
         one already pending."""
-        c.key.cancel()
+        if c.ticket is not None:
+            c.ticket.cancel()
         for chunks in (self._running, c.gen):
             if c in chunks:
                 chunks.remove(c)
+        c.at = c.ticket = c.gen = None
 
     def _push_next(self, now: float) -> None:
-        """Put the earliest chunk end on the heap, unless it is there.
+        """Push a ticket for the earliest chunk end, unless it has one.
         A pending change pop (at ``now``) calls this again, so meanwhile
         only an end due at ``now`` — keyed before that change — counts."""
-        pending = self._pending
-        best = None
-        for c in self._running:
-            key = c.key
-            if pending and key.at > now:
-                continue
-            if best is None or key.at < best.at or (key.at == best.at and key.seq < best.seq):
-                best = key
-        if best is not None and best.callbacks is None:
-            best.schedule(self._expire_cbs)
+        running = self._running
+        if len(running) == 1:
+            best = running[0]
+            if self._pending and best.at > now:
+                return
+        else:
+            pending = self._pending
+            best = None
+            for c in running:
+                at = c.at
+                if pending and at > now:
+                    continue
+                if best is None or at < best.at or (at == best.at and c.seq < best.seq):
+                    best = c
+            if best is None:
+                return
+        if best.ticket is None:
+            best.ticket = Ticket(self.env, best.at, best.seq, best, self._expire_cbs)

@@ -127,6 +127,7 @@ class InjectionFifo:
             desc = self._queue.popleft()
             self.descriptors_processed += 1
             npackets = max(1, math.ceil(desc.nbytes / p.packet_payload_max))
+            awaited = desc.kind in (MEMFIFO, RDMA_DATA)
             remaining = desc.nbytes
             for seq in range(npackets):
                 chunk = min(p.packet_payload_max, remaining) if remaining else 0
@@ -142,11 +143,13 @@ class InjectionFifo:
                     seq=seq,
                     is_last=(seq == npackets - 1),
                 )
-                last_arrival = self.mu.network.inject(pkt)
+                # Only the last packet of a message that reports its
+                # delivery gets a completion event.
+                last_arrival = self.mu.network.inject(pkt, pkt.is_last and awaited)
                 self.packets_injected += 1
             if not desc.injected.triggered:
                 desc.injected.succeed()
-            if desc.kind in (MEMFIFO, RDMA_DATA):
+            if awaited:
                 # npackets >= 1, and the last one is still in flight.
                 last_arrival._add_callback(desc._on_last_arrival)
 

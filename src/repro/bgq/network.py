@@ -16,8 +16,11 @@ against it at that scale.
 
 Packets fly without processes: a flight is one :class:`~repro.sim.Timeout`
 due at the arrival, whose callback delivers the packet, then succeeds
-the sender's ``done``.  A routed packet costs three events (the shared
-reservation flush, flight, ``done``), a loopback packet two.
+the sender's ``done`` — made only for a sender that waits on it
+(``inject(packet, wait=True)``; the MU waits on a message's last packet
+alone).  A routed packet costs two events (the shared reservation
+flush, flight) plus one for an awaited ``done``; a loopback packet one,
+plus one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ RGET_REQUEST = "rget-request"  # remote-read request, handled by remote MU
 RDMA_DATA = "rdma-data"  # RDMA payload, written directly to memory
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One torus packet (up to 512 B payload + 32 B header)."""
 
@@ -128,13 +131,15 @@ class TorusNetwork:
         wire = packet.payload_bytes + p.packet_header_bytes
         return wire / (p.link_bandwidth / 1.6e9)  # raw link rate, cycles
 
-    def inject(self, packet: Packet) -> Event:
-        """Send a packet; the returned event fires on arrival at dst.
+    def inject(self, packet: Packet, wait: bool = False) -> Optional[Event]:
+        """Send a packet.  With ``wait``, returns an event that fires on
+        arrival at dst; without, returns None and the arrival completes
+        nothing (no event is made, scheduled or popped for it).
 
         Must be called at the moment the MU puts the packet on the wire.
         """
         env = self.env
-        done = env.event()
+        done = Event(env) if wait else None
         self.packets_sent += 1
         self.bytes_sent += packet.payload_bytes
         if packet.src == packet.dst:
@@ -165,7 +170,7 @@ class TorusNetwork:
             t_head = start + p.hop_latency
         return t_head + ser
 
-    def _inject_routed(self, packet: Packet, done: Event) -> Event:
+    def _inject_routed(self, packet: Packet, done: Optional[Event]) -> Optional[Event]:
         """Route + reserve + deliver one non-loopback packet.
 
         Reservations are *not* made at the call: all injects of the
@@ -220,7 +225,7 @@ class TorusNetwork:
         for _node, _n, packet, done, route, action in batch:
             self._launch(packet, done, route, action)
 
-    def _launch(self, packet: Packet, done: Event, route, action) -> None:
+    def _launch(self, packet: Packet, done: Optional[Event], route, action) -> None:
         """Reserve the route and start the packet's flight."""
         env = self.env
         ser = self._serialization(packet)
@@ -230,7 +235,8 @@ class TorusNetwork:
             if action.drop:
                 # Lost in flight: links were still occupied up to the
                 # loss point (we conservatively charge the full route),
-                # but the packet never arrives and ``done`` never fires.
+                # but the packet never arrives and ``done`` (if any)
+                # never fires.
                 return
             arrival += action.extra_delay
             if action.dup_gap is not None:

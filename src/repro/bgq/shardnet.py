@@ -20,9 +20,9 @@ Each granted request becomes *external events* carrying the canonical
 ordering key (see :mod:`repro.sim.shard`): the
 packet delivery on the destination shard (``machine._deliver`` → the
 ``MU.receive_packet`` choke point, the same seam the fault injector
-uses) and the sender's completion event on the source shard.  When
-both ends live on one shard, a single combined event preserves the
-serial deliver-then-complete order.
+uses) and, for a packet its sender waits on, the sender's completion
+event on the source shard.  When both ends live on one shard, a single
+combined event preserves the serial deliver-then-complete order.
 
 Loopback (``src == dst``) packets never cross a shard boundary and
 keep the serial in-process path.  Unsupported under sharding (they
@@ -65,7 +65,9 @@ class _SendRequest:
 
     __slots__ = ("t", "node", "n", "packet", "done")
 
-    def __init__(self, t: float, node: int, n: int, packet: Packet, done: Event) -> None:
+    def __init__(
+        self, t: float, node: int, n: int, packet: Packet, done: Optional[Event]
+    ) -> None:
         self.t = t
         self.node = node
         self.n = n
@@ -102,7 +104,7 @@ class ShardTorusNetwork(TorusNetwork):
         self.shard_id = shard_id
         self._pending: List[_SendRequest] = []
 
-    def _inject_routed(self, packet: Packet, done: Event) -> Event:
+    def _inject_routed(self, packet: Packet, done: Optional[Event]) -> Optional[Event]:
         if self.routing != "deterministic":  # pragma: no cover - guarded in ctor
             raise NotImplementedError(
                 "adaptive routing keys its dimension permutation on a global "
@@ -207,10 +209,11 @@ class ReservationFabric:
             dst_shard = self.shard_of(pkt.dst)
             src_env = self.shards[src_shard][0]
             dst_env, dst_machine, _ = self.shards[dst_shard]
-            if dst_shard == src_shard:
+            done = r.done
+            if done is not None and dst_shard == src_shard:
                 # One event, serial order: deliver, then complete the
                 # sender (two same-key heap entries would collide).
-                def fire(pkt=pkt, done=r.done, machine=dst_machine):
+                def fire(pkt=pkt, done=done, machine=dst_machine):
                     machine._deliver(pkt)
                     done.succeed(pkt)
 
@@ -221,11 +224,12 @@ class ReservationFabric:
                     key,
                     lambda pkt=pkt, machine=dst_machine: machine._deliver(pkt),
                 )
-                src_env.schedule_external(
-                    arrival,
-                    key,
-                    lambda done=r.done, pkt=pkt: done.succeed(pkt),
-                )
+                if done is not None:  # an unawaited packet completes nothing
+                    src_env.schedule_external(
+                        arrival,
+                        key,
+                        lambda done=done, pkt=pkt: done.succeed(pkt),
+                    )
         self.requests_processed += len(reqs)
         return len(reqs)
 
@@ -384,16 +388,18 @@ class ShardClient:
         elif kind == "grant":
             _, key3, arrival = rec
             done, pkt = self._awaiting.pop(tuple(key3))
-            self.env.schedule_external(
-                arrival, self._key(key3), lambda: done.succeed(pkt)
-            )
+            if done is not None:  # an unawaited packet completes nothing
+                self.env.schedule_external(
+                    arrival, self._key(key3), lambda: done.succeed(pkt)
+                )
         elif kind == "both":
             _, key3, arrival = rec
             done, pkt = self._awaiting.pop(tuple(key3))
 
             def fire():
                 self.machine._deliver(pkt)
-                done.succeed(pkt)
+                if done is not None:
+                    done.succeed(pkt)
 
             self.env.schedule_external(arrival, self._key(key3), fire)
         else:  # pragma: no cover - protocol error

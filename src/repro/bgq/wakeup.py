@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..sim import Environment, Event
+from ..sim import Environment, Event, Timeout
 from .params import BGQParams, DEFAULT_PARAMS
 
 __all__ = ["WakeupSource"]
@@ -50,6 +50,10 @@ class WakeupSource:
         #: Times an arm() found the condition already latched (the
         #: lost-wakeup race the latch exists for) — an HPM counter.
         self.latched_fires = 0
+        # Shared by every delivery hop of this source (nothing else can
+        # reach those events to add callbacks).
+        self._start_cbs = [self._start]
+        self._deliver_cbs = [self._deliver]
 
     def arm(self, latency: Optional[float] = None) -> Event:
         """Arm the watch; returns the event the waiter should yield on.
@@ -95,23 +99,22 @@ class WakeupSource:
         self._latched = False
 
     def _fire(self, ev: Event, latency: Optional[float]) -> None:
-        self.wakeups += 1
-        delay = self.params.wakeup_latency if latency is None else latency
-        env = self.env
-
         # Delivery is a plain event/timeout chain rather than a spawned
         # Process: a zero-delay trampoline event stands in for the old
         # delivery process's init event, and its pop creates the delay
         # timeout — so the timeout's schedule position (and with it the
         # whole event order) is identical to the Process version, minus
-        # the Process/generator machinery.
-        def start(_trampoline: Event) -> None:
-            to = env.timeout(delay)
-            to.callbacks = [deliver]
+        # the Process/generator machinery.  Both hops carry their state
+        # in the event value and share this source's callback lists.
+        self.wakeups += 1
+        delay = self.params.wakeup_latency if latency is None else latency
+        tramp = Event(self.env)
+        tramp.callbacks = self._start_cbs
+        tramp.succeed((ev, delay))
 
-        def deliver(_timeout: Event) -> None:
-            ev.succeed()
+    def _start(self, tramp: Event) -> None:
+        ev, delay = tramp._value
+        Timeout(self.env, delay, ev).callbacks = self._deliver_cbs
 
-        tramp = Event(env)
-        tramp.callbacks = [start]
-        tramp.succeed()
+    def _deliver(self, timeout: Event) -> None:
+        timeout._value.succeed()

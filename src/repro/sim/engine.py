@@ -37,8 +37,9 @@ same simulated times — but cheaper on the host:
   wait instead of materialising a new bound method per yield;
 * :class:`Timeout` initialises its slots directly — the common
   ``timeout -> resume`` cycle runs without intermediate method calls;
-  so does :class:`Ticket`, whose key is taken when it is made but which
-  costs a pop only if scheduled (a core schedules one chunk end at once);
+  so does :class:`Ticket`, made only when it is pushed, at a ``(time,
+  seq)`` key whose seq :meth:`Environment.reserve_seq` took earlier (a
+  core reserves one per chunk end and pushes only the earliest);
 * every :class:`Event` subclass is ``__slots__``-complete (no instance
   dicts on the hot path).
 
@@ -239,8 +240,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # also NaN, which would pop first and jam the clock
+            raise SimulationError(f"negative or NaN timeout delay {delay!r}")
         # Initialise slots directly (no Event.__init__ call): a Timeout
         # is born triggered, and this constructor is the hottest
         # allocation site in the simulator.
@@ -259,27 +260,23 @@ class Timeout(Event):
 
 
 class Ticket(Event):
-    """Due at ``at``, with its ``(time, seq)`` key taken now; it enters
-    the heap, with ``callbacks`` set, only when :meth:`schedule` runs —
-    once (a twin key makes ``heapq`` compare events), and by ``at``."""
+    """Pushed when made, at ``(at, seq)`` with ``seq`` reserved earlier by
+    :meth:`Environment.reserve_seq`: it pops where an event scheduled at
+    the reservation would have, and costs nothing until it is needed."""
 
-    __slots__ = ("at", "seq")
+    __slots__ = ()
 
-    def __init__(self, env: "Environment", at: float, value: Any = None) -> None:
-        # Inline, as in Timeout: a core makes one per compute chunk.
+    def __init__(
+        self, env: "Environment", at: float, seq: Any, value: Any, callbacks: list
+    ) -> None:
+        # Inline, as in Timeout: a core makes one per pushed chunk end.
         self.env = env
-        self.callbacks = None
+        self.callbacks = callbacks
         self._value = value
         self._exc = None
         self._state = _TRIGGERED
         self._defused = False
-        self.at = at
-        env._seq = self.seq = env._seq + 1
-
-    def schedule(self, callbacks: list) -> None:
-        """Enter the heap at the reserved key; ``callbacks`` run at the pop."""
-        self.callbacks = callbacks
-        heapq.heappush(self.env._queue, (self.at, self.seq, self))
+        heapq.heappush(env._queue, (at, seq, self))
 
 
 class _ConditionValue:
@@ -518,6 +515,13 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         return self._active_process
 
+    def reserve_seq(self) -> Any:
+        """Take the next schedule sequence number now, for a
+        :class:`Ticket` that may be pushed later at this place in the
+        same-time order (an unused reservation costs nothing)."""
+        self._seq = seq = self._seq + 1
+        return seq
+
     # -- factories -------------------------------------------------------
     def event(self) -> Event:
         return Event(self)
@@ -685,9 +689,9 @@ class Environment:
                 return stop_event.value
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:
                 raise SimulationError(
-                    f"run(until={stop_time}) is in the past (now={self._now})"
+                    f"run(until={stop_time}) is in the past or NaN (now={self._now})"
                 )
 
         value = self._advance(stop_time, stop_event, 0)
@@ -709,5 +713,11 @@ class Environment:
         ``run(until=event)`` — and its value is returned.  Running out
         of events is *not* an error here: under sharding, a drained
         shard simply waits at the window boundary for neighbour traffic.
+        A ``stop_time`` before ``now``, or NaN, is a
+        :class:`SimulationError`: the clock would land on it.
         """
+        if not stop_time >= self._now:
+            raise SimulationError(
+                f"run_window({stop_time}) is in the past or NaN (now={self._now})"
+            )
         return self._advance(stop_time, stop_event, 0)

@@ -1,5 +1,6 @@
 """Tests for the A2 core SMT sharing model."""
 
+import gc
 import math
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from repro.bgq import Core
 from repro.bgq.core import _Chunk
 from repro.bgq.params import BGQParams
-from repro.sim import Environment, Interrupt, Process, SimulationError
+from repro.sim import Environment, Interrupt, Process, SimulationError, Ticket
 
 
 def run_threads(n, instructions=10000.0, weights=None, params=None):
@@ -149,6 +150,25 @@ def test_negative_instructions_rejected():
         env.run()
 
 
+@pytest.mark.parametrize(
+    "instructions,weight",
+    [(math.nan, 1.0), (math.inf, 1.0), (100.0, math.nan), (100.0, math.inf)],
+)
+def test_a_non_finite_compute_is_a_named_error(instructions, weight):
+    """NaN work used to finish at once and retire NaN instructions; an
+    infinite count or weight has no finite end either."""
+    env = Environment()
+    core = Core(env)
+
+    def worker():
+        yield from core.compute(instructions, weight)
+
+    env.process(worker())
+    with pytest.raises(ValueError, match="finite"):
+        env.run()
+    assert core.instructions_retired == 0.0 and core.n_members == 0
+
+
 def test_weights_validate():
     env = Environment()
     core = Core(env)
@@ -209,14 +229,15 @@ def test_chunk_that_loses_to_a_change_is_cancelled_and_resumes_once(resumes):
     env.process(newcomer())
     env.run(until=50)
     chunk = proc._target
-    first = chunk.key
+    first = chunk.ticket
     assert core._attached == [chunk]
-    assert first.callbacks is not None  # the only chunk: its end is scheduled
+    assert first.callbacks is not None  # the only chunk: its end is pushed
     env.run()
     # The change popped at t=100 and re-keyed the chunk: the first end
     # (due at the solo deadline) was cancelled, and its later pop resumed
     # nobody.  The process woke once, when the work was done.
     assert first.processed and first.callbacks is None
+    assert chunk.ticket is None and chunk.at is None
     woken = [(t, ev) for name, t, ev in resumes if name == "worker"][1:]
     assert woken == [(finished[0], chunk)]
     assert finished[0] > 10_000 / BGQParams().base_ipc
@@ -298,7 +319,7 @@ def test_a_chunk_done_at_a_change_pop_resumes_there(in_rekey):
     proc = env.process(worker())
     env.process(newcomer())
     env.run(until=1.0)
-    end = proc._target.key
+    end = proc._target.ticket
     env.run()
     assert log == [(just_before, True)]
     assert end.processed and end.callbacks is None
@@ -350,11 +371,14 @@ def test_interrupt_mid_compute_leaves_no_spurious_resume(change_first):
     env.process(attacker(v))
     env.run(until=50)
     chunk = v._target
-    first = chunk.key
+    first, seq = chunk.ticket, chunk.seq
     env.run()
     assert log == [("interrupted", 100.0, "stop"), ("slept", 600.0)]
     assert core.n_members == (1 if change_first else 0)
-    assert chunk.key is first and first.processed
+    # A re-key would have reserved a fresh seq; the pushed end was
+    # cancelled and let go.
+    assert chunk.seq == seq and first.processed
+    assert chunk.ticket is None and chunk.at is None
 
 
 @pytest.mark.parametrize("finish", ["end", "change"])
@@ -416,6 +440,61 @@ def test_a_change_after_an_interrupt_schedules_nothing(register_after):
     # Two process starts, the attacker's timeout, the Interrupt's wake,
     # two process ends and the cancelled chunk end's pop.
     assert env.events_executed == 7
+
+
+def test_finished_computes_leave_no_chunk_ticket_cycle(monkeypatch):
+    """About 2,000 computes on one core, re-keyed by a coming and going
+    occupant and one of them interrupted: with the collector off, none
+    of their chunks or tickets is left in a reference cycle for it."""
+    log = {"rekeys": 0, "interrupts": 0, "computes": 0}
+    rekey = Core._rekey
+
+    def counted(self, ev):
+        log["rekeys"] += 1
+        rekey(self, ev)
+
+    monkeypatch.setattr(Core, "_rekey", counted)
+    env = Environment()
+    core = Core(env)
+
+    def worker(n, size):
+        for i in range(n):
+            try:
+                yield from core.compute(size + i % 7)
+                log["computes"] += 1
+            except Interrupt:
+                log["interrupts"] += 1
+
+    def occupant():
+        for _ in range(300):
+            member = core.register(1.0)
+            yield env.timeout(370)
+            core.unregister(member)
+            yield env.timeout(530)
+
+    def attacker(target):
+        yield env.timeout(5_000)
+        target.interrupt()
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        first = env.process(worker(1_000, 300))
+        procs = [first, env.process(worker(1_000, 450)), env.process(occupant()),
+                 env.process(attacker(first))]
+        env.run()
+        gc.collect()
+        cyclic = [type(o).__name__ for o in gc.garbage if isinstance(o, (_Chunk, Ticket))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert all(not p.is_alive for p in procs)
+    assert log["computes"] == 1_999 and log["interrupts"] == 1 and log["rekeys"] > 1_000
+    assert cyclic == []
 
 
 def test_compute_outside_a_process_is_a_named_error():
@@ -531,14 +610,13 @@ def _uncached_rate(core, member):
     if w <= 0:
         return 0.0
     p = core.params
-    members = core._members.values()
-    n_eff = sum(m.weight for m in members)
+    weights = list(core._members.values())
+    n_eff = sum(weights)
     cap = p.thread_issue_cap
     per_unit = p.base_ipc / (1.0 + max(0.0, n_eff - 1.0) * p.smt_interference)
     rate = min(w * per_unit, cap * min(1.0, w))
     total = 0.0
-    for m in members:
-        mw = m.weight
+    for mw in weights:
         total += min(mw * per_unit, cap * min(1.0, mw))
     width = p.core_issue_width
     if total > width:

@@ -204,35 +204,45 @@ def test_per_fifo_message_rate_bounded_multiple_fifos_scale():
 
 # -- packets fly without processes ----------------------------------------
 
-def _fly_one(dst):
+def _fly_one(dst, wait=True):
     """Inject one 512 B packet from node 0 on an idle 2-node machine;
-    returns (engine events it cost, arrival time, reception FIFO)."""
+    returns (engine events it cost, arrival times, reception FIFO).
+    Arrivals are seen at the reception FIFO's push, so an unawaited
+    packet (no completion event) is timed too."""
     env, m, p = make_machine(2)
     rfifo = m.node(dst).mu.allocate_reception_fifo()
     env.run()
+    landed = []
+    push = rfifo.push
+    rfifo.push = lambda packet: (landed.append(env.now), push(packet))
     before = env.events_executed
     done = m.network.inject(
-        Packet(src=0, dst=dst, kind=MEMFIFO, payload_bytes=512, rec_fifo=rfifo.fifo_id)
+        Packet(src=0, dst=dst, kind=MEMFIFO, payload_bytes=512, rec_fifo=rfifo.fifo_id),
+        wait,
     )
-    landed = []
-    done.callbacks = [lambda ev: landed.append(env.now)]
+    assert (done is not None) == wait
     env.run()
+    if wait:
+        assert done.processed and done.value.dst == dst
     return env.events_executed - before, landed, rfifo
 
 
 def test_routed_packet_costs_three_events():
-    """Reservation flush, flight timeout, completion: nothing else."""
-    events, landed, rfifo = _fly_one(dst=1)
-    assert events == 3
-    assert landed == [1299.2]  # nic 800 + one hop 64 + 544 B at 1.25 B/cycle
-    assert len(rfifo) == 1
+    """Reservation flush, flight timeout, completion: nothing else — and
+    no completion for a packet nobody waits on."""
+    for wait, cost in ((True, 3), (False, 2)):
+        events, landed, rfifo = _fly_one(dst=1, wait=wait)
+        assert events == cost
+        assert landed == [1299.2]  # nic 800 + one hop 64 + 544 B at 1.25 B/cycle
+        assert len(rfifo) == 1
 
 
 def test_loopback_packet_costs_two_events():
-    events, landed, rfifo = _fly_one(dst=0)
-    assert events == 2
-    assert landed == [800.0]
-    assert len(rfifo) == 1
+    for wait, cost in ((True, 2), (False, 1)):
+        events, landed, rfifo = _fly_one(dst=0, wait=wait)
+        assert events == cost
+        assert landed == [800.0]
+        assert len(rfifo) == 1
 
 
 def _count_processes(monkeypatch):
@@ -268,9 +278,10 @@ def test_delivered_fires_at_the_last_arrival_after_its_done():
     inject = m.network.inject
     order = []
 
-    def recording_inject(packet):
-        done = inject(packet)
-        done._add_callback(lambda ev: order.append(("done", packet.seq, env.now)))
+    def recording_inject(packet, wait=False):
+        done = inject(packet, wait)
+        if done is not None:
+            done._add_callback(lambda ev: order.append(("done", packet.seq, env.now)))
         return done
 
     m.network.inject = recording_inject
@@ -278,10 +289,12 @@ def test_delivered_fires_at_the_last_arrival_after_its_done():
     desc.delivered._add_callback(lambda ev: order.append(("delivered", None, env.now)))
     ififo.post(desc)
     env.run()
-    assert [kind for kind, _, _ in order] == ["done"] * 4 + ["delivered"]
-    last_done, delivered = order[-2], order[-1]
+    # A 4-packet message makes exactly one completion: its last packet's.
+    assert [kind for kind, _, _ in order] == ["done", "delivered"]
+    last_done, delivered = order
     assert last_done[1] == 3
     assert delivered[2] == last_done[2]
+    assert len(rfifo) == 4
 
 
 def test_fault_dup_delivers_twice():
@@ -302,7 +315,8 @@ def test_fault_dup_delivers_twice():
 
     m.network.deliver = recording_deliver
     done = m.network.inject(
-        Packet(src=0, dst=1, kind=MEMFIFO, payload_bytes=512, rec_fifo=rfifo.fifo_id)
+        Packet(src=0, dst=1, kind=MEMFIFO, payload_bytes=512, rec_fifo=rfifo.fifo_id),
+        wait=True,
     )
     env.run()
     assert done.value.dst == 1

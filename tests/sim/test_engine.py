@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, Ticket
+from repro.sim import Environment, Interrupt, SimulationError, Ticket, Timeout
 
 
 def test_timeout_advances_clock():
@@ -38,6 +38,18 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1)
+
+
+def test_a_nan_timeout_is_a_named_error():
+    """A NaN delay would pop first (a NaN heap key compares false both
+    ways), set the clock to NaN and lose every later wakeup."""
+    env = Environment()
+    woke = []
+    env.timeout(5.0).callbacks = [lambda ev: woke.append(env.now)]
+    with pytest.raises(SimulationError, match="NaN"):
+        Timeout(env, float("nan"))
+    env.run()
+    assert woke == [5.0]
 
 
 def test_event_succeed_wakes_waiter():
@@ -203,6 +215,25 @@ def test_run_until_past_rejected():
         env.run(until=5)
 
 
+def test_run_until_nan_is_a_named_error():
+    env = Environment()
+    env.timeout(3.0)
+    with pytest.raises(SimulationError, match="NaN"):
+        env.run(until=float("nan"))
+    assert env.now == 0.0 and env.events_executed == 0
+
+
+def test_run_window_nan_is_a_named_error():
+    env = Environment()
+    env.timeout(3.0)
+    env.run_window(2.0)
+    with pytest.raises(SimulationError, match="NaN"):
+        env.run_window(float("nan"))
+    with pytest.raises(SimulationError, match="in the past"):
+        env.run_window(1.0)  # the clock would move back
+    assert env.now == 2.0 and env.events_executed == 0
+
+
 def test_all_of_waits_for_everything():
     env = Environment()
     got = []
@@ -319,18 +350,19 @@ def test_interrupt_thrown_into_waiting_process():
 
 
 def test_a_ticket_keeps_the_place_it_was_made_at():
-    """A Ticket's ``(time, seq)`` is taken when it is made: scheduled
-    after a later-made event due at the same time, it still pops first;
-    never scheduled, it costs no pop."""
+    """A Ticket pops at the ``(time, seq)`` place its seq was reserved
+    at: made after a later-scheduled event due at the same time, it
+    still pops first; a reservation never made into a ticket costs no
+    pop."""
     env = Environment()
     order = []
-    first = Ticket(env, 5.0, "first")
-    unused = Ticket(env, 5.0)
+    seq = env.reserve_seq()
+    env.reserve_seq()  # unused
     env.timeout(5.0).callbacks = [lambda ev: order.append("timeout")]
-    first.schedule([lambda ev: order.append(ev.value)])
+    Ticket(env, 5.0, seq, "first", [lambda ev: order.append(ev.value)])
     env.run()
     assert order == ["first", "timeout"]
-    assert env.events_executed == 2 and unused.callbacks is None
+    assert env.events_executed == 2
 
 
 def test_interrupt_finished_process_is_error():

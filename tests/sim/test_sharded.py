@@ -146,6 +146,21 @@ def test_mp_transport_matches_serial():
     assert [repr(t) for t in sharded["rtts"]] == [repr(t) for t in serial["rtts"]]
 
 
+def test_mp_transport_matches_serial_for_multi_packet_messages():
+    """2 KiB eager messages span several packets, and only the last one
+    has a completion: the others cross the subprocess transport as
+    delivery-only records."""
+    config = RunConfig(nnodes=4, workers_per_process=4)
+    dst = (config.nnodes - 1) * config.pes_per_node
+    serial = pingpong_run(config, 2048, dst_rank=dst, trips=4)
+    try:
+        sharded = run_sharded_pingpong(config, 2048, 2, trips=4, transport="mp")
+    except (ImportError, OSError, PermissionError) as exc:
+        pytest.skip(f"shared-memory subprocess transport unavailable: {exc}")
+    assert repr(sharded["sim_time"]) == repr(serial["sim_time"])
+    assert [repr(t) for t in sharded["rtts"]] == [repr(t) for t in serial["rtts"]]
+
+
 def test_dead_shard_child_is_reported_within_seconds():
     """A child that dies without an error frame is named within 10 s,
     not waited on for the 600 s IPC deadline."""
