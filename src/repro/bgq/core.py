@@ -112,8 +112,8 @@ class Core:
 
     def register(self, weight: float = 1.0) -> CoreMember:
         """Add an occupant (idle spinner, busy-wait) with given weight."""
-        if weight < 0:
-            raise ValueError("member weight must be >= 0")
+        if not 0 <= weight < _INF:
+            raise ValueError(f"member weight must be finite and >= 0, got {weight!r}")
         m = CoreMember(next(self._ids), weight)
         self._members[m.id] = weight
         self._notify_change()
@@ -284,21 +284,15 @@ class Core:
         """Push a ticket for the earliest chunk end, unless it has one.
         A pending change pop (at ``now``) calls this again, so meanwhile
         only an end due at ``now`` — keyed before that change — counts."""
-        running = self._running
-        if len(running) == 1:
-            best = running[0]
-            if self._pending and best.at > now:
-                return
-        else:
-            pending = self._pending
-            best = None
-            for c in running:
-                at = c.at
-                if pending and at > now:
-                    continue
-                if best is None or at < best.at or (at == best.at and c.seq < best.seq):
-                    best = c
-            if best is None:
-                return
+        pending = self._pending
+        best = None
+        for c in self._running:
+            at = c.at
+            if pending and at > now:
+                continue
+            if best is None or at < best.at or (at == best.at and c.seq < best.seq):
+                best = c
+        if best is None:
+            return
         if best.ticket is None:
             best.ticket = Ticket(self.env, best.at, best.seq, best, self._expire_cbs)

@@ -258,8 +258,10 @@ class ReservationFabric:
                 externals.setdefault(dst_shard, []).append(
                     ("deliver", key3, arrival, r)
                 )
-                externals.setdefault(src_shard, []).append(("grant", key3, arrival))
                 arrivals.setdefault(dst_shard, []).append(arrival)
+                if not r["wait"]:  # an unawaited packet completes nothing
+                    continue
+                externals.setdefault(src_shard, []).append(("grant", key3, arrival))
             arrivals.setdefault(src_shard, []).append(arrival)
         self.requests_processed += len(requests)
         return externals, arrivals
@@ -346,11 +348,14 @@ class ShardClient:
                 )
             payload = pkt.message.message  # Descriptor -> AMPayload
             key3 = (r.t, r.node, r.n)
-            self._awaiting[key3] = (r.done, pkt)
+            wait = r.done is not None
+            if wait or pkt.dst in self.machine.local_node_ids:
+                self._awaiting[key3] = (r.done, pkt)  # a grant or both record
             out.append(
                 {
                     "key": key3,
                     "t": r.t,
+                    "wait": wait,
                     "src": pkt.src,
                     "dst": pkt.dst,
                     "payload_bytes": pkt.payload_bytes,
@@ -388,10 +393,9 @@ class ShardClient:
         elif kind == "grant":
             _, key3, arrival = rec
             done, pkt = self._awaiting.pop(tuple(key3))
-            if done is not None:  # an unawaited packet completes nothing
-                self.env.schedule_external(
-                    arrival, self._key(key3), lambda: done.succeed(pkt)
-                )
+            self.env.schedule_external(
+                arrival, self._key(key3), lambda: done.succeed(pkt)
+            )
         elif kind == "both":
             _, key3, arrival = rec
             done, pkt = self._awaiting.pop(tuple(key3))

@@ -172,8 +172,10 @@ def test_a_non_finite_compute_is_a_named_error(instructions, weight):
 def test_weights_validate():
     env = Environment()
     core = Core(env)
-    with pytest.raises(ValueError):
-        core.register(-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            core.register(bad)
+    assert core.n_members == 0
 
 
 def test_unregister_is_idempotent():

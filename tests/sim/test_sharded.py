@@ -14,6 +14,7 @@ import signal
 
 import pytest
 
+from repro.bgq.shardnet import ReservationFabric
 from repro.charm import Charm
 from repro.converse import ConverseRuntime, RunConfig
 from repro.converse.messages import ConverseMessage
@@ -109,7 +110,7 @@ def test_boundary_arrival_order_matches_serial(nshards):
     rt.run_until(done)
     assert len(serial_arrivals) == expected
 
-    from repro.bgq.shardnet import ReservationFabric, ShardedBGQMachine
+    from repro.bgq.shardnet import ShardedBGQMachine
     from repro.sim.shard import ShardCoordinator, ShardEnvironment
 
     fabric = ReservationFabric(config.nnodes, nshards)
@@ -159,6 +160,21 @@ def test_mp_transport_matches_serial_for_multi_packet_messages():
         pytest.skip(f"shared-memory subprocess transport unavailable: {exc}")
     assert repr(sharded["sim_time"]) == repr(serial["sim_time"])
     assert [repr(t) for t in sharded["rtts"]] == [repr(t) for t in serial["rtts"]]
+
+
+def test_wire_fabric_grants_only_awaited_packets():
+    """An unawaited cross-shard packet is one delivery record on the
+    destination shard: no grant, no arrival on the source shard."""
+    fabric = ReservationFabric(4, 2)
+
+    def request(n, wait):
+        return {"key": (0.0, 0, n), "t": 0.0, "src": 0, "dst": 3,
+                "payload_bytes": 512, "wait": wait}
+
+    externals, arrivals = fabric.process([request(0, False), request(1, True)])
+    assert [rec[0] for rec in externals[1]] == ["deliver", "deliver"]
+    assert [(rec[0], rec[1]) for rec in externals[0]] == [("grant", (0.0, 0, 1))]
+    assert len(arrivals[1]) == 2 and arrivals[0] == [externals[0][0][2]]
 
 
 def test_dead_shard_child_is_reported_within_seconds():
