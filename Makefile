@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: tier1 test lint trace-test trace-demo trace-gate bench bench-gate bench-smoke chaos shard-gate serve-gate
 
-tier1: test bench-smoke bench-gate trace-gate serve-gate lint  ## full tier-1 flow: tests + gates + lint
+tier1: test bench-smoke bench-gate trace-gate shard-gate serve-gate lint  ## full tier-1 flow: tests + gates + lint
 # tier1 checks the trajectory without recording it (as CI does), so it
 # leaves `git status` clean; `make bench-gate` alone writes the next record.
 tier1: BENCH_OUT = --json-out BENCH_CI.json
@@ -35,8 +35,8 @@ bench-smoke:     ## the host-time benchmark's own smoke test (--scale tiny, ~9 s
 shard-gate:      ## sharded-vs-serial equivalence gate: every gated benchmark must
                  ## produce bit-identical simulated times on the sharded PDES engine
                  ## (shards 1/2/4 + the subprocess transport) and the serial engine
-                 ## (docs/SCALING.md)
-	$(PYTHON) -m repro.harness shard
+                 ## (docs/SCALING.md); runs under the checked engine, as CI does
+	REPRO_SANITIZE=1 $(PYTHON) -m repro.harness shard
 
 serve-gate:      ## concurrency gate: N independent Environments stepped in
                  ## adversarial interleaving (docs/ANALYSIS.md, G rule family),

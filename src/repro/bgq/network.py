@@ -125,10 +125,10 @@ class TorusNetwork:
             h //= i + 1
         return order
 
-    def _serialization(self, packet: Packet) -> float:
+    def _serialization(self, payload_bytes: int) -> float:
         """Cycles to stream a packet across one link."""
         p = self.params
-        wire = packet.payload_bytes + p.packet_header_bytes
+        wire = payload_bytes + p.packet_header_bytes
         return wire / (p.link_bandwidth / 1.6e9)  # raw link rate, cycles
 
     def inject(self, packet: Packet, wait: bool = False) -> Optional[Event]:
@@ -228,7 +228,7 @@ class TorusNetwork:
     def _launch(self, packet: Packet, done: Optional[Event], route, action) -> None:
         """Reserve the route and start the packet's flight."""
         env = self.env
-        ser = self._serialization(packet)
+        ser = self._serialization(packet.payload_bytes)
         arrival = self.reserve_route(route, ser, env.now)
 
         if action is not None:

@@ -45,6 +45,7 @@ __all__ = [
     "ReservationFabric",
     "ShardedBGQMachine",
     "ShardClient",
+    "WireShardClient",
     "shard_of_node",
 ]
 
@@ -54,71 +55,27 @@ def shard_of_node(node_id: int, nnodes: int, nshards: int) -> int:
     return node_id // (nnodes // nshards)
 
 
-class _SendRequest:
-    """One buffered cross-node injection awaiting barrier reservation.
-
-    ``(t, node, n)`` — inject time, source node, per-node inject
-    counter — is the canonical reservation order, identical to the
-    serial network's deferred-flush order
-    (:meth:`repro.bgq.network.TorusNetwork._flush_reservations`).
-    """
-
-    __slots__ = ("t", "node", "n", "packet", "done")
-
-    def __init__(
-        self, t: float, node: int, n: int, packet: Packet, done: Optional[Event]
-    ) -> None:
-        self.t = t
-        self.node = node
-        self.n = n
-        self.packet = packet
-        self.done = done
-
-
-class _WirePacket:
-    """Serialization shim: just enough packet for `_serialization`."""
-
-    __slots__ = ("payload_bytes",)
-
-    def __init__(self, payload_bytes: int) -> None:
-        self.payload_bytes = payload_bytes
-
-
 class ShardTorusNetwork(TorusNetwork):
     """One shard's view of the torus: buffers routed sends for the fabric.
 
     Loopback injections and all statistics behave exactly like the
     serial network; only `_inject_routed` changes, from
-    reserve-and-fly to buffer-for-barrier.
+    reserve-and-fly to buffer-for-barrier.  Each buffered send is
+    ``(t, node, n, packet, done)``: ``(inject time, source node,
+    per-node inject counter)`` is the canonical reservation order,
+    identical to the serial network's deferred-flush order
+    (:meth:`repro.bgq.network.TorusNetwork._flush_reservations`).
     """
 
-    def __init__(
-        self,
-        env: ShardEnvironment,
-        torus: Torus,
-        params: BGQParams,
-        deliver,
-        shard_id: int,
-    ) -> None:
+    def __init__(self, env: ShardEnvironment, torus: Torus, params: BGQParams, deliver) -> None:
         super().__init__(env, torus, params, deliver=deliver, routing="deterministic")
-        self.shard_id = shard_id
-        self._pending: List[_SendRequest] = []
+        self._pending: List[tuple] = []
 
     def _inject_routed(self, packet: Packet, done: Optional[Event]) -> Optional[Event]:
-        if self.routing != "deterministic":  # pragma: no cover - guarded in ctor
-            raise NotImplementedError(
-                "adaptive routing keys its dimension permutation on a global "
-                "packet counter and is not supported under sharding"
-            )
-        if self.fault is not None:
-            raise NotImplementedError(
-                "fault injection is not supported under sharding "
-                "(see docs/SCALING.md)"
-            )
         node = packet.src
         n = self._node_inject_seq.get(node, 0)
         self._node_inject_seq[node] = n + 1
-        self._pending.append(_SendRequest(self.env.now, node, n, packet, done))
+        self._pending.append((self.env.now, node, n, packet, done))
         return done
 
 
@@ -126,17 +83,15 @@ class ReservationFabric:
     """Central link-reservation state shared by every shard.
 
     Owns the global busy-until link timeline and replays buffered
-    requests in deterministic ``(inject_time, shard, counter)`` order,
-    running the *identical* reservation arithmetic as the serial
+    requests in deterministic ``(inject_time, src node, counter)``
+    order, running the *identical* reservation arithmetic as the serial
     network (the unbound ``TorusNetwork.reserve_route`` /
     ``_serialization`` methods are invoked with the fabric supplying
     ``_link_free``/``params``) so arrival times are bit-identical.
 
-    Used two ways: `flush` for in-process shards (registered via
-    `register_shard`, externals scheduled directly), and
-    `process` for the subprocess transport (pure arithmetic over
-    wire-format requests; the parent ships the resulting external
-    records back to the shard children).
+    One client per shard (registered via `register_shard`) hands over
+    requests and applies records: a :class:`ShardClient` in process,
+    the parent-side proxy of a forked child under the `mp` transport.
     """
 
     def __init__(
@@ -157,11 +112,10 @@ class ReservationFabric:
         self.params = params
         self.torus = Torus(shape if shape is not None else bgq_partition_shape(nnodes))
         self._link_free: Dict[Tuple[int, int], float] = {}
-        #: shard_id -> (env, machine, network); in-process transport only.
-        self.shards: Dict[int, Tuple[Any, Any, ShardTorusNetwork]] = {}
+        #: shard_id -> client (``take_requests``/``apply``/``pending``).
+        self.clients: Dict[int, Any] = {}
         self.requests_processed = 0
 
-    # -- protocol constants -----------------------------------------------
     @property
     def window(self) -> float:
         """The synchronization window: the NIC latency, safely below
@@ -172,99 +126,56 @@ class ReservationFabric:
     def shard_of(self, node_id: int) -> int:
         return shard_of_node(node_id, self.nnodes, self.nshards)
 
-    # -- in-process transport ----------------------------------------------
-    def register_shard(self, shard_id: int, env, machine, network: ShardTorusNetwork) -> None:
-        if shard_id in self.shards:
+    def register_shard(self, shard_id: int, client) -> None:
+        if shard_id in self.clients:
             raise ValueError(f"shard {shard_id} already registered")
-        self.shards[shard_id] = (env, machine, network)
+        self.clients[shard_id] = client
 
     def pending(self) -> int:
-        return sum(len(net._pending) for _, _, net in self.shards.values())
+        return sum(client.pending() for client in self.clients.values())
 
     def flush(self) -> int:
-        """Reserve + schedule every buffered request (window barrier)."""
-        reqs: List[_SendRequest] = []
-        for _, _, net in self.shards.values():
-            if net._pending:
-                reqs.extend(net._pending)
-                net._pending.clear()
-        if not reqs:
-            return 0
+        """The window barrier: reserve every buffered request and hand
+        each shard's records to its client; returns the request count."""
+        requests: list = []
+        for client in self.clients.values():
+            requests += client.take_requests()
+        for shard_id, records in self.reserve(requests).items():
+            self.clients[shard_id].apply(records)
+        return len(requests)
+
+    def reserve(self, requests: list) -> Dict[int, list]:
+        """Replay ``(t, node, n, dst, payload_bytes, wait, wire)``
+        requests; returns ``{shard_id: [(kind, arrival, (t, node, n),
+        wire)]}``.
+
+        A ``deliver`` record goes to the destination shard and a
+        ``grant`` (the sender's completion, ``wire`` None) to the source
+        shard, only for a packet its sender waits on.  When both ends
+        share a shard, an awaited packet is one ``both`` record: one
+        event, serial order — deliver, then complete the sender (two
+        same-key heap entries would collide).
+        """
         # Canonical global order — chronological, same-time ties by
         # (src node, per-node counter): exactly the serial network's
-        # deferred-flush order, shard-count independent.
-        reqs.sort(key=lambda r: (r.t, r.node, r.n))
-        for r in reqs:
-            pkt = r.packet
-            route = self.torus.route(pkt.src, pkt.dst, dim_order=None)
-            ser = TorusNetwork._serialization(self, pkt)
-            arrival = TorusNetwork.reserve_route(self, route, ser, r.t)
-            # Origins >= nshards sort external events after any local
-            # event key (origin = shard id < nshards) at an equal heap
-            # time — the serial order: `TorusNetwork._launch` creates
-            # the flight timeout in the reservation flush, after every
-            # local event that existed at the inject timestamp.
-            key = _SeqKey(r.t, self.nshards + r.node, r.n, None)
-            src_shard = self.shard_of(pkt.src)
-            dst_shard = self.shard_of(pkt.dst)
-            src_env = self.shards[src_shard][0]
-            dst_env, dst_machine, _ = self.shards[dst_shard]
-            done = r.done
-            if done is not None and dst_shard == src_shard:
-                # One event, serial order: deliver, then complete the
-                # sender (two same-key heap entries would collide).
-                def fire(pkt=pkt, done=done, machine=dst_machine):
-                    machine._deliver(pkt)
-                    done.succeed(pkt)
-
-                src_env.schedule_external(arrival, key, fire)
-            else:
-                dst_env.schedule_external(
-                    arrival,
-                    key,
-                    lambda pkt=pkt, machine=dst_machine: machine._deliver(pkt),
-                )
-                if done is not None:  # an unawaited packet completes nothing
-                    src_env.schedule_external(
-                        arrival,
-                        key,
-                        lambda done=done, pkt=pkt: done.succeed(pkt),
-                    )
-        self.requests_processed += len(reqs)
-        return len(reqs)
-
-    # -- subprocess transport ------------------------------------------------
-    def process(self, requests: List[dict]) -> Tuple[Dict[int, list], Dict[int, list]]:
-        """Wire-format flush: reserve and emit external records.
-
-        Returns ``(externals_by_shard, arrivals_by_shard)`` — the
-        parent forwards the records to each shard child
-        (:meth:`ShardClient.apply_external`) and uses the arrival times
-        to tighten its view of each child's next event.
-        """
-        requests.sort(key=lambda r: tuple(r["key"]))
-        externals: Dict[int, list] = {}
-        arrivals: Dict[int, list] = {}
-        for r in requests:
-            route = self.torus.route(r["src"], r["dst"], dim_order=None)
-            ser = TorusNetwork._serialization(self, _WirePacket(r["payload_bytes"]))
-            arrival = TorusNetwork.reserve_route(self, route, ser, r["t"])
-            key3 = tuple(r["key"])  # (t, src_node, per-node counter)
-            src_shard = self.shard_of(r["src"])
-            dst_shard = self.shard_of(r["dst"])
-            if dst_shard == src_shard:
-                externals.setdefault(src_shard, []).append(("both", key3, arrival))
-            else:
-                externals.setdefault(dst_shard, []).append(
-                    ("deliver", key3, arrival, r)
-                )
-                arrivals.setdefault(dst_shard, []).append(arrival)
-                if not r["wait"]:  # an unawaited packet completes nothing
-                    continue
-                externals.setdefault(src_shard, []).append(("grant", key3, arrival))
-            arrivals.setdefault(src_shard, []).append(arrival)
+        # deferred-flush order, shard-count independent.  The triple is
+        # unique, so the sort never compares the later fields.
+        requests.sort()
+        records: Dict[int, list] = {}
+        for t, node, n, dst, nbytes, wait, wire in requests:
+            route = self.torus.route(node, dst, dim_order=None)
+            ser = TorusNetwork._serialization(self, nbytes)
+            arrival = TorusNetwork.reserve_route(self, route, ser, t)
+            src_shard, dst_shard = self.shard_of(node), self.shard_of(dst)
+            if src_shard == dst_shard:
+                kind = "both" if wait else "deliver"
+                records.setdefault(dst_shard, []).append((kind, arrival, (t, node, n), wire))
+                continue
+            records.setdefault(dst_shard, []).append(("deliver", arrival, (t, node, n), wire))
+            if wait:  # an unawaited packet completes nothing
+                records.setdefault(src_shard, []).append(("grant", arrival, (t, node, n), None))
         self.requests_processed += len(requests)
-        return externals, arrivals
+        return records
 
 
 class ShardedBGQMachine(BGQMachine):
@@ -273,8 +184,9 @@ class ShardedBGQMachine(BGQMachine):
     Builds the full torus geometry but only the nodes of this shard's
     contiguous block; remote slots in ``nodes`` are ``None``
     placeholders so global node ids keep working.  The network is a
-    :class:`ShardTorusNetwork` wired to ``fabric`` (pass ``None`` in a
-    subprocess child — the parent owns the fabric there).
+    :class:`ShardTorusNetwork`; with ``fabric`` the machine registers
+    its :class:`ShardClient` there (pass ``None`` in a subprocess
+    child — the parent owns the fabric there).
     """
 
     def __init__(
@@ -301,12 +213,10 @@ class ShardedBGQMachine(BGQMachine):
             params,
             shape=shape,
             local_nodes=local,
-            network_factory=lambda e, torus, p, deliver: ShardTorusNetwork(
-                e, torus, p, deliver, shard_id=shard_id
-            ),
+            network_factory=ShardTorusNetwork,
         )
         if fabric is not None:
-            fabric.register_shard(shard_id, env, self, self.network)
+            fabric.register_shard(shard_id, ShardClient(env, self))
 
     def attach_faults(self, injector) -> None:
         raise NotImplementedError(
@@ -317,14 +227,15 @@ class ShardedBGQMachine(BGQMachine):
 
 
 class ShardClient:
-    """Child-side adapter for :func:`repro.sim.shard.run_sharded_subprocesses`.
+    """One shard's adapter to the :class:`ReservationFabric`.
 
-    Converts buffered send requests to wire format (and remembers their
-    completion events), and applies the parent's external records.  The
-    wire format carries only value payloads, so the subprocess
-    transport supports memory-FIFO (eager active-message) traffic —
-    benchmarks whose payloads hold object references (e.g. the m2m slot
-    back-channel) must use the in-process transport instead.
+    ``take_requests`` drains the network's buffered sends into fabric
+    requests and remembers each awaited packet's completion event;
+    ``apply`` turns the fabric's records into external events, the one
+    place either transport calls ``schedule_external``.  In process a
+    packet travels as itself; :class:`WireShardClient` is the same
+    adapter inside a forked child.  ``done`` and ``result_fn`` serve
+    the subprocess transport (:func:`repro.sim.shard._shard_worker`).
     """
 
     def __init__(self, env: ShardEnvironment, machine: ShardedBGQMachine,
@@ -335,82 +246,79 @@ class ShardClient:
         self._result_fn = result_fn
         self._awaiting: Dict[tuple, Tuple[Event, Packet]] = {}
 
-    def drain_requests(self) -> List[dict]:
-        out: List[dict] = []
+    @staticmethod
+    def _encode(packet: Packet) -> Any:
+        return packet
+
+    _decode = _encode
+
+    def pending(self) -> int:
+        return len(self.machine.network._pending)
+
+    def take_requests(self) -> list:
         net = self.machine.network
-        for r in net._pending:
-            pkt = r.packet
-            if pkt.kind != MEMFIFO:
-                raise NotImplementedError(
-                    f"subprocess transport cannot ship {pkt.kind!r} packets "
-                    "(RDMA flows carry object references); use the "
-                    "in-process transport"
-                )
-            payload = pkt.message.message  # Descriptor -> AMPayload
-            key3 = (r.t, r.node, r.n)
-            wait = r.done is not None
-            if wait or pkt.dst in self.machine.local_node_ids:
-                self._awaiting[key3] = (r.done, pkt)  # a grant or both record
-            out.append(
-                {
-                    "key": key3,
-                    "t": r.t,
-                    "wait": wait,
-                    "src": pkt.src,
-                    "dst": pkt.dst,
-                    "payload_bytes": pkt.payload_bytes,
-                    "rec_fifo": pkt.rec_fifo,
-                    "seq": pkt.seq,
-                    "is_last": pkt.is_last,
-                    "payload": (
-                        payload.dispatch_id,
-                        payload.data,
-                        payload.nbytes,
-                        payload.src_endpoint,
-                        payload.seq,
-                    ),
-                }
-            )
+        out = []
+        for t, node, n, pkt, done in net._pending:
+            if done is not None:
+                self._awaiting[(t, node, n)] = (done, pkt)
+            out.append((t, node, n, pkt.dst, pkt.payload_bytes, done is not None, self._encode(pkt)))
         net._pending.clear()
         return out
 
-    def _key(self, key3) -> _SeqKey:
-        # Same origin offset as ReservationFabric.flush: externals sort
-        # after local event keys at an equal heap time.
-        t, node, n = key3
-        return _SeqKey(t, self.machine.nshards + node, n, None)
+    def apply(self, records: list) -> None:
+        env, deliver, decode = self.env, self.machine._deliver, self._decode
+        # Origins >= nshards sort external events after any local event
+        # key (origin = shard id < nshards) at an equal heap time — the
+        # serial order: `TorusNetwork._launch` creates the flight
+        # timeout in the reservation flush, after every local event
+        # that existed at the inject timestamp.
+        origin = self.machine.nshards
+        for kind, arrival, (t, node, n), wire in records:
+            pkt = None if wire is None else decode(wire)
+            done, sent = (None, None) if kind == "deliver" else self._awaiting.pop((t, node, n))
 
-    def apply_external(self, rec: tuple) -> None:
-        kind = rec[0]
-        if kind == "deliver":
-            _, key3, arrival, wire = rec
-            pkt = _rebuild_packet(wire)
-            self.env.schedule_external(
-                arrival,
-                self._key(key3),
-                lambda: self.machine._deliver(pkt),
-            )
-        elif kind == "grant":
-            _, key3, arrival = rec
-            done, pkt = self._awaiting.pop(tuple(key3))
-            self.env.schedule_external(
-                arrival, self._key(key3), lambda: done.succeed(pkt)
-            )
-        elif kind == "both":
-            _, key3, arrival = rec
-            done, pkt = self._awaiting.pop(tuple(key3))
-
-            def fire():
-                self.machine._deliver(pkt)
+            def fire(_ev, pkt=pkt, done=done, sent=sent):
+                if pkt is not None:
+                    deliver(pkt)
                 if done is not None:
-                    done.succeed(pkt)
+                    done.succeed(sent)
 
-            self.env.schedule_external(arrival, self._key(key3), fire)
-        else:  # pragma: no cover - protocol error
-            raise RuntimeError(f"unknown external record {kind!r}")
+            env.schedule_external(arrival, _SeqKey((t, origin + node, n, None)), fire)
 
     def result(self) -> Any:
         return self._result_fn() if self._result_fn is not None else None
+
+
+class WireShardClient(ShardClient):
+    """:class:`ShardClient` inside a forked child: packets cross the
+    rings as plain values.  Only memory-FIFO (eager active-message)
+    traffic has one, so benchmarks whose payloads hold object
+    references (e.g. the m2m slot back-channel) must use the in-process
+    transport instead.
+    """
+
+    @staticmethod
+    def _encode(pkt: Packet) -> tuple:
+        if pkt.kind != MEMFIFO:
+            raise NotImplementedError(
+                f"subprocess transport cannot ship {pkt.kind!r} packets "
+                "(RDMA flows carry object references); use the "
+                "in-process transport"
+            )
+        am = pkt.message.message  # Descriptor -> AMPayload
+        return (pkt.src, pkt.dst, pkt.payload_bytes, pkt.rec_fifo, pkt.seq, pkt.is_last,
+                am.dispatch_id, am.data, am.nbytes, am.src_endpoint, am.seq)
+
+    @staticmethod
+    def _decode(wire: tuple) -> Packet:
+        from ..pami.context import AMPayload
+
+        src, dst, nbytes, rec_fifo, seq, is_last, dispatch_id, data, am_nbytes, endpoint, am_seq = wire
+        payload = AMPayload(dispatch_id, data, am_nbytes, tuple(endpoint))
+        payload.seq = am_seq
+        return Packet(src=src, dst=dst, kind=MEMFIFO, payload_bytes=nbytes,
+                      rec_fifo=rec_fifo, message=_WireDescriptor(payload),
+                      seq=seq, is_last=is_last)
 
 
 class _WireDescriptor:
@@ -421,21 +329,3 @@ class _WireDescriptor:
     def __init__(self, message: Any) -> None:
         self.message = message
         self.corrupted = False
-
-
-def _rebuild_packet(wire: dict) -> Packet:
-    from ..pami.context import AMPayload
-
-    dispatch_id, data, nbytes, src_endpoint, seq = wire["payload"]
-    payload = AMPayload(dispatch_id, data, nbytes, tuple(src_endpoint))
-    payload.seq = seq
-    return Packet(
-        src=wire["src"],
-        dst=wire["dst"],
-        kind=MEMFIFO,
-        payload_bytes=wire["payload_bytes"],
-        rec_fifo=wire["rec_fifo"],
-        message=_WireDescriptor(payload),
-        seq=wire["seq"],
-        is_last=wire["is_last"],
-    )

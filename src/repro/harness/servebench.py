@@ -112,7 +112,6 @@ def _sharded_task_build(nnodes: int, nshards: int, nbytes: int, trips: int):
         return ShardedTask(
             [s.env for s in shards],
             root.done,
-            fabric.window,
             fabric,
             on_stop=lambda: [s.stop() for s in shards],
             result_fn=root.result,

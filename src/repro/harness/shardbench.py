@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..bgq.shardnet import ReservationFabric, ShardClient, ShardedBGQMachine
+from ..bgq.shardnet import ReservationFabric, ShardedBGQMachine, WireShardClient
 from ..converse import RunConfig
 from ..sim.shard import ShardCoordinator, ShardEnvironment, run_sharded_subprocesses
 from .pingpong import pingpong_run
@@ -88,7 +88,7 @@ def _run_shards(
     shards: List[Instance], fabric: ReservationFabric
 ) -> Tuple[float, int, int]:
     """Coordinate the mirrors to ``done``; (wall s, total events, windows)."""
-    coordinator = ShardCoordinator([s.env for s in shards], fabric.window, fabric)
+    coordinator = ShardCoordinator([s.env for s in shards], fabric)
     t0 = time.perf_counter()
     coordinator.run(shards[0].done)
     wall_s = time.perf_counter() - t0
@@ -128,7 +128,7 @@ def run_sharded_pingpong(
     elif transport == "mp":
         fabric = ReservationFabric(config.nnodes, nshards)
 
-        def build_client(shard_id: int, nshards_: int) -> ShardClient:
+        def build_client(shard_id: int, nshards_: int) -> WireShardClient:
             env = ShardEnvironment(shard_id)
             machine = ShardedBGQMachine(env, config.nnodes, shard_id, nshards_)
             shard = build_pingpong(
@@ -144,15 +144,13 @@ def run_sharded_pingpong(
                     "events": env.events_executed,
                 }
 
-            return ShardClient(
+            return WireShardClient(
                 env, machine, done=shard.done if shard_id == 0 else None,
                 result_fn=result,
             )
 
         t0 = time.perf_counter()
-        per_shard = run_sharded_subprocesses(
-            nshards, fabric.window, build_client, fabric
-        )
+        per_shard = run_sharded_subprocesses(nshards, build_client, fabric)
         wall_s = time.perf_counter() - t0
         sim_time, rtts = per_shard[0]["sim_time"], per_shard[0]["rtts"]
         events = sum(r["events"] for r in per_shard.values())

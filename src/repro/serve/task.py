@@ -172,14 +172,13 @@ class ShardedTask:
         self,
         shards: Sequence[Environment],
         done: Event,
-        window: float,
-        fabric: Any = None,
+        fabric: Any,
         *,
         on_stop: Optional[Callable[[], None]] = None,
         result_fn: Optional[Callable[[], Dict[str, Any]]] = None,
         label: str = "sharded",
     ) -> None:
-        self._coord = ShardCoordinator(shards, window, fabric)
+        self._coord = ShardCoordinator(shards, fabric)
         self.shards = self._coord.shards
         self.done = done
         self._on_stop = on_stop

@@ -7,25 +7,26 @@ into *shards*, each with its own event queue and clock, and a
 :class:`ShardCoordinator` advances all shards through a sequence of
 half-open time windows::
 
-    window = [T, T + W)   with   W <= lookahead
+    window = [T, T + W)   with   W = fabric.window <= lookahead
 
 where the *lookahead* is the minimum simulated delay of any cross-shard
 interaction (for the BG/Q torus: NIC injection latency — every packet
 spends at least ``nic_latency + hop_latency`` cycles before touching
-another node, see :mod:`repro.bgq.shardnet`).  Within a window shards
-execute independently; cross-shard sends are buffered and exchanged at
-the window barrier, where they are scheduled as *external events* in
-the destination shard — always in that shard's future, because the
-window never outruns the lookahead.  This is classic conservative
-(Chandy–Misra–Bryant-style) synchronization, with the barrier playing
-the role of null messages.
+another node, see :mod:`repro.bgq.shardnet`).  The fabric owns the
+window, so it cannot be set above its own lookahead.  Within a window
+shards execute independently; cross-shard sends are buffered and
+exchanged at the window barrier, where they are scheduled as *external
+events* in the destination shard — always in that shard's future,
+because the window never outruns the lookahead.  This is classic
+conservative (Chandy–Misra–Bryant-style) synchronization, with the
+barrier playing the role of null messages.
 
 Determinism
 -----------
 The serial engine orders same-time events by an integer schedule
 sequence number.  Across shards there is no shared counter, so sharded
 runs order events by a :class:`_SeqKey` ``(alloc_time, shard, counter)``
-triple instead: within one shard this collapses to allocation order
+tuple instead: within one shard this collapses to allocation order
 (the serial order — allocation times are monotonic), and across shards
 it is a deterministic total order independent of host scheduling.  The
 key type plugs into the engine's hot path *unmodified*: the engine
@@ -34,13 +35,16 @@ allocates sequence numbers with ``env._seq = env._seq + 1``, so a
 
 Transports
 ----------
-:class:`ShardCoordinator` runs every shard in one host process
-(`inproc`) — zero-copy, used by the equivalence gate and tests.
-:func:`run_sharded_subprocesses` forks one OS process per shard and
-exchanges window/sync frames over shared-memory SPSC rings
+One window protocol, two pumps.  :meth:`ShardCoordinator.advance_window`
+is the only window loop and the fabric's ``flush`` the only barrier
+exchange.  In process (`inproc`) the coordinator drives the
+:class:`ShardEnvironment` objects themselves.
+:func:`run_sharded_subprocesses` (`mp`) forks one OS process per shard
+and hands the same coordinator and fabric one parent-side proxy per
+child, which turns ``run_window`` into a window frame and ``peek`` into
+a read of the child's sync frame over shared-memory SPSC rings
 (:class:`ShmRing`); payloads must then be picklable.  Both transports
-execute the identical window protocol, so they produce identical
-trajectories.
+execute the identical protocol, so they produce identical trajectories.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import pickle
 import struct
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from .engine import _TRIGGERED, Environment, Event, SimulationError
 
@@ -74,66 +78,33 @@ class ShardStallError(SimulationError):
     """
 
 
-class _SeqKey:
+class _SeqKey(tuple):
     """Deterministic total order for same-time events across shards.
 
-    Compares as the tuple ``(t, origin, n)``: allocation time, then the
-    allocating shard id, then that shard's allocation counter.  The
-    engine's ``env._seq = env._seq + 1`` pattern mints successors via
-    :meth:`__add__`, reading the clock and counter through a
-    back-reference to the owning :class:`ShardEnvironment`; keys
-    reconstructed from the wire carry no environment (``env=None``) and
-    are never incremented.
+    The tuple ``(t, origin, n, env)``: allocation time, the allocating
+    shard id, that shard's allocation counter, and a back-reference to
+    the owning :class:`ShardEnvironment`.  Heap compares run in C and
+    never reach ``env``: ``(t, origin, n)`` is unique per key, because
+    minted keys have ``origin < nshards`` and the fabric's keys (``env``
+    None, never incremented) have ``origin >= nshards``.  The engine's
+    ``env._seq = env._seq + 1`` pattern mints successors via
+    :meth:`__add__`, reading the clock and counter through ``env``.
     """
 
-    __slots__ = ("t", "origin", "n", "_env")
-
-    def __init__(self, t: float, origin: int, n: int, env=None) -> None:
-        self.t = t
-        self.origin = origin
-        self.n = n
-        self._env = env
+    __slots__ = ()
 
     def __add__(self, _other) -> "_SeqKey":
         # Only the engine's `_seq + 1` reaches this.
-        env = self._env
+        env = self[3]
         env._key_counter = n = env._key_counter + 1
-        return _SeqKey(env.now, env.shard_id, n, env)
-
-    def triple(self) -> Tuple[float, int, int]:
-        """Wire form (picklable, env-free)."""
-        return (self.t, self.origin, self.n)
-
-    def __lt__(self, other: "_SeqKey") -> bool:
-        return (self.t, self.origin, self.n) < (other.t, other.origin, other.n)
-
-    def __le__(self, other: "_SeqKey") -> bool:
-        return (self.t, self.origin, self.n) <= (other.t, other.origin, other.n)
-
-    def __gt__(self, other: "_SeqKey") -> bool:
-        return (self.t, self.origin, self.n) > (other.t, other.origin, other.n)
-
-    def __ge__(self, other: "_SeqKey") -> bool:
-        return (self.t, self.origin, self.n) >= (other.t, other.origin, other.n)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _SeqKey)
-            and (self.t, self.origin, self.n) == (other.t, other.origin, other.n)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.origin, self.n))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_SeqKey(t={self.t!r}, origin={self.origin}, n={self.n})"
+        return _SeqKey((env.now, env.shard_id, n, env))
 
 
 class ShardEnvironment(Environment):
     """An :class:`Environment` that is one shard of a partitioned run.
 
     Identical hot path; the only differences are (a) schedule sequence
-    numbers are :class:`_SeqKey` triples so same-time ordering is
+    numbers are :class:`_SeqKey` tuples so same-time ordering is
     host-independent, and (b) :meth:`schedule_external` lets the
     coordinator push barrier-exchanged events straight onto the heap.
     With a single shard this is trajectory-identical to the serial
@@ -147,10 +118,10 @@ class ShardEnvironment(Environment):
         super().__init__(initial_time)
         self.shard_id = int(shard_id)
         self._key_counter = 0
-        self._seq = _SeqKey(self._now, self.shard_id, 0, self)
+        self._seq = _SeqKey((self._now, self.shard_id, 0, self))
 
-    def schedule_external(self, when: float, key: _SeqKey, fn: Callable[[], None]) -> None:
-        """Schedule ``fn()`` at ``when`` under a pre-allocated key.
+    def schedule_external(self, when: float, key: _SeqKey, callback: Callable[[Event], None]) -> None:
+        """Schedule ``callback(event)`` at ``when`` under a pre-allocated key.
 
         Bypasses :meth:`Event.succeed` (which would mint a fresh key at
         the *current* time): the event enters the heap already
@@ -166,32 +137,30 @@ class ShardEnvironment(Environment):
             )
         ev = Event(self)
         ev._state = _TRIGGERED
-        ev.callbacks = [lambda _ev, _fn=fn: _fn()]
+        ev.callbacks = [callback]
         heapq.heappush(self._queue, (when, key, ev))
 
 
 class ShardCoordinator:
-    """Lockstep window driver for in-process shards.
+    """Lockstep window driver, for both transports.
 
-    ``fabric`` is the cross-shard exchange (for the BG/Q torus:
-    :class:`repro.bgq.shardnet.ReservationFabric`); it must provide
-    ``flush() -> int`` (process buffered sends, schedule externals,
-    return how many) and ``pending() -> int`` (sends buffered but not
-    yet flushed).  ``window`` must not exceed the fabric's lookahead.
+    ``shards`` are :class:`ShardEnvironment` objects in process, or the
+    per-child proxies of :func:`run_sharded_subprocesses`; either way
+    each provides ``peek()``, ``run_window(end, done)``, ``now``,
+    ``events_executed`` and ``shard_id``.  ``fabric`` is the cross-shard
+    exchange (for the BG/Q torus:
+    :class:`repro.bgq.shardnet.ReservationFabric`); it provides
+    ``window`` (at most its lookahead), ``flush() -> int`` (exchange
+    buffered sends, return how many) and ``pending() -> int`` (sends
+    buffered but not yet flushed).
     """
 
-    def __init__(
-        self,
-        shards: Sequence[ShardEnvironment],
-        window: float,
-        fabric=None,
-    ) -> None:
+    def __init__(self, shards: Sequence[Any], fabric) -> None:
         if not shards:
             raise ValueError("need at least one shard")
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
+        if not fabric.window > 0:
+            raise ValueError(f"window must be positive, got {fabric.window}")
         self.shards = list(shards)
-        self.window = float(window)
         self.fabric = fabric
         self.windows_run = 0
 
@@ -217,12 +186,11 @@ class ShardCoordinator:
         """
         if done.processed:
             return True
-        if self.fabric is not None:
-            self.fabric.flush()
+        self.fabric.flush()
         m = min(env.peek() for env in self.shards)
         if m == _INF:
             raise ShardStallError(self._stall_report(done))
-        end = m + self.window
+        end = m + self.fabric.window
         root = done.env
         for env in self.shards:
             env.run_window(end, done if env is root else None)
@@ -239,8 +207,7 @@ class ShardCoordinator:
                 f"  shard {env.shard_id}: now={env.now} next_event="
                 f"{env.peek()} executed={env.events_executed}"
             )
-        if self.fabric is not None:
-            lines.append(f"  fabric: pending={self.fabric.pending()}")
+        lines.append(f"  fabric: pending={self.fabric.pending()}")
         lines.append(
             "  (see docs/SCALING.md, 'Troubleshooting stalled shards')"
         )
@@ -353,37 +320,32 @@ class ShmRing:
 
 
 def _shard_worker(shard_id: int, nshards: int, build_client, to_child: ShmRing, to_parent: ShmRing) -> None:
-    """Child main loop: build the shard, then serve window frames."""
+    """Child main loop: build the shard, then sync after every window.
+
+    ``build_client(shard_id, nshards)`` returns the shard's fabric
+    adapter (:class:`repro.bgq.shardnet.WireShardClient`): ``env``,
+    ``done``, ``take_requests()``, ``apply(records)`` and ``result()``.
+    """
     try:
         client = build_client(shard_id, nshards)
-        env = client.env
-        done = getattr(client, "done", None)
-        to_parent.send(
-            {"type": "sync", "peek": env.peek(), "requests": [], "done": False}
-        )
+        env, done = client.env, client.done
         while True:
+            to_parent.send(
+                {
+                    "type": "sync",
+                    "peek": env.peek(),
+                    "now": env.now,
+                    "executed": env.events_executed,
+                    "requests": client.take_requests(),
+                    "done": done is not None and done.processed,
+                }
+            )
             msg = to_child.recv(timeout=600.0)
-            kind = msg["type"]
-            if kind == "window":
-                for rec in msg["externals"]:
-                    client.apply_external(rec)
-                env.run_window(msg["end"], done)
-                finished = done is not None and done.processed
-                to_parent.send(
-                    {
-                        "type": "sync",
-                        "peek": env.peek(),
-                        "requests": client.drain_requests(),
-                        "done": finished,
-                    }
-                )
-            elif kind == "finish":
+            if msg["type"] == "finish":
                 to_parent.send({"type": "result", "value": client.result()})
                 return
-            elif kind == "abort":
-                return
-            else:  # pragma: no cover - protocol error
-                raise RuntimeError(f"unknown frame {kind!r}")
+            client.apply(msg["records"])
+            env.run_window(msg["end"], done)
     except BaseException:
         try:
             to_parent.send({"type": "error", "traceback": traceback.format_exc()})
@@ -391,100 +353,120 @@ def _shard_worker(shard_id: int, nshards: int, build_client, to_child: ShmRing, 
             pass
 
 
-def run_sharded_subprocesses(
-    nshards: int,
-    window: float,
-    build_client,
-    fabric,
-    ring_bytes: int = 1 << 20,
-) -> Dict[int, Any]:
+class _ChildShard:
+    """Parent-side proxy for one forked shard.
+
+    To the coordinator it is the shard's environment: ``run_window``
+    sends a window frame and returns at once, so every child runs the
+    window concurrently, and ``peek``/``now``/``events_executed`` read
+    the child's next sync frame.  To the fabric it is the shard's
+    client: ``take_requests`` hands over the sync frame's requests and
+    ``apply`` holds records for the next window frame.
+    """
+
+    def __init__(self, ctx, shard_id: int, nshards: int, build_client) -> None:
+        self.shard_id = shard_id
+        self.to_child = ShmRing()
+        self.to_parent = ShmRing()
+        self.proc = ctx.Process(
+            target=_shard_worker,
+            args=(shard_id, nshards, build_client, self.to_child, self.to_parent),
+            name=f"shard {shard_id} child",
+            daemon=True,
+        )
+        self._sync: Optional[dict] = None
+        self._records: list = []
+        self._first_arrival = _INF
+        self.proc.start()
+
+    def recv(self) -> dict:
+        msg = self.to_parent.recv(timeout=600.0, peer=self.proc)
+        if msg["type"] == "error":
+            raise RuntimeError(f"shard {self.shard_id} failed:\n{msg['traceback']}")
+        return msg
+
+    def synced(self) -> dict:
+        """The child's sync frame for the last window (read once)."""
+        if self._sync is None:
+            self._sync = self.recv()
+        return self._sync
+
+    @property
+    def now(self) -> float:
+        return self.synced()["now"]
+
+    @property
+    def events_executed(self) -> int:
+        return self.synced()["executed"]
+
+    def peek(self) -> float:
+        return min(self.synced()["peek"], self._first_arrival)
+
+    def pending(self) -> int:
+        return len(self.synced()["requests"])
+
+    def take_requests(self) -> list:
+        sync = self.synced()
+        requests, sync["requests"] = sync["requests"], []
+        return requests
+
+    def apply(self, records: list) -> None:
+        self._records += records
+        self._first_arrival = min(self._first_arrival, *(r[1] for r in records))
+
+    def run_window(self, end: float, _done) -> None:
+        self.synced()
+        self.to_child.send({"type": "window", "end": end, "records": self._records})
+        self._sync, self._records, self._first_arrival = None, [], _INF
+
+
+class _ChildDone:
+    """The root child's ``done`` event, as the coordinator sees it."""
+
+    value = None
+
+    def __init__(self, env: _ChildShard) -> None:
+        self.env = env
+
+    @property
+    def processed(self) -> bool:
+        return self.env.synced()["done"]
+
+    def __repr__(self) -> str:
+        return f"<done event of shard {self.env.shard_id}>"
+
+
+def run_sharded_subprocesses(nshards: int, build_client, fabric) -> Dict[int, Any]:
     """Fork one OS process per shard and run the window protocol.
 
     ``build_client(shard_id, nshards)`` runs *in the child* (fork
-    start method, so closures travel for free) and returns an object
-    with ``env``/``done``/``apply_external``/``drain_requests``/
-    ``result`` — see :class:`repro.bgq.shardnet.ShardClient`.
-    ``fabric`` runs in the parent and must provide
-    ``process(wire_requests) -> (externals_by_shard, min_arrival)``.
-    Returns ``{shard_id: result}``.
+    start method, so closures travel for free); see
+    :func:`_shard_worker`.  ``fabric`` runs in the parent, where
+    :meth:`ShardCoordinator.advance_window` drives it exactly as in
+    process, over one :class:`_ChildShard` per child; shard 0 owns
+    ``done``.  Returns ``{shard_id: result}``.
     """
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    to_child = [ShmRing(ring_bytes) for _ in range(nshards)]
-    to_parent = [ShmRing(ring_bytes) for _ in range(nshards)]
-    procs = []
+    children: list = []
     clean = False
     try:
         for i in range(nshards):
-            pr = ctx.Process(
-                target=_shard_worker,
-                args=(i, nshards, build_client, to_child[i], to_parent[i]),
-                name=f"shard {i} child",
-                daemon=True,
-            )
-            pr.start()
-            procs.append(pr)
-
-        def read_sync(i: int) -> dict:
-            msg = to_parent[i].recv(timeout=600.0, peer=procs[i])
-            if msg["type"] == "error":
-                raise RuntimeError(
-                    f"shard {i} failed:\n{msg['traceback']}"
-                )
-            return msg
-
-        peeks: List[float] = []
-        finished = False
-        for i in range(nshards):
-            sync = read_sync(i)
-            peeks.append(sync["peek"])
-            finished = finished or sync["done"]
-        externals_by_shard: Dict[int, list] = {}
-
-        while not finished:
-            m = min(peeks)
-            if m == _INF:
-                raise ShardStallError(
-                    "sharded subprocess run stalled: all shards idle with no "
-                    "in-flight traffic (see docs/SCALING.md)"
-                )
-            end = m + window
-            for i in range(nshards):
-                to_child[i].send(
-                    {
-                        "type": "window",
-                        "end": end,
-                        "externals": externals_by_shard.pop(i, []),
-                    }
-                )
-            requests: list = []
-            for i in range(nshards):
-                sync = read_sync(i)
-                peeks[i] = sync["peek"]
-                requests.extend(sync["requests"])
-                finished = finished or sync["done"]
-            externals_by_shard, arrivals = fabric.process(requests)
-            for shard_id, recs in externals_by_shard.items():
-                first = min(arrivals[shard_id]) if arrivals.get(shard_id) else _INF
-                if first < peeks[shard_id]:
-                    peeks[shard_id] = first
-
-        results: Dict[int, Any] = {}
-        for i in range(nshards):
-            to_child[i].send({"type": "finish"})
-        for i in range(nshards):
-            msg = read_sync(i)
-            if msg["type"] != "result":  # pragma: no cover - protocol error
-                raise RuntimeError(f"expected result frame, got {msg['type']!r}")
-            results[i] = msg["value"]
+            children.append(_ChildShard(ctx, i, nshards, build_client))
+            fabric.register_shard(i, children[i])
+        ShardCoordinator(children, fabric).run(_ChildDone(children[0]))
+        for child in children:
+            child.synced()
+            child.to_child.send({"type": "finish"})
+        results = {child.shard_id: child.recv()["value"] for child in children}
         clean = True
         return results
     finally:
-        for pr in procs:
+        for child in children:
             # After a failure, survivors wait for frames that never come.
-            pr.join(timeout=5.0 if clean else 0.0)
-            if pr.is_alive():
-                pr.terminate()
-        for ring in to_child + to_parent:
-            ring.close()
+            child.proc.join(timeout=5.0 if clean else 0.0)
+            if child.proc.is_alive():
+                child.proc.terminate()
+            child.to_child.close()
+            child.to_parent.close()

@@ -72,6 +72,8 @@ def stall_build(spec):
 class _IdleFabric:
     """The coordinator's fabric protocol with nothing ever in flight."""
 
+    window = 2.0
+
     def flush(self):
         return 0
 
@@ -84,7 +86,7 @@ def sharded_stall_build(spec):
     done = shards[0].event()  # never succeeds; both shards drain first
     shards[0].timeout(3.0)
     shards[1].timeout(5.0)
-    return ShardedTask(shards, done, window=2.0, fabric=_IdleFabric(),
+    return ShardedTask(shards, done, fabric=_IdleFabric(),
                        label=spec.name)
 
 

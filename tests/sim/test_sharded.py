@@ -14,14 +14,28 @@ import signal
 
 import pytest
 
-from repro.bgq.shardnet import ReservationFabric
+from repro.bgq.network import MEMFIFO, Packet
+from repro.bgq.shardnet import (
+    ReservationFabric,
+    ShardClient,
+    ShardedBGQMachine,
+    WireShardClient,
+    _WireDescriptor,
+)
 from repro.charm import Charm
 from repro.converse import ConverseRuntime, RunConfig
 from repro.converse.messages import ConverseMessage
 from repro.harness.pingpong import pingpong_run
 from repro.harness.shardbench import run_sharded_namd, run_sharded_pingpong
 from repro.sim import Environment
-from repro.sim.shard import ShardStallError, run_sharded_subprocesses
+from repro.faults import FaultPlan
+from repro.pami.context import AMPayload
+from repro.sim.shard import (
+    ShardCoordinator,
+    ShardEnvironment,
+    ShardStallError,
+    run_sharded_subprocesses,
+)
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -110,8 +124,6 @@ def test_boundary_arrival_order_matches_serial(nshards):
     rt.run_until(done)
     assert len(serial_arrivals) == expected
 
-    from repro.bgq.shardnet import ShardedBGQMachine
-    from repro.sim.shard import ShardCoordinator, ShardEnvironment
 
     fabric = ReservationFabric(config.nnodes, nshards)
     shard_arrivals = []
@@ -125,7 +137,7 @@ def test_boundary_arrival_order_matches_serial(nshards):
         )
         srt.start()
         shards.append((senv, srt, sdone))
-    ShardCoordinator([s[0] for s in shards], fabric.window, fabric).run(
+    ShardCoordinator([s[0] for s in shards], fabric).run(
         shards[0][2]
     )
     for _, srt, _ in shards:
@@ -162,19 +174,35 @@ def test_mp_transport_matches_serial_for_multi_packet_messages():
     assert [repr(t) for t in sharded["rtts"]] == [repr(t) for t in serial["rtts"]]
 
 
-def test_wire_fabric_grants_only_awaited_packets():
-    """An unawaited cross-shard packet is one delivery record on the
-    destination shard: no grant, no arrival on the source shard."""
+@pytest.mark.parametrize("client_cls", [ShardClient, WireShardClient], ids=["inproc", "wire"])
+def test_one_reservation_replay_emits_per_shard_records(client_cls):
+    """The fabric's one replay, fed through either packet codec: an
+    unawaited cross-shard packet is one deliver record on the
+    destination shard and nothing on the source, an awaited one adds one
+    grant on the source, and an awaited same-shard packet is one
+    combined record (an unawaited one, a plain deliver)."""
+    env = ShardEnvironment(0)
+    client = client_cls(env, ShardedBGQMachine(env, 4, 0, 2))
     fabric = ReservationFabric(4, 2)
 
-    def request(n, wait):
-        return {"key": (0.0, 0, n), "t": 0.0, "src": 0, "dst": 3,
-                "payload_bytes": 512, "wait": wait}
+    def send(dst, wait):
+        payload = AMPayload(1, b"x", 64, (0, 0))
+        pkt = Packet(src=0, dst=dst, kind=MEMFIFO, payload_bytes=64,
+                     message=_WireDescriptor(payload))
+        client.machine.network.inject(pkt, wait=wait)
+        records = fabric.reserve(client.take_requests())
+        return {shard: [rec[0] for rec in recs] for shard, recs in records.items()}, records
 
-    externals, arrivals = fabric.process([request(0, False), request(1, True)])
-    assert [rec[0] for rec in externals[1]] == ["deliver", "deliver"]
-    assert [(rec[0], rec[1]) for rec in externals[0]] == [("grant", (0.0, 0, 1))]
-    assert len(arrivals[1]) == 2 and arrivals[0] == [externals[0][0][2]]
+    kinds, records = send(3, wait=False)
+    assert kinds == {1: ["deliver"]}
+    assert isinstance(client._decode(records[1][0][3]), Packet)
+    assert send(3, wait=True)[0] == {1: ["deliver"], 0: ["grant"]}
+    kinds, records = send(1, wait=True)
+    assert kinds == {0: ["both"]}
+    assert send(1, wait=False)[0] == {0: ["deliver"]}
+    client.apply(records[0])  # the combined record: one external event
+    assert env.peek() == records[0][0][1]
+    assert list(client._awaiting) == [(0.0, 0, 1)]  # the grant not yet applied
 
 
 def test_dead_shard_child_is_reported_within_seconds():
@@ -191,12 +219,54 @@ def test_dead_shard_child_is_reported_within_seconds():
     signal.alarm(10)
     try:
         with pytest.raises(ShardStallError, match=r"shard 0 child exited with exit code 3"):
-            run_sharded_subprocesses(2, 1.0, build_client, fabric=None)
+            run_sharded_subprocesses(2, build_client, ReservationFabric(4, 2))
     except (ImportError, OSError, PermissionError) as exc:
         pytest.skip(f"shared-memory subprocess transport unavailable: {exc}")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _idle_shard(shard_id, nshards, fabric=None):
+    """A 4-node shard with one timeout and a ``done`` (on shard 0) that
+    nothing ever fires."""
+    env = ShardEnvironment(shard_id)
+    machine = ShardedBGQMachine(env, 4, shard_id, nshards, fabric=fabric)
+    env.timeout(3.0 + shard_id)
+    return WireShardClient(env, machine, done=env.event() if shard_id == 0 else None)
+
+
+def test_mp_stall_reports_every_shard():
+    """A stalled `mp` run raises the coordinator's own report: each
+    shard's now / next_event / executed and the fabric's pending count,
+    line for line what the same run reports in process."""
+    try:
+        with pytest.raises(ShardStallError) as forked:
+            run_sharded_subprocesses(2, _idle_shard, ReservationFabric(4, 2))
+    except (ImportError, OSError, PermissionError) as exc:
+        pytest.skip(f"shared-memory subprocess transport unavailable: {exc}")
+    fabric = ReservationFabric(4, 2)
+    clients = [_idle_shard(i, 2, fabric) for i in range(2)]
+    with pytest.raises(ShardStallError) as inproc:
+        ShardCoordinator([c.env for c in clients], fabric).run(clients[0].done)
+    report = str(forked.value).splitlines()
+    assert "<done event of shard 0> never triggered" in report[0]
+    assert report[1:4] == [
+        "  shard 0: now=803.0 next_event=inf executed=1",  # window [3, 803)
+        "  shard 1: now=803.0 next_event=inf executed=1",
+        "  fabric: pending=0",
+    ]
+    assert report[1:] == str(inproc.value).splitlines()[1:]
+
+
+def test_fault_plan_on_a_sharded_machine_is_refused():
+    """The injector keys on global counters, so a runtime with a fault
+    plan cannot be built over a sharded machine."""
+    env = ShardEnvironment(0)
+    machine = ShardedBGQMachine(env, 4, 0, 2)
+    config = RunConfig(nnodes=4, workers_per_process=1, fault_plan=FaultPlan.profile("drop1"))
+    with pytest.raises(NotImplementedError, match="not supported on a sharded machine"):
+        ConverseRuntime(env, config, machine=machine)
 
 
 # -- rank -> endpoint formula -------------------------------------------------
