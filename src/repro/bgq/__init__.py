@@ -16,7 +16,7 @@ from .network import MEMFIFO, RDMA_DATA, RGET_REQUEST, Packet, TorusNetwork
 from .node import HWThread, Node
 from .params import BGQParams, DEFAULT_PARAMS, CYCLES_PER_US
 from .torus import PARTITION_SHAPES, Torus, bgq_partition_shape
-from .wakeup import WakeupSource
+from .wakeup import WakeupSource, arm_any
 
 __all__ = [
     "ArenaAllocator",
@@ -44,5 +44,6 @@ __all__ = [
     "Torus",
     "TorusNetwork",
     "WakeupSource",
+    "arm_any",
     "bgq_partition_shape",
 ]

@@ -36,6 +36,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from ..sim import Environment, Event, SimulationError, Ticket
+from ..sim.engine import _PENDING
 from .params import BGQParams, DEFAULT_PARAMS
 
 __all__ = ["Core", "CoreMember"]
@@ -43,6 +44,7 @@ __all__ = ["Core", "CoreMember"]
 _EPS = 1e-9
 _INF = float("inf")
 _MEMO_CAP = 64
+_new_chunk = object.__new__
 
 
 class CoreMember:
@@ -192,25 +194,57 @@ class Core:
         env = self.env
         if env.active_process is None:
             raise SimulationError("Core.compute() must be yielded by a Process")
-        chunk = _Chunk(env)
+        # The chunk's Event slots are set here, not by a constructor call.
+        chunk = _new_chunk(_Chunk)
+        chunk.env = env
+        chunk.callbacks = None
+        chunk._value = None
+        chunk._exc = None
+        chunk._state = _PENDING
+        chunk._defused = False
         chunk.id = cid = next(self._ids)
         chunk.weight = weight
-        chunk.left = float(instructions)
+        chunk.left = left = float(instructions)
         chunk.at = None
         members = self._members
         members[cid] = weight
-        self._notify_change()
+        self._rates = None
+        if self._attached:
+            self._notify_change()
         started = env.now
         try:
-            if self._arm(chunk, started):
-                self._running.append(chunk)
-                self._push_next(started)
-                yield chunk
+            # _arm inline, with the rate read from the fresh memo entry.
+            if left > _EPS:
+                rates = self._rates = self._rate_inputs()
+                if weight == 1.0:
+                    rate = rates[3]
+                else:
+                    per_unit, cap, width_scale, _ = rates
+                    rate = min(weight * per_unit, cap * min(1.0, weight)) * width_scale
+                at = started + left / rate
+                if at != started:
+                    chunk.t0 = started
+                    chunk.rate = rate
+                    chunk.at = at
+                    chunk.seq = seq = env.reserve_seq()
+                    chunk.ticket = None
+                    attached = chunk.gen = self._attached
+                    attached.append(chunk)
+                    running = self._running
+                    alone = not running and not self._pending
+                    running.append(chunk)
+                    if alone:  # the only end, and no change pop to wait for
+                        chunk.ticket = Ticket(env, at, seq, chunk, self._expire_cbs)
+                    else:
+                        self._push_next(started)
+                    yield chunk
         finally:
             if chunk.at is not None:  # an Interrupt ended the wait
                 self._drop(chunk)
             del members[cid]
-            self._notify_change()
+            self._rates = None
+            if self._attached:
+                self._notify_change()
         self.instructions_retired += instructions
         return env.now - started
 
@@ -260,14 +294,20 @@ class Core:
         """A chunk-end pop: finish the compute, or arm its residual."""
         c = ticket._value
         now = c.at
+        running = self._running
         if c.callbacks:
             c.gen.remove(c)
             c.left -= (now - c.t0) * c.rate
             if not self._arm(c, now):
-                self._finish(c)
+                # _finish inline.
+                running.remove(c)
+                c.at = c.ticket = c.gen = None
+                cbs, c.callbacks = c.callbacks, None
+                cbs[0](c)
         else:  # interrupted: its process drops it when it wakes
-            self._running.remove(c)
-        self._push_next(now)
+            running.remove(c)
+        if running:
+            self._push_next(now)
 
     def _drop(self, c: _Chunk) -> None:
         """Take an interrupted compute off the core.  A change pop pushes

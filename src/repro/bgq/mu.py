@@ -26,7 +26,7 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from ..sim import Environment, Event
+from ..sim import Environment, Event, Timeout
 from .network import MEMFIFO, RDMA_DATA, RGET_REQUEST, Packet, TorusNetwork
 from .params import BGQParams, DEFAULT_PARAMS
 from .wakeup import WakeupSource
@@ -82,7 +82,17 @@ class Descriptor:
 
 
 class InjectionFifo:
-    """One MU injection FIFO and its descriptor-processing engine."""
+    """One MU injection FIFO and its descriptor-processing engine.
+
+    The engine is callback-driven, with no process: each packet's
+    descriptor overhead is one :class:`~repro.sim.Timeout` whose
+    callback puts the packet on the wire and starts the next, and an
+    idle engine waits on ``_work``, whose callback restarts it.  The
+    events and their ``(time, seq)`` keys are those of a generator
+    engine that yields the same timeouts in the same order
+    (``tests/bgq/test_mu_identity.py`` keeps that engine as the
+    reference).
+    """
 
     def __init__(
         self,
@@ -96,13 +106,24 @@ class InjectionFifo:
         self.fifo_id = fifo_id
         self.params = params
         self._queue: Deque[Descriptor] = deque()
-        self._work = env.event()
         self.descriptors_processed = 0
         self.packets_injected = 0
         #: Occupancy high-water mark (descriptors queued behind the
         #: engine) — the HPM "injection FIFO depth" counter.
         self.occupancy_hwm = 0
-        env.process(self._engine(), name=f"mu{mu.node_id}-ififo{fifo_id}")
+        #: The descriptor in service, its next packet's index, its
+        #: packet count and its bytes not yet packetised.
+        self._desc: Optional[Descriptor] = None
+        self._pkt = 0
+        self._npackets = 0
+        self._remaining = 0
+        # Shared by this FIFO's packet timeouts and work events (nothing
+        # else can reach those events to add callbacks).
+        self._step_cbs = [self._step]
+        self._restart_cbs = [self._next_desc]
+        #: Pending while the engine is idle; a post succeeds it.
+        self._work = Event(env)
+        self._work.callbacks = self._restart_cbs
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -116,42 +137,56 @@ class InjectionFifo:
         if not self._work.triggered:
             self._work.succeed()
 
-    def _engine(self):
-        env = self.env
+    def _next_desc(self, _work: Optional[Event] = None) -> None:
+        """Start the queue's head descriptor, or go idle (also the
+        restart callback of ``_work``)."""
+        if not self._queue:
+            work = self._work = Event(self.env)
+            work.callbacks = self._restart_cbs
+            return
+        desc = self._desc = self._queue.popleft()
+        self.descriptors_processed += 1
         p = self.params
-        while True:
-            if not self._queue:
-                self._work = env.event()
-                yield self._work
-                continue
-            desc = self._queue.popleft()
-            self.descriptors_processed += 1
-            npackets = max(1, math.ceil(desc.nbytes / p.packet_payload_max))
-            awaited = desc.kind in (MEMFIFO, RDMA_DATA)
-            remaining = desc.nbytes
-            for seq in range(npackets):
-                chunk = min(p.packet_payload_max, remaining) if remaining else 0
-                remaining -= chunk
-                yield env.timeout(p.mu_packet_overhead)
-                pkt = Packet(
-                    src=self.mu.node_id,
-                    dst=desc.dst,
-                    kind=desc.kind,
-                    payload_bytes=chunk,
-                    rec_fifo=desc.rec_fifo,
-                    message=desc,
-                    seq=seq,
-                    is_last=(seq == npackets - 1),
-                )
-                # Only the last packet of a message that reports its
-                # delivery gets a completion event.
-                last_arrival = self.mu.network.inject(pkt, pkt.is_last and awaited)
-                self.packets_injected += 1
-            if not desc.injected.triggered:
-                desc.injected.succeed()
-            if awaited:
-                # npackets >= 1, and the last one is still in flight.
-                last_arrival._add_callback(desc._on_last_arrival)
+        self._pkt = 0
+        self._npackets = max(1, math.ceil(desc.nbytes / p.packet_payload_max))
+        self._remaining = desc.nbytes
+        Timeout(self.env, p.mu_packet_overhead).callbacks = self._step_cbs
+
+    def _step(self, _overhead: Event) -> None:
+        """A packet's descriptor overhead has elapsed: inject it."""
+        desc = self._desc
+        p = self.params
+        remaining = self._remaining
+        chunk = min(p.packet_payload_max, remaining) if remaining else 0
+        self._remaining = remaining - chunk
+        seq = self._pkt
+        is_last = seq == self._npackets - 1
+        # Only the last packet of a message that reports its delivery
+        # gets a completion event.
+        awaited = is_last and desc.kind in (MEMFIFO, RDMA_DATA)
+        pkt = Packet(
+            src=self.mu.node_id,
+            dst=desc.dst,
+            kind=desc.kind,
+            payload_bytes=chunk,
+            rec_fifo=desc.rec_fifo,
+            message=desc,
+            seq=seq,
+            is_last=is_last,
+        )
+        last_arrival = self.mu.network.inject(pkt, awaited)
+        self.packets_injected += 1
+        if not is_last:
+            self._pkt = seq + 1
+            Timeout(self.env, p.mu_packet_overhead).callbacks = self._step_cbs
+            return
+        self._desc = None
+        if not desc.injected.triggered:
+            desc.injected.succeed()
+        if awaited:
+            # The last packet is still in flight.
+            last_arrival._add_callback(desc._on_last_arrival)
+        self._next_desc()
 
 
 class ReceptionFifo:

@@ -20,7 +20,8 @@ the sender's ``done`` — made only for a sender that waits on it
 (``inject(packet, wait=True)``; the MU waits on a message's last packet
 alone).  A routed packet costs two events (the shared reservation
 flush, flight) plus one for an awaited ``done``; a loopback packet one,
-plus one.
+plus one.  Flights and flushes share two per-network callback lists, so
+a timeout allocates no list of its own.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ class TorusNetwork:
         #: None (the default) the fault hook below is a single attribute
         #: test and the trajectory is identical to a fault-free build.
         self.fault = None
+        # Shared by every flight and every reservation flush of this
+        # network (nothing else can reach those timeouts to add
+        # callbacks), so a timeout costs no list of its own.
+        self._arrive_cbs = [self._arrive]
+        self._flush_cbs = [self._flush_reservations]
 
     def _dim_order(self) -> Optional[list]:
         if self.routing == "deterministic":
@@ -145,7 +151,7 @@ class TorusNetwork:
         if packet.src == packet.dst:
             # MU loopback (sends between processes on one node, or to
             # self): no torus links, just the MU ingress/egress path.
-            Timeout(env, self.params.nic_latency, (packet, done)).callbacks = [self._arrive]
+            Timeout(env, self.params.nic_latency, (packet, done)).callbacks = self._arrive_cbs
             return done
         return self._inject_routed(packet, done)
 
@@ -204,8 +210,7 @@ class TorusNetwork:
             self._f_action = action
             # A zero timeout runs after every event already scheduled at
             # this timestamp — i.e. after all simultaneous injects.
-            to = Timeout(env, 0.0)
-            to.callbacks = [self._flush_reservations]
+            Timeout(env, 0.0).callbacks = self._flush_cbs
         else:
             self._deferred.append((node, n, packet, done, route, action))
         return done
@@ -241,8 +246,8 @@ class TorusNetwork:
             arrival += action.extra_delay
             if action.dup_gap is not None:
                 dup = Timeout(env, arrival + action.dup_gap - env.now, (packet, None))
-                dup.callbacks = [self._arrive]  # delivery only: no sender waits
-        Timeout(env, arrival - env.now, (packet, done)).callbacks = [self._arrive]
+                dup.callbacks = self._arrive_cbs  # delivery only: no sender waits
+        Timeout(env, arrival - env.now, (packet, done)).callbacks = self._arrive_cbs
 
     def _arrive(self, flight: Timeout) -> None:
         """A flight lands: deliver the packet, then complete its sender."""

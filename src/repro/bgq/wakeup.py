@@ -13,22 +13,37 @@ doubles as the generic "condition became true" notification for
 *spinning* pollers (the Converse idle poll loop watches its message
 queue's producer counter the same way — only the detection latency and
 the core occupancy while waiting differ), hence the ``latency``
-override on :meth:`arm`.
+argument of :func:`arm_any`.
+
+A waiting thread arms all its sources at once: :func:`arm_any` returns
+one event, and the first delivery succeeds it — one wake per waiting
+thread, with no per-source event and no ``AnyOf``.  A signal to a
+waiter whose delivery is already under way still counts in
+``wakeups`` (the hardware raised the interrupt), but schedules nothing
+and latches nothing.  The waiter leaves every source when it resumes,
+so a later signal latches for the next arm.
 
 The classic lost-wakeup race (work arrives between the last poll and
 the ``wait``) is handled the way the hardware handles it: a signal with
-no armed waiter leaves the condition latched, and the next ``arm``
-fires immediately.
+no armed waiter leaves the condition latched, and the next arm fires
+immediately.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 from ..sim import Environment, Event, Timeout
 from .params import BGQParams, DEFAULT_PARAMS
 
-__all__ = ["WakeupSource"]
+__all__ = ["WakeupSource", "arm_any"]
+
+
+class _Waiter(Event):
+    """The one event a thread waiting on ``sources`` yields.  ``fired``
+    once a delivery (``delay`` after its signal) is under way."""
+
+    __slots__ = ("sources", "delay", "fired")
 
 
 class WakeupSource:
@@ -43,54 +58,29 @@ class WakeupSource:
         self.env = env
         self.name = name
         self.params = params
-        self._armed: List[Tuple[Event, Optional[float]]] = []
+        #: Waiters armed on this source, in arm order.
+        self._armed: List[_Waiter] = []
         self._latched = False
         self.signals = 0
         self.wakeups = 0
-        #: Times an arm() found the condition already latched (the
+        #: Times an arm found the condition already latched (the
         #: lost-wakeup race the latch exists for) — an HPM counter.
         self.latched_fires = 0
-        # Shared by every delivery hop of this source (nothing else can
-        # reach those events to add callbacks).
+        # Shared by every delivery hop this source starts (nothing else
+        # can reach those events to add callbacks).
         self._start_cbs = [self._start]
         self._deliver_cbs = [self._deliver]
-
-    def arm(self, latency: Optional[float] = None) -> Event:
-        """Arm the watch; returns the event the waiter should yield on.
-
-        ``latency`` overrides the delivery delay: the default is the
-        wakeup unit's interrupt latency (for a thread in the ``wait``
-        state); a spinning poller watching the same condition passes its
-        poll-detection latency instead (e.g. one L2 load, ~60 cycles).
-
-        If the condition was signalled while unarmed (latched), the
-        event fires after just the delivery delay — the waiter never
-        sleeps through a wakeup.
-        """
-        ev = self.env.event()
-        if self._latched:
-            self._latched = False
-            self.latched_fires += 1
-            self._fire(ev, latency)
-        else:
-            self._armed.append((ev, latency))
-        return ev
-
-    def disarm(self, ev: Event) -> bool:
-        """Cancel an armed watch (waiter found work before sleeping)."""
-        for i, (armed_ev, _) in enumerate(self._armed):
-            if armed_ev is ev:
-                del self._armed[i]
-                return True
-        return False
 
     def signal(self) -> None:
         """The watched condition occurred (packet arrival, queue post)."""
         self.signals += 1
-        if self._armed:
-            waiters, self._armed = self._armed, []
-            for ev, latency in waiters:
-                self._fire(ev, latency)
+        armed = self._armed
+        if armed:
+            self._armed = []
+            for w in armed:
+                self.wakeups += 1
+                if not w.fired:
+                    self._fire(w)
         else:
             self._latched = True
 
@@ -98,23 +88,60 @@ class WakeupSource:
         """Drop a latched signal (waiter consumed the condition itself)."""
         self._latched = False
 
-    def _fire(self, ev: Event, latency: Optional[float]) -> None:
+    def _fire(self, w: _Waiter) -> None:
         # Delivery is a plain event/timeout chain rather than a spawned
         # Process: a zero-delay trampoline event stands in for the old
         # delivery process's init event, and its pop creates the delay
         # timeout — so the timeout's schedule position (and with it the
         # whole event order) is identical to the Process version, minus
-        # the Process/generator machinery.  Both hops carry their state
-        # in the event value and share this source's callback lists.
-        self.wakeups += 1
-        delay = self.params.wakeup_latency if latency is None else latency
+        # the Process/generator machinery.  Both hops carry the waiter in
+        # the event value and share this source's callback lists.
+        w.fired = True
         tramp = Event(self.env)
         tramp.callbacks = self._start_cbs
-        tramp.succeed((ev, delay))
+        tramp.succeed(w)
 
     def _start(self, tramp: Event) -> None:
-        ev, delay = tramp._value
-        Timeout(self.env, delay, ev).callbacks = self._deliver_cbs
+        w = tramp._value
+        Timeout(self.env, w.delay, w).callbacks = self._deliver_cbs
 
     def _deliver(self, timeout: Event) -> None:
         timeout._value.succeed()
+
+
+def arm_any(sources: Sequence[WakeupSource], latency: Optional[float] = None) -> Event:
+    """Arm every source in ``sources`` (one environment); returns the one
+    event the waiter yields on, succeeded by the first delivery.
+
+    ``latency`` is the delivery delay: by default the first source's
+    wakeup-unit interrupt latency (for a thread in the ``wait`` state);
+    a spinning poller watching the same conditions passes its
+    poll-detection latency instead (e.g. one L2 load, ~60 cycles).  A
+    latched source fires at once (after just the delivery delay) and
+    drops its latch; the waiter never sleeps through a wakeup.
+    """
+    first = sources[0]
+    w = _Waiter(first.env)
+    w.sources = sources
+    w.delay = first.params.wakeup_latency if latency is None else latency
+    w.fired = False
+    # Runs before the waiter's process resumes (it registers later).
+    w.callbacks = [_disarm]
+    for s in sources:
+        if s._latched:
+            s._latched = False
+            s.latched_fires += 1
+            s.wakeups += 1
+            if not w.fired:
+                s._fire(w)
+        else:
+            s._armed.append(w)
+    return w
+
+
+def _disarm(w: _Waiter) -> None:
+    """The waiter resumes: leave every source still holding it."""
+    for s in w.sources:
+        armed = s._armed
+        if w in armed:
+            armed.remove(w)

@@ -19,6 +19,7 @@ from typing import Any, Deque, List, Optional, TYPE_CHECKING
 
 from ..bgq.node import HWThread
 from ..bgq.params import BGQParams
+from ..bgq.wakeup import arm_any
 from ..queues import L2AtomicQueue, MutexQueue
 from ..sim import Environment
 from ..trace import Tracer
@@ -190,7 +191,6 @@ class PE:
             rec.end(self.rank)
 
     def _idle_poll(self, advance_ctx: bool):
-        env = self.env
         p = self.params
         cfg = self.runtime.config
         self.idle_entries += 1
@@ -207,12 +207,9 @@ class PE:
             sources.append(self.context.work.wakeup)
         sources.append(self.runtime.stop_wakeup)
         member = self.thread.core.register(weight)
-        armed = [(s, s.arm(latency=detect)) for s in sources]
         try:
-            yield env.any_of([ev for _, ev in armed])
+            yield arm_any(sources, detect)
         finally:
             self.thread.core.unregister(member)
-            for s, ev in armed:
-                s.disarm(ev)
         if rec is not None:
             rec.begin(self.rank, "sched")

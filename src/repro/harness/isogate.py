@@ -10,14 +10,15 @@ instance per turn), and every instance must produce a **bit-identical**
 simulated-time checksum to the same workload run solo through the
 normal ``run(until=event)`` path.
 
-Why this is a sound oracle: ``Environment.run(until=event)`` is exactly
-"``step()`` until the event is processed", so a manual step loop over
-instance A interleaved with steps of instances B..N can only diverge
-from A's solo run if stepping B..N mutates state A reads — i.e. if some
-shared mutable module global exists that the static pass missed.  The
-step loop is the serve layer's :class:`~repro.serve.EnvTask`, which uses
-only the public ``peek()``/``step()``/``Event.processed`` surface (lint
-rule P3).
+Why this is a sound oracle: ``Environment.run(until=event)`` and a
+series of ``run_events(n, until=event)`` slices run the one dispatch
+loop to the same stopping point, so slices of instance A interleaved
+with slices of instances B..N can only diverge from A's solo run if
+running B..N mutates state A reads — i.e. if some shared mutable module
+global exists that the static pass missed.  The slice loop is the serve
+layer's :class:`~repro.serve.EnvTask`, which uses only the public
+``run_events()``/``peek()``/``Event.processed`` surface (lint rule
+P3).
 
 Workloads (N=4 tiny, N=6 full): Converse-level ping-pongs in distinct
 run modes plus, at full scale, two Charm-level mini-NAMD runs (std and

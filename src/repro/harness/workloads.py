@@ -10,7 +10,7 @@ served, so a trajectory change shows in every gate at once.
 A builder returns a deferred :class:`Instance` (built and seeded, not
 yet stepped).  How it is driven is the caller's business:
 :func:`run_instance` is the normal ``run(until=done)`` path, the iso
-and serve gates step it through ``peek()``/``step()``, and the shard
+and serve gates run it in ``run_events()`` slices, and the shard
 gate passes a :class:`~repro.sim.shard.ShardEnvironment` plus its
 :class:`~repro.bgq.shardnet.ShardedBGQMachine` so the same builder
 becomes one SPMD mirror.

@@ -23,6 +23,7 @@ from typing import List, Optional
 
 from ..bgq.node import HWThread
 from ..bgq.params import BGQParams, DEFAULT_PARAMS
+from ..bgq.wakeup import arm_any
 from ..sim import Environment
 from .context import PamiContext
 
@@ -74,7 +75,6 @@ class CommThread:
         return out
 
     def _run(self):
-        env = self.env
         tr = self.tracer
         # Span recording only on comm<->idle transitions: consecutive
         # advance rounds merge into one "comm" span (keeps the tracer
@@ -91,11 +91,7 @@ class CommThread:
                 # No work: arm the wakeup unit and execute `wait`.
                 if tr is not None:
                     tr.begin(self.track, "idle")
-                sources = self._wakeup_sources()
-                armed = [(s, s.arm()) for s in sources]
-                yield env.any_of([ev for _, ev in armed])
-                for s, ev in armed:
-                    s.disarm(ev)
+                yield arm_any(self._wakeup_sources())
                 self.wakeup_count += 1
                 if tr is not None:
                     tr.begin(self.track, "comm")

@@ -5,7 +5,7 @@ onto shared execution resources — applied to the reproduction's own
 tooling: one process runs N independent simulation jobs concurrently on
 an asyncio event loop, each job a private deterministic
 :class:`~repro.sim.Environment` advanced in cooperative slices through
-the public ``peek()``/``step()`` surface.  The whole design leans on the
+the public ``run_events()``/``peek()`` surface.  The whole design leans on the
 isolation property the serve gate's interleave pass proves: interleaved
 execution is bit-identical to solo execution, so serving adds
 throughput without touching results.  ``make serve-gate``

@@ -8,7 +8,7 @@ event loop, so N tasks interleave.  Three implementations cover the
 service's job classes:
 
 * :class:`EnvTask` — one :class:`~repro.sim.Environment` advanced
-  through the **public** ``peek()``/``step()``/``Event.processed``
+  through the **public** ``run_events()``/``peek()``/``Event.processed``
   surface only (lint rule P3; the serve gate's interleave pass steps
   its instances through it too, so interleaved execution is checked
   bit-identical to solo);
@@ -73,9 +73,9 @@ class SimTask(Protocol):
 
 
 class EnvTask:
-    """A single-Environment simulation advanced via peek()/step().
+    """A single-Environment simulation advanced in ``run_events`` slices.
 
-    Stepping stops the moment ``done`` is processed — the same stopping
+    A slice stops the moment ``done`` is processed — the same stopping
     point as ``env.run(until=done)`` — so the checksum can differ from a
     solo run only through cross-instance interference, which the G/S
     lint families exclude and the serve gate's interleave pass
@@ -109,16 +109,15 @@ class EnvTask:
     def advance(self, max_events: int) -> bool:
         env = self.env
         done = self.done
-        for _ in range(max_events):
-            if done.processed:
-                return True
-            if env.peek() == _INF:
-                raise JobStallError(
-                    f"{self.label}: event queue drained before the done "
-                    "event was processed"
-                )
-            env.step()
-        return done.processed
+        env.run_events(max_events, done)
+        if done.processed:
+            return True
+        if env.peek() == _INF:
+            raise JobStallError(
+                f"{self.label}: event queue drained before the done "
+                "event was processed"
+            )
+        return False
 
     def stop(self) -> None:
         if self._stopped:

@@ -16,10 +16,11 @@ Hot path
 --------
 Event dispatch dominates the wall-clock of every figure reproduction
 (see EXPERIMENTS.md "Benchmark gate").  There is **one dispatch loop**,
-:meth:`Environment._advance`; ``run()``, ``run_window()`` and a hooked
-``step()`` are thin callers of it.  It is *cycle-for-cycle identical*
-to the straightforward single-heap implementation — same event order,
-same simulated times — but cheaper on the host:
+:meth:`Environment._advance`; ``run()``, ``run_window()``,
+``run_events()`` and ``step()`` are thin callers of it.  It is
+*cycle-for-cycle identical* to the straightforward single-heap
+implementation — same event order, same simulated times — but cheaper
+on the host:
 
 * zero-delay events (every ``succeed``/``fail``, process init/interrupt
   wakes, condition triggers) go to a FIFO deque instead of the heap.
@@ -43,13 +44,13 @@ same simulated times — but cheaper on the host:
 * every :class:`Event` subclass is ``__slots__``-complete (no instance
   dicts on the hot path).
 
-The only other copy of pop-merge-dispatch is the body of an *un-hooked*
-``step()``: the serve layer and the serve gate's interleave pass drive whole runs through
-``peek()``/``step()``, and a budgeted turn of the loop per call measured
-100-150 ns/event dearer.  The drive-mode matrix in
-``tests/sim/test_determinism.py`` holds the two to one trajectory, and
-to a heap-only reference scheduler that lives in that test file — the
-engine itself has one scheduling path and no switch to select another.
+The serve layer and the serve gate's interleave pass drive runs in
+slices of ``run_events(max_events, until=done)``, one budgeted call of
+the loop per slice; ``step()`` is a budget of one.  The drive-mode
+matrix in ``tests/sim/test_determinism.py`` holds every caller to one
+trajectory, and to a heap-only reference scheduler that lives in that
+test file — the engine itself has one scheduling path and no switch to
+select another.
 
 Hooks
 -----
@@ -553,50 +554,36 @@ class Environment:
         return q[0][0] if q else _INF
 
     def step(self) -> None:
-        """Process exactly one event (the globally next in (time, seq)).
-
-        Un-hooked, this is the one copy of the merge outside
-        :meth:`_advance` (module docstring, "Hot path": why it stays);
-        hooked, it is one budgeted turn of that loop, so the hooks see
-        every event whichever way the run is driven.
-        """
-        if self._sanitize or self.profiler is not None:
-            self._advance(_INF, None, 1)
-            return
-        imm = self._imm
-        q = self._queue
-        # Same merge rule as _advance (explained there).
-        if imm and not (q and q[0] < imm[0]):
-            when, _, event = imm.popleft()
-        elif q:
-            when, _, event = heapq.heappop(q)
-        else:
+        """Process exactly one event (the globally next in (time, seq)):
+        one budgeted turn of :meth:`_advance`, so the hooks see every
+        event whichever way the run is driven."""
+        if not self._imm and not self._queue:
             raise SimulationError("step() on empty event queue")
-        self._now = when
-        self.events_executed += 1
-        # Dispatch inline (hot loop).
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._state = _PROCESSED
-        if callbacks is not None:
-            for cb in callbacks:
-                cb(event)
-        if event._exc is not None and not event._defused:
-            raise event._exc
+        self._advance(_INF, None, 1)
+
+    def run_events(self, max_events: int, until: Optional[Event] = None) -> None:
+        """Process at most ``max_events`` events in ``(time, seq)`` order,
+        stopping early once ``until`` has been processed (the clock then
+        stays at its time, as with ``run(until=event)``) or the queue
+        drains.  One call of the dispatch loop: the serve layer runs a
+        job's slice with it."""
+        if max_events < 1 or (until is not None and until._state == _PROCESSED):
+            return
+        self._advance(_INF, until, max_events)
 
     def _advance(
         self, stop_time: float, stop_event: Optional[Event], budget: int
-    ) -> Any:
-        """The dispatch loop behind :meth:`run`, :meth:`run_window` and
-        hooked :meth:`step`: pop in ``(time, seq)`` order and dispatch.
+    ) -> None:
+        """The dispatch loop behind :meth:`run`, :meth:`run_window`,
+        :meth:`run_events` and :meth:`step`: pop in ``(time, seq)``
+        order and dispatch.
 
         Stops at the first of: the next event is at or after
         ``stop_time`` (the clock then lands exactly on a finite
         ``stop_time``, also when the queue drains first); ``stop_event``
-        has been processed (its value is returned, the clock stays at
-        its time); ``budget`` events have run (0 = no limit; a budgeted
-        call that finds the queue empty is ``step()`` on an empty
-        queue).  Both hooks are bound once per call, not per event.
+        has been processed (the clock stays at its time); ``budget``
+        events have run (0 = no limit); the queue drains.  Both hooks
+        are bound once per call, not per event.
         """
         sanitize = self._sanitize
         if sanitize:
@@ -632,8 +619,6 @@ class Environment:
                         break
                     when, _, event = heapq.heappop(q)
                     from_heap = True
-                elif budget:
-                    raise SimulationError("step() on empty event queue")
                 else:
                     break
                 self._now = when
@@ -657,18 +642,17 @@ class Environment:
                 if event._exc is not None and not event._defused:
                     raise event._exc
                 if stop_event is not None and stop_event._state == _PROCESSED:
-                    return stop_event.value
+                    return
                 if budget:
                     budget -= 1
                     if not budget:
-                        return None
+                        return
         finally:
             self._stepping = False
             if prof is not None:
                 prof.skip = skip
         if stop_time != _INF:
             self._now = stop_time
-        return None
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the given time or event; returns the event's value.
@@ -694,12 +678,14 @@ class Environment:
                     f"run(until={stop_time}) is in the past or NaN (now={self._now})"
                 )
 
-        value = self._advance(stop_time, stop_event, 0)
-        if stop_event is not None and stop_event._state != _PROCESSED:
+        self._advance(stop_time, stop_event, 0)
+        if stop_event is None:
+            return None
+        if stop_event._state != _PROCESSED:
             raise SimulationError(
                 f"run() ran out of events before {stop_event!r} triggered"
             )
-        return value
+        return stop_event.value
 
     def run_window(self, stop_time: float, stop_event: Optional[Event] = None) -> Any:
         """Process the half-open event window ``[now, stop_time)``.
@@ -720,4 +706,7 @@ class Environment:
             raise SimulationError(
                 f"run_window({stop_time}) is in the past or NaN (now={self._now})"
             )
-        return self._advance(stop_time, stop_event, 0)
+        self._advance(stop_time, stop_event, 0)
+        if stop_event is not None and stop_event._state == _PROCESSED:
+            return stop_event.value
+        return None

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bgq import BGQMachine, BGQParams, MEMFIFO
+from repro.bgq import BGQMachine, BGQParams, MEMFIFO, arm_any
 from repro.bgq.network import RDMA_DATA, Packet
 from repro.sim import Environment, Process
 
@@ -138,7 +138,7 @@ def test_wakeup_signal_on_packet_arrival():
 
     def sleeper():
         thread = m.node(1).thread(0)
-        yield rfifo.wakeup.arm()
+        yield arm_any([rfifo.wakeup])
         woke.append(env.now)
 
     env.process(sleeper())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgq import BGQMachine, BGQParams, WakeupSource
+from repro.bgq import BGQMachine, BGQParams, WakeupSource, arm_any
 from repro.sim import Environment
 
 
@@ -52,7 +52,7 @@ def test_hwthread_wait_consumes_nothing():
     done = {}
 
     def waiter():
-        yield src.arm()
+        yield arm_any([src])
 
     def worker():
         yield from node.thread(1).compute(6_000)
@@ -72,7 +72,7 @@ def test_wakeup_latched_signal_fires_next_arm():
     got = []
 
     def waiter():
-        yield src.arm()
+        yield arm_any([src])
         got.append(env.now)
 
     env.process(waiter())
@@ -89,7 +89,7 @@ def test_wakeup_clear_drops_latch():
     got = []
 
     def waiter():
-        yield src.arm()
+        yield arm_any([src])
         got.append(env.now)
 
     env.process(waiter())
@@ -98,14 +98,18 @@ def test_wakeup_clear_drops_latch():
 
 
 def test_wakeup_disarm_prevents_delivery():
+    """A waiter leaves every source when it resumes: a later signal on
+    a source that did not wake it latches instead of delivering."""
     env = Environment()
-    src = WakeupSource(env)
-    ev = src.arm()
-    assert src.disarm(ev)
-    assert not src.disarm(ev)  # second disarm is a no-op
-    src.signal()
+    a, b = WakeupSource(env), WakeupSource(env)
+    ev = arm_any([a, b])
+    a.signal()
     env.run(until=10_000)
-    assert not ev.triggered
+    assert ev.processed
+    assert a._armed == [] and b._armed == []
+    b.signal()
+    env.run(until=20_000)
+    assert b._latched and b.wakeups == 0
 
 
 def test_wakeup_multiple_waiters_all_fire():
@@ -114,7 +118,7 @@ def test_wakeup_multiple_waiters_all_fire():
     got = []
 
     def waiter(tag):
-        yield src.arm()
+        yield arm_any([src])
         got.append(tag)
 
     env.process(waiter("a"))

@@ -16,8 +16,9 @@ column is regenerated whenever the simulator deliberately schedules
 fewer events at identical simulated times (the compute-chunk wait, the
 listener-less membership change, the wakeup parity event, the
 cancelled ends of re-keyed chunks, the per-packet flight and
-watcher processes and the completions of unawaited packets are
-gone); a checksum literal never is.
+watcher processes, the completions of unawaited packets, the
+injection-FIFO processes and the per-source wake events and their
+``AnyOf`` are gone); a checksum literal never is.
 """
 
 import asyncio
@@ -115,21 +116,21 @@ SERIAL_STD = "f33b5a33a722e4b473e20b0ecf7ba51ca3d4a42be0da328923f8299e9b43b403"
 SERIAL_M2M = "5cf40d689e575605d8a8400d679d3647b3dcfc24af116cb9e06391c97041a1f5"
 
 GOLDEN = {
-    ("pingpong", "serial"): (SERIAL_PINGPONG, 605),
-    ("pingpong", "solo"): ("049518b6790e", 605),
-    ("pingpong", "shards1"): (SERIAL_PINGPONG, 593),
-    ("pingpong", "shards2"): (SERIAL_PINGPONG, 605),
-    ("pingpong", "served"): ("049518b6790e", 605),
-    ("namd-std", "serial"): (SERIAL_STD, 5049),
-    ("namd-std", "solo"): ("9adca0637ee1", 11638),
-    ("namd-std", "shards1"): (SERIAL_STD, 4479),
-    ("namd-std", "shards2"): (SERIAL_STD, 4561),
-    ("namd-std", "served"): ("9adca0637ee1", 11638),
-    ("namd-m2m", "serial"): (SERIAL_M2M, 7674),
-    ("namd-m2m", "solo"): ("e40575d6008b", 13909),
-    ("namd-m2m", "shards1"): (SERIAL_M2M, 7176),
-    ("namd-m2m", "shards2"): (SERIAL_M2M, 7210),
-    ("namd-m2m", "served"): ("e40575d6008b", 13909),
+    ("pingpong", "serial"): (SERIAL_PINGPONG, 567),
+    ("pingpong", "solo"): ("049518b6790e", 567),
+    ("pingpong", "shards1"): (SERIAL_PINGPONG, 555),
+    ("pingpong", "shards2"): (SERIAL_PINGPONG, 567),
+    ("pingpong", "served"): ("049518b6790e", 567),
+    ("namd-std", "serial"): (SERIAL_STD, 4885),
+    ("namd-std", "solo"): ("9adca0637ee1", 11259),
+    ("namd-std", "shards1"): (SERIAL_STD, 4315),
+    ("namd-std", "shards2"): (SERIAL_STD, 4397),
+    ("namd-std", "served"): ("9adca0637ee1", 11259),
+    ("namd-m2m", "serial"): (SERIAL_M2M, 7286),
+    ("namd-m2m", "solo"): ("e40575d6008b", 13305),
+    ("namd-m2m", "shards1"): (SERIAL_M2M, 6788),
+    ("namd-m2m", "shards2"): (SERIAL_M2M, 6822),
+    ("namd-m2m", "served"): ("e40575d6008b", 13305),
 }
 
 
@@ -195,7 +196,7 @@ def test_an_event_diet_lowers_counts_and_moves_no_checksum(monkeypatch):
         assert fattened[cell][0] == checksum, cell
         assert fattened[cell][1] > events, cell
     assert [fattened[(w, "serial")][1] for w in ("pingpong", "namd-std", "namd-m2m")] \
-        == [1177, 6665, 11304]
+        == [597, 4916, 7312]
 
 
 def test_served_sharded_pingpong_has_the_serial_digest():

@@ -34,7 +34,7 @@ import random
 import pytest
 
 from repro.analysis.sanitizer import SanitizerError, sanitized
-from repro.bgq import BGQMachine
+from repro.bgq import BGQMachine, arm_any
 from repro.converse import RunConfig
 from repro.harness.pingpong import pingpong_run
 from repro.obs import ProfileSession
@@ -113,11 +113,8 @@ def _fuzz_workload(seed: int, drive: str = "run", horizon: float = 0.0) -> dict:
             if item is not None:
                 received.append(item)
                 continue
-            # Sleep on the queues' wakeup sources (arm/disarm path).
-            armed = [(s, s.arm(latency=60.0)) for s in (l2q.wakeup, mq.wakeup)]
-            yield env.any_of([ev for _, ev in armed])
-            for s, ev in armed:
-                s.disarm(ev)
+            # Sleep on both queues' wakeup sources (one wake per wait).
+            yield arm_any([l2q.wakeup, mq.wakeup], 60.0)
 
     def computer(cid, reps, instr, weight):
         thread = node.thread(1 + cid)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bgq import BGQMachine, BGQParams
+from repro.bgq import BGQMachine, BGQParams, arm_any
 from repro.queues import L2AtomicQueue, MutexQueue
 from repro.sim import Environment
 
@@ -207,7 +207,7 @@ def test_wakeup_signalled_on_enqueue():
     woke = []
 
     def sleeper():
-        yield q.wakeup.arm()
+        yield arm_any([q.wakeup])
         woke.append(env.now)
 
     def producer():
