@@ -66,8 +66,8 @@ class WakeupSource:
         #: Times an arm found the condition already latched (the
         #: lost-wakeup race the latch exists for) — an HPM counter.
         self.latched_fires = 0
-        # Shared by every delivery hop this source starts (nothing else
-        # can reach those events to add callbacks).
+        # Shared by every delivery hop of this source (nothing else can
+        # reach those events to add callbacks).
         self._start_cbs = [self._start]
         self._deliver_cbs = [self._deliver]
 
