@@ -7,11 +7,25 @@ the simulated-cost model.  The paper measured +15.8% serial speedup
 from the QPX/L1P work; the cost model in :mod:`repro.perfmodel` carries
 that ratio.
 
-Loop-order contract: :func:`pair_forces` evaluates its kernel on the
-in-cutoff pairs only, but the arrays its energy and force reductions
-see keep the full block's shape and values, so results are
-byte-identical to the full-block form that
-``tests/namd/test_kernel_identity.py`` keeps as a reference.
+Loop-order contract: :func:`pair_forces` is byte-identical to the
+full-block ``(ni, nj, 3)`` form that ``tests/namd/test_kernel_identity.py``
+keeps as a reference, while allocating per row tile, not per block:
+
+* it walks the i block in tiles of at most ``_TILE_CELLS`` pair cells
+  (a same-block tile skips the columns left of its diagonal);
+* each axis's minimum-image delta is a contiguous ``(rows, nj)`` plane,
+  built with the reference's elementwise operations (``rint`` is the
+  ``round`` it replaces);
+* ``r2`` adds the squared planes in the order the reference's
+  ``einsum("ijk,ijk->ij")`` does, ``(x0*x0 + x2*x2) + x1*x1`` (numpy
+  2.4; either other order differs in about one element in four);
+* the kernel runs on the in-cutoff pairs only, in ``(i, j)`` order;
+* ``forces_on_i`` sums each row with ``np.bincount`` and
+  ``forces_on_j`` each column with ``np.add.at``, both from 0.0 in
+  ``(i, j)`` pair order: the sequential sums of the reference's
+  zero-padded ``axis=1`` / ``axis=0`` reductions, pads dropped;
+* the energy is ``np.sum`` over one zero-padded ``(ni, nj)`` array, so
+  its pairwise summation tree is the reference's.
 """
 
 from __future__ import annotations
@@ -46,6 +60,10 @@ QPX_SPEEDUP = 1.158
 LJ_EPSILON = 0.02
 LJ_SIGMA = 1.8
 
+#: Pair cells per row tile of :func:`pair_forces`: each (rows, nj)
+#: float plane stays near 64 KiB (one row, when nj alone is larger).
+_TILE_CELLS = 8192
+
 
 def pair_forces(
     pos_i: np.ndarray,
@@ -67,45 +85,70 @@ def pair_forces(
     """
     pos_i = np.asarray(pos_i)
     pos_j = np.asarray(pos_j)
-    delta = pos_i[:, None, :] - pos_j[None, :, :]
-    delta -= np.round(delta / box) * box
-    r2 = np.einsum("ijk,ijk->ij", delta, delta)
+    ni, nj = len(pos_i), len(pos_j)
+    # Axis-major copies: each axis of a tile is a contiguous slice.
+    xi = np.ascontiguousarray(pos_i.T)
+    xj = np.ascontiguousarray(pos_j.T)
+    cut2 = cutoff**2
+    e_pair = np.zeros((ni, nj))
+    f_i = np.zeros((ni, 3))
+    sum_j = np.zeros((nj, 3))
+    n_pairs = 0
+    rows = max(1, _TILE_CELLS // max(nj, 1))
     if same_block:
-        iu = np.triu_indices(r2.shape[0], k=1)
-        mask = np.zeros_like(r2, dtype=bool)
-        mask[iu] = True
-        mask &= r2 < cutoff**2
-    else:
-        mask = r2 < cutoff**2
-    n_pairs = int(np.count_nonzero(mask))
+        # Row r of a tile starting at row r0 keeps columns r0+1+c, c >= r.
+        upper = np.less_equal.outer(np.arange(rows), np.arange(nj))
+    for r0 in range(0, ni, rows):
+        r1 = min(r0 + rows, ni)
+        c0 = r0 + 1 if same_block else 0
+        if c0 >= nj:
+            break
+        delta = []
+        for k in range(3):
+            d = np.subtract.outer(xi[k, r0:r1], xj[k, c0:])
+            t = d / box[k]
+            np.rint(t, out=t)
+            t *= box[k]
+            d -= t
+            delta.append(d)
+        # The reference einsum's order (module docstring).
+        r2 = delta[0] * delta[0]
+        r2 += delta[2] * delta[2]
+        r2 += delta[1] * delta[1]
+        mask = r2 < cut2
+        if same_block:
+            mask &= upper[: r1 - r0, : nj - c0]
+        cells = np.flatnonzero(mask)
+        if cells.size == 0:
+            continue
+        n_pairs += cells.size
+        li = cells // (nj - c0)
+        lj = cells - li * (nj - c0)
+        r2s = r2.ravel()[cells]
+        r = np.sqrt(r2s)
+        qq = q_i[r0:r1][li] * q_j[c0:][lj]
+        # Screened Coulomb (real-space Ewald term).
+        erfc_br = erfc(beta * r)
+        e_coul = qq * erfc_br / r
+        dedr_coul = -qq * (
+            erfc_br / r2s
+            + 2 * beta / math.sqrt(math.pi) * np.exp(-(beta**2) * r2s) / r
+        )
+        # Lennard-Jones.
+        s6 = (LJ_SIGMA**2 / r2s) ** 3
+        s12 = s6**2
+        e_lj = 4 * LJ_EPSILON * (s12 - s6)
+        dedr_lj = 4 * LJ_EPSILON * (-12 * s12 + 6 * s6) / r
+        e_pair[r0:r1, c0:][mask] = e_coul + e_lj
+        fmag = -(dedr_coul + dedr_lj) / r
+        for k in range(3):
+            fk = fmag * delta[k].ravel()[cells]
+            f_i[r0:r1, k] = np.bincount(li, weights=fk, minlength=r1 - r0)
+            np.add.at(sum_j[c0:, k], lj, fk)
     if n_pairs == 0:
         return 0.0, np.zeros_like(pos_i), np.zeros_like(pos_j), 0
-    # The kernel runs on the in-cutoff pairs only; the sums below run on
-    # the full zero-padded arrays, whose shape fixes their add order.
-    pairs = np.nonzero(mask)
-    r2s = r2[pairs]
-    r = np.sqrt(r2s)
-    qq = q_i[pairs[0]] * q_j[pairs[1]]
-    # Screened Coulomb (real-space Ewald term).
-    erfc_br = erfc(beta * r)
-    e_coul = qq * erfc_br / r
-    dedr_coul = -qq * (
-        erfc_br / r2s
-        + 2 * beta / math.sqrt(math.pi) * np.exp(-(beta**2) * r2s) / r
-    )
-    # Lennard-Jones.
-    s6 = (LJ_SIGMA**2 / r2s) ** 3
-    s12 = s6**2
-    e_lj = 4 * LJ_EPSILON * (s12 - s6)
-    dedr_lj = 4 * LJ_EPSILON * (-12 * s12 + 6 * s6) / r
-    e_pair = np.zeros_like(r2)
-    e_pair[pairs] = e_coul + e_lj
     energy = float(np.sum(e_pair))
-    fmag = -(dedr_coul + dedr_lj) / r
-    fvec = np.zeros_like(delta)
-    fvec[pairs] = fmag[:, None] * delta[pairs]
-    f_i = np.sum(fvec, axis=1)
-    f_j = -np.sum(fvec, axis=0)
+    f_j = -sum_j
     if same_block:
         # Upper-triangle masking puts the action on the row atom and the
         # reaction on the column atom of the same array: combine.

@@ -94,10 +94,12 @@ class _SeqKey(tuple):
     __slots__ = ()
 
     def __add__(self, _other) -> "_SeqKey":
-        # Only the engine's `_seq + 1` reaches this.
+        # Only the engine's `_seq + 1` reaches this, once per scheduled
+        # event: it reads the engine's clock field, not the `now` property,
+        # and schedules nothing itself.
         env = self[3]
         env._key_counter = n = env._key_counter + 1
-        return _SeqKey((env.now, env.shard_id, n, env))
+        return _SeqKey((env._now, env.shard_id, n, env))  # repro-lint: disable=P3
 
 
 class ShardEnvironment(Environment):

@@ -447,7 +447,9 @@ def test_a_change_after_an_interrupt_schedules_nothing(register_after):
 def test_finished_computes_leave_no_chunk_ticket_cycle(monkeypatch):
     """About 2,000 computes on one core, re-keyed by a coming and going
     occupant and one of them interrupted: with the collector off, none
-    of their chunks or tickets is left in a reference cycle for it."""
+    of their chunks or tickets is left in a reference cycle for it.
+    Only this test's own environment counts: ``gc.garbage`` also saves
+    the cycles of environments that earlier tests abandoned."""
     log = {"rekeys": 0, "interrupts": 0, "computes": 0}
     rekey = Core._rekey
 
@@ -488,7 +490,10 @@ def test_finished_computes_leave_no_chunk_ticket_cycle(monkeypatch):
                  env.process(attacker(first))]
         env.run()
         gc.collect()
-        cyclic = [type(o).__name__ for o in gc.garbage if isinstance(o, (_Chunk, Ticket))]
+        cyclic = [
+            type(o).__name__ for o in gc.garbage
+            if isinstance(o, (_Chunk, Ticket)) and o.env is env
+        ]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()

@@ -1,5 +1,7 @@
 """Tests for force kernels, synthetic systems and patch decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,24 @@ def test_pair_forces_empty_blocks():
         np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0), box, 5.0, 0.35
     )
     assert (e, n) == (0.0, 0)
+
+
+def test_pair_forces_allocates_row_tiles_not_the_pair_cube():
+    """A 216-atom same block, every pair inside the cutoff (the
+    serve_mix shape): the call's peak allocation stays within six
+    ni*nj float planes; (ni, nj, 3) temporaries would need about 19."""
+    rng = np.random.default_rng(7)
+    pos = rng.random((216, 3)) * 2.0
+    q = rng.standard_normal(216)
+    box = np.array([30.0, 32.0, 34.0])
+    tracemalloc.start()
+    try:
+        *_, n = pair_forces(pos, pos, q, q, box, 7.5, 0.35, same_block=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 216 * 215 // 2
+    assert peak <= 6 * 216 * 216 * 8
 
 
 def test_pair_forces_minimum_image():

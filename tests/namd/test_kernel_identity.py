@@ -8,8 +8,10 @@ docstrings), so every result is the same bytes.  The loop
 implementations live on here as references,
 as the heap-only reference scheduler does in
 ``tests/sim/test_determinism.py``; hypothesis drives both over orders
-4 and 6, full and windowed grids, same and distinct blocks, and 1-80
-particles, and compares ``tobytes()`` (``repr`` for energies).
+4 and 6, full and windowed grids, same and distinct blocks, random and
+lattice positions, and 1-80 particles (explicit cases add 216-atom
+blocks and row counts across tile edges), and compares ``tobytes()``
+(``repr`` for energies).
 """
 
 import math
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfc
 
-from repro.namd.forces import LJ_EPSILON, LJ_SIGMA, pair_forces
+from repro.namd.forces import _TILE_CELLS, LJ_EPSILON, LJ_SIGMA, pair_forces
 from repro.namd.pme import bspline_weights, interpolate_forces, spread_charges
 
 
@@ -258,6 +260,15 @@ def _assert_pair_bytes(got, want):
     assert got[3] == want[3]
 
 
+def _same_block_over(rows):
+    """The smallest same block whose last row tile holds ``rows`` rows."""
+    return next(n for n in range(2, 1000) if n > _TILE_CELLS // n and n % (_TILE_CELLS // n) == rows)
+
+
+#: Rows per tile of a block against 80 columns.
+_ROWS_AT_80 = _TILE_CELLS // 80
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -265,21 +276,52 @@ def _assert_pair_bytes(got, want):
     n_j=st.integers(1, 80),
     same_block=st.booleans(),
     spread=st.floats(2.0, 30.0),
+    lattice=st.booleans(),
 )
-@example(seed=0, n_i=1, n_j=1, same_block=False, spread=2.0)
-@example(seed=0, n_i=1, n_j=1, same_block=True, spread=2.0)
-def test_pair_forces_matches_the_reference_bytes(seed, n_i, n_j, same_block, spread):
+@example(seed=0, n_i=1, n_j=1, same_block=False, spread=2.0, lattice=False)
+@example(seed=0, n_i=1, n_j=1, same_block=True, spread=2.0, lattice=False)
+# The serve_mix shape: a 216-atom same block, every pair inside the cutoff.
+@example(seed=0, n_i=216, n_j=216, same_block=True, spread=2.0, lattice=False)
+# Row counts at, one past and one past twice a tile, distinct and same.
+@example(seed=1, n_i=_ROWS_AT_80, n_j=80, same_block=False, spread=12.0, lattice=False)
+@example(seed=2, n_i=_ROWS_AT_80 + 1, n_j=80, same_block=False, spread=12.0, lattice=False)
+@example(seed=3, n_i=2 * _ROWS_AT_80 + 1, n_j=80, same_block=False, spread=12.0, lattice=True)
+@example(seed=4, n_i=_same_block_over(1), n_j=1, same_block=True, spread=10.0, lattice=False)
+@example(seed=5, n_i=_same_block_over(7), n_j=1, same_block=True, spread=20.0, lattice=True)
+# Lattice blocks: coordinates coincide, so deltas are exactly 0.0.
+@example(seed=6, n_i=80, n_j=80, same_block=False, spread=10.0, lattice=True)
+@example(seed=7, n_i=80, n_j=1, same_block=True, spread=10.0, lattice=True)
+def test_pair_forces_matches_the_reference_bytes(seed, n_i, n_j, same_block, spread, lattice):
     rng = np.random.default_rng(seed)
     box = np.array([30.0, 32.0, 34.0])
-    pos_i = rng.random((n_i, 3)) * spread
+    if lattice:
+        # Distinct points of an 8^3 grid: no two atoms coincide, but
+        # their coordinates do.
+        cells = rng.choice(8**3, n_i + n_j, replace=False)
+        grid = np.stack(np.unravel_index(cells, (8, 8, 8)), axis=1) * (spread / 8)
+        pos_i, pos_j = grid[:n_i], grid[n_i:]
+    else:
+        pos_i = rng.random((n_i, 3)) * spread
+        pos_j = rng.random((n_j, 3)) * spread
     q_i = rng.standard_normal(n_i)
+    q_j = rng.standard_normal(n_j)
     if same_block:
         pos_j, q_j = pos_i, q_i
-    else:
-        pos_j = rng.random((n_j, 3)) * spread
-        q_j = rng.standard_normal(n_j)
     args = (pos_i, pos_j, q_i, q_j, box, 7.5, 0.35, same_block)
     _assert_pair_bytes(pair_forces(*args), ref_pair_forces(*args))
+
+
+def test_pair_forces_keeps_the_sign_of_a_zero_force_component():
+    """An attractive pair on one axis line: its x and z deltas are 0.0,
+    so the force components there are signed zeros, which the sums must
+    keep (the reference gives +0.0 on the row atom, -0.0 on the column)."""
+    box = np.array([30.0, 32.0, 34.0])
+    args = (np.array([[1.0, 1.0, 1.0]]), np.array([[1.0, 4.0, 1.0]]),
+            np.array([1.0]), np.array([-1.0]), box, 7.5, 0.35, False)
+    want = ref_pair_forces(*args)
+    assert want[1][0, 0] == 0.0 and not np.signbit(want[1][0, 0])
+    assert want[2][0, 0] == 0.0 and np.signbit(want[2][0, 0])
+    _assert_pair_bytes(pair_forces(*args), want)
 
 
 def test_pair_forces_with_no_pair_inside_the_cutoff():
