@@ -11,8 +11,6 @@ Perfetto view shows exactly the offload the paper describes).
 
 import pathlib
 
-import numpy as np
-
 from repro.harness import export_trace_artifacts, fig9_commthread_profile
 
 _OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -45,8 +43,9 @@ def test_fig9_commthread_profile(benchmark, report):
     assert wi.us_per_step < wo.us_per_step
     # Both profiles show alternating compute and idle phases.
     for r in (wo, wi):
-        idle = r.profile.get("idle")
-        assert idle is not None and idle.max() > 0.05
+        prof = r.profile
+        track_time = prof["bin_width"] * len(r.tracer.tracks())
+        assert max(b["times"].get("idle", 0.0) for b in prof["bins"]) > 0.05 * track_time
         assert 0.05 < r.busy_fraction <= 1.0
         assert r.useful_fraction <= r.busy_fraction
     # Only the comm-thread run exercises the comm-thread counters.

@@ -88,9 +88,12 @@ class Config:
     spmd_paths: Tuple[str, ...] = _DEFAULT_SPMD_PATHS
 
 
-def find_root(start: Optional[Path] = None) -> Path:
-    """Nearest ancestor directory holding a pyproject.toml (else start)."""
-    start = (start or Path.cwd()).resolve()
+def find_root() -> Path:
+    """Nearest ancestor of the working directory holding a pyproject.toml.
+
+    Falls back to the working directory itself.
+    """
+    start = Path.cwd().resolve()
     for candidate in (start, *start.parents):
         if (candidate / "pyproject.toml").is_file():
             return candidate

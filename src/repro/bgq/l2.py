@@ -11,7 +11,14 @@ increments the counter and returns its old value, *unless* the counter
 has reached the bound stored in the adjacent memory location, in which
 case the increment fails and a failure code is returned.
 
-This module models those semantics exactly.  Atomicity is inherited
+Modelled are the two operations the lockless queue
+(:class:`repro.queues.L2AtomicQueue`) drives, each charged one L2
+round trip: :meth:`L2AtomicUnit.load_increment_bounded` (producer slot
+claim) and :meth:`L2AtomicUnit.store_add_bound` (consumer bound
+advance), plus the zero-latency :meth:`L2AtomicUnit.peek` used for
+model bookkeeping.  The other hardware ops (plain load, unbounded
+load-increment, store, store-add/or/xor) have no caller in the
+runtime and are not modelled.  Their semantics are exact.  Atomicity is inherited
 from the discrete-event engine: the read-modify-write happens inside a
 single event callback, after the fixed ``l2_atomic_latency`` delay, so
 concurrent requests serialize in deterministic schedule order just as
@@ -46,9 +53,10 @@ class L2Counter:
 class L2AtomicUnit:
     """The set of L2 atomic counters of one BG/Q node.
 
-    All ops are generator-style: ``old = yield from l2.load_increment(c)``.
-    Zero-latency *peek* variants exist for model-internal bookkeeping
-    that must not perturb simulated time.
+    Atomic ops are generator-style:
+    ``old = yield from l2.load_increment_bounded(c)``.  :meth:`peek`
+    reads a value at zero latency, for model-internal bookkeeping that
+    must not perturb simulated time.
     """
 
     def __init__(self, env: Environment, params: BGQParams = DEFAULT_PARAMS) -> None:
@@ -78,9 +86,6 @@ class L2AtomicUnit:
         self._counters[name] = c
         return c
 
-    def get(self, name: str) -> L2Counter:
-        return self._counters[name]
-
     def _latency(self, op: str):
         self.op_count += 1
         counts = self.op_counts
@@ -88,18 +93,6 @@ class L2AtomicUnit:
         return self.env.timeout(self.params.l2_atomic_latency)
 
     # -- atomic operations ----------------------------------------------
-    def load(self, c: L2Counter):
-        """Plain atomic load (also ~one L2 round trip)."""
-        yield self._latency("load")
-        return c.value
-
-    def load_increment(self, c: L2Counter):
-        """Unbounded load-increment: returns the pre-increment value."""
-        yield self._latency("load_increment")
-        old = c.value
-        c.value += 1
-        return old
-
     def load_increment_bounded(self, c: L2Counter):
         """Bounded load-increment (the lockless-queue primitive).
 
@@ -116,22 +109,6 @@ class L2AtomicUnit:
         c.value += 1
         return old
 
-    def store(self, c: L2Counter, value: int):
-        yield self._latency("store")
-        c.value = value
-
-    def store_add(self, c: L2Counter, delta: int):
-        yield self._latency("store_add")
-        c.value += delta
-
-    def store_or(self, c: L2Counter, mask: int):
-        yield self._latency("store_or")
-        c.value |= mask
-
-    def store_xor(self, c: L2Counter, mask: int):
-        yield self._latency("store_xor")
-        c.value ^= mask
-
     def store_add_bound(self, c: L2Counter, delta: int):
         """Atomically advance the *bound* word (consumer-side dequeue)."""
         if c.bound is None:
@@ -139,9 +116,6 @@ class L2AtomicUnit:
         yield self._latency("store_add_bound")
         c.bound += delta
 
-    # -- zero-latency peeks (model bookkeeping only) ---------------------
+    # -- zero-latency peek (model bookkeeping only) ----------------------
     def peek(self, c: L2Counter) -> int:
         return c.value
-
-    def peek_bound(self, c: L2Counter) -> Optional[int]:
-        return c.bound

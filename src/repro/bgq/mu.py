@@ -6,14 +6,14 @@ simultaneously inject and receive messages on different FIFOs* — the
 hardware property behind the paper's multi-communication-thread
 message-rate acceleration (§III-C/E).
 
-Three packet types are modelled, as in hardware:
+Two transfers are modelled (the hardware's RDMA write, PAMI_Rput, is
+not — no runtime path uses it):
 
 * **memory FIFO** — delivered into an MU reception FIFO at the
   destination and processed by software (PAMI dispatch);
 * **RDMA read** (``rget``) — a request packet to the remote node whose
-  MU streams the data back with no remote software involvement;
-* **RDMA write** (``rput``) — data packets written directly to remote
-  memory.
+  MU streams the data back as RDMA data packets written straight to
+  memory, with no remote software involvement.
 
 Each injection FIFO has its own descriptor engine with a fixed
 per-packet processing overhead, so the *per-FIFO message rate* is

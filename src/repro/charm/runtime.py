@@ -181,11 +181,11 @@ class Charm:
             charm = self
 
             def section_handler(pe, msg):
-                section_id, method, args, nbytes, qos = msg.payload
+                section_id, method, args, nbytes = msg.payload
                 section = charm._sections.get(section_id)
                 if section is None:
                     raise RuntimeError(f"unknown section {section_id}")
-                yield from section._deliver(pe, method, args, nbytes, qos)
+                yield from section._deliver(pe, method, args, nbytes)
 
             self._section_hid = self.runtime.register_handler(
                 section_handler, category="comm"

@@ -10,7 +10,7 @@ section) network messages instead of O(members).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, Hashable, List, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chare import ChareArray
@@ -62,31 +62,24 @@ class Section:
         return self.pes[0]
 
     # -- multicast -----------------------------------------------------------
-    def multicast_from(self, src_pe, method: str, nbytes: int, *args: Any,
-                       qos: Optional[int] = None):
+    def multicast_from(self, src_pe, method: str, nbytes: int, *args: Any):
         """Deliver ``method(*args)`` to every member (generator).
 
         One message to the tree root, then one per tree edge; members
-        co-located with a tree node receive by local invocation.
-        ``qos`` (a :mod:`repro.faults.qos` constant) rides in the
-        payload so every tree edge uses the same delivery semantics;
-        None means reliable.
+        co-located with a tree node receive by local invocation.  Every
+        edge uses the section handler's delivery mode (reliable).
         """
         self.multicasts += 1
         hid = self.charm.section_handler_id()
-        payload = (self.section_id, method, args, nbytes, qos)
-        yield from self.charm.runtime.send(
-            src_pe, self.root_pe, hid, nbytes, payload, qos=qos
-        )
+        payload = (self.section_id, method, args, nbytes)
+        yield from self.charm.runtime.send(src_pe, self.root_pe, hid, nbytes, payload)
 
-    def _deliver(self, pe, method: str, args: tuple, nbytes: int,
-                 qos: Optional[int] = None):
+    def _deliver(self, pe, method: str, args: tuple, nbytes: int):
         """Runs on a tree-node PE: forward down, then invoke locally."""
         hid = self.charm.section_handler_id()
-        payload = (self.section_id, method, args, nbytes, qos)
+        payload = (self.section_id, method, args, nbytes)
         for child in self.children_of(pe.rank):
-            yield from self.charm.runtime.send(pe, child, hid, nbytes, payload,
-                                               qos=qos)
+            yield from self.charm.runtime.send(pe, child, hid, nbytes, payload)
         entry_instr = self.charm.params.charm_entry_instr
         for idx in self.local_members.get(pe.rank, []):
             chare = self.array.element(idx)

@@ -42,6 +42,7 @@ from ..faults import (
     QOS_BEST_EFFORT_FRESH,
     QOS_RELIABLE,
 )
+from ..faults.recovery import transport_totals
 from ..pami.commthread import CommThread
 from ..pami.context import AMPayload, Endpoint, PamiClient, PamiContext
 from ..pami.manytomany import ManyToManyRegistry
@@ -453,7 +454,6 @@ class ConverseRuntime:
         put("pami.work_posted", sum(c.work_posted for c in contexts))
         put("pami.completions", sum(c.completions_posted for c in contexts))
         put("pami.rgets", sum(c.rgets for c in contexts))
-        put("pami.rputs", sum(c.rputs for c in contexts))
         # Processes may share one allocator; count each exactly once, in
         # process order.
         allocs = _unique_by_identity(proc.alloc for proc in procs)
@@ -469,18 +469,8 @@ class ConverseRuntime:
         if inj is not None:
             for name, value in sorted(inj.stats.as_dict().items()):
                 put(f"faults.{name}", value)
-        rels = [c.reliability for c in contexts if c.reliability is not None]
-        if rels:
-            put("rel.retries", sum(r.retries for r in rels))
-            put("rel.gave_up", sum(r.gave_up for r in rels))
-            put("rel.dup_suppressed", sum(r.dup_suppressed for r in rels))
-            put("rel.reordered_accepted", sum(r.reordered_accepted for r in rels))
-            put("rel.acks_sent", sum(r.acks_sent for r in rels))
-            put("rel.corrupt_dropped", sum(r.corrupt_dropped for r in rels))
-            put("rel.stale_dropped", sum(r.stale_dropped for r in rels))
-            put("rel.holes_skipped", sum(r.holes_skipped for r in rels))
-            put("rel.timers_cancelled", sum(r.timers_cancelled for r in rels))
-            put("rel.in_flight_at_finish", sum(r.in_flight for r in rels))
+        for name, total in transport_totals(contexts).items():
+            put("rel.in_flight_at_finish" if name == "in_flight" else f"rel.{name}", total)
         put("qd.rounds", self.qd_rounds)
         put("qd.protocol_msgs", self.qd_protocol_msgs)
         # Simulated HPM groups, one per node; a node's comm threads add

@@ -15,7 +15,7 @@ consults when no explicit plan is configured.
 
 Faults apply to memory-FIFO packets only by default (``kinds``): the
 RDMA engines of real BG/Q sit behind link-level hardware retry, and the
-best-effort literature targets the active-message path, so rget/rput
+best-effort literature targets the active-message path, so rget
 streams stay lossless unless a plan opts them in.
 """
 
@@ -169,8 +169,9 @@ class FaultPlan:
         return cls(seed=seed, name=name, **kwargs)
 
     @classmethod
-    def from_env(cls, var: str = "REPRO_FAULTS") -> Optional["FaultPlan"]:
+    def from_env(cls) -> Optional["FaultPlan"]:
         """Parse ``REPRO_FAULTS=<profile>`` / ``<profile>@<seed>``."""
+        var = "REPRO_FAULTS"
         spec = os.environ.get(var, "").strip()
         if not spec or spec in ("0", "none", "off"):
             return None

@@ -61,7 +61,7 @@ no stale timer event in the heap.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from .injector import FAULT_TRACK
 from .plan import RetryPolicy
@@ -72,6 +72,8 @@ __all__ = [
     "EARLY_WINDOW",
     "ReliableTransport",
     "RetryPolicy",
+    "TRANSPORT_STATS",
+    "transport_totals",
 ]
 
 #: Dispatch id reserved for transport ACKs (below M2M's 0x7F; the
@@ -150,10 +152,11 @@ class _RecvFlow:
 class ReliableTransport:
     """Per-context reliability: stamp, ACK, retransmit, dedup."""
 
-    def __init__(self, ctx, policy: RetryPolicy, tracer=None) -> None:
+    def __init__(self, ctx, policy: RetryPolicy) -> None:
         self.ctx = ctx
         self.policy = policy
-        self.tracer = tracer
+        #: Set by the runtime when the run is traced (fault marks).
+        self.tracer = None
         #: Un-ACKed sends, keyed by ``(dest_endpoint, seq)``.  The
         #: quiescence detector counts these as in-flight messages.
         #: Best-effort traffic never appears here.
@@ -309,3 +312,22 @@ class ReliableTransport:
             ACK_BYTES,
             (ctx.endpoint, payload.seq),
         )
+
+
+#: The per-transport statistics a run rolls up: the graceful-degradation
+#: counters plus the sends still un-ACKed when the run stopped.
+TRANSPORT_STATS = (
+    "acks_sent", "retries", "gave_up", "dup_suppressed", "reordered_accepted",
+    "corrupt_dropped", "stale_dropped", "holes_skipped", "timers_cancelled",
+    "in_flight",
+)
+
+
+def transport_totals(contexts: Iterable) -> Dict[str, int]:
+    """Each of :data:`TRANSPORT_STATS` summed over the contexts' transports.
+
+    Contexts without a :class:`ReliableTransport` add nothing, so a run
+    with no fault plan totals zero everywhere.
+    """
+    rels = [c.reliability for c in contexts if c.reliability is not None]
+    return {name: sum(getattr(r, name) for r in rels) for name in TRANSPORT_STATS}

@@ -27,7 +27,7 @@ from .pingpong import (
     pingpong_oneway_us,
     pingpong_run,
 )
-from .report import banner, format_manifest, format_table
+from .report import banner, format_table
 from .timelines import (
     TraceResult,
     export_trace_artifacts,
@@ -58,7 +58,6 @@ __all__ = [
     "fig7_configurations",
     "fig8_l2_atomics",
     "fig9_commthread_profile",
-    "format_manifest",
     "format_table",
     "pingpong_oneway_us",
     "pingpong_run",

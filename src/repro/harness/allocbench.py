@@ -95,11 +95,16 @@ def run_alloc_bench(
     )
 
 
-def fig6_allocator(
-    n_threads: int = 64, buffers_per_thread: int = 100
-) -> Dict[str, AllocBenchResult]:
+#: Fig. 6's threads per node and buffers each thread allocates and frees.
+FIG6_THREADS = 64
+FIG6_BUFFERS_PER_THREAD = 100
+
+
+def fig6_allocator() -> Dict[str, AllocBenchResult]:
     """Both sides of Fig. 6."""
     return {
-        "gnu": run_alloc_bench("gnu", n_threads, buffers_per_thread),
-        "pool": run_alloc_bench("pool", n_threads, buffers_per_thread, warm=True),
+        "gnu": run_alloc_bench("gnu", FIG6_THREADS, FIG6_BUFFERS_PER_THREAD),
+        "pool": run_alloc_bench(
+            "pool", FIG6_THREADS, FIG6_BUFFERS_PER_THREAD, warm=True
+        ),
     }

@@ -46,6 +46,7 @@ from ..converse.machine import ConverseRuntime, RunConfig
 from ..converse.messages import ConverseMessage
 from ..converse.quiescence import QuiescenceDetector
 from ..faults import FaultPlan, QOS_BEST_EFFORT, QOS_RELIABLE, parse_qos, qos_name
+from ..faults.recovery import transport_totals
 from ..sim import Environment
 from ..workloads import LatticeHalo, build_jacobi
 from types import MappingProxyType
@@ -84,8 +85,8 @@ def _finish(env, rt, qd, quiesced, workload, plan, qos) -> Dict[str, object]:
     horizon = env.timeout(HORIZON_CYCLES)
     env.run(until=env.any_of([quiesced, horizon]))
     rt.stop()
-    rels = [c.reliability for p in rt.processes for c in p.client.contexts]
-    rels = [r for r in rels if r is not None]
+    rel = transport_totals(c for p in rt.processes for c in p.client.contexts)
+    rel["in_flight_left"] = rel.pop("in_flight")
     return {
         "workload": workload,
         "profile": plan.name,
@@ -98,16 +99,7 @@ def _finish(env, rt, qd, quiesced, workload, plan, qos) -> Dict[str, object]:
         "faults": rt.fault_injector.stats.as_dict() if rt.fault_injector else {},
         "messages_sent": rt.messages_sent,
         "best_effort_sends": rt.best_effort_sends,
-        "acks_sent": sum(r.acks_sent for r in rels),
-        "retries": sum(r.retries for r in rels),
-        "gave_up": sum(r.gave_up for r in rels),
-        "dup_suppressed": sum(r.dup_suppressed for r in rels),
-        "reordered_accepted": sum(r.reordered_accepted for r in rels),
-        "corrupt_dropped": sum(r.corrupt_dropped for r in rels),
-        "stale_dropped": sum(r.stale_dropped for r in rels),
-        "holes_skipped": sum(r.holes_skipped for r in rels),
-        "timers_cancelled": sum(r.timers_cancelled for r in rels),
-        "in_flight_left": sum(r.in_flight for r in rels),
+        **rel,
     }
 
 

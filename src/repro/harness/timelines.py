@@ -10,7 +10,8 @@ screenshots show:
 * Fig. 9 — binned CPU-utilization profile with and without
   communication threads.
 
-:func:`render_ascii_timeline` and :func:`utilization_profile` turn any
+:func:`render_ascii_timeline` and the analysis CLI's
+:func:`~repro.trace.analyze.time_profile` turn any
 :class:`~repro.trace.Tracer` into those two shapes.  Activity
 categories follow the paper's colour legend: ``integrate`` (red),
 ``nonbonded`` (purple), ``pme``/``fft`` (green), ``comm``/``sched``
@@ -19,9 +20,9 @@ categories follow the paper's colour legend: ``integrate`` (red),
 Each traced run carries its :class:`~repro.trace.Tracer`, so beyond the
 ASCII renderings a run can be exported with
 :func:`export_trace_artifacts` — a Chrome ``trace_event`` JSON (open in
-``chrome://tracing`` or https://ui.perfetto.dev), a per-PE utilization
-table, and a machine-readable manifest — which is what the benchmark
-suite archives under ``benchmarks/output/`` for every trace figure.
+``chrome://tracing`` or https://ui.perfetto.dev) and a machine-readable
+manifest — which is what the benchmark suite archives under
+``benchmarks/output/`` for every trace figure.
 """
 
 from __future__ import annotations
@@ -29,19 +30,13 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..bgq.params import CYCLES_PER_US
 from ..converse import RunConfig
-from ..trace import (
-    Tracer,
-    format_utilization_table,
-    run_manifest,
-    write_chrome_trace,
-    write_run_manifest,
-)
+from ..ioutil import atomic_write_json
+from ..trace import Tracer, run_manifest, utilization_summary, write_chrome_trace
+from ..trace.analyze import time_profile
 from .workloads import build_namd, run_instance
 
 __all__ = [
@@ -52,41 +47,7 @@ __all__ = [
     "fig10_pme_window",
     "fig3_pme_timeline",
     "render_ascii_timeline",
-    "utilization_profile",
 ]
-
-
-def utilization_profile(
-    tracer: Tracer,
-    bins: int = 100,
-) -> Dict[str, np.ndarray]:
-    """Bin per-category busy time into a time profile (Fig. 9 shape).
-
-    Returns a mapping ``category -> array(bins)`` of the fraction of
-    track-time spent in that category in each bin, plus ``"_edges"``
-    with the bin edges.
-    """
-    t0, t1 = tracer.time_span()
-    if t1 <= t0:
-        raise ValueError("empty timeline")
-    edges = np.linspace(t0, t1, bins + 1)
-    ntracks = len(tracer.tracks()) or 1
-    width = (t1 - t0) / bins
-    categories = tracer.categories()
-    out: Dict[str, np.ndarray] = {c: np.zeros(bins) for c in categories}
-    for span in tracer.spans:
-        if span.category not in out:
-            continue
-        lo = max(int(np.searchsorted(edges, span.start, side="right")) - 1, 0)
-        hi = min(int(np.searchsorted(edges, span.end, side="left")), bins)
-        for b in range(lo, hi):
-            overlap = min(span.end, edges[b + 1]) - max(span.start, edges[b])
-            if overlap > 0:
-                out[span.category][b] += overlap
-    for c in categories:
-        out[c] /= width * ntracks
-    out["_edges"] = edges
-    return out
 
 
 _GLYPHS = MappingProxyType({
@@ -118,19 +79,22 @@ def render_ascii_timeline(
         return "(empty timeline)"
     sel = sorted(tracks) if tracks is not None else tracer.tracks()
     scale = width / (t1 - t0)
+    cells = {track: ["."] * width for track in sel}
+    for span in tracer.spans:
+        row = cells.get(span.track)
+        if row is None:
+            continue
+        a = int((span.start - t0) * scale)
+        b = max(a + 1, int(round((span.end - t0) * scale)))
+        g = _GLYPHS.get(span.category, "?")
+        for i in range(a, min(b, width)):
+            row[i] = g
+    util = {r["track"]: r for r in utilization_summary(tracer)}
     rows = []
     for track in sel:
-        row = ["."] * width
-        for span in tracer.spans:
-            if span.track != track:
-                continue
-            a = int((span.start - t0) * scale)
-            b = max(a + 1, int(round((span.end - t0) * scale)))
-            g = _GLYPHS.get(span.category, "?")
-            for i in range(a, min(b, width)):
-                row[i] = g
-        busy, useful = tracer.utilization(track=track)
-        rows.append(f"T{track:3d} |{''.join(row)}| ({busy * 100:.0f}%,{useful * 100:.0f}%)")
+        r = util.get(track, {"busy": 0.0, "useful": 0.0})
+        rows.append(f"T{track:3d} |{''.join(cells[track])}| "
+                    f"({r['busy'] * 100:.0f}%,{r['useful'] * 100:.0f}%)")
     legend = "legend: R=integrate P=nonbonded G=pme/fft c=comm s=sched .=idle"
     return "\n".join(rows + [legend])
 
@@ -146,19 +110,13 @@ class TraceResult:
     busy_fraction: float
     useful_fraction: float
     timeline_ascii: str
-    profile: Dict[str, np.ndarray]
+    #: Stacked category time per interval (:func:`time_profile`, 40 bins).
+    profile: Dict[str, Any]
     step_times_us: Tuple[float, ...]
     #: The run's tracer: spans, counters, and exporter input.
     tracer: Optional[Tracer] = None
     #: Final counter totals (messages, bytes, polls, L2 ops...).
     counters: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def utilization_table(self) -> str:
-        """Per-PE busy/useful table (µs per category)."""
-        return format_utilization_table(
-            self.tracer, scale=1.0 / CYCLES_PER_US, unit="us"
-        )
 
     def manifest(self, **meta) -> dict:
         """Machine-readable run record (see repro.trace.run_manifest)."""
@@ -206,7 +164,7 @@ def run_traced_namd(
     run_instance(inst)
     tracer: Tracer = inst.env.tracer
     tracer.finish()
-    busy, useful = tracer.utilization()
+    run_row = utilization_summary(tracer)[-1]
     total = inst.env.now
     step_times = tuple(t / CYCLES_PER_US for t in inst.observe()["steps"])
     return TraceResult(
@@ -214,12 +172,12 @@ def run_traced_namd(
         n_steps=n_steps,
         total_us=total / CYCLES_PER_US,
         us_per_step=total / CYCLES_PER_US / n_steps,
-        busy_fraction=busy,
-        useful_fraction=useful,
+        busy_fraction=run_row["busy"],
+        useful_fraction=run_row["useful"],
         timeline_ascii=render_ascii_timeline(
             tracer, width=100, tracks=tracer.tracks()[:timeline_threads]
         ),
-        profile=utilization_profile(tracer, bins=40),
+        profile=time_profile(tracer.spans, 40),
         step_times_us=step_times,
         tracer=tracer,
         counters=dict(tracer.counters),
@@ -245,16 +203,8 @@ def export_trace_artifacts(
         process_name=result.label,
         metadata={"label": result.label, "n_steps": result.n_steps, **meta},
     )
-    manifest = write_run_manifest(
-        result.tracer,
-        str(outdir / f"{basename}.manifest.json"),
-        label=result.label,
-        scale=1.0 / CYCLES_PER_US,
-        time_unit="us",
-        n_steps=result.n_steps,
-        us_per_step=result.us_per_step,
-        **meta,
-    )
+    manifest = str(outdir / f"{basename}.manifest.json")
+    atomic_write_json(manifest, result.manifest(**meta), indent=1)
     return {"chrome": chrome, "manifest": manifest}
 
 
@@ -277,31 +227,22 @@ def fig9_commthread_profile(
     return {"without": without, "with": with_ct}
 
 
-def fig10_pme_window(
-    n_atoms: int = 1372,
-    nnodes: int = 4,
-    n_steps: int = 8,
-    workers: int = 2,
-    comm_threads: int = 2,
-    pme_every: int = 1,
-) -> Dict[str, object]:
+def fig10_pme_window(n_steps: int = 8) -> Dict[str, object]:
     """Standard vs many-to-many PME: steps completed in a fixed window.
 
     The paper's Fig. 10 counts nine timesteps with m2m PME vs seven
     with standard PME in a 15 ms window on 1024 nodes; the miniature
-    reproduction uses a PME-heavy configuration (few workers per node,
-    PME every step) and counts steps inside a window sized to 3/4 of
-    the standard run.
+    reproduction uses a PME-heavy configuration (1372 atoms on 4 nodes,
+    2 workers + 2 comm threads per process, PME every step) and counts
+    steps inside a window sized to 3/4 of the standard run.
     """
     std = run_traced_namd(
-        "standard PME (p2p)", n_atoms=n_atoms, nnodes=nnodes,
-        workers=workers, comm_threads=comm_threads, pme_every=pme_every,
-        use_m2m_pme=False, n_steps=n_steps,
+        "standard PME (p2p)", n_atoms=1372, nnodes=4, workers=2,
+        comm_threads=2, pme_every=1, use_m2m_pme=False, n_steps=n_steps,
     )
     m2m = run_traced_namd(
-        "optimized PME (m2m)", n_atoms=n_atoms, nnodes=nnodes,
-        workers=workers, comm_threads=comm_threads, pme_every=pme_every,
-        use_m2m_pme=True, n_steps=n_steps,
+        "optimized PME (m2m)", n_atoms=1372, nnodes=4, workers=2,
+        comm_threads=2, pme_every=1, use_m2m_pme=True, n_steps=n_steps,
     )
     window_us = std.total_us * 0.75
     steps_std = sum(1 for t in std.step_times_us if t <= window_us)
@@ -315,13 +256,14 @@ def fig10_pme_window(
     }
 
 
-def fig3_pme_timeline(n_atoms: int = 1372, nnodes: int = 4) -> Dict[str, object]:
+def fig3_pme_timeline() -> Dict[str, object]:
     """Timelines of PME-heavy steps, p2p vs m2m (Fig. 3).
 
+    The Fig. 10 configuration, three steps.
     Returns the ASCII renderings plus the full traced runs (so callers
     can export the interactive Chrome/Perfetto artifacts).
     """
-    result = fig10_pme_window(n_atoms=n_atoms, nnodes=nnodes, n_steps=3)
+    result = fig10_pme_window(n_steps=3)
     return {
         "standard": result["std"].timeline_ascii,
         "optimized": result["m2m"].timeline_ascii,

@@ -10,7 +10,7 @@ hierarchy ``engine;<event type>;<owner>`` valued in nanoseconds.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .. import ioutil
 from .profiler import Profile
@@ -124,11 +124,8 @@ def compare_profiles(
     return rows[:top]
 
 
-def format_compare(
-    before: Profile, after: Profile, top: int = 10,
-    labels: Optional[tuple] = None,
-) -> str:
-    la, lb = labels or (before.label or "before", after.label or "after")
+def format_compare(before: Profile, after: Profile, top: int = 10) -> str:
+    la, lb = before.label or "before", after.label or "after"
     lines = [f"profile compare: {la} -> {lb}"]
     rows = compare_profiles(before, after, top=top)
     if not rows:

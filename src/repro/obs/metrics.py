@@ -146,19 +146,15 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """Point-in-time value (queue depth, cache hit ratio, ...)."""
+    """Point-in-time value (queue depth, cache hit ratio, ...); unlabelled."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, label_names: Sequence[str] = ()):
-        super().__init__(name, help, label_names)
+    def __init__(self, name: str, help: str):
+        super().__init__(name, help)
         self.value = 0.0
 
-    def _new_child(self) -> "Gauge":
-        return Gauge(self.name, self.help)
-
     def set(self, value: float) -> None:
-        self._guard_unlabelled()
         self.value = float(value)
 
 
@@ -289,10 +285,8 @@ class MetricsRegistry:
     ) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
 
-    def gauge(
-        self, name: str, help: str = "", labels: Sequence[str] = ()
-    ) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels)
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        return self._get_or_create(Gauge, name, help)
 
     def histogram(
         self,

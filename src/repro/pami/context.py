@@ -97,18 +97,17 @@ class PamiContext:
         self.work_posted = 0
         self.completions_posted = 0
         self.rgets = 0
-        self.rputs = 0
         #: Optional :class:`~repro.faults.recovery.ReliableTransport`.
         #: When None (the default) the send-stamp and receive-gate hooks
         #: are single ``is None`` tests — trajectory neutral.
         self.reliability = None
 
-    def enable_reliability(self, policy=None, tracer=None):
+    def enable_reliability(self, policy=None):
         """Attach a :class:`~repro.faults.recovery.ReliableTransport`."""
         from ..faults.recovery import ReliableTransport, RetryPolicy
 
         self.reliability = ReliableTransport(
-            self, policy if policy is not None else RetryPolicy(), tracer=tracer
+            self, policy if policy is not None else RetryPolicy()
         )
         return self.reliability
 
@@ -232,23 +231,6 @@ class PamiContext:
         yield from thread.compute(self.params.pami_send_imm_instr)
         self.rgets += 1
         desc = self.node.mu.post_rget(self.ififo, dst=src_node, nbytes=nbytes)
-        return desc
-
-    def rput(self, thread: HWThread, dst_node: int, nbytes: int, data: Any = None):
-        """PAMI_Rput: one-sided RDMA write to ``dst_node``.
-
-        The MU streams RDMA-write packets straight into remote memory —
-        no dispatch, no remote software.  Returns a descriptor whose
-        ``delivered`` event fires when the last packet has landed.
-        """
-        from ..bgq.network import RDMA_DATA
-
-        yield from thread.compute(self.params.pami_send_imm_instr)
-        self.rputs += 1
-        desc = self.node.mu.make_descriptor(
-            dst=dst_node, nbytes=nbytes, kind=RDMA_DATA, message=("rput", data)
-        )
-        self.ififo.post(desc)
         return desc
 
     # -- work posting (other threads -> this context) ---------------------------

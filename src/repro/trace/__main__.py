@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..ioutil import ArtifactError
 from .analyze import (
@@ -37,11 +37,14 @@ from .analyze import (
     format_imbalance,
     format_messages,
     format_time_profile,
+    format_utilization,
     idle_report,
     load_artifact,
     load_imbalance,
+    manifest_report,
     message_report,
     time_profile,
+    unit_of,
     utilization_histogram,
 )
 from .diff import diff_manifests, format_diff, load_manifest
@@ -55,21 +58,6 @@ def _emit(args: argparse.Namespace, payload: Dict[str, Any], text: str) -> None:
         print(text)
 
 
-def _unit(manifest: Dict[str, Any]) -> str:
-    return manifest.get("time_unit") or "cycles"
-
-
-def _format_utilization(rows: List[Dict[str, Any]]) -> str:
-    if not rows:
-        return "(no utilization data)"
-    return "\n".join(
-        f"  {r.get('label', r.get('track')):>16}  "
-        f"busy {r.get('busy', 0.0) * 100:5.1f}%  "
-        f"useful {r.get('useful', 0.0) * 100:5.1f}%"
-        for r in rows
-    )
-
-
 def _needs_trace(what: str) -> int:
     print(f"{what} needs a full .trace.json artifact "
           "(manifests carry only aggregates)", file=sys.stderr)
@@ -80,8 +68,8 @@ def cmd_timeprofile(args: argparse.Namespace) -> int:
     manifest, tracer = load_artifact(args.artifact)
     if tracer is None:
         return _needs_trace("time profile")
-    profile = time_profile(tracer.spans, bins=args.bins)
-    _emit(args, profile, format_time_profile(profile, _unit(manifest)))
+    profile = time_profile(tracer.spans, args.bins)
+    _emit(args, profile, format_time_profile(profile, unit_of(manifest)))
     return 0
 
 
@@ -93,13 +81,13 @@ def cmd_utilization(args: argparse.Namespace) -> int:
     text = "\n".join(
         [
             f"per-track utilization ({manifest.get('label') or args.artifact}):",
-            _format_utilization(rows),
+            format_utilization(rows),
             "",
             "busy-fraction histogram:",
             format_histogram(hist),
             "",
             "load imbalance (max/avg per category):",
-            format_imbalance(imb, _unit(manifest)),
+            format_imbalance(imb, unit_of(manifest)),
         ]
     )
     _emit(args, {"utilization": rows, "histogram": hist, "imbalance": imb}, text)
@@ -109,14 +97,14 @@ def cmd_utilization(args: argparse.Namespace) -> int:
 def cmd_critpath(args: argparse.Namespace) -> int:
     manifest, tracer = load_artifact(args.artifact)
     report = critical_path_report(manifest, tracer, top=args.top)
-    _emit(args, report, format_critical_path(report, _unit(manifest)))
+    _emit(args, report, format_critical_path(report, unit_of(manifest)))
     return 0
 
 
 def cmd_messages(args: argparse.Namespace) -> int:
     manifest, tracer = load_artifact(args.artifact)
     stats = message_report(manifest, tracer)
-    _emit(args, stats, format_messages(stats, _unit(manifest)))
+    _emit(args, stats, format_messages(stats, unit_of(manifest)))
     return 0
 
 
@@ -148,39 +136,7 @@ def cmd_hpm(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     manifest, tracer = load_artifact(args.artifact)
-    unit = _unit(manifest)
-    kind = "manifest" if tracer is None else "trace"
-    label = manifest.get("label", "")
-    payload: Dict[str, Any] = {"artifact": args.artifact, "kind": kind, "label": label}
-    sections = [f"== {label or args.artifact} ({kind}, times in {unit}) =="]
-
-    rows = manifest.get("utilization", [])
-    payload["utilization"] = rows
-    sections += ["", "-- utilization --", _format_utilization(rows)]
-    imb = load_imbalance(manifest)
-    payload["imbalance"] = imb
-    if imb:
-        sections += ["", "-- load imbalance --", format_imbalance(imb, unit)]
-
-    if tracer is not None:
-        profile = time_profile(tracer.spans, bins=args.bins)
-        payload["time_profile"] = profile
-        sections += ["", "-- time profile --", format_time_profile(profile, unit)]
-
-    cp = critical_path_report(manifest, tracer, top=args.top)
-    payload["critical_path"] = cp
-    sections += ["", "-- critical path --", format_critical_path(cp, unit)]
-
-    stats = message_report(manifest, tracer)
-    payload["messages"] = stats
-    sections += ["", "-- messages --", format_messages(stats, unit)]
-
-    hpm = manifest.get("hpm")
-    if hpm:
-        payload["hpm"] = hpm
-        sections += ["", "-- simulated HPM counters --", format_hpm(hpm)]
-
-    _emit(args, payload, "\n".join(sections))
+    _emit(args, *manifest_report(manifest, tracer, args.artifact, args.bins, args.top))
     return 0
 
 

@@ -26,17 +26,20 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..ioutil import ArtifactError, load_json
 from .core import Span, Tracer
-from .exporters import run_manifest
+from .exporters import format_table, run_manifest
 from .provenance import build_messages, critical_path, idle_attribution
 
 __all__ = [
     "load_artifact",
+    "unit_of",
     "time_profile",
     "utilization_histogram",
     "load_imbalance",
     "message_report",
     "critical_path_report",
     "idle_report",
+    "manifest_report",
+    "format_utilization",
     "format_time_profile",
     "format_histogram",
     "format_imbalance",
@@ -84,9 +87,20 @@ def load_artifact(path: str) -> Tuple[Dict[str, Any], Optional[Tracer]]:
     return run_manifest(tracer, label=label, time_unit="us"), tracer
 
 
+def unit_of(manifest: Dict[str, Any]) -> str:
+    """The time unit an artifact's figures are in (cycles unless stated)."""
+    return manifest.get("time_unit") or "cycles"
+
+
 # -- reports ---------------------------------------------------------------
 
-def time_profile(spans: Sequence[Span], bins: int = 20) -> Dict[str, Any]:
+#: Busy-fraction buckets of :func:`utilization_histogram` (10 % each).
+UTIL_HIST_BINS = 10
+#: Buckets of the latency and size histograms in :func:`message_report`.
+MSG_HIST_BINS = 8
+
+
+def time_profile(spans: Sequence[Span], bins: int) -> Dict[str, Any]:
     """Stacked category time per interval (Projections "time profile").
 
     The trace horizon is split into ``bins`` equal intervals; each
@@ -125,9 +139,10 @@ def _track_rows(manifest: Dict[str, Any]) -> List[Dict[str, Any]]:
     return [r for r in manifest.get("utilization", []) if r.get("track", -1) >= 0]
 
 
-def utilization_histogram(manifest: Dict[str, Any], bins: int = 10) -> Dict[str, Any]:
+def utilization_histogram(manifest: Dict[str, Any]) -> Dict[str, Any]:
     """Histogram of tracks by busy fraction (how balanced is the run)."""
     rows = _track_rows(manifest)
+    bins = UTIL_HIST_BINS
     counts = [0] * bins
     for r in rows:
         b = min(int(r["busy"] * bins), bins - 1)
@@ -165,7 +180,8 @@ def load_imbalance(manifest: Dict[str, Any]) -> List[Dict[str, Any]]:
     return out
 
 
-def _histogram(values: Sequence[float], bins: int = 8) -> List[Dict[str, float]]:
+def _histogram(values: Sequence[float]) -> List[Dict[str, float]]:
+    bins = MSG_HIST_BINS
     if not values:
         return []
     lo, hi = min(values), max(values)
@@ -181,17 +197,17 @@ def _histogram(values: Sequence[float], bins: int = 8) -> List[Dict[str, float]]
 
 
 def message_report(
-    manifest: Dict[str, Any], tracer: Optional[Tracer] = None, bins: int = 8
+    manifest: Dict[str, Any], tracer: Optional[Tracer] = None
 ) -> Dict[str, Any]:
     """Message latency/size aggregates, plus histograms from a full trace."""
     stats = dict(manifest.get("messages", {}))
     if tracer is not None and tracer.provenance:
         msgs = build_messages(tracer.provenance).values()
         stats["latency_histogram"] = _histogram(
-            [m.latency for m in msgs if m.latency is not None], bins
+            [m.latency for m in msgs if m.latency is not None]
         )
         stats["size_histogram"] = _histogram(
-            [float(m.nbytes) for m in msgs if m.sent is not None], bins
+            [float(m.nbytes) for m in msgs if m.sent is not None]
         )
     return stats
 
@@ -232,16 +248,15 @@ def idle_report(tracer: Tracer, top: int = 10) -> List[Dict[str, Any]]:
 
 # -- text rendering --------------------------------------------------------
 
-def _table(headers: List[str], rows: List[List[str]]) -> str:
-    widths = [
-        max(len(headers[i]), max((len(r[i]) for r in rows), default=0))
-        for i in range(len(headers))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines)
+def format_utilization(rows: List[Dict[str, Any]]) -> str:
+    if not rows:
+        return "(no utilization data)"
+    return "\n".join(
+        f"  {r.get('label', r.get('track')):>16}  "
+        f"busy {r.get('busy', 0.0) * 100:5.1f}%  "
+        f"useful {r.get('useful', 0.0) * 100:5.1f}%"
+        for r in rows
+    )
 
 
 def format_time_profile(profile: Dict[str, Any], unit: str = "") -> str:
@@ -255,7 +270,7 @@ def format_time_profile(profile: Dict[str, Any], unit: str = "") -> str:
             [f"{b['t0']:.0f}-{b['t1']:.0f}"]
             + [f"{b['times'].get(c, 0.0):.0f}" for c in cats]
         )
-    return _table(headers, rows)
+    return format_table(headers, rows)
 
 
 def format_histogram(hist: Dict[str, Any]) -> str:
@@ -268,14 +283,14 @@ def format_histogram(hist: Dict[str, Any]) -> str:
         rows.append(
             [f"{b['lo'] * 100:.0f}-{b['hi'] * 100:.0f}%", str(b["tracks"]), bar]
         )
-    return _table(["busy", "tracks", ""], rows)
+    return format_table(["busy", "tracks", ""], rows)
 
 
 def format_imbalance(rows: List[Dict[str, Any]], unit: str = "") -> str:
     if not rows:
         return "(no category data)"
     hdr_unit = f" ({unit})" if unit else ""
-    return _table(
+    return format_table(
         ["category", f"max{hdr_unit}", f"avg{hdr_unit}", "max/avg"],
         [
             [r["category"], f"{r['max']:.0f}", f"{r['avg']:.0f}",
@@ -295,7 +310,7 @@ def format_critical_path(report: Dict[str, Any], unit: str = "") -> str:
     top = report.get("top", [])
     if top:
         lines.append(
-            _table(
+            format_table(
                 ["kind", "where", "msg", "category", f"start ({unit})", f"dur ({unit})"],
                 [
                     [t["kind"], t["label"],
@@ -334,7 +349,7 @@ def format_messages(stats: Dict[str, Any], unit: str = "") -> str:
                 for b in hist
             ]
             lines.append(f"{name} histogram:")
-            lines.append(_table(["bucket", "msgs", ""], rows))
+            lines.append(format_table(["bucket", "msgs", ""], rows))
     return "\n".join(lines)
 
 
@@ -346,4 +361,55 @@ def format_hpm(hpm: Dict[str, Dict[str, float]]) -> str:
     for nid in sorted(hpm, key=lambda k: int(k)):
         g = hpm[nid]
         rows.append([f"node{nid}"] + [f"{g.get(n, 0):.0f}" for n in names])
-    return _table(["node"] + names, rows)
+    return format_table(["node"] + names, rows)
+
+
+# -- the one report over an artifact ---------------------------------------
+
+def manifest_report(
+    manifest: Dict[str, Any],
+    tracer: Optional[Tracer] = None,
+    name: str = "",
+    bins: int = 12,
+    top: int = 10,
+) -> Tuple[Dict[str, Any], str]:
+    """Every report above over one loaded artifact, as ``(payload, text)``.
+
+    ``manifest`` and ``tracer`` are what :func:`load_artifact` returns;
+    ``name`` stands in for an empty label.  The span-level sections
+    (time profile, top critical-path segments, message histograms)
+    appear only with a tracer.  The payload is the ``--format json``
+    face of ``python -m repro.trace analyze``, the text its default.
+    """
+    unit = unit_of(manifest)
+    kind = "manifest" if tracer is None else "trace"
+    label = manifest.get("label", "")
+    payload: Dict[str, Any] = {"artifact": name, "kind": kind, "label": label}
+    sections = [f"== {label or name} ({kind}, times in {unit}) =="]
+
+    rows = manifest.get("utilization", [])
+    payload["utilization"] = rows
+    sections += ["", "-- utilization --", format_utilization(rows)]
+    imb = load_imbalance(manifest)
+    payload["imbalance"] = imb
+    if imb:
+        sections += ["", "-- load imbalance --", format_imbalance(imb, unit)]
+
+    if tracer is not None:
+        profile = time_profile(tracer.spans, bins)
+        payload["time_profile"] = profile
+        sections += ["", "-- time profile --", format_time_profile(profile, unit)]
+
+    cp = critical_path_report(manifest, tracer, top=top)
+    payload["critical_path"] = cp
+    sections += ["", "-- critical path --", format_critical_path(cp, unit)]
+
+    stats = message_report(manifest, tracer)
+    payload["messages"] = stats
+    sections += ["", "-- messages --", format_messages(stats, unit)]
+
+    hpm = manifest.get("hpm")
+    if hpm:
+        payload["hpm"] = hpm
+        sections += ["", "-- simulated HPM counters --", format_hpm(hpm)]
+    return payload, "\n".join(sections)

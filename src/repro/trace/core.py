@@ -46,6 +46,7 @@ __all__ = [
     "Tracer",
     "TracerProtocolError",
     "USEFUL_CATEGORIES",
+    "utilization_summary",
 ]
 
 
@@ -340,23 +341,60 @@ class Tracer:
         """Return (total busy fraction, useful-work fraction).
 
         Mirrors the "(total CPU utilization, useful work utilization)"
-        pair printed on the paper's Projections timeline figures.
+        pair printed on the paper's Projections timeline figures; reads
+        the ``track`` row (or the ``all`` row) of
+        :func:`utilization_summary`.
         """
-        t0, t1 = self.time_span()
-        horizon = t1 - t0
-        if horizon <= 0:
-            return (0.0, 0.0)
-        spans = [s for s in self.spans if track is None or s.track == track]
-        ntracks = len({s.track for s in spans}) or 1
-        busy = sum(s.duration for s in spans if s.category != "idle")
-        useful = sum(s.duration for s in spans if s.category in USEFUL_CATEGORIES)
-        denom = horizon * ntracks
-        return (busy / denom, useful / denom)
+        key = -1 if track is None else track
+        for row in utilization_summary(self):
+            if row["track"] == key:
+                return (row["busy"], row["useful"])
+        return (0.0, 0.0)
 
     def category_times(self, track: int) -> Dict[str, float]:
         """Total time per category on one track."""
-        out: Dict[str, float] = {}
-        for s in self.spans:
-            if s.track == track:
-                out[s.category] = out.get(s.category, 0.0) + s.duration
-        return out
+        for row in utilization_summary(self):
+            if row["track"] == track:
+                return row["categories"]
+        return {}
+
+
+def utilization_summary(tracer: Tracer) -> List[Dict[str, Any]]:
+    """Per-track utilization rows (plus an ``all`` aggregate row).
+
+    Each row: track id, label, busy fraction, useful fraction, and time
+    per category — the numbers behind the paper's per-thread
+    "(total, useful)" annotations and the Fig. 9 profile summary.  One
+    pass over the spans sums every figure in span order; a track's
+    fractions are over the whole trace horizon, the ``all`` row's over
+    the horizon times the number of tracks.
+    """
+    t0, t1 = tracer.time_span()
+    horizon = t1 - t0
+
+    def frac(t: float, ntracks: int = 1) -> float:
+        return t / (horizon * ntracks) if horizon > 0 else 0.0
+
+    per: Dict[int, List[Any]] = {}  # track -> [busy, useful, {category: time}]
+    busy = useful = 0.0
+    for s in tracer.spans:
+        d = s.duration
+        acc = per.get(s.track)
+        if acc is None:
+            acc = per[s.track] = [0.0, 0.0, {}]
+        cats = acc[2]
+        cats[s.category] = cats.get(s.category, 0.0) + d
+        if s.category != "idle":
+            acc[0] += d
+            busy += d
+        if s.category in USEFUL_CATEGORIES:
+            acc[1] += d
+            useful += d
+    rows: List[Dict[str, Any]] = [
+        {"track": track, "label": tracer.label_of(track), "busy": frac(tb),
+         "useful": frac(tu), "categories": cats}
+        for track, (tb, tu, cats) in sorted(per.items())
+    ]
+    rows.append({"track": -1, "label": "all", "busy": frac(busy, len(per) or 1),
+                 "useful": frac(useful, len(per) or 1), "categories": {}})
+    return rows

@@ -9,8 +9,10 @@ step), then exports every artifact the tracing subsystem produces:
   the interactive equivalent of the paper's Fig. 3 Projections view;
 * ``trace_demo.manifest.json`` — machine-readable run manifest
   (counters + per-PE utilization);
-* stdout — the ASCII timeline, the per-PE utilization table, and the
-  formatted manifest.
+* stdout — the ASCII timeline, then the report that
+  ``python -m repro.trace analyze`` prints for the written trace
+  (utilization, load imbalance, time profile, critical path, messages,
+  simulated HPM counters), each section once.
 
 The default output directory is ``benchmarks/output`` when run from the
 repository root (falling back to the current directory), so demo
@@ -31,8 +33,8 @@ def main(argv=None) -> int:
         default = pathlib.Path("benchmarks/output")
         outdir = default if default.parent.is_dir() else pathlib.Path(".")
     # Imported lazily: the harness pulls in the full application stack.
-    from repro.harness.report import format_manifest
     from repro.harness.timelines import export_trace_artifacts, run_traced_namd
+    from repro.trace.analyze import load_artifact, manifest_report
 
     print("running traced mini-NAMD (2 nodes, 2 workers + 1 comm thread)...")
     result = run_traced_namd(
@@ -45,10 +47,9 @@ def main(argv=None) -> int:
           f"useful {result.useful_fraction * 100:.0f}%)")
     print("\nper-thread timeline:")
     print(result.timeline_ascii)
-    print("\nper-PE utilization:")
-    print(result.utilization_table)
     print()
-    print(format_manifest(result.manifest()))
+    manifest, tracer = load_artifact(paths["chrome"])
+    print(manifest_report(manifest, tracer, paths["chrome"])[1])
     print(f"\nwrote {paths['chrome']}")
     print(f"wrote {paths['manifest']}")
     print("open the .trace.json in chrome://tracing or https://ui.perfetto.dev")

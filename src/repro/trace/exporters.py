@@ -1,7 +1,8 @@
 """Trace exporters: Chrome ``trace_event`` JSON, utilization tables, manifests.
 
 Three consumers, mirroring how Projections output is used around the
-paper's figures:
+paper's figures (plus :func:`format_table`, the one aligned-table
+renderer every text report of the repository uses):
 
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — the
   interactive view.  The JSON loads directly in ``chrome://tracing`` or
@@ -15,8 +16,9 @@ paper's figures:
 
 * :func:`run_manifest` / :func:`write_run_manifest` — a machine-readable
   record of one traced run (counters, per-track utilization, category
-  times) consumed by :mod:`repro.harness.report` and archived next to
-  the benchmark outputs so each figure can cite its trace artifact.
+  times) reported by ``python -m repro.trace analyze`` and archived
+  next to the benchmark outputs so each figure can cite its trace
+  artifact.
 
 Simulated time is in machine cycles; exporters take a ``scale`` factor
 (e.g. ``1 / CYCLES_PER_US``) so exported timestamps are microseconds,
@@ -26,10 +28,10 @@ fields.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..ioutil import atomic_write_json
-from .core import Tracer, USEFUL_CATEGORIES
+from .core import Tracer, USEFUL_CATEGORIES, utilization_summary
 from .provenance import build_messages, critical_path_summary, message_stats
 from types import MappingProxyType
 
@@ -37,6 +39,8 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "utilization_summary",
+    "banner",
+    "format_table",
     "format_utilization_table",
     "run_manifest",
     "write_run_manifest",
@@ -213,60 +217,63 @@ def write_chrome_trace(
     return path
 
 
-def utilization_summary(tracer: Tracer) -> List[Dict[str, Any]]:
-    """Per-track utilization rows (plus an ``all`` aggregate row).
+def banner(title: str, width: int = 72) -> str:
+    pad = max(0, width - len(title) - 2)
+    return f"{'=' * (pad // 2)} {title} {'=' * (pad - pad // 2)}"
 
-    Each row: track id, label, busy fraction, useful fraction, and time
-    per category — the numbers behind the paper's per-thread
-    "(total, useful)" annotations and the Fig. 9 profile summary.
+
+def format_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence],
+    title: Optional[str] = None,
+) -> str:
+    """Plain aligned text table — the one renderer of every report table.
+
+    Cells are right-aligned under their headers; a float cell is
+    rendered compactly (see :func:`_fmt`), any other cell with ``str``.
     """
-    rows: List[Dict[str, Any]] = []
-    for track in tracer.tracks():
-        busy, useful = tracer.utilization(track=track)
-        rows.append(
-            {
-                "track": track,
-                "label": tracer.label_of(track),
-                "busy": busy,
-                "useful": useful,
-                "categories": tracer.category_times(track),
-            }
-        )
-    busy, useful = tracer.utilization()
-    rows.append(
-        {
-            "track": -1,
-            "label": "all",
-            "busy": busy,
-            "useful": useful,
-            "categories": {},
-        }
-    )
-    return rows
+    srows = [[_fmt(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in srows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    if title:
+        lines.append(banner(title))
+    lines.append("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in srows:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _fmt(cell) -> str:
+    if isinstance(cell, float):
+        if cell == 0:
+            return "0"
+        if abs(cell) >= 1000:
+            return f"{cell:,.0f}"
+        if abs(cell) >= 10:
+            return f"{cell:.1f}"
+        return f"{cell:.3g}"
+    return str(cell)
 
 
 def format_utilization_table(tracer: Tracer, scale: float = 1.0, unit: str = "cyc") -> str:
     """Render :func:`utilization_summary` as an aligned text table."""
     cats = tracer.categories()
-    headers = ["track", "busy%", "useful%"] + [f"{c} ({unit})" for c in cats]
-    lines = ["  ".join(headers)]
+    rows = []
     for row in utilization_summary(tracer):
-        if row["label"] == "all":
-            cells = [row["label"], f"{row['busy'] * 100:.1f}", f"{row['useful'] * 100:.1f}"]
-            cells += ["-" for _ in cats]
+        cells = [row["label"], f"{row['busy'] * 100:.1f}", f"{row['useful'] * 100:.1f}"]
+        if row["track"] < 0:
+            cells += ["-"] * len(cats)
         else:
             times = row["categories"]
-            cells = [row["label"], f"{row['busy'] * 100:.1f}", f"{row['useful'] * 100:.1f}"]
             cells += [f"{times.get(c, 0.0) * scale:.1f}" for c in cats]
-        lines.append("  ".join(cells))
-    widths = [max(len(line.split("  ")[i]) for line in lines)
-              for i in range(len(headers))]
-    out = []
-    for line in lines:
-        cells = line.split("  ")
-        out.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
-    out.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(out)
+        rows.append(cells)
+    return format_table(
+        ["track", "busy%", "useful%"] + [f"{c} ({unit})" for c in cats], rows
+    )
 
 
 def run_manifest(
@@ -278,8 +285,9 @@ def run_manifest(
 ) -> Dict[str, Any]:
     """Machine-readable record of one traced run.
 
-    Consumed by :func:`repro.harness.report.format_manifest` and by the
-    benchmark suite; schema (all times multiplied by ``scale``):
+    Reported by :func:`repro.trace.analyze.manifest_report` (``python -m
+    repro.trace analyze``) and archived by the benchmark suite; schema
+    (all times multiplied by ``scale``):
 
     ``{"label", "time_unit", "span": [t0, t1], "counters": {...},
     "utilization": [row...], "useful_categories": [...], "meta": {...}}``

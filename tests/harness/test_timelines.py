@@ -1,6 +1,5 @@
 """Tests for the trace harness (Figs. 3/9/10 machinery)."""
 
-import numpy as np
 import pytest
 
 from repro.harness.timelines import TraceResult, run_traced_namd
@@ -32,14 +31,15 @@ def test_trace_timeline_has_activity_glyphs(trace):
 
 def test_trace_profile_bins_normalized(trace):
     prof = trace.profile
-    assert "_edges" in prof
-    cats = [k for k in prof if k != "_edges"]
-    stacked = np.zeros_like(prof[cats[0]])
-    for c in cats:
-        assert np.all(prof[c] >= -1e-9)
-        stacked += prof[c]
-    # Total thread-time fractions never exceed 1 per bin.
-    assert np.all(stacked <= 1.0 + 1e-6)
+    assert len(prof["bins"]) == 40
+    ntracks = len(trace.tracer.tracks())
+    for b in prof["bins"]:
+        assert all(t >= 0.0 for t in b["times"].values())
+        # Stacked category time never exceeds the bin's track-time.
+        assert sum(b["times"].values()) <= prof["bin_width"] * ntracks * (1 + 1e-9)
+    # Every span is apportioned: the bins hold all recorded time.
+    total = sum(s.duration for s in trace.tracer.spans)
+    assert sum(sum(b["times"].values()) for b in prof["bins"]) == pytest.approx(total)
 
 
 def test_m2m_trace_runs_and_is_not_slower_big(trace):

@@ -1,4 +1,4 @@
-"""RDMA write path + assorted coverage for the PAMI layer."""
+"""RDMA read path + assorted coverage for the PAMI layer."""
 
 import pytest
 
@@ -15,64 +15,39 @@ def two_nodes():
     return env, m, c0.create_context(), c1.create_context()
 
 
-def test_rput_completes_without_remote_software():
+def test_rget_completes_without_remote_software():
     env, m, ctx0, ctx1 = two_nodes()
     done = []
 
-    def putter():
-        desc = yield from ctx0.rput(m.node(0).thread(0), dst_node=1, nbytes=32768)
+    def getter():
+        desc = yield from ctx0.rget(m.node(0).thread(0), src_node=1, nbytes=32768)
         yield desc.delivered
         done.append(env.now)
 
-    env.process(putter())
+    env.process(getter())
     env.run()
     assert done and done[0] > 0
-    # Nothing ever landed in node 1's reception FIFO.
+    assert ctx0.rgets == 1
+    # Node 1's MU served the read: nothing reached its software.
     assert len(ctx1.rfifo) == 0
     assert ctx1.messages_received == 0
 
 
-def test_rput_time_scales_with_size():
+def test_rget_time_scales_with_size():
     def one(nbytes):
         env, m, ctx0, _ = two_nodes()
         t = {}
 
-        def putter():
-            desc = yield from ctx0.rput(m.node(0).thread(0), 1, nbytes)
+        def getter():
+            desc = yield from ctx0.rget(m.node(0).thread(0), 1, nbytes)
             yield desc.delivered
             t["v"] = env.now
 
-        env.process(putter())
+        env.process(getter())
         env.run()
         return t["v"]
 
     assert one(1 << 20) > 4 * one(1 << 16)
-
-
-def test_rget_and_rput_roundtrip_cost_symmetry():
-    """A one-sided read costs roughly a put plus the request leg."""
-
-    def run(kind):
-        env, m, ctx0, _ = two_nodes()
-        t = {}
-
-        def driver():
-            thread = m.node(0).thread(0)
-            if kind == "rget":
-                desc = yield from ctx0.rget(thread, src_node=1, nbytes=65536)
-            else:
-                desc = yield from ctx0.rput(thread, dst_node=1, nbytes=65536)
-            yield desc.delivered
-            t["v"] = env.now
-
-        env.process(driver())
-        env.run()
-        return t["v"]
-
-    t_put = run("rput")
-    t_get = run("rget")
-    assert t_get > t_put  # extra request packet + remote turnaround
-    assert t_get < 2.0 * t_put  # but transfer-dominated at 64 KB
 
 
 def test_commthread_drives_multiple_contexts():

@@ -1,11 +1,11 @@
-"""Tests for timeline spans on the DES clock and utilization profiles."""
+"""Tests for timeline spans on the DES clock and the binned time profile."""
 
-import numpy as np
 import pytest
 
-from repro.harness.timelines import render_ascii_timeline, utilization_profile
+from repro.harness.timelines import render_ascii_timeline
 from repro.sim import Environment
 from repro.trace import Tracer
+from repro.trace.analyze import time_profile
 
 
 def make_tracer():
@@ -83,28 +83,33 @@ def test_zero_length_segments_dropped():
     assert tracer.spans == []
 
 
-def test_utilization_profile_bins_sum():
+def _column(prof, category):
+    return [b["times"][category] for b in prof["bins"]]
+
+
+def test_time_profile_bins_sum():
     tracer = Tracer(Environment())
     tracer.record(0, "pme", 0, 50)
     tracer.record(0, "idle", 50, 100)
-    prof = utilization_profile(tracer, bins=10)
-    assert prof["pme"][:5] == pytest.approx(np.ones(5))
-    assert prof["pme"][5:] == pytest.approx(np.zeros(5))
-    assert prof["idle"][5:] == pytest.approx(np.ones(5))
+    prof = time_profile(tracer.spans, 10)
+    assert prof["bin_width"] == 10.0
+    assert _column(prof, "pme") == pytest.approx([10.0] * 5 + [0.0] * 5)
+    assert _column(prof, "idle") == pytest.approx([0.0] * 5 + [10.0] * 5)
 
 
-def test_utilization_profile_multi_thread_normalized():
+def test_time_profile_stacks_tracks():
     tracer = Tracer(Environment())
     tracer.record(0, "pme", 0, 100)
     tracer.record(1, "idle", 0, 100)
-    prof = utilization_profile(tracer, bins=4)
-    # Only half of track-time is pme.
-    assert prof["pme"] == pytest.approx(0.5 * np.ones(4))
+    prof = time_profile(tracer.spans, 4)
+    # Each bin holds 25 units of track time per track: half of it pme.
+    for b in prof["bins"]:
+        assert b["times"] == pytest.approx({"idle": 25.0, "pme": 25.0})
 
 
-def test_utilization_profile_empty_raises():
-    with pytest.raises(ValueError):
-        utilization_profile(Tracer(Environment()))
+def test_time_profile_of_no_spans_is_empty():
+    prof = time_profile(Tracer(Environment()).spans, 4)
+    assert prof["bins"] == [] and prof["categories"] == []
 
 
 def test_ascii_render_contains_threads_and_legend():

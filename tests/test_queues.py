@@ -143,10 +143,10 @@ def test_l2_queue_bound_readvance_after_dequeue():
         thread = node.thread(1)
         yield from q.enqueue(thread, "a")
         yield from q.enqueue(thread, "b")
-        assert node.l2.peek_bound(q.counter) == 2
+        assert q.counter.bound == 2
         item = yield from q.dequeue(node.thread(0))
         log.append(item)
-        assert node.l2.peek_bound(q.counter) == 3
+        assert q.counter.bound == 3
         yield from q.enqueue(thread, "c")  # fits again without overflow
         assert q.overflow_enqueues == 0
 

@@ -134,13 +134,15 @@ def test_run_manifest_json_roundtrip(traced, tmp_path):
     assert man["counters"] == {"converse.msgs_sent": 12, "l2.atomic_ops": 34}
 
 
-def test_format_manifest_report(traced):
-    from repro.harness.report import format_manifest
+def test_manifest_report_of_an_in_memory_manifest(traced):
+    from repro.trace.analyze import manifest_report
 
-    text = format_manifest(run_manifest(traced, label="unit", time_unit="cyc"))
-    assert "unit" in text
-    assert "converse.msgs_sent" in text
-    assert "pe0" in text
+    payload, text = manifest_report(run_manifest(traced, label="unit", time_unit="cyc"))
+    assert payload["kind"] == "manifest" and payload["label"] == "unit"
+    assert text.splitlines()[0] == "== unit (manifest, times in cyc) =="
+    assert "pe0" in text and "commthread-n0t2" in text
+    # A manifest carries no spans: no time profile section.
+    assert "-- time profile --" not in text
 
 
 def test_empty_tracer_exports_cleanly(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 pytestmark = pytest.mark.trace
 
 from repro.harness import export_trace_artifacts, run_traced_namd
-from repro.trace import USEFUL_CATEGORIES
+from repro.trace import USEFUL_CATEGORIES, format_utilization_table
 
 
 @pytest.fixture(scope="module")
@@ -98,5 +98,5 @@ def test_artifact_export_roundtrip(traced_run, tmp_path):
 
 def test_timeline_and_table_render(traced_run):
     assert "legend:" in traced_run.timeline_ascii
-    table = traced_run.utilization_table
+    table = format_utilization_table(traced_run.tracer)
     assert "busy%" in table and "pe0" in table
