@@ -26,8 +26,8 @@ from .core import Analyzer, all_rule_classes, default_rules
 __all__ = ["main", "run_self_check"]
 
 #: One deliberately-bad snippet per rule family; --self-check verifies
-#: each is caught (determinism via D2, protocol via P2, global-state
-#: via G1, SPMD via S2).
+#: each is caught (determinism via D2, protocol via P2 and P3's clock
+#: store, global-state via G1, SPMD via S2).
 _SELF_CHECK_SNIPPETS = MappingProxyType({
     "D2": (
         "injected_determinism.py",
@@ -37,6 +37,10 @@ _SELF_CHECK_SNIPPETS = MappingProxyType({
         "injected_protocol.py",
         "from repro.sim.engine import Event\n\n\n"
         "class Signal(Event):\n    pass\n",
+    ),
+    "P3": (
+        "injected_clock.py",
+        "def rewind(env):\n    env.now = 0.0\n",
     ),
     "G1": (
         "injected_global.py",
@@ -51,7 +55,7 @@ _SELF_CHECK_SNIPPETS = MappingProxyType({
 
 
 def run_self_check(config: Config) -> int:
-    """Inject one violation per family; return 0 iff every one is caught."""
+    """Inject the snippets; return 0 iff every one is caught."""
     failures: List[str] = []
     with tempfile.TemporaryDirectory(prefix="repro-lint-selfcheck-") as tmp:
         tmpdir = Path(tmp)
@@ -83,8 +87,8 @@ def run_self_check(config: Config) -> int:
         )
         return 1
     print(
-        f"self-check: PASS (one injected violation per family, "
-        f"all {len(_SELF_CHECK_SNIPPETS)} caught)"
+        f"self-check: PASS (all {len(_SELF_CHECK_SNIPPETS)} injected "
+        "violations caught)"
     )
     return 0
 

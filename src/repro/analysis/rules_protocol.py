@@ -28,7 +28,10 @@ __all__ = [
 _EVENT_BASES = frozenset({"Event", "Timeout", "Process", "AllOf", "AnyOf", "_Condition"})
 
 #: Environment attributes only sim/engine.py may touch.
-_ENGINE_INTERNALS = frozenset({"_queue", "_imm", "_now", "_seq", "_active_process", "_stepping"})
+_ENGINE_INTERNALS = frozenset({"_queue", "_imm", "_seq", "_stepping"})
+
+#: Environment attributes anyone may read but only sim/engine.py may set.
+_ENGINE_WRITTEN = frozenset({"now", "active_process"})
 
 #: The one module allowed to touch them.
 _ENGINE_PATH_SUFFIX = "sim/engine.py"
@@ -123,7 +126,9 @@ class EngineInternalsRule(Rule):
         "The fast path keeps two cooperating event stores (_queue/_imm) "
         "whose merge invariant — all deque entries carry the current "
         "timestamp — holds only if every schedule goes through the "
-        "engine's own entry points.  Outside sim/engine.py, use the "
+        "engine's own entry points, and the clock (now, active_process) "
+        "is a plain attribute that only the engine advances.  Outside "
+        "sim/engine.py, read the clock but never set it, and use the "
         "public API: event().succeed(), timeout(), process(), run()."
     )
     node_types = ("Attribute",)
@@ -132,11 +137,17 @@ class EngineInternalsRule(Rule):
         return not rel_path.endswith(_ENGINE_PATH_SUFFIX)
 
     def check(self, node: ast.Attribute, ctx: FileContext) -> None:
-        if node.attr in _ENGINE_INTERNALS and _receiver_is_env(node.value):
+        if node.attr in _ENGINE_INTERNALS:
+            what = "access to"
+        elif node.attr in _ENGINE_WRITTEN and not isinstance(node.ctx, ast.Load):
+            what = "store to"
+        else:
+            return
+        if _receiver_is_env(node.value):
             ctx.report(
                 node,
                 self,
-                f"access to Environment.{node.attr} outside sim/engine.py — "
+                f"{what} Environment.{node.attr} outside sim/engine.py — "
                 "use the public Environment API",
             )
 

@@ -3,6 +3,9 @@
 Real force math (LJ + Ewald real-space, harmonic bonds, smooth PME) on
 synthetic systems matching the paper's benchmark parameters, with a
 sequential reference engine and a fully distributed Charm++ version.
+
+Importing the package loads no scipy: :func:`pair_forces` and
+:func:`ewald_real_space` import its erfc on their first call.
 """
 
 from .charm_app import NamdCharm

@@ -34,7 +34,6 @@ import math
 from typing import List, Tuple
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "pair_forces",
@@ -83,6 +82,10 @@ def pair_forces(
     ``same_block=True`` the blocks are the same array and each pair is
     counted once.
     """
+    # scipy loads on the first erfc call, not at import: a run with no
+    # real-space Ewald term (every ping-pong) never pays for it.
+    from scipy.special import erfc
+
     pos_i = np.asarray(pos_i)
     pos_j = np.asarray(pos_j)
     ni, nj = len(pos_i), len(pos_j)

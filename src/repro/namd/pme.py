@@ -32,7 +32,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "bspline_weights",
@@ -311,6 +310,8 @@ def ewald_real_space(
     O(N^2) vectorized pair sum — reference/sequential path; the cell
     list in :mod:`repro.namd.patches` bounds the cost for larger N.
     """
+    from scipy.special import erfc  # on first use, as in pair_forces
+
     positions = np.asarray(positions, dtype=np.float64)
     charges = np.asarray(charges, dtype=np.float64)
     box = np.asarray(box, dtype=np.float64)

@@ -42,7 +42,9 @@ on the host:
   seq)`` key whose seq :meth:`Environment.reserve_seq` took earlier (a
   core reserves one per chunk end and pushes only the earliest);
 * every :class:`Event` subclass is ``__slots__``-complete (no instance
-  dicts on the hot path).
+  dicts on the hot path);
+* the clock (``now``, ``active_process``) is a plain slot that only
+  this module writes: a model-side read is an attribute load, not a call.
 
 The serve layer and the serve gate's interleave pass drive runs in
 slices of ``run_events(max_events, until=done)``, one budgeted call of
@@ -183,7 +185,7 @@ class Event:
         self._state = _TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        env._imm.append((env._now, seq, self))
+        env._imm.append((env.now, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -195,7 +197,7 @@ class Event:
         self._state = _TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        env._imm.append((env._now, seq, self))
+        env._imm.append((env.now, seq, self))
         return self
 
     def cancel(self) -> None:
@@ -255,9 +257,9 @@ class Timeout(Event):
         self.delay = delay
         env._seq = seq = env._seq + 1
         if delay == 0.0:
-            env._imm.append((env._now, seq, self))
+            env._imm.append((env.now, seq, self))
         else:
-            heapq.heappush(env._queue, (env._now + delay, seq, self))
+            heapq.heappush(env._queue, (env.now + delay, seq, self))
 
 
 class Ticket(Event):
@@ -409,7 +411,7 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         env = self.env
-        env._active_process = self
+        env.active_process = self
         gen = self.gen
         while True:
             try:
@@ -421,18 +423,18 @@ class Process(Event):
                 else:
                     next_ev = gen.send(event._value)
             except StopIteration as stop:
-                env._active_process = None
+                env.active_process = None
                 if self._state == _PENDING:
                     self.succeed(stop.value)
                 return
             except BaseException as exc:
-                env._active_process = None
+                env.active_process = None
                 if self._state == _PENDING:
                     self.fail(exc)
                 return
 
             if not isinstance(next_ev, Event):
-                env._active_process = None
+                env.active_process = None
                 err = SimulationError(
                     f"process {self.name!r} yielded non-event {next_ev!r}"
                 )
@@ -447,7 +449,7 @@ class Process(Event):
                 else:
                     cbs.append(self._resume_cb)
                 self._target = next_ev
-                env._active_process = None
+                env.active_process = None
                 return
             # Already processed: loop and continue immediately with its
             # outcome (common with pre-fired events).
@@ -463,23 +465,27 @@ class Environment:
     sequence number.  The dispatch loop (:meth:`_advance`) pops
     whichever holds the globally smallest ``(time, seq)``, so the merged
     order is exactly the classic single-heap order.
+
+    ``now`` (the clock) and ``active_process`` (the process whose
+    generator is running, else ``None``) are read-only outside this
+    module; lint rule P3 flags a store to either anywhere else.
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_imm",
         "_seq",
         "_sanitize",
         "_stepping",
-        "_active_process",
+        "active_process",
         "events_executed",
         "tracer",
         "profiler",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         #: Zero-delay events: (time, seq, event), FIFO == (time, seq) order.
         self._imm: deque[tuple[float, int, Event]] = deque()
@@ -490,7 +496,7 @@ class Environment:
         #: True while _advance is on the stack of a sanitized run (the
         #: reentrancy guard).
         self._stepping = False
-        self._active_process: Optional[Process] = None
+        self.active_process: Optional[Process] = None
         #: Events processed so far.  Maintained unconditionally (an int
         #: add is far cheaper than a tracer call on the hottest loop in
         #: the simulator); Tracer.finish() harvests it as the
@@ -507,15 +513,7 @@ class Environment:
         factory = _PROFILER_FACTORY[0]
         self.profiler = factory(self) if factory is not None else None
 
-    # -- clock ---------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
+    # -- sequence ------------------------------------------------------
     def reserve_seq(self) -> Any:
         """Take the next schedule sequence number now, for a
         :class:`Ticket` that may be pushed later at this place in the
@@ -605,7 +603,7 @@ class Environment:
             # An empty window (stop_time <= now) runs nothing.  Past that
             # test only heap pops need the bound: a deque entry carries
             # time == now, and now stays below stop_time from here on.
-            while stop_time > self._now:
+            while stop_time > self.now:
                 # Take the deque head unless the heap head is strictly
                 # smaller — possible only at the same timestamp (an
                 # entry scheduled earlier: same time, smaller seq).  The
@@ -621,7 +619,7 @@ class Environment:
                     from_heap = True
                 else:
                     break
-                self._now = when
+                self.now = when
                 self.events_executed += 1
                 # Dispatch inline (hot loop).
                 callbacks = event.callbacks
@@ -652,7 +650,7 @@ class Environment:
             if prof is not None:
                 prof.skip = skip
         if stop_time != _INF:
-            self._now = stop_time
+            self.now = stop_time
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the given time or event; returns the event's value.
@@ -673,9 +671,9 @@ class Environment:
                 return stop_event.value
         elif until is not None:
             stop_time = float(until)
-            if not stop_time >= self._now:
+            if not stop_time >= self.now:
                 raise SimulationError(
-                    f"run(until={stop_time}) is in the past or NaN (now={self._now})"
+                    f"run(until={stop_time}) is in the past or NaN (now={self.now})"
                 )
 
         self._advance(stop_time, stop_event, 0)
@@ -702,9 +700,9 @@ class Environment:
         A ``stop_time`` before ``now``, or NaN, is a
         :class:`SimulationError`: the clock would land on it.
         """
-        if not stop_time >= self._now:
+        if not stop_time >= self.now:
             raise SimulationError(
-                f"run_window({stop_time}) is in the past or NaN (now={self._now})"
+                f"run_window({stop_time}) is in the past or NaN (now={self.now})"
             )
         self._advance(stop_time, stop_event, 0)
         if stop_event is not None and stop_event._state == _PROCESSED:

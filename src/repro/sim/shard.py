@@ -95,11 +95,10 @@ class _SeqKey(tuple):
 
     def __add__(self, _other) -> "_SeqKey":
         # Only the engine's `_seq + 1` reaches this, once per scheduled
-        # event: it reads the engine's clock field, not the `now` property,
-        # and schedules nothing itself.
+        # event; it reads the clock and schedules nothing itself.
         env = self[3]
         env._key_counter = n = env._key_counter + 1
-        return _SeqKey((env._now, env.shard_id, n, env))  # repro-lint: disable=P3
+        return _SeqKey((env.now, env.shard_id, n, env))
 
 
 class ShardEnvironment(Environment):
@@ -120,7 +119,7 @@ class ShardEnvironment(Environment):
         super().__init__(initial_time)
         self.shard_id = int(shard_id)
         self._key_counter = 0
-        self._seq = _SeqKey((self._now, self.shard_id, 0, self))
+        self._seq = _SeqKey((self.now, self.shard_id, 0, self))
 
     def schedule_external(self, when: float, key: _SeqKey, callback: Callable[[Event], None]) -> None:
         """Schedule ``callback(event)`` at ``when`` under a pre-allocated key.
@@ -132,10 +131,10 @@ class ShardEnvironment(Environment):
         future — guaranteed by the lookahead bound, asserted here
         because violating it silently would corrupt causality.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
                 f"external event at t={when} is in shard {self.shard_id}'s "
-                f"past (now={self._now}): lookahead/window mismatch"
+                f"past (now={self.now}): lookahead/window mismatch"
             )
         ev = Event(self)
         ev._state = _TRIGGERED

@@ -4,7 +4,7 @@ import heapq
 
 
 def sneak_in_front(env, ev):
-    env._imm.appendleft((env._now, 0, ev))
+    env._imm.appendleft((env.now, 0, ev))
 
 
 def reschedule(runtime, ev, when):
@@ -12,4 +12,8 @@ def reschedule(runtime, ev, when):
 
 
 def rewind(env):
-    env._now = 0.0
+    env.now = 0.0
+
+
+def impersonate(runtime, proc):
+    runtime.env.active_process = proc

@@ -11,3 +11,12 @@ def reschedule(runtime, when, value):
 
 def current_time(env):
     return env.now
+
+
+def running(runtime):
+    return runtime.env.active_process
+
+
+def tick(clk):
+    # A fake clock is not an Environment: its owner sets it.
+    clk.now = clk.now + 1.0

@@ -258,3 +258,37 @@ def test_o1_clean_on_the_engine_tree():
     obs = [v for v in _t1_on_shipped_hot_paths()
            if "docs/OBSERVABILITY.md" in v.message]
     assert obs == [], [v.format() for v in obs]
+
+
+# -- P3: the clock is read anywhere, stored only by the engine --------------
+
+
+def test_p3_flags_clock_stores_and_not_reads(tmp_path):
+    src = tmp_path / "clock.py"
+    src.write_text(
+        "def f(env, runtime, clk, proc):\n"
+        "    t = env.now\n"                             # 2: read, clean
+        "    p = runtime.env.active_process\n"          # 3: read, clean
+        "    env.now = t + 1.0\n"                       # 4: store
+        "    env.now += 1.0\n"                          # 5: store
+        "    runtime.env.active_process = proc\n"       # 6: store
+        "    del env.now\n"                             # 7: store (delete)
+        "    clk.now = 4.0\n"                           # 8: fake clock, clean
+        "    return p, env._seq\n"                      # 9: internal read
+    )
+    violations = Analyzer(tmp_path, default_rules()).analyze_file(src).violations
+    assert {v.rule for v in violations} == {"P3"}
+    assert [v.line for v in violations] == [4, 5, 6, 7, 9]
+    assert [v.message.split(" outside")[0] for v in violations] == [
+        "store to Environment.now",
+        "store to Environment.now",
+        "store to Environment.active_process",
+        "store to Environment.now",
+        "access to Environment._seq",
+    ]
+
+
+def test_p3_allows_the_engine_to_set_the_clock():
+    p3 = next(r for r in default_rules() if r.id == "P3")
+    assert not p3.applies_to("src/repro/sim/engine.py")
+    assert p3.applies_to("src/repro/sim/shard.py")

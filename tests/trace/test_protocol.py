@@ -24,7 +24,7 @@ class Clock:
         self.now = 0.0
 
 
-def test_double_begin_inside_span_no_fabricated_resume():
+def test_double_begin_inside_span_no_fabricated_resume(monkeypatch):
     """The pre-fix-failing case from the issue.
 
     begin() twice (no end) inside a span(), then end(): before the fix,
@@ -32,6 +32,7 @@ def test_double_begin_inside_span_no_fabricated_resume():
     t=20 — 12 cycles of *idle* time double-counted as busy, i.e.
     category_times(0)["sched"] reported 14.0 instead of 2.0.
     """
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # self-heal mode
     clk = Clock()
     tr = Tracer(clk)
     tr.begin(0, "sched")
@@ -65,7 +66,8 @@ def test_flat_end_inside_span_leaves_track_closed():
     assert tr.spans == [Span(3, "pme", 0.0, 5.0)]
 
 
-def test_spans_never_overlap_after_mixed_use():
+def test_spans_never_overlap_after_mixed_use(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # self-heal mode
     clk = Clock()
     tr = Tracer(clk)
     tr.begin(1, "sched")
@@ -86,8 +88,9 @@ def test_spans_never_overlap_after_mixed_use():
     assert tr.category_times(1)["fft"] == 1.0
 
 
-def test_nested_spans_still_resume_outer():
+def test_nested_spans_still_resume_outer(monkeypatch):
     """Well-nested span() usage keeps its documented semantics."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # self-heal mode
     clk = Clock()
     tr = Tracer(clk)
     tr.begin(0, "sched")
