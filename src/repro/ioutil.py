@@ -13,6 +13,9 @@ filesystems), then atomically rename over the destination.  Readers
 observe either the complete old content or the complete new content,
 never a prefix; a crash leaves the old file intact and unlinks the
 temp.  Concurrent writers last-write-wins at whole-file granularity.
+The temp file is created with the mode a plain ``open()`` would give
+it (``0o666`` less the umask), not ``mkstemp``'s private ``0o600``, so
+a replaced artifact stays readable to whoever could read the old one.
 
 These helpers are dependency-free (no simulation imports) so every
 layer — harness, analysis, trace exporters, the serve runtime — can
@@ -25,9 +28,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Any, Callable, IO, Optional, Union
+from typing import Any, Callable, IO, Optional, Tuple, Union
 
 __all__ = [
     "ArtifactError",
@@ -58,6 +60,21 @@ def load_json(path: PathLike) -> Any:
         raise ArtifactError(f"{path}: not JSON ({exc})") from exc
 
 
+def _open_temp(target: Path) -> Tuple[int, Path]:
+    """Create a fresh temp file next to ``target``, mode ``0o666 & ~umask``.
+
+    The kernel applies the umask at ``O_CREAT``, as for ``open()``;
+    reading the umask instead (``os.umask`` set and restore) would race
+    between threads writing concurrently.
+    """
+    while True:
+        tmp = target.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def atomic_write_with(path: PathLike, write: Callable[[IO[str]], None]) -> Path:
     """Run ``write(fh)`` against a temp file, then rename it onto ``path``.
 
@@ -67,9 +84,7 @@ def atomic_write_with(path: PathLike, write: Callable[[IO[str]], None]) -> Path:
     exactly as it was.
     """
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
-    )
+    fd, tmp = _open_temp(target)
     try:
         with os.fdopen(fd, "w") as fh:
             write(fh)

@@ -13,9 +13,10 @@ Two deliberate departures from a production metrics client:
   disagree with the gate number.  Retaining samples lets
   :meth:`Histogram.percentile` return exactly what
   ``repro.harness.servebench`` historically computed inline — the gate
-  number and the live metric are now the same code path.  Load sizes
-  here are thousands of observations, so retention is cheap; callers
-  that need bounded memory read the bucket counts instead.
+  number and the live metric are now the same code path.  Samples are
+  raw doubles in an ``array('d')``, 8 bytes each rather than a list
+  slot plus a float object; callers that need bounded memory read the
+  bucket counts instead.
 * **No global default registry.**  Every registry is instance-owned
   (``JobService.metrics``) — the whole-program isolation audit (G rule
   family) forbids process-wide mutable singletons, and concurrent
@@ -27,6 +28,7 @@ the Prometheus exposition sanitizes to underscores on the way out.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import ioutil
@@ -185,7 +187,7 @@ class Histogram(_Metric):
         self.bucket_counts = [0] * (len(bounds) + 1)  # last = +Inf
         self.sum = 0.0
         self.count = 0
-        self.samples: List[float] = []
+        self.samples = array("d")
 
     def _new_child(self) -> "Histogram":
         return Histogram(self.name, self.help, self.bounds)

@@ -22,6 +22,12 @@ jobs multiplexed onto one process.  Architecture:
   terminal chunk.
 * **calibration cache** — a shared :class:`~repro.serve.cache.CalibrationCache`
   handed to model tasks so repeated perfmodel submissions are memoized.
+* **retention** — the service holds a job strongly only until it
+  finishes.  A finished job stays visible to ``status``, ``jobs``,
+  ``join`` and ``stream`` replay for as long as some caller holds the
+  :class:`~repro.serve.job.Job` that ``submit`` returned; once nothing
+  does, the job is released and its id raises :class:`JobError`.  A
+  long-running service therefore keeps only what its callers keep.
 
 Wall-clock policy: the service measures *host-side* latency (queue wait,
 slice scheduling) with ``time.monotonic`` — that is load telemetry, not
@@ -46,6 +52,7 @@ import asyncio
 import itertools
 import time
 import traceback
+import weakref
 from typing import Any, AsyncIterator, Dict, List, Optional
 
 from ..obs.metrics import MetricsRegistry
@@ -95,7 +102,12 @@ class JobService:
         self.workers = int(workers)
         self._clock = clock
         self._queue = JobQueue()
-        self._jobs: Dict[str, Job] = {}
+        #: Non-terminal jobs, held strongly until :meth:`_finalize`.
+        self._live: Dict[str, Job] = {}
+        #: Finished jobs, kept only while a caller holds them.
+        self._finished: "weakref.WeakValueDictionary[str, Job]" = (
+            weakref.WeakValueDictionary()
+        )
         self._seq = itertools.count()
         self._worker_tasks: List[asyncio.Task] = []
         self._started = False
@@ -168,9 +180,8 @@ class JobService:
             return
         self._closed = True
         if cancel_pending:
-            for job in list(self._jobs.values()):
-                if not job.terminal:
-                    await self.cancel(job.id)
+            for job in list(self._live.values()):
+                await self.cancel(job.id)
         self._queue.close()
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks)
@@ -187,25 +198,32 @@ class JobService:
             raise JobError(f"job {spec.name!r}: slice_events must be >= 1")
         seq = next(self._seq)
         job = Job(f"{spec.name}-{seq:04d}", seq, spec, self._clock())
-        self._jobs[job.id] = job
+        self._live[job.id] = job
         job.emit({"type": "queued", "job": job.id, "priority": spec.priority})
         self._queue.push(job)
         self._m_submitted.inc()
         self._m_depth.set(len(self._queue))
         return job
 
+    def _known(self) -> List[Job]:
+        return [*self._live.values(), *self._finished.values()]
+
     def _get(self, job_id: str) -> Job:
-        job = self._jobs.get(job_id)
+        job = self._live.get(job_id) or self._finished.get(job_id)
         if job is None:
-            raise JobError(f"unknown job id {job_id!r}")
+            raise JobError(
+                f"unknown job id {job_id!r}: never submitted, or finished and "
+                "released (a finished job is kept only while a caller holds "
+                "the Job that submit() returned)"
+            )
         return job
 
     def status(self, job_id: str) -> Dict[str, Any]:
         return self._get(job_id).snapshot()
 
     def jobs(self) -> List[Dict[str, Any]]:
-        """Snapshots of every known job, in submission order."""
-        return [j.snapshot() for j in sorted(self._jobs.values(), key=lambda j: j.seq)]
+        """Snapshots of every live or still-held job, in submission order."""
+        return [j.snapshot() for j in sorted(self._known(), key=lambda j: j.seq)]
 
     async def cancel(self, job_id: str) -> bool:
         """Request cancellation; True if the job will not produce a result.
@@ -226,9 +244,12 @@ class JobService:
             return True
 
     async def join(self, *job_ids: str) -> List[Job]:
-        """Wait for the given jobs (all jobs when none named)."""
-        targets = [self._get(j) for j in job_ids] if job_ids else list(self._jobs.values())
-        await asyncio.gather(*(j.wait() for j in targets))
+        """Wait for the given jobs (every live or still-held job when none named)."""
+        targets = [self._get(j) for j in job_ids] if job_ids else self._known()
+        # One wait at a time: a gather future's result list would keep
+        # every target alive until the caller next suspends.
+        for job in targets:
+            await job.wait()
         return targets
 
     async def stream(self, job_id: str) -> AsyncIterator[Dict[str, Any]]:
@@ -260,8 +281,12 @@ class JobService:
         histogram key off :meth:`Job.finalize`'s return value, so a job
         racing two finalizers (worker vs shutdown sweep) is counted by
         whichever call actually performed the transition — never both.
+        The transition also moves the job from the service's strong hold
+        to its weak one (the retention rule in the module docstring).
         """
         if job.finalize(state, self._clock(), **kw):
+            del self._live[job.id]
+            self._finished[job.id] = job
             self._m_completed.labels(state=state).inc()
             latency = job.latency_s()
             if latency is not None:
@@ -303,6 +328,9 @@ class JobService:
                 return
             self._m_depth.set(len(self._queue))
             await self._execute(job, wid)
+            # Drop the worker's reference before the next pop: a finished
+            # job is kept only by its callers.
+            job = None
             busy.inc(self._clock() - t1)
 
     async def _execute(self, job: Job, wid: int) -> None:

@@ -58,7 +58,9 @@ class LatticeHalo:
     the same idiom as the m2m chaos workload).  ``install()`` registers
     everything and seeds a kick message on the first PE of each
     process; the ``all_done`` event fires when both processes have
-    completed every round barrier.
+    completed every round barrier.  It refuses a runtime with no comm
+    thread: the kick blocks its PE, so only a comm thread can progress
+    the burst.
     """
 
     def __init__(
@@ -95,6 +97,13 @@ class LatticeHalo:
     # -- setup -------------------------------------------------------------
     def install(self) -> "LatticeHalo":
         rt = self.runtime
+        if rt.config.comm_threads_per_process < 1:
+            raise ValueError(
+                "lattice workload needs comm_threads_per_process >= 1: _kick "
+                "blocks its PE on send_done/recv_done, so without a comm "
+                "thread nothing advances the PAMI context and the burst "
+                "never completes"
+            )
         procs = rt.processes
         # First PE of each process registers that process's handles.
         first_pe = [

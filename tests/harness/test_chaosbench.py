@@ -1,5 +1,7 @@
 """Tests for the chaos fuzz harness (small cells of the CI matrix)."""
 
+import pytest
+
 from repro.harness.__main__ import main as harness_main
 from repro.harness.chaosbench import run_m2m_chaos, run_matrix, run_pingpong_chaos
 
@@ -104,6 +106,21 @@ def test_lattice_reliable_vs_best_effort_rows():
     assert be["ok"] and be["payload_ok"]
     assert be["distinct_updates"] <= be["expected_updates"]
     assert be["acks_sent"] == 0  # no reliability footprint at all
+
+
+def test_lattice_without_comm_thread_is_refused_at_install():
+    """With no comm thread the blocked kick handler stalls the burst
+    (the run used to end as "ran out of events" with 0 of 64 updates);
+    install() names the cause instead."""
+    from repro.converse import CmiDirectManytomany
+    from repro.converse.machine import ConverseRuntime, RunConfig
+    from repro.sim import Environment
+    from repro.workloads import LatticeHalo
+
+    rt = ConverseRuntime(Environment(), RunConfig(nnodes=2, comm_threads_per_process=0))
+    lat = LatticeHalo(rt, CmiDirectManytomany(rt))
+    with pytest.raises(ValueError, match="_kick blocks its PE on send_done/recv_done"):
+        lat.install()
 
 
 def test_matrix_grows_a_qos_axis():

@@ -2,6 +2,7 @@
 equality contract with servebench's reported p50/p99."""
 
 import asyncio
+from array import array
 
 import pytest
 
@@ -125,3 +126,17 @@ def test_servebench_percentiles_equal_histogram_percentiles():
 def test_percentile_definition_is_shared():
     vals = [0.4, 0.1, 0.9, 0.2]
     assert percentile(vals, 0.5) == sorted(vals)[2]
+
+
+def test_histogram_samples_are_raw_doubles_with_unchanged_percentiles():
+    """Samples sit in an ``array('d')``; the snapshot's p50/p99 are still
+    the shared nearest-rank percentile over exactly those values."""
+    svc, snap = run_jobs(njobs=6, workers=2)
+    for name in ("serve.latency_s", "serve.slice.duration_s", "serve.slice.events"):
+        hist = svc.metrics.get(name)
+        assert type(hist.samples) is array and hist.samples.typecode == "d"
+        values = list(hist.samples)
+        assert len(values) == hist.count > 0
+        entry = series(snap, name)[0]
+        assert entry["p50"] == hist.percentile(0.50) == percentile(values, 0.50)
+        assert entry["p99"] == hist.percentile(0.99) == percentile(values, 0.99)

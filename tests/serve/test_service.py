@@ -6,6 +6,7 @@ slice_events) must checksum bit-identically to solo runs every time.
 """
 
 import asyncio
+import gc
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.serve import (
     FAILED,
     RUNNING,
     EnvTask,
+    Job,
+    JobError,
     JobService,
     JobSpec,
     JobStallError,
@@ -334,3 +337,83 @@ def test_close_cancels_pending_and_running_work():
     running, queued = asyncio.run(run())
     assert running.state == CANCELLED
     assert queued.state == CANCELLED
+
+
+def live_job_count():
+    gc.collect()
+    return sum(isinstance(o, Job) for o in gc.get_objects())
+
+
+def test_dropped_finished_jobs_are_released():
+    """A long-running service keeps only what its callers keep: 20
+    batches whose caller drops each one leave at most two batches of
+    Job objects alive."""
+    batch_size = 4
+
+    async def run():
+        svc = JobService(workers=2)
+        svc.start()
+        counts = []
+        for b in range(20):
+            batch = [
+                svc.submit(JobSpec(name=f"b{b}.{i}", build=make_build(i, ticks=5)))
+                for i in range(batch_size)
+            ]
+            await svc.join(*(job.id for job in batch))
+            del batch
+            counts.append(live_job_count())
+        await svc.close()
+        return counts
+
+    counts = asyncio.run(run())
+    assert max(counts) <= 2 * batch_size, counts
+
+
+def test_held_finished_job_replays_stream_and_reports_status():
+    async def run():
+        svc = JobService(workers=1)
+        svc.start()
+        kept = svc.submit(JobSpec(name="kept", build=make_build(3, ticks=16),
+                                  slice_events=4, stream_every=1))
+        svc.submit(JobSpec(name="dropped", build=make_build(4, ticks=16)))
+        await svc.join()
+        gc.collect()
+        replay = [c async for c in svc.stream(kept.id)]
+        status = svc.status(kept.id)
+        listed = [j["id"] for j in svc.jobs()]
+        await svc.close()
+        return kept, replay, status, listed
+
+    kept, replay, status, listed = asyncio.run(run())
+    assert replay == kept.chunks
+    assert [c["type"] for c in replay][:2] == ["queued", "running"]
+    assert replay[-1] == {"type": "done", "job": kept.id,
+                          "checksum": kept.checksum, "result": kept.result}
+    assert status["state"] == DONE and status["checksum"] == kept.checksum
+    assert listed == [kept.id]  # the dropped job is gone from jobs()
+
+
+def test_released_job_id_raises_named_error():
+    async def run():
+        svc = JobService(workers=1)
+        svc.start()
+        job = svc.submit(JobSpec(name="gone", build=make_build(5, ticks=5)))
+        job_id = job.id
+        await svc.join(job_id)
+        del job
+        gc.collect()
+        with pytest.raises(JobError) as info:
+            svc.status(job_id)
+        with pytest.raises(JobError):
+            await svc.cancel(job_id)
+        with pytest.raises(JobError):
+            await svc.join(job_id)
+        with pytest.raises(JobError):
+            [c async for c in svc.stream(job_id)]
+        await svc.close()
+        return job_id, str(info.value)
+
+    job_id, message = asyncio.run(run())
+    assert repr(job_id) in message
+    assert "finished and released" in message
+    assert "kept only while a caller holds" in message

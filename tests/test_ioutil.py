@@ -8,6 +8,8 @@ reader can only ever observe a complete payload.
 """
 
 import json
+import os
+import stat
 import threading
 
 import pytest
@@ -92,6 +94,19 @@ def test_concurrent_writers_never_expose_partial_file(tmp_path):
     assert not errors
     assert json.loads(p.read_text())["fill"] == "x" * 4096
     assert sorted(f.name for f in tmp_path.iterdir()) == ["shared.json"]
+
+
+def test_replaced_artifact_gets_plain_open_mode(tmp_path):
+    """A replaced artifact reads ``-rw-r--r--`` under umask 022, as a
+    file written with ``open()`` does, not the temp file's 0600."""
+    p = tmp_path / "artifact.json"
+    old = os.umask(0o022)
+    try:
+        atomic_write_json(p, {"v": 1})
+        atomic_write_json(p, {"v": 2})
+    finally:
+        os.umask(old)
+    assert stat.filemode(p.stat().st_mode) == "-rw-r--r--"
 
 
 def test_manifest_export_crash_preserves_prior_manifest(tmp_path):
