@@ -4,8 +4,10 @@ Real force math (LJ + Ewald real-space, harmonic bonds, smooth PME) on
 synthetic systems matching the paper's benchmark parameters, with a
 sequential reference engine and a fully distributed Charm++ version.
 
-Importing the package loads no scipy: :func:`pair_forces` and
-:func:`ewald_real_space` import its erfc on their first call.
+No function here needs scipy: the real-space Ewald kernels
+(:func:`pair_forces`, :func:`ewald_real_space`) call
+:func:`repro.namd.erfc.erfc`, a numpy port of scipy's erfc that
+returns the same bytes.
 """
 
 from .charm_app import NamdCharm

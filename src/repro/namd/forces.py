@@ -35,6 +35,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .erfc import erfc
+
 __all__ = [
     "pair_forces",
     "bonded_forces",
@@ -82,10 +84,6 @@ def pair_forces(
     ``same_block=True`` the blocks are the same array and each pair is
     counted once.
     """
-    # scipy loads on the first erfc call, not at import: a run with no
-    # real-space Ewald term (every ping-pong) never pays for it.
-    from scipy.special import erfc
-
     pos_i = np.asarray(pos_i)
     pos_j = np.asarray(pos_j)
     ni, nj = len(pos_i), len(pos_j)
@@ -130,7 +128,8 @@ def pair_forces(
         r2s = r2.ravel()[cells]
         r = np.sqrt(r2s)
         qq = q_i[r0:r1][li] * q_j[c0:][lj]
-        # Screened Coulomb (real-space Ewald term).
+        # Screened Coulomb (real-space Ewald term); erfc is the numpy
+        # port of scipy's (repro.namd.erfc), so no run needs scipy.
         erfc_br = erfc(beta * r)
         e_coul = qq * erfc_br / r
         dedr_coul = -qq * (

@@ -33,6 +33,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .erfc import erfc
+
 __all__ = [
     "bspline_weights",
     "spread_charges",
@@ -310,8 +312,6 @@ def ewald_real_space(
     O(N^2) vectorized pair sum — reference/sequential path; the cell
     list in :mod:`repro.namd.patches` bounds the cost for larger N.
     """
-    from scipy.special import erfc  # on first use, as in pair_forces
-
     positions = np.asarray(positions, dtype=np.float64)
     charges = np.asarray(charges, dtype=np.float64)
     box = np.asarray(box, dtype=np.float64)
@@ -323,14 +323,15 @@ def ewald_real_space(
     mask = r2 < cutoff**2
     r = np.sqrt(np.where(mask, r2, 1.0))
     qq = charges[:, None] * charges[None, :]
-    e_pair = np.where(mask, qq * erfc(beta * r) / r, 0.0)
+    erfc_br = erfc(beta * r)
+    e_pair = np.where(mask, qq * erfc_br / r, 0.0)
     energy = 0.5 * float(np.sum(e_pair))
     # dE/dr for the screened Coulomb pair term.
     dedr = np.where(
         mask,
         -qq
         * (
-            erfc(beta * r) / r2
+            erfc_br / r2
             + 2 * beta / math.sqrt(math.pi) * np.exp(-(beta**2) * r2) / r
         ),
         0.0,

@@ -1,7 +1,10 @@
 """Validation of the PME implementation against direct Ewald."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erfc as scipy_erfc
 
 from repro.namd.pme import (
     bspline_weights,
@@ -136,6 +139,44 @@ def test_real_space_forces_are_gradient(small_system):
     ep, _ = ewald_real_space(pp, q, box, beta, cutoff)
     em, _ = ewald_real_space(pm, q, box, beta, cutoff)
     assert f[i, d] == pytest.approx(-(ep - em) / (2 * h), rel=1e-5)
+
+
+def _ref_ewald_real_space(positions, charges, box, beta, cutoff):
+    """``ewald_real_space`` as it was with scipy's erfc, evaluated twice."""
+    delta = positions[:, None, :] - positions[None, :, :]
+    delta -= np.round(delta / box) * box
+    r2 = np.sum(delta**2, axis=-1)
+    np.fill_diagonal(r2, np.inf)
+    mask = r2 < cutoff**2
+    r = np.sqrt(np.where(mask, r2, 1.0))
+    qq = charges[:, None] * charges[None, :]
+    energy = 0.5 * float(np.sum(np.where(mask, qq * scipy_erfc(beta * r) / r, 0.0)))
+    dedr = np.where(
+        mask,
+        -qq
+        * (
+            scipy_erfc(beta * r) / r2
+            + 2 * beta / math.sqrt(math.pi) * np.exp(-(beta**2) * r2) / r
+        ),
+        0.0,
+    )
+    fmag = -dedr / r
+    forces = np.sum(np.where(mask[..., None], fmag[..., None] * delta, 0.0), axis=1)
+    return energy, forces
+
+
+@pytest.mark.parametrize(
+    "beta, cutoff",
+    # This file's parameters, and a beta that puts beta*r past 8 (erfc's
+    # general path).
+    [(0.6, 4.5), (0.55, 4.4), (0.65, 4.4), (3.0, 5.0)],
+)
+def test_real_space_is_the_bytes_of_the_scipy_erfc_version(small_system, beta, cutoff):
+    pos, q, box = small_system
+    energy, forces = ewald_real_space(pos, q, box, beta, cutoff)
+    ref_energy, ref_forces = _ref_ewald_real_space(pos, q, box, beta, cutoff)
+    assert repr(energy) == repr(ref_energy)
+    assert forces.tobytes() == ref_forces.tobytes()
 
 
 def test_real_space_forces_conserve_momentum(small_system):
