@@ -92,7 +92,6 @@ _SCHEDULING_NAMES = frozenset({
     "enqueue",
     "send",
     "send_to",
-    "send_prioritized",
     "signal",
     "heappush",
     "put",

@@ -33,8 +33,7 @@ _HOOK_KINDS = (
         frozenset({"tracer", "rec", "tr"}),
         ("tracer",),
         frozenset({
-            "begin", "end", "mark", "record", "span",
-            "msg_send", "msg_recv", "msg_exec",
+            "begin", "end", "mark", "record", "msg_send", "msg_recv",
         }),
         "docs/TRACING.md",
     ),

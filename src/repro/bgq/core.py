@@ -58,14 +58,14 @@ class CoreMember:
 
 
 class _Chunk(Event):
-    """A running compute: its own core member (``id``, ``weight``) and
+    """A running compute: its own unit-weight core member (``id``) and
     the event its process waits on.  ``left`` instructions at ``rate``
     since ``t0`` end at ``(at, seq)`` (``at`` None once off the core),
     on a :class:`Ticket` only while pushed; ``gen``'s change pop re-keys
     it next.  An Interrupt empties ``callbacks``; the core then skips
     the chunk."""
 
-    __slots__ = ("id", "weight", "left", "t0", "rate", "at", "seq", "ticket", "gen")
+    __slots__ = ("id", "left", "t0", "rate", "at", "seq", "ticket", "gen")
 
 
 class Core:
@@ -139,7 +139,7 @@ class Core:
 
     # -- rate model -------------------------------------------------------
     def rate_of(self, member) -> float:
-        """Instructions/cycle a member (occupant or chunk) currently receives."""
+        """Instructions/cycle an occupant currently receives."""
         w = member.weight
         if w <= 0:
             return 0.0
@@ -175,8 +175,8 @@ class Core:
         return rates
 
     # -- work execution --------------------------------------------------
-    def compute(self, instructions: float, weight: float = 1.0):
-        """Run ``instructions`` of work; generator-style.
+    def compute(self, instructions: float):
+        """Run ``instructions`` of work at unit weight; generator-style.
 
         Duration depends on who else occupies the core while the work
         runs; rates are re-evaluated at every membership change.  Must
@@ -187,10 +187,6 @@ class Core:
             raise ValueError(f"instruction count must be finite and >= 0, got {instructions!r}")
         if instructions == 0:
             return 0.0
-        if not 0 < weight < _INF:
-            raise ValueError(
-                f"a compute needs weight > 0 and finite (at 0 it never ends), got {weight!r}"
-            )
         env = self.env
         if env.active_process is None:
             raise SimulationError("Core.compute() must be yielded by a Process")
@@ -203,11 +199,10 @@ class Core:
         chunk._state = _PENDING
         chunk._defused = False
         chunk.id = cid = next(self._ids)
-        chunk.weight = weight
         chunk.left = left = float(instructions)
         chunk.at = None
         members = self._members
-        members[cid] = weight
+        members[cid] = 1.0
         self._rates = None
         if self._attached:
             self._notify_change()
@@ -216,11 +211,7 @@ class Core:
             # _arm inline, with the rate read from the fresh memo entry.
             if left > _EPS:
                 rates = self._rates = self._rate_inputs()
-                if weight == 1.0:
-                    rate = rates[3]
-                else:
-                    per_unit, cap, width_scale, _ = rates
-                    rate = min(weight * per_unit, cap * min(1.0, weight)) * width_scale
+                rate = rates[3]
                 at = started + left / rate
                 if at != started:
                     chunk.t0 = started
@@ -255,7 +246,10 @@ class Core:
         The end's seq is reserved here; its ticket is made only if pushed."""
         left = c.left
         if left > _EPS:
-            rate = self.rate_of(c)
+            rates = self._rates
+            if rates is None:
+                rates = self._rates = self._rate_inputs()
+            rate = rates[3]
             at = now + left / rate
             if at != now:
                 c.t0 = now

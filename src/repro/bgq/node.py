@@ -33,7 +33,7 @@ class HWThread:
         self.tid = tid  # 0..63 within the node
         self.instructions = 0.0
 
-    def compute(self, instructions: float, weight: float = 1.0):
+    def compute(self, instructions: float):
         """Execute ``instructions`` on this thread's core.
 
         Returns the core's compute generator directly — call sites drive
@@ -45,7 +45,7 @@ class HWThread:
         core generator) measurably shortens the DES hot loop.
         """
         self.instructions += instructions
-        return self.core.compute(instructions, weight=weight)
+        return self.core.compute(instructions)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<HWThread node={self.node.node_id} tid={self.tid}>"

@@ -1,15 +1,13 @@
 """Charm++-like message-driven programming model over the Converse layer.
 
-Chare arrays with entry methods, multicast sections (a full-array
-section is a broadcast), reductions, and the array maps plus greedy
-load balancer that place chares on PEs.
+Chare arrays with entry methods, reductions, and the blocked array map
+that places chares on PEs by default (any ``(index, ordinal, npes) ->
+pe`` callable can replace it).
 """
 
-from .chare import Chare, ChareArray
-from .loadbalancer import blocked_map, greedy_rebalance, round_robin_map
+from .chare import Chare, ChareArray, blocked_map
 from .reduction import REDUCERS, ReductionManager
 from .runtime import Charm
-from .section import Section
 
 __all__ = [
     "Chare",
@@ -17,8 +15,5 @@ __all__ = [
     "Charm",
     "REDUCERS",
     "ReductionManager",
-    "Section",
     "blocked_map",
-    "greedy_rebalance",
-    "round_robin_map",
 ]

@@ -1,9 +1,9 @@
 """Chares and chare arrays: the Charm++ programming model.
 
 Application computation lives in C++-object-like *chares* grouped into
-indexed *chare arrays*; the runtime maps elements to PEs (the load
-balancer's job, relieving the programmer of processor mapping) and
-entry-method invocations travel as asynchronous messages.  Within an
+indexed *chare arrays*; the runtime maps elements to PEs ("relieving
+the programmer of this burden" [paper §I]) and entry-method
+invocations travel as asynchronous messages.  Within an
 SMP process an invocation is a pointer exchange; across processes it is
 packed and sent through the machine layer.
 
@@ -21,7 +21,21 @@ from ..faults.qos import QOS_BEST_EFFORT_FRESH
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Charm
 
-__all__ = ["Chare", "ChareArray"]
+__all__ = ["Chare", "ChareArray", "blocked_map"]
+
+
+def blocked_map(n_elements: int) -> Callable[[Hashable, int, int], int]:
+    """Contiguous blocks of elements per PE (default Charm++ placement).
+
+    Array maps have the Charm++ signature ``(index, ordinal, npes) ->
+    pe_rank``.
+    """
+
+    def fn(index: Hashable, ordinal: int, npes: int) -> int:
+        block = (n_elements + npes - 1) // npes
+        return min(ordinal // block, npes - 1)
+
+    return fn
 
 
 class Chare:
@@ -70,15 +84,6 @@ class Chare:
         """
         yield from self._array.send_from(
             self._pe, index, method, nbytes, *args, qos=qos, fresh_key=fresh_key
-        )
-
-    def send_prioritized(
-        self, index: Hashable, method: str, nbytes: int, priority: int, *args: Any
-    ):
-        """Invoke an entry method with a Charm++-style priority
-        (smaller values run first on the destination PE)."""
-        yield from self._array.send_from(
-            self._pe, index, method, nbytes, *args, priority=priority
         )
 
     def send_to(
@@ -145,7 +150,7 @@ class ChareArray:
     # -- messaging ---------------------------------------------------------
     def send_from(
         self, src_pe, index: Hashable, method: str, nbytes: int, *args: Any,
-        priority: int = 0, qos: Optional[int] = None, fresh_key: Any = None,
+        qos: Optional[int] = None, fresh_key: Any = None,
     ):
         """Send an entry-method invocation from ``src_pe`` (generator).
 
@@ -161,5 +166,5 @@ class ChareArray:
             fresh_key = (self.name, index, method)
         yield from self.charm.runtime.send(
             src_pe, dst_rank, self.charm.entry_handler_id(method), nbytes, payload,
-            priority=priority, qos=qos, fresh_key=fresh_key,
+            qos=qos, fresh_key=fresh_key,
         )

@@ -9,10 +9,8 @@ from ..bgq.params import BGQParams, DEFAULT_PARAMS
 from ..converse import CmiDirectManytomany, ConverseRuntime, RunConfig
 from ..converse.messages import ConverseMessage
 from ..sim import Environment, Event
-from .chare import Chare, ChareArray
-from .loadbalancer import blocked_map, round_robin_map
+from .chare import Chare, ChareArray, blocked_map
 from .reduction import ReductionManager
-from .section import Section
 
 __all__ = ["Charm"]
 
@@ -45,14 +43,11 @@ class Charm:
         self._entry_hids: Dict[str, int] = {}
         self._categories: Dict[str, str] = {}
         self._entry_qos: Dict[str, int] = {}
-        self._sections: Dict[int, Section] = {}
-        self._section_hid: Optional[int] = None
         self.done: Event = self.env.event()
         self._started = False
-        # Per-instance id sources (never module/class globals): two
+        # Per-instance id source (never a module/class global): two
         # Charm instances in one process — e.g. sharded SPMD mirrors —
         # must mint identical ids for identical construction sequences.
-        self._section_counter = itertools.count()
         self._uid_counter = itertools.count(1)
         #: Entry methods executed.  Native statistic (always counted);
         #: snapshotted into the tracer's ``charm.entries`` counter.
@@ -129,12 +124,9 @@ class Charm:
             chare = array.elements[index]
             charm.entries_executed += 1
             yield from pe.thread.compute(charm.params.charm_entry_instr)
-            t0 = charm.env.now
             result = getattr(chare, method)(*args)
             if result is not None and hasattr(result, "__next__"):
                 yield from result
-            # Per-chare load metering (feeds the greedy load balancer).
-            chare._load = getattr(chare, "_load", 0.0) + (charm.env.now - t0)
 
         entry.__name__ = f"entry_{method_name}"
         return entry
@@ -151,46 +143,20 @@ class Charm:
         name: str,
         factory: Callable[[Hashable], Chare],
         indices: Iterable[Hashable],
-        map_fn: Union[str, Callable, None] = None,
+        map_fn: Optional[Callable[[Hashable, int, int], int]] = None,
     ) -> ChareArray:
-        """Create a chare array; ``map_fn`` may be "blocked" (default),
-        "round_robin", or a custom ``(index, ordinal, npes) -> pe`` map."""
+        """Create a chare array; ``map_fn`` is an ``(index, ordinal,
+        npes) -> pe`` map, blocked (contiguous blocks per PE) by default."""
         if name in self.arrays:
             raise ValueError(f"array {name!r} already exists")
         indices = list(indices)
-        if map_fn is None or map_fn == "blocked":
+        if map_fn is None:
             map_fn = blocked_map(len(indices))
-        elif map_fn == "round_robin":
-            map_fn = round_robin_map()
-        elif isinstance(map_fn, str):
-            raise ValueError(f"unknown map {map_fn!r}")
+        elif not callable(map_fn):
+            raise ValueError(f"map_fn must be an (index, ordinal, npes) -> pe map, got {map_fn!r}")
         array = ChareArray(self, name, factory, indices, map_fn)
         self.arrays[name] = array
         return array
-
-    # -- section multicast plumbing --------------------------------------------
-    def create_section(self, array: ChareArray, indices) -> Section:
-        """Create a multicast section over a subset of an array."""
-        return Section(self, array, indices)
-
-    def _register_section(self, section: Section) -> None:
-        self._sections[section.section_id] = section
-
-    def section_handler_id(self) -> int:
-        if self._section_hid is None:
-            charm = self
-
-            def section_handler(pe, msg):
-                section_id, method, args, nbytes = msg.payload
-                section = charm._sections.get(section_id)
-                if section is None:
-                    raise RuntimeError(f"unknown section {section_id}")
-                yield from section._deliver(pe, method, args, nbytes)
-
-            self._section_hid = self.runtime.register_handler(
-                section_handler, category="comm"
-            )
-        return self._section_hid
 
     # -- run control -------------------------------------------------------------
     def seed(self, array: ChareArray, index: Hashable, method: str, *args: Any) -> None:
@@ -232,15 +198,6 @@ class Charm:
         value = self.env.run(until=until if until is not None else self.done)
         self.runtime.stop()
         return value
-
-    # -- load balancing ------------------------------------------------------
-    def measured_loads(self, array: ChareArray):
-        """Per-element accumulated entry-method time (cycles).
-
-        Feed to :func:`repro.charm.greedy_rebalance` to compute an
-        improved placement for the next run.
-        """
-        return [(idx, getattr(array.element(idx), "_load", 0.0)) for idx in array.indices]
 
     @property
     def tracer(self):

@@ -581,7 +581,6 @@ class ConverseRuntime:
         handler_id: int,
         nbytes: int,
         payload: Any,
-        priority: int = 0,
         qos: Optional[int] = None,
         fresh_key: Any = None,
     ):
@@ -642,7 +641,7 @@ class ConverseRuntime:
             yield from thread.compute(p.intranode_deliver_instr)
             msg = ConverseMessage(
                 handler_id, nbytes, payload, src_pe.rank, dst_rank,
-                sent_at=env.now, priority=priority, msg_id=msg_id,
+                sent_at=env.now, msg_id=msg_id,
             )
             if dst_pe is src_pe:
                 src_pe.local_q.append(msg)
@@ -661,7 +660,7 @@ class ConverseRuntime:
             p.converse_send_instr + (p.smp_overhead_instr if proc.is_smp else 0.0)
         )
         endpoint = self.rank_endpoint(dst_rank)
-        data = (dst_rank, handler_id, nbytes, payload, env.now, priority, msg_id)
+        data = (dst_rank, handler_id, nbytes, payload, env.now, msg_id)
 
         if nbytes <= p.rendezvous_threshold:
             self.eager_sends += 1
@@ -748,7 +747,7 @@ class ConverseRuntime:
 
     def _eager_dispatch(self, ctx: PamiContext, thread: HWThread, payload: AMPayload):
         p = self.params
-        dst_rank, handler_id, nbytes, user_payload, sent_at, priority, msg_id = payload.data
+        dst_rank, handler_id, nbytes, user_payload, sent_at, msg_id = payload.data
         proc = self._proc_of_context(ctx)
         self.messages_delivered += 1
         yield from thread.compute(p.converse_recv_instr)
@@ -756,7 +755,7 @@ class ConverseRuntime:
         yield from thread.compute(nbytes / p.memcpy_bytes_per_instr)
         msg = ConverseMessage(
             handler_id, nbytes, user_payload, -1, dst_rank, buffer=buf,
-            sent_at=sent_at, priority=priority, msg_id=msg_id,
+            sent_at=sent_at, msg_id=msg_id,
         )
         yield from self._deliver_to_pe(thread, msg)
 

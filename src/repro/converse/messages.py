@@ -26,7 +26,6 @@ class ConverseMessage:
         "dst_rank",
         "buffer",
         "sent_at",
-        "priority",
         "msg_id",
     )
 
@@ -39,7 +38,6 @@ class ConverseMessage:
         dst_rank: int,
         buffer: Optional[Buffer] = None,
         sent_at: float = 0.0,
-        priority: int = 0,
         msg_id: Optional[tuple] = None,
     ) -> None:
         self.handler_id = handler_id
@@ -49,9 +47,6 @@ class ConverseMessage:
         self.dst_rank = dst_rank
         self.buffer = buffer
         self.sent_at = sent_at
-        #: Charm++-style priority: smaller values run first; equal
-        #: priorities keep arrival order.
-        self.priority = priority
         #: Causal provenance id ``(src_pe, seq)``, stamped by the machine
         #: layer at send time *only when tracing* (None otherwise — the
         #: id is host-side data and never affects simulated time).

@@ -108,7 +108,7 @@ class QuiescenceDetector:
                     # messages_sent only widen the >= margin.)
                     processed += rel.gave_up
         for pe in rt.pes:
-            pending += len(pe.queue) + len(pe.local_q) + len(pe._heap)
+            pending += len(pe.queue) + len(pe.local_q) + len(pe._ready)
         return created, processed, pending
 
     def start(self) -> Event:

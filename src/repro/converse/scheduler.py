@@ -12,10 +12,8 @@ work a little sooner but burns an issue slot every cycle.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Deque, List, Optional, TYPE_CHECKING
+from typing import Any, Deque, Optional, TYPE_CHECKING
 
 from ..bgq.node import HWThread
 from ..bgq.params import BGQParams
@@ -62,10 +60,10 @@ class PE:
             self.queue = MutexQueue(self.env, name=f"pe{rank}-queue", params=self.params)
         #: Messages the PE sends to itself (no atomics needed).
         self.local_q: Deque[ConverseMessage] = deque()
-        #: Prioritized scheduler queue: arrivals drain here and execute
-        #: lowest-priority-value first (FIFO within a priority).
-        self._heap: List = []
-        self._seq = itertools.count()
+        #: Scheduler queue: arrivals drain here and execute in arrival
+        #: order.  Self-sends wait in ``local_q`` until the next poll, so
+        #: one that lands while the queue drains runs after what drained.
+        self._ready: Deque[ConverseMessage] = deque()
         #: PAMI context this PE advances itself (modes without comm threads).
         self.context = None
         # Native statistics: always maintained (an int add each; far
@@ -90,7 +88,6 @@ class PE:
         handler_id: int,
         nbytes: int,
         payload: Any = None,
-        priority: int = 0,
         qos: Optional[int] = None,
         fresh_key: Any = None,
     ):
@@ -100,8 +97,7 @@ class PE:
         (:mod:`repro.faults.qos`); None inherits the handler's default.
         """
         yield from self.runtime.send(
-            self, dst_rank, handler_id, nbytes, payload, priority=priority,
-            qos=qos, fresh_key=fresh_key,
+            self, dst_rank, handler_id, nbytes, payload, qos=qos, fresh_key=fresh_key
         )
 
     # -- scheduler -------------------------------------------------------------
@@ -115,15 +111,15 @@ class PE:
     def _poll_once(self):
         """One scheduler poll: returns a message or None (generator).
 
-        Arrivals (network/peer queue + self-sends) drain into the PE's
-        prioritized scheduler queue; the best message runs next.
+        Arrivals (self-sends, then the network/peer queue) drain into
+        the PE's scheduler queue; the oldest message runs next.
         """
         self.polls += 1
-        heap = self._heap
+        ready = self._ready
         local_q = self.local_q
-        while local_q:
-            msg = local_q.popleft()
-            heapq.heappush(heap, (msg.priority, next(self._seq), msg))
+        if local_q:
+            ready.extend(local_q)
+            local_q.clear()
         # has_ready() keeps the dequeue generator off the poll hot path
         # when the lockless queue provably has nothing: an empty L2
         # dequeue simulates zero events, so skipping it is trajectory
@@ -134,13 +130,12 @@ class PE:
             msg = yield from queue.dequeue(self.thread)
             if msg is None:
                 break
-            heapq.heappush(heap, (msg.priority, next(self._seq), msg))
-        if heap:
-            return heapq.heappop(heap)[2]
+            ready.append(msg)
+        if ready:
+            return ready.popleft()
         return None
 
     def _execute(self, msg: ConverseMessage):
-        p = self.params
         rec: Optional[Tracer] = self.runtime.tracer
         handler = self.runtime.handlers[msg.handler_id]
         t0 = 0.0
@@ -159,16 +154,14 @@ class PE:
             msg.buffer = None
         if rec is not None:
             if msg.msg_id is not None:
-                # Inlined append (schema of Tracer.msg_exec) — one per
-                # executed message, on the scheduler hot path.
+                # Inlined "exec" provenance append (schema in
+                # repro.trace.core) — one per executed message.
                 rec.provenance.append(
                     ("exec", msg.msg_id, self.rank, t0, self.env.now)
                 )
             rec.begin(self.rank, "sched")
 
     def _scheduler(self):
-        env = self.env
-        p = self.params
         runtime = self.runtime
         rec = runtime.tracer
         advance_ctx = self.context is not None

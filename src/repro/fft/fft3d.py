@@ -311,9 +311,7 @@ class FFT3D:
 
         # --- pencil array -------------------------------------------------
         indices = [(r, c) for r in range(pr) for c in range(pc)]
-        self.array = charm.create_array(
-            f"fft{self.uid}-pencils", _Pencil, indices, map_fn="blocked"
-        )
+        self.array = charm.create_array(f"fft{self.uid}-pencils", _Pencil, indices)
         shape3 = self.grid.shape3
         rng = np.random.default_rng(1234)
         full = (

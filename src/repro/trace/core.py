@@ -17,11 +17,10 @@ Two kinds of data are collected:
 
 * **Spans** — contiguous activity intervals on a *track* (a PE rank or
   a communication thread).  The flat :meth:`begin`/:meth:`end` API
-  matches Projections' one-activity-per-PE-at-a-time model and is what
-  the scheduler's hot path uses; the :meth:`span` context manager adds
-  proper nesting (an inner span suspends the outer category and
-  resumes it on exit), which is what instrumented application code
-  wants.
+  matches Projections' one-activity-per-PE-at-a-time model: a
+  ``begin`` closes whatever the track was doing, so spans stay flat and
+  non-overlapping; :meth:`record` adds a span whose bounds are already
+  known.
 
 Zero-cost-when-disabled contract: components hold ``tracer`` attributes
 that are ``None`` when tracing is off, and every instrumentation site
@@ -35,9 +34,8 @@ so it can be reused by the analytic-model harnesses as well.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..envvar import env_switch
 
@@ -51,18 +49,13 @@ __all__ = [
 
 
 class TracerProtocolError(RuntimeError):
-    """A span/lifecycle-protocol misuse caught under ``REPRO_SANITIZE=1``.
+    """A lifecycle-protocol misuse caught under ``REPRO_SANITIZE=1``.
 
-    Raised when the flat :meth:`Tracer.begin` API preempts an activity
-    owned by an active :meth:`Tracer.span` context manager — the mix
-    that used to make the context-manager exit fabricate a resumed span
-    over time the track had explicitly relinquished, double-counting it
-    as busy — and when any recording call lands on a tracer that
+    Raised when a recording call lands on a tracer that
     :meth:`Tracer.finish` already sealed (a cancelled job's late
     callbacks would otherwise mutate data an exported manifest claims
-    is final).  Outside sanitized runs the tracer self-heals instead:
-    the preempted context manager skips its resume, and post-finish
-    recording is dropped.
+    is final).  Outside sanitized runs the post-finish recording is
+    dropped instead.
     """
 
 #: Categories counted as "useful work" when computing utilization, as in
@@ -105,12 +98,8 @@ class Tracer:
         self.spans: List[Span] = []
         #: Human-readable labels for non-PE tracks (comm threads...).
         self.track_labels: Dict[int, str] = {}
-        # Open activity per track: (category, start, owner).  owner is
-        # None for flat begin()s, or a per-span() token object so the
-        # context manager can tell on exit whether it still owns the
-        # track (see span() and TracerProtocolError).
-        self._open: Dict[int, Tuple[str, float, Optional[object]]] = {}
-        self._nest: Dict[int, List[List[Any]]] = {}
+        #: Open activity per track: (category, start).
+        self._open: Dict[int, Tuple[str, float]] = {}
         self._finalizers: List[Any] = []
         #: Instant events ``(track, name, time)`` — e.g. fault-injection
         #: marks; rendered as Chrome-trace instants by the exporter.
@@ -123,8 +112,8 @@ class Tracer:
         #: runtime's harvest (``ConverseRuntime._flush_stats``).
         self.hpm: Dict[int, Dict[str, float]] = {}
         # Same contract as the engine's REPRO_SANITIZE: sampled once at
-        # construction; strict mode turns span-protocol misuse into
-        # TracerProtocolError instead of self-healing.
+        # construction; strict mode turns post-finish recording into
+        # TracerProtocolError instead of dropping it.
         self._strict = env_switch("REPRO_SANITIZE")
         # Set by finish(): the tracer is sealed — finish() is
         # idempotent (finalizers run exactly once) and recording calls
@@ -160,6 +149,9 @@ class Tracer:
     #   ("recv", msg_id, dst_track, t)          # arrival at the dest PE queue
     #   ("exec", msg_id, track, t0, t1)         # handler execution interval
     #
+    # Only send and recv have methods here (for seeds and tests); the
+    # exec event is appended by the scheduler alone.
+    #
     # Retransmits re-deliver the same payload object, so a msg_id can
     # legitimately appear in more than one recv event; analysis keeps the
     # first.
@@ -181,12 +173,6 @@ class Tracer:
             return
         self.provenance.append(("recv", msg_id, track, self.env.now))
 
-    def msg_exec(self, msg_id: Any, track: int, start: float, end: float) -> None:
-        """Record the handler-execution interval for ``msg_id``."""
-        if self._finished and self._sealed("msg_exec()"):
-            return
-        self.provenance.append(("exec", msg_id, track, start, end))
-
     # -- track identity ----------------------------------------------------
     def register_track(self, track: int, label: str) -> None:
         """Name a track (e.g. ``register_track(10000, "commthread-0")``)."""
@@ -200,23 +186,13 @@ class Tracer:
         """Start activity ``category`` on ``track``, closing any open one."""
         if self._finished and self._sealed("begin()"):
             return
-        self._begin(track, category, None)
-
-    def _begin(self, track: int, category: str, owner: Optional[object]) -> None:
         now = self.env.now
         prev = self._open.get(track)
         if prev is not None:
-            cat, t0, prev_owner = prev
-            if prev_owner is not None and owner is None and self._strict:
-                raise TracerProtocolError(
-                    f"begin({track}, {category!r}) preempts the "
-                    f"{cat!r} activity owned by an active span() context "
-                    "manager — use a nested span(), or end the context "
-                    "before switching to the flat API"
-                )
+            cat, t0 = prev
             if now > t0:
                 self.spans.append(Span(track, cat, t0, now))
-        self._open[track] = (category, now, owner)
+        self._open[track] = (category, now)
 
     def end(self, track: int) -> None:
         """Close the open activity on ``track`` (no-op if none)."""
@@ -224,7 +200,7 @@ class Tracer:
             return
         prev = self._open.pop(track, None)
         if prev is not None:
-            cat, t0, _ = prev
+            cat, t0 = prev
             now = self.env.now
             if now > t0:
                 self.spans.append(Span(track, cat, t0, now))
@@ -237,49 +213,6 @@ class Tracer:
             raise ValueError("span end precedes start")
         if end > start:
             self.spans.append(Span(track, category, start, end))
-
-    @contextmanager
-    def span(self, track: int, category: str) -> Iterator[None]:
-        """Nested activity recording.
-
-        Entering starts ``category`` on ``track``; exiting resumes
-        whatever category was active before (or closes the track).  The
-        resulting spans stay flat and non-overlapping — an inner span
-        splits its parent into before/after segments, which is what the
-        timeline renderers and the Chrome exporter expect.
-        """
-        if self._finished and self._sealed("span()"):
-            yield
-            return
-        prev = self._open.get(track)
-        stack = self._nest.setdefault(track, [])
-        entry: Optional[List[Any]] = None
-        if prev is not None:
-            # Remember what to resume *and* who owned it, so a nested
-            # span() hands the track back to its enclosing span().
-            entry = [prev[0], prev[2]]
-            stack.append(entry)
-        owner = object()
-        self._begin(track, category, owner)
-        try:
-            yield
-        finally:
-            if entry is not None:
-                for i in range(len(stack) - 1, -1, -1):
-                    if stack[i] is entry:
-                        del stack[i]
-                        break
-            cur = self._open.get(track)
-            if cur is not None and cur[2] is owner:
-                if entry is not None:
-                    self._begin(track, entry[0], entry[1])
-                else:
-                    self.end(track)
-            # else: a flat begin()/end() took the track away mid-span
-            # (raises under REPRO_SANITIZE=1, see _begin).  Self-heal by
-            # NOT resuming: the pre-fix code re-opened the suspended
-            # category here, fabricating busy time over an interval the
-            # track had already ended — the double-counting bug.
 
     def add_finalizer(self, fn: Any) -> None:
         """Register a zero-arg callable run by :meth:`finish`.
@@ -307,7 +240,6 @@ class Tracer:
             return
         for track in list(self._open):
             self.end(track)
-        self._nest.clear()
         # The DES engine counts processed events with a bare int (its
         # hottest loop; a tracer call there costs ~10% wall time).
         n = getattr(self.env, "events_executed", 0)

@@ -11,7 +11,7 @@ class Scheduler:
         rec = self.runtime.tracer
         if rec is not None:
             rec.begin(self.rank, "sched")
-            rec.msg_exec(msg.msg_id, self.rank, 0, 1)
+            rec.mark(self.rank, "exec")
 
     def deliver(self, msg):
         if self.tracer is not None and msg.msg_id is not None:

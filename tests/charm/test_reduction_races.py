@@ -182,7 +182,7 @@ def test_tree_shape_over_participant_counts(n_parts):
     charm = make(nnodes=2, workers=4)  # 8 PEs
     # Round-robin over n_parts elements puts one element on each of the
     # first n_parts PEs.
-    arr = charm.create_array("t", Leaf, range(n_parts), map_fn="round_robin")
+    arr = charm.create_array("t", Leaf, range(n_parts), map_fn=lambda i, o, n: o % n)
     mgr, parts, tree = tree_of(charm, arr)
     assert len(parts) == n_parts
     root = parts[0]

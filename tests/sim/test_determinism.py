@@ -117,9 +117,14 @@ def _fuzz_workload(seed: int, drive: str = "run", horizon: float = 0.0) -> dict:
             yield arm_any([l2q.wakeup, mq.wakeup], 60.0)
 
     def computer(cid, reps, instr, weight):
+        # Each compute shares its core with an occupant of the drawn
+        # weight (1.0 a busy sibling, 0.25 a light spinner); joining and
+        # leaving re-keys the computes already running there.
         thread = node.thread(1 + cid)
         for _ in range(reps):
-            yield from thread.compute(instr, weight)
+            member = thread.core.register(weight)
+            yield from thread.compute(instr)
+            thread.core.unregister(member)
             times.append(repr(env.now))
             yield env.timeout(17 * (cid + 1))
             times.append(repr(env.now))

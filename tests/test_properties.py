@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgq import Torus
-from repro.charm import Chare, Charm, greedy_rebalance
 from repro.converse import ConverseRuntime, RunConfig
 from repro.converse.messages import ConverseMessage
 from repro.fft import PencilGrid, split_ranges
@@ -121,25 +120,6 @@ def test_spread_charge_conservation_property(n, k, seed):
     assert grid.sum() == pytest.approx(q.sum(), abs=1e-10)
 
 
-# ---------- load balancer ---------------------------------------------------------
-
-@settings(max_examples=30, deadline=None)
-@given(
-    loads=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=40),
-    npes=st.integers(1, 8),
-)
-def test_greedy_rebalance_bounds(loads, npes):
-    pairs = list(enumerate(loads))
-    assignment = greedy_rebalance(pairs, npes)
-    assert set(assignment) == set(range(len(loads)))
-    pe_load = [0.0] * npes
-    for idx, load in pairs:
-        pe_load[assignment[idx]] += load
-    # Greedy LPT bound: max load <= average + largest item.
-    avg = sum(loads) / npes
-    assert max(pe_load) <= avg + max(loads) + 1e-9
-
-
 # ---------- runtime determinism -----------------------------------------------------
 
 @settings(max_examples=10, deadline=None)
@@ -175,31 +155,3 @@ def test_runtime_schedule_is_deterministic(nmsgs, sizes):
         return arrivals
 
     assert run() == run()
-
-
-# ---------- charm load metering --------------------------------------------------
-
-def test_measured_loads_feed_rebalance():
-    charm = Charm(RunConfig(nnodes=1, workers_per_process=2))
-
-    class Worker(Chare):
-        def __init__(self, idx):
-            pass
-
-        def work(self, amount):
-            yield from self.charge(amount)
-
-    arr = charm.create_array("w", Worker, range(4))
-    for i in range(4):
-        charm.seed(arr, i, "work", (i + 1) * 100_000)
-    charm.start()
-    charm.env.run(until=100_000_000)
-    charm.runtime.stop()
-    loads = dict(charm.measured_loads(arr))
-    # Heavier elements measured heavier.
-    assert loads[3] > loads[2] > loads[1] > loads[0] > 0
-    assignment = greedy_rebalance(list(loads.items()), npes=2)
-    pe_load = [0.0, 0.0]
-    for idx, load in loads.items():
-        pe_load[assignment[idx]] += load
-    assert max(pe_load) / sum(pe_load) < 0.7  # reasonably balanced

@@ -126,7 +126,7 @@ def test_provenance_without_spans_still_exports():
     tr.msg_send((0, 1), 0, 1, 64)
     clk.now = 4.0
     tr.msg_recv((0, 1), 1)
-    tr.msg_exec((0, 1), 1, 4.0, 6.0)
+    tr.provenance.append(("exec", (0, 1), 1, 4.0, 6.0))  # as the scheduler does
     tr.finish()
     doc = to_chrome_trace(tr, scale=2.0)
     # Provenance rides along, scaled like ts/dur.

@@ -26,11 +26,9 @@ def test_tracer_records_provenance_events():
     tr.msg_send((0, 1), 0, 3, 128)
     clk.now = 9.0
     tr.msg_recv((0, 1), 3)
-    tr.msg_exec((0, 1), 3, 9.0, 14.0)
     assert tr.provenance == [
         ("send", (0, 1), 0, 3, 128, 5.0),
         ("recv", (0, 1), 3, 9.0),
-        ("exec", (0, 1), 3, 9.0, 14.0),
     ]
 
 

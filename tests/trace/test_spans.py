@@ -1,4 +1,4 @@
-"""Span recording: flat begin/end, direct record, and nested spans."""
+"""Span recording: flat begin/end and direct record."""
 
 import pytest
 
@@ -54,53 +54,6 @@ def test_end_without_begin_is_noop():
     tr = Tracer(Clock())
     tr.end(5)
     assert tr.spans == []
-
-
-def test_nested_span_resumes_outer_category(monkeypatch):
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # self-heal mode
-    clk = Clock()
-    tr = Tracer(clk)
-    tr.begin(0, "pme")
-    clk.now = 3.0
-    with tr.span(0, "fft"):
-        clk.now = 7.0
-    clk.now = 12.0
-    tr.end(0)
-    # Inner span splits the outer into before/after; spans stay flat.
-    assert tr.spans == [
-        Span(0, "pme", 0.0, 3.0),
-        Span(0, "fft", 3.0, 7.0),
-        Span(0, "pme", 7.0, 12.0),
-    ]
-
-
-def test_doubly_nested_spans():
-    clk = Clock()
-    tr = Tracer(clk)
-    with tr.span(1, "compute"):
-        clk.now = 2.0
-        with tr.span(1, "pack"):
-            clk.now = 3.0
-            with tr.span(1, "alloc"):
-                clk.now = 4.0
-            clk.now = 5.0
-        clk.now = 8.0
-    cats = [s.category for s in sorted(tr.spans, key=lambda s: s.start)]
-    assert cats == ["compute", "pack", "alloc", "pack", "compute"]
-    # No overlaps, full coverage of [0, 8].
-    ordered = sorted(tr.spans, key=lambda s: s.start)
-    assert ordered[0].start == 0.0 and ordered[-1].end == 8.0
-    for a, b in zip(ordered, ordered[1:]):
-        assert a.end == b.start
-
-
-def test_span_without_outer_closes_track():
-    clk = Clock()
-    tr = Tracer(clk)
-    with tr.span(0, "fft"):
-        clk.now = 6.0
-    assert tr.spans == [Span(0, "fft", 0.0, 6.0)]
-    assert 0 not in tr._open
 
 
 def test_finish_closes_all_open_tracks():
