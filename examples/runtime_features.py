@@ -80,7 +80,6 @@ def main() -> None:
 
     for i in range(N_WORKERS):
         charm.seed(workers, i, "report")
-        workers.element(i)._pe.queue.wakeup.signal()
     charm.env.run(until=qd.start())
     charm.runtime.stop()
     received = sum(workers.element(i).received for i in range(N_WORKERS))

@@ -95,7 +95,6 @@ _SCHEDULING_NAMES = frozenset({
     "signal",
     "heappush",
     "put",
-    "interrupt",
     "any_of",
     "all_of",
 })

@@ -25,9 +25,9 @@ entering its poll loop immediately speeds up its neighbours: the core
 owns its computes' chunks, and one zero-delay pop per change re-keys
 the running ones in arm order.  A chunk end enters the heap only once
 it is the earliest, and a process resumes once, when its work is done
-(docs/ARCHITECTURE.md, "Charging without wrapper frames").  Rate
-inputs are memoised per membership in the formula's own float-op
-order, so every rate is bit-identical to the plain formula.
+(docs/ARCHITECTURE.md, "Charging without wrapper frames").  The unit
+rate is memoised per membership in the formula's own float-op order,
+so every rate is bit-identical to the plain formula.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ class _Chunk(Event):
     the event its process waits on.  ``left`` instructions at ``rate``
     since ``t0`` end at ``(at, seq)`` (``at`` None once off the core),
     on a :class:`Ticket` only while pushed; ``gen``'s change pop re-keys
-    it next.  An Interrupt empties ``callbacks``; the core then skips
-    the chunk."""
+    it next."""
 
     __slots__ = ("id", "left", "t0", "rate", "at", "seq", "ticket", "gen")
 
@@ -96,10 +95,10 @@ class Core:
         # can reach those events to add callbacks).
         self._rekey_cbs = [self._rekey]
         self._expire_cbs = [self._expire]
-        #: :meth:`rate_of`'s inputs for the current membership, or None.
-        self._rates: Optional[Tuple[float, float, float, float]] = None
-        #: :meth:`_rate_inputs` by membership weights (at most _MEMO_CAP).
-        self._memo: Dict[Tuple[float, ...], Tuple[float, float, float, float]] = {}
+        #: The unit-weight rate for the current membership, or None.
+        self._rate: Optional[float] = None
+        #: :meth:`_unit_rate` by membership weights (at most _MEMO_CAP).
+        self._memo: Dict[Tuple[float, ...], float] = {}
         self.instructions_retired = 0.0
 
     # -- membership -----------------------------------------------------
@@ -126,37 +125,22 @@ class Core:
             self._notify_change()
 
     def _notify_change(self) -> None:
-        self._rates = None
+        self._rate = None
         attached = self._attached
-        for c in attached:
-            if c.callbacks:  # some chunk still runs at the old rates
-                self._attached = []
-                self._pending += 1
-                ev = Event(self.env)
-                ev.callbacks = self._rekey_cbs
-                ev.succeed(attached)
-                return
+        if attached:  # some chunk still runs at the old rates
+            self._attached = []
+            self._pending += 1
+            ev = Event(self.env)
+            ev.callbacks = self._rekey_cbs
+            ev.succeed(attached)
 
     # -- rate model -------------------------------------------------------
-    def rate_of(self, member) -> float:
-        """Instructions/cycle an occupant currently receives."""
-        w = member.weight
-        if w <= 0:
-            return 0.0
-        rates = self._rates
-        if rates is None:
-            rates = self._rates = self._rate_inputs()
-        if w == 1.0:
-            return rates[3]
-        per_unit, cap, width_scale, _ = rates
-        return min(w * per_unit, cap * min(1.0, w)) * width_scale
-
-    def _rate_inputs(self) -> Tuple[float, float, float, float]:
-        """``(per_unit, cap, width_scale, unit-weight rate)``, memoised by
+    def _unit_rate(self) -> float:
+        """Instructions/cycle a unit-weight member receives, memoised by
         the weights in member order (the formula's summation order)."""
         key = tuple(self._members.values())
-        rates = self._memo.get(key)
-        if rates is None:
+        rate = self._memo.get(key)
+        if rate is None:
             p = self.params
             n_eff = sum(key)
             cap = p.thread_issue_cap
@@ -168,11 +152,10 @@ class Core:
                 total += min(mw * per_unit, cap * min(1.0, mw))
             width = p.core_issue_width
             width_scale = width / total if total > width else 1.0
-            unit = min(1.0 * per_unit, cap * min(1.0, 1.0)) * width_scale
             if len(self._memo) >= _MEMO_CAP:
                 self._memo.clear()
-            rates = self._memo[key] = (per_unit, cap, width_scale, unit)
-        return rates
+            rate = self._memo[key] = min(1.0 * per_unit, cap * min(1.0, 1.0)) * width_scale
+        return rate
 
     # -- work execution --------------------------------------------------
     def compute(self, instructions: float):
@@ -203,39 +186,34 @@ class Core:
         chunk.at = None
         members = self._members
         members[cid] = 1.0
-        self._rates = None
+        self._rate = None
         if self._attached:
             self._notify_change()
         started = env.now
-        try:
-            # _arm inline, with the rate read from the fresh memo entry.
-            if left > _EPS:
-                rates = self._rates = self._rate_inputs()
-                rate = rates[3]
-                at = started + left / rate
-                if at != started:
-                    chunk.t0 = started
-                    chunk.rate = rate
-                    chunk.at = at
-                    chunk.seq = seq = env.reserve_seq()
-                    chunk.ticket = None
-                    attached = chunk.gen = self._attached
-                    attached.append(chunk)
-                    running = self._running
-                    alone = not running and not self._pending
-                    running.append(chunk)
-                    if alone:  # the only end, and no change pop to wait for
-                        chunk.ticket = Ticket(env, at, seq, chunk, self._expire_cbs)
-                    else:
-                        self._push_next(started)
-                    yield chunk
-        finally:
-            if chunk.at is not None:  # an Interrupt ended the wait
-                self._drop(chunk)
-            del members[cid]
-            self._rates = None
-            if self._attached:
-                self._notify_change()
+        # _arm inline, with the rate read from the fresh memo entry.
+        if left > _EPS:
+            rate = self._rate = self._unit_rate()
+            at = started + left / rate
+            if at != started:
+                chunk.t0 = started
+                chunk.rate = rate
+                chunk.at = at
+                chunk.seq = seq = env.reserve_seq()
+                chunk.ticket = None
+                attached = chunk.gen = self._attached
+                attached.append(chunk)
+                running = self._running
+                alone = not running and not self._pending
+                running.append(chunk)
+                if alone:  # the only end, and no change pop to wait for
+                    chunk.ticket = Ticket(env, at, seq, chunk, self._expire_cbs)
+                else:
+                    self._push_next(started)
+                yield chunk
+        del members[cid]
+        self._rate = None
+        if self._attached:
+            self._notify_change()
         self.instructions_retired += instructions
         return env.now - started
 
@@ -246,10 +224,9 @@ class Core:
         The end's seq is reserved here; its ticket is made only if pushed."""
         left = c.left
         if left > _EPS:
-            rates = self._rates
-            if rates is None:
-                rates = self._rates = self._rate_inputs()
-            rate = rates[3]
+            rate = self._rate
+            if rate is None:
+                rate = self._rate = self._unit_rate()
             at = now + left / rate
             if at != now:
                 c.t0 = now
@@ -274,8 +251,6 @@ class Core:
         now = self.env.now
         self._pending -= 1
         for c in ev.value:
-            if not c.callbacks:
-                continue  # interrupted: its process drops it
             ticket = c.ticket
             if ticket is not None:
                 ticket.cancel()  # the fresh end below replaces it
@@ -289,30 +264,16 @@ class Core:
         c = ticket._value
         now = c.at
         running = self._running
-        if c.callbacks:
-            c.gen.remove(c)
-            c.left -= (now - c.t0) * c.rate
-            if not self._arm(c, now):
-                # _finish inline.
-                running.remove(c)
-                c.at = c.ticket = c.gen = None
-                cbs, c.callbacks = c.callbacks, None
-                cbs[0](c)
-        else:  # interrupted: its process drops it when it wakes
+        c.gen.remove(c)
+        c.left -= (now - c.t0) * c.rate
+        if not self._arm(c, now):
+            # _finish inline.
             running.remove(c)
+            c.at = c.ticket = c.gen = None
+            cbs, c.callbacks = c.callbacks, None
+            cbs[0](c)
         if running:
             self._push_next(now)
-
-    def _drop(self, c: _Chunk) -> None:
-        """Take an interrupted compute off the core.  A change pop pushes
-        the next end: the one the unregister that follows schedules, or
-        one already pending."""
-        if c.ticket is not None:
-            c.ticket.cancel()
-        for chunks in (self._running, c.gen):
-            if c in chunks:
-                chunks.remove(c)
-        c.at = c.ticket = c.gen = None
 
     def _push_next(self, now: float) -> None:
         """Push a ticket for the earliest chunk end, unless it has one.

@@ -160,7 +160,8 @@ class Charm:
 
     # -- run control -------------------------------------------------------------
     def seed(self, array: ChareArray, index: Hashable, method: str, *args: Any) -> None:
-        """Queue an initial entry-method invocation (before start())."""
+        """Queue an entry-method invocation on ``index``'s PE; after
+        start() it also wakes that PE, which may be parked idle."""
         hid = self.entry_handler_id(method)
         pe = self.runtime.pes[array.pe_of(index)]
         if pe is None:
@@ -181,6 +182,8 @@ class Charm:
         pe.local_q.append(
             ConverseMessage(hid, 0, payload, pe.rank, pe.rank, msg_id=msg_id)
         )
+        if self._started:  # the PE may be parked in its idle poll
+            pe.queue.wakeup.signal()
 
     def exit(self, value: Any = None) -> None:
         """CkExit: end the run; :meth:`run` returns ``value``."""

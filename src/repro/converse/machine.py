@@ -126,7 +126,6 @@ class RunConfig:
     allocator: str = "pool"
     #: "l2" = optimized idle poll (§III-D); "naive" = spin loop.
     idle_poll: str = "l2"
-    pe_queue_size: int = 1024
     #: Enable the Projections-style tracer (per-PE timelines for Figs.
     #: 3/9/10, named counters, exporters; see repro.trace).  Costs
     #: memory, off by default.

@@ -28,6 +28,9 @@ from .messages import ConverseMessage
 
 __all__ = ["PE"]
 
+#: Slots in each PE's L2 atomic message queue.
+_PE_QUEUE_SIZE = 1024
+
 
 class PE:
     """A Charm++/Converse processing element bound to a hardware thread."""
@@ -52,7 +55,7 @@ class PE:
             self.queue = L2AtomicQueue(
                 self.env,
                 thread.node.l2,
-                size=cfg.pe_queue_size,
+                size=_PE_QUEUE_SIZE,
                 name=f"pe{rank}-queue",
                 params=self.params,
             )

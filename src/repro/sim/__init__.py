@@ -12,7 +12,6 @@ from .engine import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Ticket,
@@ -33,7 +32,6 @@ __all__ = [
     "ContentionStats",
     "Environment",
     "Event",
-    "Interrupt",
     "Mutex",
     "Process",
     "ShardCoordinator",

@@ -22,8 +22,8 @@ Event dispatch dominates the wall-clock of every figure reproduction
 implementation — same event order, same simulated times — but cheaper
 on the host:
 
-* zero-delay events (every ``succeed``/``fail``, process init/interrupt
-  wakes, condition triggers) go to a FIFO deque instead of the heap.
+* zero-delay events (every ``succeed``/``fail``, process init wakes,
+  condition triggers) go to a FIFO deque instead of the heap.
   Because the clock cannot advance past a pending event, all deque
   entries share the current timestamp and carry their schedule sequence
   number; the loop merges deque and heap by ``(time, seq)``,
@@ -92,7 +92,6 @@ __all__ = [
     "Timeout",
     "Ticket",
     "Process",
-    "Interrupt",
     "AllOf",
     "AnyOf",
     "SimulationError",
@@ -112,18 +111,6 @@ _PROFILER_FACTORY: list = [None]
 
 class SimulationError(RuntimeError):
     """Raised for invalid engine usage (double-trigger, bad yields...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event states
@@ -365,9 +352,11 @@ class Process(Event):
     when the yielded event fires, receiving the event's value (or having
     the event's exception thrown into it).  The Process is itself an
     Event that fires with the generator's return value when it finishes.
+    Nothing is thrown into a waiting process from outside: it runs to
+    completion, and a thread that must stop is woken to see a flag.
     """
 
-    __slots__ = ("gen", "name", "_target", "_interrupts", "_resume_cb")
+    __slots__ = ("gen", "name", "_resume_cb")
 
     def __init__(
         self,
@@ -380,8 +369,6 @@ class Process(Event):
         super().__init__(env)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._target: Optional[Event] = None
-        self._interrupts: list[Interrupt] = []
         #: One bound method reused for every wait (a fresh bound-method
         #: object per yield is pure allocator churn on the hot path).
         self._resume_cb = self._resume
@@ -393,31 +380,13 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._state == _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._state != _PENDING:
-            raise SimulationError(f"cannot interrupt finished {self.name}")
-        self._interrupts.append(Interrupt(cause))
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        self._target = None
-        wake = Event(self.env)
-        wake.callbacks = [self._resume_cb]
-        wake.succeed()
-
     def _resume(self, event: Event) -> None:
         env = self.env
         env.active_process = self
         gen = self.gen
         while True:
             try:
-                if self._interrupts:
-                    next_ev = gen.throw(self._interrupts.pop(0))
-                elif event._exc is not None:
+                if event._exc is not None:
                     event._defused = True
                     next_ev = gen.throw(event._exc)
                 else:
@@ -448,7 +417,6 @@ class Process(Event):
                     next_ev.callbacks = [self._resume_cb]
                 else:
                     cbs.append(self._resume_cb)
-                self._target = next_ev
                 env.active_process = None
                 return
             # Already processed: loop and continue immediately with its

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.bgq import Core
 from repro.bgq.core import _Chunk
 from repro.bgq.params import BGQParams
-from repro.sim import Environment, Interrupt, Process, SimulationError, Ticket
+from repro.sim import Environment, Process, SimulationError, Ticket
 
 
 def run_threads(n, instructions=10000.0, params=None):
@@ -180,8 +180,8 @@ def test_weights_validate():
         with pytest.raises(ValueError):
             core.register(bad)
     assert core.n_members == 0
-    idle = core.register(0.0)  # a zero-weight occupant (a waiting thread) is legal
-    assert core.rate_of(idle) == 0.0
+    core.register(0.0)  # a zero-weight occupant (a waiting thread) is legal
+    assert core.n_members == 1 and core.occupancy == 0.0
 
 
 def test_unregister_is_idempotent():
@@ -233,10 +233,10 @@ def test_chunk_that_loses_to_a_change_is_cancelled_and_resumes_once(resumes):
         yield env.timeout(100)
         core.register(1.0)  # stays: the rest of the work runs shared
 
-    proc = env.process(worker())
+    env.process(worker())
     env.process(newcomer())
     env.run(until=50)
-    chunk = proc._target
+    chunk = core._running[0]
     first = chunk.ticket
     assert core._attached == [chunk]
     assert first.callbacks is not None  # the only chunk: its end is pushed
@@ -254,9 +254,9 @@ def test_chunk_that_loses_to_a_change_is_cancelled_and_resumes_once(resumes):
 def test_chunk_that_wins_leaves_no_resume_on_the_change_event(resumes):
     env = Environment()
     core = Core(env)
-    proc = env.process(core.compute(1_000))
+    env.process(core.compute(1_000))
     env.run(until=1.0)
-    chunk = proc._target
+    chunk = core._running[0]
     assert core._attached == [chunk]
     env.run()
     assert [(t, ev) for _, t, ev in resumes][1:] == [(1_000 / BGQParams().base_ipc, chunk)]
@@ -324,121 +324,22 @@ def test_a_chunk_done_at_a_change_pop_resumes_there(in_rekey):
         yield env.timeout(just_before)
         core.register(1.0)
 
-    proc = env.process(worker())
+    env.process(worker())
     env.process(newcomer())
     env.run(until=1.0)
-    end = proc._target.ticket
+    end = core._running[0].ticket
     env.run()
     assert log == [(just_before, True)]
     assert end.processed and end.callbacks is None
 
 
-@pytest.mark.parametrize("change_first", [False, True])
-def test_interrupt_mid_compute_leaves_no_spurious_resume(change_first):
-    """Interrupt a process mid-chunk, optionally with a membership change
-    queued ahead of the interrupt: the Interrupt arrives once, and
-    neither the chunk's end nor the change pop resumes the process
-    again — the change pop does not even re-key the chunk."""
-    env = Environment()
-    core = Core(env)
-    log = []
-
-    def victim():
-        try:
-            yield from core.compute(10_000)
-        except Interrupt as exc:
-            log.append(("interrupted", env.now, exc.cause))
-        yield env.timeout(500)
-        log.append(("slept", env.now))
-
-    def attacker(target):
-        yield env.timeout(100)
-        if change_first:
-            core.register(1.0)
-        target.interrupt("stop")
-
-    v = env.process(victim())
-    env.process(attacker(v))
-    env.run(until=50)
-    chunk = v._target
-    first, seq = chunk.ticket, chunk.seq
-    env.run()
-    assert log == [("interrupted", 100.0, "stop"), ("slept", 600.0)]
-    assert core.n_members == (1 if change_first else 0)
-    # A re-key would have reserved a fresh seq; the pushed end was
-    # cancelled and let go.
-    assert chunk.seq == seq and first.processed
-    assert chunk.ticket is None and chunk.at is None
-
-
-@pytest.mark.parametrize("finish", ["end", "change"])
-def test_interrupt_after_a_compute_targets_the_current_wait(finish):
-    """Once a compute is over — at its end's pop, or inline at a change
-    pop — an interrupt of the process's next wait retracts that wait,
-    not the finished chunk."""
-    env = Environment()
-    core = Core(env)
-    end = 1000 / BGQParams().base_ipc
-    done, log = [], []
-
-    def victim():
-        yield from core.compute(1000)
-        done.append(env.now)
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield env.timeout(500)
-        log.append(("slept", env.now))
-
-    def attacker(target):
-        if finish == "change":
-            yield env.timeout(math.nextafter(end, 0.0))
-            core.register(1.0)
-            yield env.timeout(20)
-        else:
-            yield env.timeout(end + 20)
-        target.interrupt()
-
-    env.process(attacker(env.process(victim())))
-    env.run()
-    assert done == [end if finish == "end" else math.nextafter(end, 0.0)]
-    assert log == [("interrupted", done[0] + 20), ("slept", done[0] + 20 + 500)]
-
-
-@pytest.mark.parametrize("register_after", [False, True])
-def test_a_change_after_an_interrupt_schedules_nothing(register_after):
-    """Once its process is interrupted a chunk is off the change list:
-    a membership change before the Interrupt lands schedules no pop."""
-    env = Environment()
-    core = Core(env)
-
-    def victim():
-        try:
-            yield from core.compute(10_000)
-        except Interrupt:
-            pass
-
-    def attacker(target):
-        yield env.timeout(100)
-        target.interrupt()
-        if register_after:
-            core.register(1.0)
-
-    env.process(attacker(env.process(victim())))
-    env.run()
-    # Two process starts, the attacker's timeout, the Interrupt's wake,
-    # two process ends and the cancelled chunk end's pop.
-    assert env.events_executed == 7
-
-
 def test_finished_computes_leave_no_chunk_ticket_cycle(monkeypatch):
-    """About 2,000 computes on one core, re-keyed by a coming and going
-    occupant and one of them interrupted: with the collector off, none
-    of their chunks or tickets is left in a reference cycle for it.
+    """2,000 computes on one core, re-keyed by a coming and going
+    occupant: with the collector off, none of their chunks or tickets
+    is left in a reference cycle for it.
     Only this test's own environment counts: ``gc.garbage`` also saves
     the cycles of environments that earlier tests abandoned."""
-    log = {"rekeys": 0, "interrupts": 0, "computes": 0}
+    log = {"rekeys": 0, "computes": 0}
     rekey = Core._rekey
 
     def counted(self, ev):
@@ -451,11 +352,8 @@ def test_finished_computes_leave_no_chunk_ticket_cycle(monkeypatch):
 
     def worker(n, size):
         for i in range(n):
-            try:
-                yield from core.compute(size + i % 7)
-                log["computes"] += 1
-            except Interrupt:
-                log["interrupts"] += 1
+            yield from core.compute(size + i % 7)
+            log["computes"] += 1
 
     def occupant():
         for _ in range(300):
@@ -464,18 +362,13 @@ def test_finished_computes_leave_no_chunk_ticket_cycle(monkeypatch):
             core.unregister(member)
             yield env.timeout(530)
 
-    def attacker(target):
-        yield env.timeout(5_000)
-        target.interrupt()
-
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        first = env.process(worker(1_000, 300))
-        procs = [first, env.process(worker(1_000, 450)), env.process(occupant()),
-                 env.process(attacker(first))]
+        procs = [env.process(worker(1_000, 300)), env.process(worker(1_000, 450)),
+                 env.process(occupant())]
         env.run()
         gc.collect()
         cyclic = [
@@ -488,7 +381,7 @@ def test_finished_computes_leave_no_chunk_ticket_cycle(monkeypatch):
         if enabled:
             gc.enable()
     assert all(not p.is_alive for p in procs)
-    assert log["computes"] == 1_999 and log["interrupts"] == 1 and log["rekeys"] > 1_000
+    assert log["computes"] == 2_000 and log["rekeys"] > 1_000
     assert cyclic == []
 
 
@@ -507,14 +400,13 @@ _STEP = st.one_of(
     st.tuples(st.just("occupant"), st.integers(0, 1), _START,
               st.sampled_from([1.0, 1.0 / 60, 0.0]), st.sampled_from([1.0, 0.25, 0.0]),
               st.sampled_from([10.0, 400.0])),
-    st.tuples(st.just("interrupt"), st.integers(0, 7), _START),
 )
 
 
 def _scenario(script, ncores, drive):
     """Run ``script`` on ``ncores`` cores, driven by ``drive``; check that
-    every compute resumed from its chunk exactly once unless interrupted,
-    and that nothing is left behind; return the repr'd outcome of every
+    every compute resumed from its chunk exactly once, and that nothing
+    is left behind; return the repr'd outcome of every
     step and the event count."""
     env = Environment()
     cores = [Core(env) for _ in range(ncores)]
@@ -527,12 +419,9 @@ def _scenario(script, ncores, drive):
         resume(self, event)
 
     def computer(i, core, start, instructions):
-        try:
-            yield env.timeout(start)
-            yield from core.compute(instructions)
-            outcome[i] = ("done", repr(env.now))
-        except Interrupt:
-            outcome[i] = ("interrupted", repr(env.now))
+        yield env.timeout(start)
+        yield from core.compute(instructions)
+        outcome[i] = ("done", repr(env.now))
 
     def occupant(i, core, start, w0, w1, hold):
         yield env.timeout(start)
@@ -544,29 +433,21 @@ def _scenario(script, ncores, drive):
         core.unregister(member)
         outcome[i] = ("left", repr(env.now))
 
-    def interrupter(target, start):
-        yield env.timeout(start)
-        if target.is_alive:
-            target.interrupt()
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Process, "_resume", counted)
         for i, (kind, which, start, *rest) in enumerate(script):
             if kind == "compute":
                 computes.append(env.process(computer(i, cores[which % ncores], start, *rest), f"c{i}"))
                 procs.append(computes[-1])
-            elif kind == "occupant":
+            else:
                 procs.append(env.process(occupant(i, cores[which % ncores], start, *rest)))
-            elif computes:
-                procs.append(env.process(interrupter(computes[which % len(computes)], start)))
         drive(env)
     assert all(not p.is_alive for p in procs)
     assert env.peek() == float("inf")
     for core in cores:
         assert (core._running, core._attached, core._pending, core.n_members) == ([], [], 0, 0)
     for p in computes:
-        done = outcome[int(p.name[1:])][0] == "done"
-        assert chunk_resumes.get(p.name, 0) == int(done), p.name
+        assert chunk_resumes.get(p.name, 0) == 1, p.name
     return outcome, env.events_executed
 
 
@@ -585,10 +466,9 @@ def _windows(env):
 @settings(max_examples=80, deadline=None)
 @given(script=st.lists(_STEP, min_size=1, max_size=9), ncores=st.sampled_from([1, 2]))
 def test_interleaved_computes_resume_once_and_drive_alike(script, ncores):
-    """Computes (equal sizes at equal times among them), occupants that
-    come, rejoin at a new weight and go, and interrupts, on one or two
-    cores: every compute resumes its process exactly once — from its
-    chunk, or by its Interrupt and then never from the chunk — nothing
+    """Computes (equal sizes at equal times among them) and occupants
+    that come, rejoin at a new weight and go, on one or two cores: every
+    compute resumes its process exactly once, from its chunk, nothing
     is left on the heap or the cores, and run(), peek()/step() and
     run_window slices finish every step at the same repr'd time."""
     ran = _scenario(script, ncores, lambda env: env.run())
@@ -643,6 +523,7 @@ def test_cached_rate_equals_the_uncached_formula_at_every_step(ops, params):
             members.append(core.register(w))
         else:
             core.unregister(members[i % len(members)])
-        for m in members:
-            if m.id in core._members:
-                assert core.rate_of(m) == _uncached_rate(core, m)
+        # What a compute's chunk would run at beside these occupants.
+        unit = core.register(1.0)
+        assert core._unit_rate() == _uncached_rate(core, unit)
+        core.unregister(unit)

@@ -212,10 +212,22 @@ def test_reduction_tag_reusable_after_completion():
     charm.env.run(until=10_000_000)
     for i in range(4):
         charm.seed(arr, i, "go")
-        arr.element(i)._pe.queue.wakeup.signal()
     charm.env.run(until=30_000_000)
     charm.runtime.stop()
     assert seen == [4, 4]
+
+
+def test_seed_after_start_wakes_a_parked_pe():
+    """A seed after start() wakes its PE out of the idle poll: the entry
+    runs without anything else signalling the PE's queue."""
+    charm = make(nnodes=1, workers=1)
+    arr = charm.create_array("c", Counter, range(1))
+    charm.start()
+    charm.env.run(until=1_000_000)  # the lone PE is parked idle by now
+    charm.seed(arr, 0, "bump", 5)
+    charm.env.run(until=2_000_000)
+    charm.runtime.stop()
+    assert arr.element(0).value == 5
 
 
 def test_set_entry_category_before_use():

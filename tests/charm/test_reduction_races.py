@@ -91,7 +91,6 @@ def test_partial_arriving_before_local_contribute():
     assert seen == []  # parked: root hasn't contributed
     # Now the root contributes; the reduction must complete.
     charm.seed(arr, 0, "go")
-    arr.element(0)._pe.queue.wakeup.signal()
     charm.env.run(until=30_000_000)
     charm.runtime.stop()
     assert seen == [3]
@@ -115,7 +114,6 @@ def test_partial_first_leaves_no_stale_state():
     charm.start()
     charm.env.run(until=10_000_000)
     charm.seed(arr, 0, "go")
-    arr.element(0)._pe.queue.wakeup.signal()
     charm.env.run(until=30_000_000)
     mgr = charm.reductions
     assert seen == [2]
@@ -124,10 +122,8 @@ def test_partial_first_leaves_no_stale_state():
     assert ("r", "t") not in mgr._ops
     # Same tag again, same race order: still works.
     charm.seed(arr, 1, "go")
-    arr.element(1)._pe.queue.wakeup.signal()
     charm.env.run(until=40_000_000)
     charm.seed(arr, 0, "go")
-    arr.element(0)._pe.queue.wakeup.signal()
     charm.env.run(until=60_000_000)
     charm.runtime.stop()
     assert seen == [2, 2]
@@ -154,7 +150,6 @@ def test_tag_reuse_across_consecutive_reductions_spanning_nodes():
     charm.env.run(until=30_000_000)
     for i in range(8):
         charm.seed(arr, i, "go")
-        arr.element(i)._pe.queue.wakeup.signal()
     charm.env.run(until=80_000_000)
     charm.runtime.stop()
     assert seen == [sum(range(8))] * 2

@@ -183,7 +183,7 @@ def test_an_event_diet_lowers_counts_and_moves_no_checksum(monkeypatch):
     checksum moves."""
 
     def notify_change(self):
-        self._rates = None
+        self._rate = None
         attached, self._attached = self._attached, []
         self._pending += 1
         ev = self.env.event()

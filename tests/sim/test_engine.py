@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, Ticket, Timeout
+from repro.sim import Environment, SimulationError, Ticket, Timeout
 
 
 def test_timeout_advances_clock():
@@ -329,26 +329,6 @@ def test_all_of_second_failure_after_condition_failed_is_defused():
     assert caught == ["first"]
 
 
-def test_interrupt_thrown_into_waiting_process():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            log.append((env.now, i.cause))
-
-    def interrupter(p):
-        yield env.timeout(4)
-        p.interrupt(cause="wakeup")
-
-    p = env.process(sleeper())
-    env.process(interrupter(p))
-    env.run()
-    assert log == [(4, "wakeup")]
-
-
 def test_a_ticket_keeps_the_place_it_was_made_at():
     """A Ticket pops at the ``(time, seq)`` place its seq was reserved
     at: made after a later-scheduled event due at the same time, it
@@ -363,18 +343,6 @@ def test_a_ticket_keeps_the_place_it_was_made_at():
     env.run()
     assert order == ["first", "timeout"]
     assert env.events_executed == 2
-
-
-def test_interrupt_finished_process_is_error():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_process_exception_propagates_to_waiter():

@@ -70,31 +70,6 @@ def test_value_of_untriggered_event_raises():
         env.event().value
 
 
-def test_process_interrupt_cause_and_resume():
-    env = Environment()
-    log = []
-
-    def worker():
-        from repro.sim import Interrupt
-
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            log.append(i.cause)
-        yield env.timeout(5)
-        log.append(env.now)
-
-    p = env.process(worker())
-
-    def interrupter():
-        yield env.timeout(3)
-        p.interrupt(cause={"why": "test"})
-
-    env.process(interrupter())
-    env.run()
-    assert log == [{"why": "test"}, 8]
-
-
 def test_process_requires_generator():
     env = Environment()
     with pytest.raises(SimulationError):
