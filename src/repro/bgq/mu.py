@@ -47,6 +47,7 @@ class Descriptor:
         "delivered",
         "data_ififo",
         "corrupted",
+        "quiet",
     )
 
     def __init__(
@@ -75,6 +76,8 @@ class Descriptor:
         #: Set by the fault injector when a fragment is lost or damaged;
         #: the receive-side reliability gate discards such messages.
         self.corrupted: bool = False
+        #: Quiet packets injected so far (see :class:`InjectionFifo`).
+        self.quiet = 0
 
     def _on_last_arrival(self, _event: Event) -> None:
         if not self.delivered.triggered:
@@ -92,6 +95,13 @@ class InjectionFifo:
     engine that yields the same timeouts in the same order
     (``tests/bgq/test_mu_identity.py`` keeps that engine as the
     reference).
+
+    A *quiet* packet, one nobody observes, is an RDMA data packet before
+    its descriptor's last, sent with no fault injector and deterministic
+    routing.  It keeps its ``_step``, counters and link reservation but
+    gets no :class:`Packet` and no flight.  ``desc.quiet`` counts it, and
+    the destination adds that count to ``packets_received`` when the
+    last packet lands: on one route, that is after all of them.
     """
 
     def __init__(
@@ -156,6 +166,7 @@ class InjectionFifo:
         """A packet's descriptor overhead has elapsed: inject it."""
         desc = self._desc
         p = self.params
+        net = self.mu.network
         remaining = self._remaining
         chunk = min(p.packet_payload_max, remaining) if remaining else 0
         self._remaining = remaining - chunk
@@ -164,17 +175,14 @@ class InjectionFifo:
         # Only the last packet of a message that reports its delivery
         # gets a completion event.
         awaited = is_last and desc.kind in (MEMFIFO, RDMA_DATA)
-        pkt = Packet(
-            src=self.mu.node_id,
-            dst=desc.dst,
-            kind=desc.kind,
-            payload_bytes=chunk,
-            rec_fifo=desc.rec_fifo,
-            message=desc,
-            seq=seq,
-            is_last=is_last,
-        )
-        last_arrival = self.mu.network.inject(pkt, awaited)
+        if (is_last or desc.kind != RDMA_DATA or net.fault is not None
+                or net.routing != "deterministic"):
+            pkt = Packet(self.mu.node_id, desc.dst, desc.kind, chunk, desc.rec_fifo, desc,
+                         seq, is_last)
+        else:
+            pkt = None  # quiet
+            desc.quiet += 1
+        last_arrival = net.inject(self.mu.node_id, desc.dst, chunk, pkt, awaited)
         self.packets_injected += 1
         if not is_last:
             self._pkt = seq + 1
@@ -246,7 +254,8 @@ class MessagingUnit:
         #: Completion routing for rget responses arriving back here.
         self._pending_rgets: Dict[int, Descriptor] = {}
         self._rget_seq = 0
-        #: Packets of any kind that arrived at this node's MU.  Native
+        #: Packets of any kind that arrived at this node's MU (a quiet
+        #: one counts when its message's last lands).  Native
         #: statistic (always counted); the Converse runtime snapshots it
         #: into the tracer's ``mu.packets_received`` counter.
         self.packets_received = 0
@@ -344,6 +353,8 @@ class MessagingUnit:
         elif packet.kind == RDMA_DATA:
             if packet.is_last:
                 msg = packet.message
+                # The stream's quiet packets all landed before this one.
+                self.packets_received += msg.quiet
                 payload = getattr(msg, "message", None) or msg
                 if isinstance(payload, tuple) and payload[0] == "rget-data":
                     token = payload[1]

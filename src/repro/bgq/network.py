@@ -17,11 +17,12 @@ against it at that scale.
 Packets fly without processes: a flight is one :class:`~repro.sim.Timeout`
 due at the arrival, whose callback delivers the packet, then succeeds
 the sender's ``done`` — made only for a sender that waits on it
-(``inject(packet, wait=True)``; the MU waits on a message's last packet
-alone).  A routed packet costs two events (the shared reservation
-flush, flight) plus one for an awaited ``done``; a loopback packet one,
-plus one.  Flights and flushes share two per-network callback lists, so
-a timeout allocates no list of its own.
+(``wait``; the MU waits on a message's last packet alone).  A routed
+packet costs two events (the shared reservation flush, flight) plus one
+for an awaited ``done``; a loopback packet one, plus one.  A *quiet*
+packet (no ``Packet``; see :class:`~repro.bgq.mu.InjectionFifo`) reserves
+its links and costs no event of its own.  Flights and flushes share two
+per-network callback lists, so a timeout allocates no list of its own.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ class TorusNetwork:
         self._flush_armed = False
         self._f_node = 0
         self._f_n = 0
+        self._f_nbytes = 0
         self._f_packet: Optional[Packet] = None
         self._f_done: Optional[Event] = None
         self._f_route = None
@@ -108,6 +110,8 @@ class TorusNetwork:
         self._node_inject_seq: Dict[int, int] = {}
         self.packets_sent = 0
         self.bytes_sent = 0
+        #: Serialization cycles by payload size.
+        self._ser: Dict[int, float] = {}
         #: Optional :class:`~repro.faults.injector.FaultInjector`; when
         #: None (the default) the fault hook below is a single attribute
         #: test and the trajectory is identical to a fault-free build.
@@ -118,9 +122,8 @@ class TorusNetwork:
         self._arrive_cbs = [self._arrive]
         self._flush_cbs = [self._flush_reservations]
 
-    def _dim_order(self) -> Optional[list]:
-        if self.routing == "deterministic":
-            return None
+    def _dim_order(self) -> list:
+        """The adaptive router's dimension order for the next packet."""
         ndim = self.torus.ndim
         order = list(range(ndim))
         # Cheap deterministic shuffle keyed by the packet counter.
@@ -137,23 +140,27 @@ class TorusNetwork:
         wire = payload_bytes + p.packet_header_bytes
         return wire / (p.link_bandwidth / 1.6e9)  # raw link rate, cycles
 
-    def inject(self, packet: Packet, wait: bool = False) -> Optional[Event]:
-        """Send a packet.  With ``wait``, returns an event that fires on
-        arrival at dst; without, returns None and the arrival completes
-        nothing (no event is made, scheduled or popped for it).
+    def inject(self, src: int, dst: int, nbytes: int, packet: Optional[Packet] = None,
+               wait: bool = False) -> Optional[Event]:
+        """Send ``nbytes`` of payload from ``src`` to ``dst``, landing as
+        ``packet`` (None: a quiet packet, counted and reserved, nothing
+        more).  With ``wait``, returns an event that fires on arrival at
+        dst; without, returns None and the arrival completes nothing (no
+        event is made, scheduled or popped for it).
 
         Must be called at the moment the MU puts the packet on the wire.
         """
         env = self.env
         done = Event(env) if wait else None
         self.packets_sent += 1
-        self.bytes_sent += packet.payload_bytes
-        if packet.src == packet.dst:
+        self.bytes_sent += nbytes
+        if src == dst:
             # MU loopback (sends between processes on one node, or to
             # self): no torus links, just the MU ingress/egress path.
-            Timeout(env, self.params.nic_latency, (packet, done)).callbacks = self._arrive_cbs
+            if packet is not None:
+                Timeout(env, self.params.nic_latency, (packet, done)).callbacks = self._arrive_cbs
             return done
-        return self._inject_routed(packet, done)
+        return self._inject_routed(src, dst, nbytes, packet, done)
 
     def reserve_route(self, route, ser: float, t_inject: float) -> float:
         """Run the cut-through reservation for one packet; returns its
@@ -176,7 +183,8 @@ class TorusNetwork:
             t_head = start + p.hop_latency
         return t_head + ser
 
-    def _inject_routed(self, packet: Packet, done: Optional[Event]) -> Optional[Event]:
+    def _inject_routed(self, src: int, dst: int, nbytes: int, packet: Optional[Packet],
+                       done: Optional[Event]) -> Optional[Event]:
         """Route + reserve + deliver one non-loopback packet.
 
         Reservations are *not* made at the call: all injects of the
@@ -193,26 +201,27 @@ class TorusNetwork:
         Overridden by the sharded network, which buffers the request
         for barrier-time reservation instead.
         """
-        env = self.env
-        route = self.torus.route(packet.src, packet.dst, dim_order=self._dim_order())
+        route = self.torus.route(
+            src, dst, None if self.routing == "deterministic" else self._dim_order()
+        )
         fault = self.fault
         action = fault.on_route(packet, route) if fault is not None else None
-        node = packet.src
-        n = self._node_inject_seq.get(node, 0)
-        self._node_inject_seq[node] = n + 1
+        n = self._node_inject_seq.get(src, 0)
+        self._node_inject_seq[src] = n + 1
         if not self._flush_armed:
             self._flush_armed = True
-            self._f_node = node
+            self._f_node = src
             self._f_n = n
+            self._f_nbytes = nbytes
             self._f_packet = packet
             self._f_done = done
             self._f_route = route
             self._f_action = action
             # A zero timeout runs after every event already scheduled at
             # this timestamp — i.e. after all simultaneous injects.
-            Timeout(env, 0.0).callbacks = self._flush_cbs
+            Timeout(self.env, 0.0).callbacks = self._flush_cbs
         else:
-            self._deferred.append((node, n, packet, done, route, action))
+            self._deferred.append((src, n, nbytes, packet, done, route, action))
         return done
 
     def _flush_reservations(self, _event: Event) -> None:
@@ -222,20 +231,25 @@ class TorusNetwork:
         route, action = self._f_route, self._f_action
         self._f_packet = self._f_done = self._f_route = self._f_action = None
         if not self._deferred:
-            self._launch(packet, done, route, action)
+            self._launch(self._f_nbytes, packet, done, route, action)
             return
         batch, self._deferred = self._deferred, []
-        batch.append((self._f_node, self._f_n, packet, done, route, action))
+        batch.append((self._f_node, self._f_n, self._f_nbytes, packet, done, route, action))
         batch.sort(key=lambda r: (r[0], r[1]))
-        for _node, _n, packet, done, route, action in batch:
-            self._launch(packet, done, route, action)
+        for _node, _n, nbytes, packet, done, route, action in batch:
+            self._launch(nbytes, packet, done, route, action)
 
-    def _launch(self, packet: Packet, done: Optional[Event], route, action) -> None:
-        """Reserve the route and start the packet's flight."""
+    def _launch(self, nbytes: int, packet: Optional[Packet], done: Optional[Event],
+                route, action) -> None:
+        """Reserve the route and start the packet's flight (a quiet
+        packet has none)."""
         env = self.env
-        ser = self._serialization(packet.payload_bytes)
+        ser = self._ser.get(nbytes)
+        if ser is None:
+            ser = self._ser[nbytes] = self._serialization(nbytes)
         arrival = self.reserve_route(route, ser, env.now)
-
+        if packet is None:
+            return
         if action is not None:
             if action.drop:
                 # Lost in flight: links were still occupied up to the

@@ -61,8 +61,8 @@ class ShardTorusNetwork(TorusNetwork):
     Loopback injections and all statistics behave exactly like the
     serial network; only `_inject_routed` changes, from
     reserve-and-fly to buffer-for-barrier.  Each buffered send is
-    ``(t, node, n, packet, done)``: ``(inject time, source node,
-    per-node inject counter)`` is the canonical reservation order,
+    ``(t, node, n, dst, nbytes, packet, done)``: ``(inject time, source
+    node, per-node inject counter)`` is the canonical reservation order,
     identical to the serial network's deferred-flush order
     (:meth:`repro.bgq.network.TorusNetwork._flush_reservations`).
     """
@@ -71,11 +71,11 @@ class ShardTorusNetwork(TorusNetwork):
         super().__init__(env, torus, params, deliver=deliver, routing="deterministic")
         self._pending: List[tuple] = []
 
-    def _inject_routed(self, packet: Packet, done: Optional[Event]) -> Optional[Event]:
-        node = packet.src
-        n = self._node_inject_seq.get(node, 0)
-        self._node_inject_seq[node] = n + 1
-        self._pending.append((self.env.now, node, n, packet, done))
+    def _inject_routed(self, src: int, dst: int, nbytes: int, packet: Optional[Packet],
+                       done: Optional[Event]) -> Optional[Event]:
+        n = self._node_inject_seq.get(src, 0)
+        self._node_inject_seq[src] = n + 1
+        self._pending.append((self.env.now, src, n, dst, nbytes, packet, done))
         return done
 
 
@@ -154,7 +154,8 @@ class ReservationFabric:
         shard, only for a packet its sender waits on.  When both ends
         share a shard, an awaited packet is one ``both`` record: one
         event, serial order — deliver, then complete the sender (two
-        same-key heap entries would collide).
+        same-key heap entries would collide).  A quiet packet's request
+        (``wire`` None) only reserves its route.
         """
         # Canonical global order — chronological, same-time ties by
         # (src node, per-node counter): exactly the serial network's
@@ -166,6 +167,8 @@ class ReservationFabric:
             route = self.torus.route(node, dst, dim_order=None)
             ser = TorusNetwork._serialization(self, nbytes)
             arrival = TorusNetwork.reserve_route(self, route, ser, t)
+            if wire is None:
+                continue
             src_shard, dst_shard = self.shard_of(node), self.shard_of(dst)
             if src_shard == dst_shard:
                 kind = "both" if wait else "deliver"
@@ -258,10 +261,11 @@ class ShardClient:
     def take_requests(self) -> list:
         net = self.machine.network
         out = []
-        for t, node, n, pkt, done in net._pending:
+        for t, node, n, dst, nbytes, pkt, done in net._pending:
             if done is not None:
                 self._awaiting[(t, node, n)] = (done, pkt)
-            out.append((t, node, n, pkt.dst, pkt.payload_bytes, done is not None, self._encode(pkt)))
+            out.append((t, node, n, dst, nbytes, done is not None,
+                        None if pkt is None else self._encode(pkt)))
         net._pending.clear()
         return out
 

@@ -82,7 +82,6 @@ class PE:
         #: advanced on traced runs (the machine layer stamps
         #: ``(rank, msg_seq)`` on each outgoing message).
         self.msg_seq = 0
-        self._proc = None  # scheduler Process, set at start
 
     # -- sending (called from inside handlers running on this PE) -----------
     def send(
@@ -105,7 +104,7 @@ class PE:
 
     # -- scheduler -------------------------------------------------------------
     def start(self) -> None:
-        self._proc = self.env.process(self._scheduler(), name=f"pe{self.rank}")
+        self.env.process(self._scheduler(), name=f"pe{self.rank}")
 
     def enqueue_from(self, thread: HWThread, msg: ConverseMessage):
         """Producer-side enqueue into this PE's queue (generator)."""

@@ -6,10 +6,12 @@ Both engines take the same burst on two injection FIFOs — multi-packet
 memory-FIFO messages, an rget (request out, RDMA data streamed back by
 the remote MU's own FIFO), a directly posted RDMA-data descriptor, a
 0-byte descriptor, and posts that land while the engine is busy — and
-must put every packet on the wire and land it at exactly the same
-``(time, src, seq)``, complete the same descriptors at the same times,
-and run the same number of events, less the one init event each
-reference FIFO's process costs.
+must put every packet on the wire at exactly the same time, reserve
+every packet's links to exactly the same arrival, land every observed
+packet then, complete the same descriptors at the same times, and run
+the same number of events, less the one init event each reference
+FIFO's process costs and the flight of each quiet packet (an RDMA data
+packet before its message's last, which the reference still flies).
 """
 
 import math
@@ -76,7 +78,9 @@ class GeneratorInjectionFifo:
                     seq=seq,
                     is_last=(seq == npackets - 1),
                 )
-                last_arrival = self.mu.network.inject(pkt, pkt.is_last and awaited)
+                last_arrival = self.mu.network.inject(
+                    pkt.src, pkt.dst, chunk, pkt, pkt.is_last and awaited
+                )
                 self.packets_injected += 1
             if not desc.injected.triggered:
                 desc.injected.succeed()
@@ -89,20 +93,30 @@ def _burst():
     env = Environment()
     m = BGQMachine(env, 4, params=BGQParams())
     net = m.network
-    injected, arrived, completed = [], [], []
+    injected, reserved, arrived, completed = [], [], [], []
 
     inject = net.inject
 
-    def traced_inject(packet, wait=False):
-        injected.append((env.now, packet.src, packet.seq, packet.dst,
-                         packet.kind, packet.payload_bytes, packet.is_last))
-        return inject(packet, wait)
+    def traced_inject(src, dst, nbytes, packet=None, wait=False):
+        # A quiet packet has no Packet: it is known by its place alone.
+        what = None if packet is None else (packet.kind, packet.seq, packet.is_last)
+        injected.append((env.now, src, dst, nbytes, what))
+        return inject(src, dst, nbytes, packet, wait)
 
     net.inject = traced_inject
+    reserve_route = net.reserve_route
+
+    def traced_reserve_route(route, ser, t_inject):
+        arrival = reserve_route(route, ser, t_inject)
+        reserved.append((t_inject, route, ser, arrival))
+        return arrival
+
+    net.reserve_route = traced_reserve_route
     deliver = net.deliver
 
     def traced_deliver(packet):
-        arrived.append((env.now, packet.src, packet.seq, packet.dst, packet.kind))
+        arrived.append((env.now, packet.src, packet.seq, packet.dst, packet.kind,
+                        packet.is_last))
         deliver(packet)
 
     net.deliver = traced_deliver
@@ -147,8 +161,9 @@ def _burst():
     fifos = [a, b, c, mu1._rdma_ififo]
     stats = [(f.descriptors_processed, f.packets_injected, f.occupancy_hwm)
              for f in fifos]
+    stats.append([m.node(n).mu.packets_received for n in range(4)])
     assert all(len(r) == r.packets_received for r in rfifos.values())
-    return injected, arrived, completed, stats, env.events_executed
+    return injected, reserved, arrived, completed, stats, env.events_executed
 
 
 @pytest.fixture
@@ -158,24 +173,43 @@ def reference(monkeypatch):
         return _burst()
 
 
+def _quiet(kind, is_last):
+    return kind == RDMA_DATA and not is_last
+
+
+#: The burst's quiet packets: 2 of the 3-packet RDMA descriptor's and 3
+#: of the 4-packet rget's data stream.
+QUIET = 5
+
+
 def test_callback_engine_matches_the_generator_engine(reference):
-    injected, arrived, completed, stats, events = _burst()
-    ref_injected, ref_arrived, ref_completed, ref_stats, ref_events = reference
-    assert injected == ref_injected
-    assert arrived == ref_arrived
+    injected, reserved, arrived, completed, stats, events = _burst()
+    ref_injected, ref_reserved, ref_arrived, ref_completed, ref_stats, ref_events = reference
+    quiet = [i for i, (*_, what) in enumerate(ref_injected) if _quiet(what[0], what[2])]
+    assert len(quiet) == QUIET
+    assert injected == [
+        (*rec[:4], None) if i in quiet else rec for i, rec in enumerate(ref_injected)
+    ]
+    # Every packet, quiet or not, reserves its links to the same arrival
+    # in the same order; the observed ones land then.
+    assert len(reserved) == len(injected) - sum(src == dst for _, src, dst, *_ in injected)
+    assert reserved == ref_reserved
+    assert arrived == [a for a in ref_arrived if not _quiet(*a[4:])]
     assert completed == ref_completed
     assert stats == ref_stats
     # Four FIFOs (a, b, c and node 1's rget-response FIFO) each saved
-    # the reference process's init event; nothing else moved.
-    assert events == ref_events - 4
+    # the reference process's init event, and each quiet packet its
+    # flight; nothing else moved.
+    assert events == ref_events - 4 - QUIET
 
 
 def test_burst_covers_every_case(reference):
     """The burst is what the module docstring says it is."""
-    injected, _, completed, _, _ = reference
-    kinds = {k for *_, k, _, _ in injected}
+    injected, _, _, completed, _, _ = reference
+    kinds = {what[0] for *_, what in injected}
     assert kinds == {"memfifo", "rget-request", "rdma-data"}
     assert any(n == 0 for *_, n, _ in injected)  # the 0-byte descriptor
-    assert max(s for _, _, s, *_ in injected) >= 3  # multi-packet
+    assert max(what[1] for *_, what in injected) >= 3  # multi-packet
+    assert any(src == dst for _, src, dst, *_ in injected)  # loopback
     tags = {t for t, _, _ in completed}
     assert {"a-busy", "b-idle", "b-rget", "a-idle-0B"} <= tags

@@ -217,6 +217,7 @@ def _fly_one(dst, wait=True):
     rfifo.push = lambda packet: (landed.append(env.now), push(packet))
     before = env.events_executed
     done = m.network.inject(
+        0, dst, 512,
         Packet(src=0, dst=dst, kind=MEMFIFO, payload_bytes=512, rec_fifo=rfifo.fifo_id),
         wait,
     )
@@ -278,8 +279,8 @@ def test_delivered_fires_at_the_last_arrival_after_its_done():
     inject = m.network.inject
     order = []
 
-    def recording_inject(packet, wait=False):
-        done = inject(packet, wait)
+    def recording_inject(src, dst, nbytes, packet=None, wait=False):
+        done = inject(src, dst, nbytes, packet, wait)
         if done is not None:
             done._add_callback(lambda ev: order.append(("done", packet.seq, env.now)))
         return done
@@ -315,6 +316,7 @@ def test_fault_dup_delivers_twice():
 
     m.network.deliver = recording_deliver
     done = m.network.inject(
+        0, 1, 512,
         Packet(src=0, dst=1, kind=MEMFIFO, payload_bytes=512, rec_fifo=rfifo.fifo_id),
         wait=True,
     )

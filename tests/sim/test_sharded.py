@@ -180,7 +180,8 @@ def test_one_reservation_replay_emits_per_shard_records(client_cls):
     unawaited cross-shard packet is one deliver record on the
     destination shard and nothing on the source, an awaited one adds one
     grant on the source, and an awaited same-shard packet is one
-    combined record (an unawaited one, a plain deliver)."""
+    combined record (an unawaited one, a plain deliver).  A quiet packet
+    reserves its links and emits no record."""
     env = ShardEnvironment(0)
     client = client_cls(env, ShardedBGQMachine(env, 4, 0, 2))
     fabric = ReservationFabric(4, 2)
@@ -189,7 +190,7 @@ def test_one_reservation_replay_emits_per_shard_records(client_cls):
         payload = AMPayload(1, b"x", 64, (0, 0))
         pkt = Packet(src=0, dst=dst, kind=MEMFIFO, payload_bytes=64,
                      message=_WireDescriptor(payload))
-        client.machine.network.inject(pkt, wait=wait)
+        client.machine.network.inject(0, dst, 64, pkt, wait=wait)
         records = fabric.reserve(client.take_requests())
         return {shard: [rec[0] for rec in recs] for shard, recs in records.items()}, records
 
@@ -203,6 +204,10 @@ def test_one_reservation_replay_emits_per_shard_records(client_cls):
     client.apply(records[0])  # the combined record: one external event
     assert env.peek() == records[0][0][1]
     assert list(client._awaiting) == [(0.0, 0, 1)]  # the grant not yet applied
+    link_free = dict(fabric._link_free)
+    client.machine.network.inject(0, 3, 512)
+    assert fabric.reserve(client.take_requests()) == {}
+    assert fabric._link_free != link_free
 
 
 def test_dead_shard_child_is_reported_within_seconds():
