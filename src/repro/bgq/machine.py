@@ -29,13 +29,10 @@ class BGQMachine:
         shape: Optional[Sequence[int]] = None,
         routing: str = "deterministic",
         local_nodes: Optional[set] = None,
-        network_factory=None,
     ) -> None:
         """``local_nodes`` (sharded runs, repro.bgq.shardnet): build only
         those node ids, leaving ``None`` placeholders elsewhere so global
-        node ids keep indexing ``nodes``.  ``network_factory(env, torus,
-        params, deliver)`` overrides the network construction (the
-        sharded machine substitutes a request-buffering network)."""
+        node ids keep indexing ``nodes``."""
         self.env = env
         self.params = params
         self.torus = Torus(shape if shape is not None else bgq_partition_shape(nnodes))
@@ -44,12 +41,9 @@ class BGQMachine:
                 f"shape {self.torus.shape} has {self.torus.nnodes} nodes, "
                 f"expected {nnodes}"
             )
-        if network_factory is not None:
-            self.network = network_factory(env, self.torus, params, self._deliver)
-        else:
-            self.network = TorusNetwork(
-                env, self.torus, params, deliver=self._deliver, routing=routing
-            )
+        self.network = TorusNetwork(
+            env, self.torus, params, deliver=self._deliver, routing=routing
+        )
         self.local_node_ids = (
             set(range(nnodes)) if local_nodes is None else set(local_nodes)
         )

@@ -97,9 +97,9 @@ class InjectionFifo:
     reference).
 
     A *quiet* packet, one nobody observes, is an RDMA data packet before
-    its descriptor's last, sent with no fault injector and deterministic
-    routing.  It keeps its ``_step``, counters and link reservation but
-    gets no :class:`Packet` and no flight.  ``desc.quiet`` counts it, and
+    its descriptor's last, sent with deterministic routing (faults touch
+    memory-FIFO packets only).  It keeps its ``_step``, counters and link
+    reservation but gets no :class:`Packet` and no flight.  ``desc.quiet`` counts it, and
     the destination adds that count to ``packets_received`` when the
     last packet lands: on one route, that is after all of them.
     """
@@ -175,8 +175,7 @@ class InjectionFifo:
         # Only the last packet of a message that reports its delivery
         # gets a completion event.
         awaited = is_last and desc.kind in (MEMFIFO, RDMA_DATA)
-        if (is_last or desc.kind != RDMA_DATA or net.fault is not None
-                or net.routing != "deterministic"):
+        if is_last or desc.kind != RDMA_DATA or net.routing != "deterministic":
             pkt = Packet(self.mu.node_id, desc.dst, desc.kind, chunk, desc.rec_fifo, desc,
                          seq, is_last)
         else:

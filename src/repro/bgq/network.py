@@ -12,7 +12,10 @@ latency apart.  We model each directed link as a busy-until timeline
 contention at a cost of O(hops) per packet — cheap enough that the
 sharded engine (docs/SCALING.md) simulates the paper's 128-512 node
 partitions for real, with :mod:`repro.perfmodel` cross-validated
-against it at that scale.
+against it at that scale.  The timeline and its arithmetic are one
+:class:`LinkLedger`; the serial network and the sharded engine's
+reservation fabric each reserve through one, in the same canonical
+``(inject time, src node, per-node counter)`` order.
 
 Packets fly without processes: a flight is one :class:`~repro.sim.Timeout`
 due at the arrival, whose callback delivers the packet, then succeeds
@@ -34,7 +37,7 @@ from ..sim import Environment, Event, Timeout
 from .params import BGQParams, DEFAULT_PARAMS
 from .torus import Torus
 
-__all__ = ["Packet", "TorusNetwork", "MEMFIFO", "RGET_REQUEST", "RDMA_DATA"]
+__all__ = ["Packet", "LinkLedger", "TorusNetwork", "MEMFIFO", "RGET_REQUEST", "RDMA_DATA"]
 
 # Packet kinds
 MEMFIFO = "memfifo"  # delivered into a reception FIFO, software-processed
@@ -57,6 +60,48 @@ class Packet:
     #: Index of this packet within its message, and whether it is last.
     seq: int = 0
     is_last: bool = True
+
+
+class LinkLedger:
+    """The torus's link timeline: busy-until per directed link.
+
+    :meth:`reserve` is the cut-through arithmetic, the one place it
+    exists: the serial network's flush and the sharded engine's
+    reservation fabric (repro.bgq.shardnet) both reserve through a
+    ledger, in the same canonical order, so their arrival times agree
+    bit for bit.
+    """
+
+    def __init__(self, params: BGQParams = DEFAULT_PARAMS) -> None:
+        self.params = params
+        #: busy-until time per directed link
+        self.link_free: Dict[Tuple[int, int], float] = {}
+        #: Serialization cycles by payload size.
+        self._ser: Dict[int, float] = {}
+
+    def reserve(self, route, nbytes: int, t_inject: float) -> float:
+        """Reserve ``route`` for one packet of ``nbytes`` payload put on
+        the wire at ``t_inject``; returns its arrival time.
+
+        The head advances one hop_latency per link; each link is busy
+        for the serialization time starting when the head reaches it (or
+        when the link frees, if later: upstream then stalls, which we
+        conservatively roll into the arrival time).
+        """
+        p = self.params
+        ser = self._ser.get(nbytes)
+        if ser is None:
+            # Cycles to stream the packet across one link at the raw rate.
+            ser = self._ser[nbytes] = (
+                (nbytes + p.packet_header_bytes) / (p.link_bandwidth / 1.6e9))
+        t_head = t_inject + p.nic_latency
+        hop = p.hop_latency
+        link_free = self.link_free
+        for link in route:
+            start = max(t_head, link_free.get(link, 0.0))
+            link_free[link] = start + ser
+            t_head = start + hop
+        return t_head + ser
 
 
 class TorusNetwork:
@@ -87,31 +132,17 @@ class TorusNetwork:
         #: more links).  The permutation is a deterministic hash of the
         #: packet count so simulations stay reproducible.
         self.routing = routing
-        #: busy-until time per directed link
-        self._link_free: Dict[Tuple[int, int], float] = {}
-        #: Injects of the current timestamp, awaiting the canonical-order
-        #: reservation flush (see :meth:`_flush_reservations`).  The
-        #: first request of a timestamp is held in the ``_f_*`` scalar
-        #: slots (no tuple allocation — almost every flush is a
-        #: singleton, and the extra garbage would trigger gen-0 GC
-        #: passes over the whole simulation graph); only simultaneous
-        #: followers spill into ``_deferred``.
-        self._deferred: list = []
-        self._flush_armed = False
-        self._f_node = 0
-        self._f_n = 0
-        self._f_nbytes = 0
-        self._f_packet: Optional[Packet] = None
-        self._f_done: Optional[Event] = None
-        self._f_route = None
-        self._f_action = None
-        #: Per-source-node inject counter — the tie-break that orders
+        #: The link timeline this network reserves through; None on a
+        #: shard's network, whose requests the reservation fabric reserves.
+        self.ledger: Optional[LinkLedger] = LinkLedger(params)
+        #: This timestamp's routed injects, awaiting the canonical-order
+        #: reservation (see :meth:`inject`).
+        self._pending: list = []
+        #: Per-source-node inject counter: the tie-break that orders
         #: simultaneous reservations.
         self._node_inject_seq: Dict[int, int] = {}
         self.packets_sent = 0
         self.bytes_sent = 0
-        #: Serialization cycles by payload size.
-        self._ser: Dict[int, float] = {}
         #: Optional :class:`~repro.faults.injector.FaultInjector`; when
         #: None (the default) the fault hook below is a single attribute
         #: test and the trajectory is identical to a fault-free build.
@@ -134,12 +165,6 @@ class TorusNetwork:
             h //= i + 1
         return order
 
-    def _serialization(self, payload_bytes: int) -> float:
-        """Cycles to stream a packet across one link."""
-        p = self.params
-        wire = payload_bytes + p.packet_header_bytes
-        return wire / (p.link_bandwidth / 1.6e9)  # raw link rate, cycles
-
     def inject(self, src: int, dst: int, nbytes: int, packet: Optional[Packet] = None,
                wait: bool = False) -> Optional[Event]:
         """Send ``nbytes`` of payload from ``src`` to ``dst``, landing as
@@ -149,6 +174,20 @@ class TorusNetwork:
         event is made, scheduled or popped for it).
 
         Must be called at the moment the MU puts the packet on the wire.
+        A routed packet's links are *not* reserved at the call: it
+        becomes one request ``(t, src node, per-node inject counter,
+        route, nbytes, dst, packet, done, fault action)`` in
+        ``_pending``, reserved once every event at this simulated time
+        has executed, sorted by its unique ``(t, src node, counter)``
+        head.  Simultaneous injects from different nodes therefore
+        contend for links in a canonical order that depends only on the
+        traffic, not on the event heap's interleaving, which is what
+        lets the sharded engine's
+        :class:`~repro.bgq.shardnet.ReservationFabric` replay the
+        identical reservation sequence from per-shard requests.  A
+        network without a ledger (a shard's) leaves its requests for
+        the fabric.  Routing and fault decisions stay at the call (they
+        consume ordered counters/RNG draws); a quiet packet faces none.
         """
         env = self.env
         done = Event(env) if wait else None
@@ -160,108 +199,50 @@ class TorusNetwork:
             if packet is not None:
                 Timeout(env, self.params.nic_latency, (packet, done)).callbacks = self._arrive_cbs
             return done
-        return self._inject_routed(src, dst, nbytes, packet, done)
-
-    def reserve_route(self, route, ser: float, t_inject: float) -> float:
-        """Run the cut-through reservation for one packet; returns its
-        arrival time and updates the link busy-until timeline.
-
-        The head advances one hop_latency per link; each link is busy
-        for the serialization time starting when the head reaches it (or
-        when the link frees, if later — upstream then stalls, which we
-        conservatively roll into the arrival time).  Extracted so the
-        sharded engine's reservation fabric (repro.bgq.shardnet) runs
-        the *identical* arithmetic, in the identical float-op order, at
-        the window barrier.
-        """
-        p = self.params
-        t_head = t_inject + p.nic_latency
-        link_free = self._link_free
-        for link in route:
-            start = max(t_head, link_free.get(link, 0.0))
-            link_free[link] = start + ser
-            t_head = start + p.hop_latency
-        return t_head + ser
-
-    def _inject_routed(self, src: int, dst: int, nbytes: int, packet: Optional[Packet],
-                       done: Optional[Event]) -> Optional[Event]:
-        """Route + reserve + deliver one non-loopback packet.
-
-        Reservations are *not* made at the call: all injects of the
-        current timestamp are buffered and flushed once every event at
-        this simulated time has executed, sorted by
-        ``(src_node, per-node inject counter)``.  Simultaneous injects
-        from different nodes therefore contend for links in a canonical
-        order that depends only on the traffic, not on the event heap's
-        interleaving — which is what lets the sharded engine
-        (repro.bgq.shardnet) replay the identical reservation sequence
-        from per-shard state alone.  Routing and fault decisions stay at
-        the call (they consume ordered counters/RNG draws).
-
-        Overridden by the sharded network, which buffers the request
-        for barrier-time reservation instead.
-        """
         route = self.torus.route(
             src, dst, None if self.routing == "deterministic" else self._dim_order()
         )
         fault = self.fault
-        action = fault.on_route(packet, route) if fault is not None else None
+        action = (fault.on_route(packet, route)
+                  if fault is not None and packet is not None else None)
         n = self._node_inject_seq.get(src, 0)
         self._node_inject_seq[src] = n + 1
-        if not self._flush_armed:
-            self._flush_armed = True
-            self._f_node = src
-            self._f_n = n
-            self._f_nbytes = nbytes
-            self._f_packet = packet
-            self._f_done = done
-            self._f_route = route
-            self._f_action = action
+        pending = self._pending
+        if not pending and self.ledger is not None:
             # A zero timeout runs after every event already scheduled at
-            # this timestamp — i.e. after all simultaneous injects.
-            Timeout(self.env, 0.0).callbacks = self._flush_cbs
-        else:
-            self._deferred.append((src, n, nbytes, packet, done, route, action))
+            # this timestamp, i.e. after all simultaneous injects.
+            Timeout(env, 0.0).callbacks = self._flush_cbs
+        pending.append((env.now, src, n, route, nbytes, dst, packet, done, action))
         return done
 
     def _flush_reservations(self, _event: Event) -> None:
-        """Reserve this timestamp's deferred injects in canonical order."""
-        self._flush_armed = False
-        packet, done = self._f_packet, self._f_done
-        route, action = self._f_route, self._f_action
-        self._f_packet = self._f_done = self._f_route = self._f_action = None
-        if not self._deferred:
-            self._launch(self._f_nbytes, packet, done, route, action)
-            return
-        batch, self._deferred = self._deferred, []
-        batch.append((self._f_node, self._f_n, self._f_nbytes, packet, done, route, action))
-        batch.sort(key=lambda r: (r[0], r[1]))
-        for _node, _n, nbytes, packet, done, route, action in batch:
-            self._launch(nbytes, packet, done, route, action)
-
-    def _launch(self, nbytes: int, packet: Optional[Packet], done: Optional[Event],
-                route, action) -> None:
-        """Reserve the route and start the packet's flight (a quiet
-        packet has none)."""
+        """Reserve this timestamp's requests in canonical order and
+        start each observed packet's flight."""
+        pending = self._pending
+        if len(pending) > 1:
+            # The (t, node, counter) head is unique: the sort never
+            # compares the later fields.
+            pending.sort()
         env = self.env
-        ser = self._ser.get(nbytes)
-        if ser is None:
-            ser = self._ser[nbytes] = self._serialization(nbytes)
-        arrival = self.reserve_route(route, ser, env.now)
-        if packet is None:
-            return
-        if action is not None:
-            if action.drop:
-                # Lost in flight: links were still occupied up to the
-                # loss point (we conservatively charge the full route),
-                # but the packet never arrives and ``done`` (if any)
-                # never fires.
-                return
-            arrival += action.extra_delay
-            if action.dup_gap is not None:
-                dup = Timeout(env, arrival + action.dup_gap - env.now, (packet, None))
-                dup.callbacks = self._arrive_cbs  # delivery only: no sender waits
-        Timeout(env, arrival - env.now, (packet, done)).callbacks = self._arrive_cbs
+        reserve = self.ledger.reserve
+        arrive_cbs = self._arrive_cbs
+        for t, _node, _n, route, nbytes, _dst, packet, done, action in pending:
+            arrival = reserve(route, nbytes, t)
+            if packet is None:
+                continue
+            if action is not None:
+                if action.drop:
+                    # Lost in flight: links were still occupied up to the
+                    # loss point (we conservatively charge the full route),
+                    # but the packet never arrives and ``done`` (if any)
+                    # never fires.
+                    continue
+                arrival += action.extra_delay
+                if action.dup_gap is not None:
+                    # Delivery only: no sender waits on the copy.
+                    Timeout(env, arrival + action.dup_gap - t, (packet, None)).callbacks = arrive_cbs
+            Timeout(env, arrival - t, (packet, done)).callbacks = arrive_cbs
+        pending.clear()
 
     def _arrive(self, flight: Timeout) -> None:
         """A flight lands: deliver the packet, then complete its sender."""

@@ -1,20 +1,19 @@
 """Shard-boundary routing for the sharded torus (docs/SCALING.md).
 
 The serial :class:`~repro.bgq.network.TorusNetwork` reserves links
-*globally and instantly* at injection time — exactly the property a
-naively partitioned network loses.  Rather than approximate it with
-per-shard link state (which diverges from the serial trajectory), the
-sharded engine keeps link reservation **central**: each shard's
-:class:`ShardTorusNetwork` buffers every non-loopback injection as a
-timestamped request, and at every window barrier the
-:class:`ReservationFabric` replays all buffered requests through the
-serial cut-through arithmetic (`TorusNetwork.reserve_route`, same
-float-op order) in the canonical ``(inject time, src node, per-node
-counter)`` order — the exact order the serial network's own deferred
-reservation flush uses, so it is shard-count independent.  The window
-never exceeds the lookahead (NIC latency), so requests of window *k*
-are all known — and globally ordered — before any of their arrivals
-(in window *k+1* or later) execute.
+*globally*: every routed inject is a request, and its zero-delay flush
+reserves a timestamp's requests through one
+:class:`~repro.bgq.network.LinkLedger` in the canonical ``(inject time,
+src node, per-node counter)`` order.  A naively partitioned network
+would lose that.  Rather than approximate it with per-shard link state
+(which diverges from the serial trajectory), the sharded engine keeps
+link reservation **central**: a shard's network has no ledger, so its
+requests stay pending, and at every window barrier the
+:class:`ReservationFabric` reserves all shards' requests through its
+own ledger in the same canonical order, which is shard-count
+independent.  The window never exceeds the lookahead (NIC latency), so
+requests of window *k* are all known — and globally ordered — before
+any of their arrivals (in window *k+1* or later) execute.
 
 Each granted request becomes *external events* carrying the canonical
 ordering key (see :mod:`repro.sim.shard`): the
@@ -31,17 +30,15 @@ read cross-shard global state): adaptive routing, fault injection.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..sim import Event
 from ..sim.shard import ShardEnvironment, _SeqKey
 from .machine import BGQMachine
-from .network import MEMFIFO, Packet, TorusNetwork
+from .network import MEMFIFO, LinkLedger, Packet
 from .params import BGQParams, DEFAULT_PARAMS
-from .torus import Torus, bgq_partition_shape
 
 __all__ = [
-    "ShardTorusNetwork",
     "ReservationFabric",
     "ShardedBGQMachine",
     "ShardClient",
@@ -55,52 +52,20 @@ def shard_of_node(node_id: int, nnodes: int, nshards: int) -> int:
     return node_id // (nnodes // nshards)
 
 
-class ShardTorusNetwork(TorusNetwork):
-    """One shard's view of the torus: buffers routed sends for the fabric.
-
-    Loopback injections and all statistics behave exactly like the
-    serial network; only `_inject_routed` changes, from
-    reserve-and-fly to buffer-for-barrier.  Each buffered send is
-    ``(t, node, n, dst, nbytes, packet, done)``: ``(inject time, source
-    node, per-node inject counter)`` is the canonical reservation order,
-    identical to the serial network's deferred-flush order
-    (:meth:`repro.bgq.network.TorusNetwork._flush_reservations`).
-    """
-
-    def __init__(self, env: ShardEnvironment, torus: Torus, params: BGQParams, deliver) -> None:
-        super().__init__(env, torus, params, deliver=deliver, routing="deterministic")
-        self._pending: List[tuple] = []
-
-    def _inject_routed(self, src: int, dst: int, nbytes: int, packet: Optional[Packet],
-                       done: Optional[Event]) -> Optional[Event]:
-        n = self._node_inject_seq.get(src, 0)
-        self._node_inject_seq[src] = n + 1
-        self._pending.append((self.env.now, src, n, dst, nbytes, packet, done))
-        return done
-
-
 class ReservationFabric:
     """Central link-reservation state shared by every shard.
 
-    Owns the global busy-until link timeline and replays buffered
-    requests in deterministic ``(inject_time, src node, counter)``
-    order, running the *identical* reservation arithmetic as the serial
-    network (the unbound ``TorusNetwork.reserve_route`` /
-    ``_serialization`` methods are invoked with the fabric supplying
-    ``_link_free``/``params``) so arrival times are bit-identical.
+    Owns the global link timeline (a :class:`~repro.bgq.network.LinkLedger`,
+    the one the serial network reserves through) and replays buffered
+    requests in the serial flush's ``(inject time, src node, counter)``
+    order, so arrival times are bit-identical.
 
     One client per shard (registered via `register_shard`) hands over
     requests and applies records: a :class:`ShardClient` in process,
     the parent-side proxy of a forked child under the `mp` transport.
     """
 
-    def __init__(
-        self,
-        nnodes: int,
-        nshards: int,
-        params: BGQParams = DEFAULT_PARAMS,
-        shape: Optional[Sequence[int]] = None,
-    ) -> None:
+    def __init__(self, nnodes: int, nshards: int, params: BGQParams = DEFAULT_PARAMS) -> None:
         if nshards < 1:
             raise ValueError("need at least one shard")
         if nnodes % nshards:
@@ -110,8 +75,7 @@ class ReservationFabric:
         self.nnodes = nnodes
         self.nshards = nshards
         self.params = params
-        self.torus = Torus(shape if shape is not None else bgq_partition_shape(nnodes))
-        self._link_free: Dict[Tuple[int, int], float] = {}
+        self.ledger = LinkLedger(params)
         #: shard_id -> client (``take_requests``/``apply``/``pending``).
         self.clients: Dict[int, Any] = {}
         self.requests_processed = 0
@@ -145,7 +109,7 @@ class ReservationFabric:
         return len(requests)
 
     def reserve(self, requests: list) -> Dict[int, list]:
-        """Replay ``(t, node, n, dst, payload_bytes, wait, wire)``
+        """Replay ``(t, node, n, route, payload_bytes, dst, wait, wire)``
         requests; returns ``{shard_id: [(kind, arrival, (t, node, n),
         wire)]}``.
 
@@ -159,14 +123,13 @@ class ReservationFabric:
         """
         # Canonical global order — chronological, same-time ties by
         # (src node, per-node counter): exactly the serial network's
-        # deferred-flush order, shard-count independent.  The triple is
-        # unique, so the sort never compares the later fields.
+        # flush order, shard-count independent.  The triple is unique,
+        # so the sort never compares the later fields.
         requests.sort()
         records: Dict[int, list] = {}
-        for t, node, n, dst, nbytes, wait, wire in requests:
-            route = self.torus.route(node, dst, dim_order=None)
-            ser = TorusNetwork._serialization(self, nbytes)
-            arrival = TorusNetwork.reserve_route(self, route, ser, t)
+        reserve = self.ledger.reserve
+        for t, node, n, route, nbytes, dst, wait, wire in requests:
+            arrival = reserve(route, nbytes, t)
             if wire is None:
                 continue
             src_shard, dst_shard = self.shard_of(node), self.shard_of(dst)
@@ -186,10 +149,11 @@ class ShardedBGQMachine(BGQMachine):
 
     Builds the full torus geometry but only the nodes of this shard's
     contiguous block; remote slots in ``nodes`` are ``None``
-    placeholders so global node ids keep working.  The network is a
-    :class:`ShardTorusNetwork`; with ``fabric`` the machine registers
-    its :class:`ShardClient` there (pass ``None`` in a subprocess
-    child — the parent owns the fabric there).
+    placeholders so global node ids keep working.  Its network has no
+    ledger, so routed sends wait in the network's ``_pending`` for the
+    fabric's barrier; with ``fabric`` the machine registers its
+    :class:`ShardClient` there (pass ``None`` in a subprocess child —
+    the parent owns the fabric there).
     """
 
     def __init__(
@@ -210,14 +174,8 @@ class ShardedBGQMachine(BGQMachine):
         self.nshards = nshards
         block = nnodes // nshards
         local = set(range(shard_id * block, (shard_id + 1) * block))
-        super().__init__(
-            env,
-            nnodes,
-            params,
-            shape=shape,
-            local_nodes=local,
-            network_factory=ShardTorusNetwork,
-        )
+        super().__init__(env, nnodes, params, shape=shape, local_nodes=local)
+        self.network.ledger = None  # the fabric reserves
         if fabric is not None:
             fabric.register_shard(shard_id, ShardClient(env, self))
 
@@ -261,10 +219,10 @@ class ShardClient:
     def take_requests(self) -> list:
         net = self.machine.network
         out = []
-        for t, node, n, dst, nbytes, pkt, done in net._pending:
+        for t, node, n, route, nbytes, dst, pkt, done, _action in net._pending:
             if done is not None:
                 self._awaiting[(t, node, n)] = (done, pkt)
-            out.append((t, node, n, dst, nbytes, done is not None,
+            out.append((t, node, n, route, nbytes, dst, done is not None,
                         None if pkt is None else self._encode(pkt)))
         net._pending.clear()
         return out
@@ -273,9 +231,9 @@ class ShardClient:
         env, deliver, decode = self.env, self.machine._deliver, self._decode
         # Origins >= nshards sort external events after any local event
         # key (origin = shard id < nshards) at an equal heap time — the
-        # serial order: `TorusNetwork._launch` creates the flight
-        # timeout in the reservation flush, after every local event
-        # that existed at the inject timestamp.
+        # serial order: the serial network creates the flight timeout
+        # in its reservation flush, after every local event that
+        # existed at the inject timestamp.
         origin = self.machine.nshards
         for kind, arrival, (t, node, n), wire in records:
             pkt = None if wire is None else decode(wire)

@@ -130,8 +130,8 @@ class RunConfig:
     #: 3/9/10, named counters, exporters; see repro.trace).  Costs
     #: memory, off by default.
     trace: bool = False
-    #: Fault-injection plan (repro.faults).  None falls back to the
-    #: ``REPRO_FAULTS`` environment switch; a null plan means no faults.
+    #: Fault-injection plan (repro.faults).  None or a null plan means
+    #: no faults.
     fault_plan: Optional[FaultPlan] = None
     #: Sequence-numbered ACK/retransmit transport on every PAMI context.
     #: None = auto: enabled exactly when a fault plan is active, so the
@@ -311,12 +311,10 @@ class ConverseRuntime:
         #: the stack guards on that, keeping the disabled path free.
         self.tracer: Optional[Tracer] = Tracer(env) if config.trace else None
 
-        # Fault injection (repro.faults): an explicit plan wins; with
-        # none configured the REPRO_FAULTS env switch applies.  A null
-        # plan installs nothing — the hardware hooks stay `None` and the
+        # Fault injection (repro.faults).  No plan or a null plan
+        # installs nothing — the hardware hooks stay `None` and the
         # trajectory is bench-gate-identical to a build without faults.
-        plan = config.fault_plan if config.fault_plan is not None else FaultPlan.from_env()
-        self.fault_plan = plan
+        plan = self.fault_plan = config.fault_plan
         self.fault_injector: Optional[FaultInjector] = None
         if plan is not None and not plan.is_null:
             self.fault_injector = FaultInjector(env, plan)

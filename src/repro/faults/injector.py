@@ -5,10 +5,13 @@ A :class:`FaultInjector` is consulted from exactly two places:
 * :meth:`repro.bgq.network.TorusNetwork.inject` — after the route is
   computed, :meth:`FaultInjector.on_route` decides whether the packet
   is dropped, duplicated, delayed, held back for reordering, or
-  corrupted on one of its links;
+  corrupted on one of its links (a quiet packet is never offered);
 * :meth:`repro.bgq.mu.MessagingUnit.receive_packet` —
   :meth:`FaultInjector.on_reception` models overflow/ECC faults at the
   destination reception FIFO (drop / duplicate only).
+
+Only memory-FIFO packets are faulted (see :mod:`repro.faults.plan`);
+every other kind passes both choke points untouched and draws nothing.
 
 Determinism: every directed link and every reception FIFO draws from
 its own named :class:`~repro.sim.rng.StreamRegistry` stream
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, TYPE_CHECKING
 
+from ..bgq.network import MEMFIFO
 from ..sim.rng import StreamRegistry
 from .plan import FaultPlan
 
@@ -110,9 +114,9 @@ class FaultInjector:
         self, packet: "Packet", route: Tuple[Tuple[int, int], ...]
     ) -> Optional[RouteAction]:
         """Decide the fate of one routed packet.  None = no fault."""
-        plan = self.plan
-        if packet.kind not in plan.kinds:
+        if packet.kind != MEMFIFO:
             return None
+        plan = self.plan
         window = plan.down_window_for(self.env.now) if plan.down else None
         if window is not None:
             for link in route:
@@ -171,10 +175,9 @@ class FaultInjector:
     # -- MU reception choke point ------------------------------------------
     def on_reception(self, node_id: int, fifo_id: int, packet: "Packet") -> Optional[str]:
         """Fate of a packet entering a reception FIFO: None/"drop"/"dup"."""
-        plan = self.plan
-        if packet.kind not in plan.kinds:
+        if packet.kind != MEMFIFO:
             return None
-        rates = plan.fifo_rates_for(node_id, fifo_id)
+        rates = self.plan.fifo_rates_for(node_id, fifo_id)
         if rates.total == 0.0:
             return None
         u = self.streams.stream(f"rfifo.{node_id}.{fifo_id}").uniform()

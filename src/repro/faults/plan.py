@@ -7,26 +7,21 @@ streams derived from ``seed``, so a given ``(plan, workload)`` pair
 reproduces a bit-identical fault schedule.
 
 Profiles are selected programmatically (``FaultPlan.profile("drop5",
-seed=3)``), through :class:`~repro.converse.machine.RunConfig`'s
-``fault_plan`` field, or globally through the ``REPRO_FAULTS``
-environment variable (``REPRO_FAULTS=drop5`` or
-``REPRO_FAULTS=drop5@7`` to pick a seed), which the Converse runtime
-consults when no explicit plan is configured.
+seed=3)``) and installed through
+:class:`~repro.converse.machine.RunConfig`'s ``fault_plan`` field.
 
-Faults apply to memory-FIFO packets only by default (``kinds``): the
-RDMA engines of real BG/Q sit behind link-level hardware retry, and the
-best-effort literature targets the active-message path, so rget
-streams stay lossless unless a plan opts them in.
+Faults apply to memory-FIFO packets only: the RDMA engines of real
+BG/Q sit behind link-level hardware retry, and the best-effort
+literature targets the active-message path, so rget requests and RDMA
+data streams stay lossless.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..bgq.params import CYCLES_PER_US
-from ..envvar import EnvVarError
 from types import MappingProxyType
 
 __all__ = ["FaultRates", "LinkDownWindow", "FaultPlan", "RetryPolicy", "PROFILES"]
@@ -108,8 +103,6 @@ class FaultPlan:
     reorder_mean_cycles: float = 24_000.0
     #: Scheduled outages.
     down: Tuple[LinkDownWindow, ...] = ()
-    #: Packet kinds subject to faults (see module docstring).
-    kinds: Tuple[str, ...] = ("memfifo",)
     #: Recovery knobs used when this plan enables the reliable transport.
     retry_timeout_us: float = 25.0
     retry_backoff: float = 2.0
@@ -167,21 +160,6 @@ class FaultPlan:
         kwargs: Dict = dict(PROFILES[name])
         kwargs.update(overrides)
         return cls(seed=seed, name=name, **kwargs)
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        """Parse ``REPRO_FAULTS=<profile>`` / ``<profile>@<seed>``."""
-        var = "REPRO_FAULTS"
-        spec = os.environ.get(var, "").strip()
-        if not spec or spec in ("0", "none", "off"):
-            return None
-        name, _, seed_text = spec.partition("@")
-        try:
-            return cls.profile(name, seed=int(seed_text) if seed_text else 0)
-        except ValueError as exc:  # non-integer seed, or unknown profile
-            raise EnvVarError(
-                var, spec, f"<profile>[@<int seed>] ({exc})"
-            ) from None
 
 
 #: Named fault profiles: the chaos suite's seed matrix runs over these

@@ -1,9 +1,8 @@
 """Job model for the simulation-as-a-service runtime.
 
 A *job* is one independent simulation (or model evaluation) with its
-own seed, configuration, delivery-QoS choice and priority.  The
-:class:`JobSpec` is the immutable request; the :class:`Job` is the
-service-side record that tracks its lifecycle::
+own build and priority.  The :class:`JobSpec` is the immutable request;
+the :class:`Job` is the service-side record that tracks its lifecycle::
 
     queued -> running -> done | failed | cancelled
        \\______________________________/
@@ -24,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,16 +86,12 @@ class JobSpec:
     ``build`` constructs the job's :class:`~repro.serve.task.SimTask`
     from this spec — it runs on the executing worker, so a spec is
     cheap to submit and all simulation state is private to the worker
-    that runs it.  ``seed``/``config``/``qos`` parameterize the build;
-    the service itself only interprets ``priority`` (smaller runs
+    that runs it.  The service interprets ``priority`` (smaller runs
     first, FIFO within a priority) and the two pacing knobs.
     """
 
     name: str
     build: Callable[["JobSpec"], "SimTask"]
-    seed: int = 0
-    config: Mapping[str, Any] = field(default_factory=dict)
-    qos: str = "reliable"
     priority: int = 0
     #: Engine events advanced per cooperative slice (the worker yields
     #: the event loop between slices, so this bounds scheduling latency
@@ -221,8 +216,6 @@ class Job:
             "name": self.spec.name,
             "state": self.state,
             "priority": self.spec.priority,
-            "seed": self.spec.seed,
-            "qos": self.spec.qos,
             "worker": self.worker,
             "cancel_requested": self.cancel_requested,
             "checksum": self.checksum,

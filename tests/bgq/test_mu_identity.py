@@ -104,14 +104,14 @@ def _burst():
         return inject(src, dst, nbytes, packet, wait)
 
     net.inject = traced_inject
-    reserve_route = net.reserve_route
+    reserve = net.ledger.reserve
 
-    def traced_reserve_route(route, ser, t_inject):
-        arrival = reserve_route(route, ser, t_inject)
-        reserved.append((t_inject, route, ser, arrival))
+    def traced_reserve(route, nbytes, t_inject):
+        arrival = reserve(route, nbytes, t_inject)
+        reserved.append((t_inject, route, nbytes, arrival))
         return arrival
 
-    net.reserve_route = traced_reserve_route
+    net.ledger.reserve = traced_reserve
     deliver = net.deliver
 
     def traced_deliver(packet):

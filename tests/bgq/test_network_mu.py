@@ -160,7 +160,7 @@ def test_loopback_send_delivers_locally():
     env.run(until=desc.delivered)
     assert len(rfifo) == 1
     assert env.now == pytest.approx(p.mu_packet_overhead + p.nic_latency)
-    assert m.network._link_free == {}
+    assert m.network.ledger.link_free == {}
 
 
 def test_fifo_pools_bounded():

@@ -1,9 +1,8 @@
-"""Tests for fault plans: profiles, validation, the REPRO_FAULTS switch."""
+"""Tests for fault plans: profiles and validation."""
 
 import pytest
 
 from repro.bgq.params import CYCLES_PER_US
-from repro.envvar import EnvVarError
 from repro.faults import FaultPlan, FaultRates, LinkDownWindow, PROFILES
 
 
@@ -114,49 +113,3 @@ def test_unknown_profile_rejected():
 def test_profile_overrides():
     plan = FaultPlan.profile("drop5", link=FaultRates(drop=0.5))
     assert plan.link.drop == 0.5
-
-
-# -- REPRO_FAULTS environment switch ----------------------------------------
-
-
-def test_from_env_unset_is_none(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    assert FaultPlan.from_env() is None
-
-
-@pytest.mark.parametrize("spec", ["", "  ", "0", "none", "off"])
-def test_from_env_disabled_spellings(monkeypatch, spec):
-    monkeypatch.setenv("REPRO_FAULTS", spec)
-    assert FaultPlan.from_env() is None
-
-
-def test_from_env_profile(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "drop10")
-    plan = FaultPlan.from_env()
-    assert plan.name == "drop10" and plan.seed == 0
-
-
-def test_from_env_profile_with_seed(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "chaos@7")
-    plan = FaultPlan.from_env()
-    assert plan.name == "chaos" and plan.seed == 7
-
-
-def test_from_env_unknown_profile_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "nope")
-    with pytest.raises(ValueError):
-        FaultPlan.from_env()
-
-
-@pytest.mark.parametrize("spec,detail", [
-    ("drop5@x", "invalid literal for int"),  # used to be all the message said
-    ("nope@3", "known: chaos, corrupt2"),
-])
-def test_from_env_error_names_variable_value_and_grammar(monkeypatch, spec, detail):
-    monkeypatch.setenv("REPRO_FAULTS", spec)
-    with pytest.raises(EnvVarError) as exc:
-        FaultPlan.from_env()
-    message = str(exc.value)
-    assert f"REPRO_FAULTS={spec!r}" in message
-    assert "<profile>[@<int seed>]" in message
-    assert detail in message

@@ -56,8 +56,7 @@ def rel_total(rels, counter):
 # -- wiring ------------------------------------------------------------------
 
 
-def test_no_plan_means_no_injector_and_no_transport(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+def test_no_plan_means_no_injector_and_no_transport():
     rt = ConverseRuntime(Environment(), RunConfig(nnodes=2, workers_per_process=1))
     assert rt.fault_injector is None
     for proc in rt.processes:
@@ -76,9 +75,10 @@ def test_null_plan_installs_nothing():
     )
 
 
-def test_env_switch_installs_injector(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "drop5@3")
-    rt = ConverseRuntime(Environment(), RunConfig(nnodes=2, workers_per_process=1))
+def test_plan_installs_injector_and_transport():
+    plan = FaultPlan.profile("drop5", seed=3)
+    rt = ConverseRuntime(Environment(), RunConfig(nnodes=2, workers_per_process=1,
+                                                  fault_plan=plan))
     assert rt.fault_injector is not None
     assert rt.fault_plan.name == "drop5" and rt.fault_plan.seed == 3
     assert all(

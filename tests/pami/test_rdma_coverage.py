@@ -83,4 +83,4 @@ def test_network_link_utilization_reports_busy_links():
     ctx1.register_dispatch(1, lambda *a: None)
     env.process(sender())
     env.run(until=200_000)
-    assert len(m.network._link_free) >= 1  # busy-until horizon per link
+    assert len(m.network.ledger.link_free) >= 1  # busy-until horizon per link

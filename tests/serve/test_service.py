@@ -272,7 +272,7 @@ def test_served_checksums_bit_identical_across_interleavings(workers, slice_even
         jobs = [
             svc.submit(
                 JobSpec(
-                    name=f"seed{seed}", build=make_build(seed), seed=seed,
+                    name=f"seed{seed}", build=make_build(seed),
                     priority=seed % 3, slice_events=slice_events,
                 )
             )
@@ -284,7 +284,7 @@ def test_served_checksums_bit_identical_across_interleavings(workers, slice_even
 
     jobs = asyncio.run(run())
     assert all(j.state == DONE for j in jobs)
-    assert {j.spec.seed: j.checksum for j in jobs} == solo
+    assert {seed: j.checksum for seed, j in zip(seeds, jobs)} == solo
     # Distinct seeds really are distinct workloads (the oracle isn't
     # vacuously comparing six identical runs).
     assert len(set(solo.values())) == len(seeds)
@@ -302,13 +302,9 @@ def test_model_jobs_share_the_service_calibration_cache():
         svc.start()
 
         def model_build(spec):
-            return ModelTask(curve, spec.config["nodes"], cache=svc.cache)
+            return ModelTask(curve, 128, cache=svc.cache)
 
-        jobs = [
-            svc.submit(JobSpec(name=f"m{i}", build=model_build,
-                               config={"nodes": 128}))
-            for i in range(3)
-        ]
+        jobs = [svc.submit(JobSpec(name=f"m{i}", build=model_build)) for i in range(3)]
         await svc.join()
         await svc.close()
         return jobs, svc.cache.stats()

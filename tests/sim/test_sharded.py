@@ -204,10 +204,10 @@ def test_one_reservation_replay_emits_per_shard_records(client_cls):
     client.apply(records[0])  # the combined record: one external event
     assert env.peek() == records[0][0][1]
     assert list(client._awaiting) == [(0.0, 0, 1)]  # the grant not yet applied
-    link_free = dict(fabric._link_free)
+    link_free = dict(fabric.ledger.link_free)
     client.machine.network.inject(0, 3, 512)
     assert fabric.reserve(client.take_requests()) == {}
-    assert fabric._link_free != link_free
+    assert fabric.ledger.link_free != link_free
 
 
 def test_dead_shard_child_is_reported_within_seconds():
