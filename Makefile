@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: tier1 test lint trace-test trace-demo trace-gate bench bench-gate bench-smoke chaos shard-gate serve-gate
+.PHONY: tier1 test lint reach trace-test trace-demo trace-gate bench bench-gate bench-smoke chaos shard-gate serve-gate
 
 tier1: test bench-smoke bench-gate trace-gate shard-gate serve-gate lint  ## full tier-1 flow: tests + gates + lint
 # tier1 checks the trajectory without recording it (as CI does), so it
@@ -16,6 +16,12 @@ lint:            ## repro-lint static analysis (determinism + runtime protocol,
                  ## docs/ANALYSIS.md); exits nonzero on any violation not
                  ## suppressed by a pragma beside it
 	$(PYTHON) -m repro.analysis
+
+reach:           ## reach census (docs/ANALYSIS.md): runs every command in
+                 ## reach.toml under a profile hook and exits nonzero on a
+                 ## src/repro def only tests or nothing reach that has no
+                 ## [keep] reason; ~8 min, so not a tier1 leg
+	$(PYTHON) -m repro.analysis reach
 
 bench-gate:      ## benchmark gate: writes the next BENCH_NNNN.json at the repo root
                  ## and exits nonzero on any simulated-time checksum drift vs the

@@ -32,7 +32,7 @@ from .project import (
     ProjectRule,
     build_project_context,
 )
-from .sanitizer import SanitizerError, check_ordered, sanitize_enabled, sanitized
+from .sanitizer import SanitizerError, check_ordered, sanitized
 
 __all__ = [
     "AnalysisResult",
@@ -51,6 +51,5 @@ __all__ = [
     "find_root",
     "load_config",
     "register",
-    "sanitize_enabled",
     "sanitized",
 ]

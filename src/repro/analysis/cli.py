@@ -8,6 +8,9 @@ silently disable a rule or a scope).
 ``--self-check`` injects one violation per rule family into a scratch
 directory and verifies the analyzer catches each — CI runs it so a
 silently broken rule set cannot keep returning green.
+
+``python -m repro.analysis reach`` (``make reach``) is the reach census
+of :mod:`repro.analysis.reach`; it takes no options.
 """
 
 from __future__ import annotations
@@ -100,6 +103,15 @@ def _list_rules() -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["reach"]:
+        if argv[1:]:
+            print("python -m repro.analysis reach takes no options", file=sys.stderr)
+            return 2
+        from .reach import main as reach
+
+        return reach()
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="repro-lint: determinism & runtime-protocol static analysis",

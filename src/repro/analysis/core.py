@@ -296,12 +296,6 @@ class FileContext:
                 return node
         return None
 
-    def enclosing_function(self):
-        for node in reversed(self.stack):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return node
-        return None
-
     def report(self, node: ast.AST, rule: Rule, message: str) -> None:
         lineno = getattr(node, "lineno", 1)
         self.violations.append(

@@ -37,7 +37,7 @@ from contextlib import contextmanager
 
 from ..envvar import env_switch
 
-__all__ = ["SanitizerError", "sanitize_enabled", "check_ordered", "sanitized"]
+__all__ = ["SanitizerError", "check_ordered", "sanitized"]
 
 _ENV_VAR = "REPRO_SANITIZE"
 
@@ -47,11 +47,6 @@ _UNORDERED_TYPES = (set, frozenset)
 
 class SanitizerError(RuntimeError):
     """A runtime determinism/protocol violation caught under REPRO_SANITIZE=1."""
-
-
-def sanitize_enabled() -> bool:
-    """Whether new Environments should run sanitized."""
-    return env_switch(_ENV_VAR)
 
 
 def check_ordered(obj, where: str) -> None:

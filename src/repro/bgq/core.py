@@ -102,15 +102,6 @@ class Core:
         self.instructions_retired = 0.0
 
     # -- membership -----------------------------------------------------
-    @property
-    def occupancy(self) -> float:
-        """Current effective weighted occupancy n_eff."""
-        return sum(self._members.values())
-
-    @property
-    def n_members(self) -> int:
-        return len(self._members)
-
     def register(self, weight: float = 1.0) -> CoreMember:
         """Add an occupant (idle spinner, busy-wait) with given weight."""
         if not 0 <= weight < _INF:

@@ -47,9 +47,6 @@ class HWThread:
         self.instructions += instructions
         return self.core.compute(instructions)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<HWThread node={self.node.node_id} tid={self.tid}>"
-
 
 class Node:
     """A BG/Q compute node: 16 A2 cores x 4 threads + L2 + MU + heap."""

@@ -55,10 +55,6 @@ class Chare:
         return self._index
 
     @property
-    def pe_rank(self) -> int:
-        return self._pe.rank
-
-    @property
     def charm(self) -> "Charm":
         return self._array.charm
 

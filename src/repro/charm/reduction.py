@@ -27,10 +27,6 @@ def _max(a, b):
     return a if a >= b else b
 
 
-def _min(a, b):
-    return a if a <= b else b
-
-
 def _concat(a, b):
     return list(a) + list(b)
 
@@ -38,7 +34,6 @@ def _concat(a, b):
 REDUCERS: Dict[str, Callable[[Any, Any], Any]] = MappingProxyType({
     "sum": _sum,
     "max": _max,
-    "min": _min,
     "concat": _concat,
 })
 

@@ -181,6 +181,3 @@ class CmiDirectManytomany:
         )
         self._tags.setdefault(tag, []).append(h)
         return h
-
-    def handles(self, tag: int) -> List[CmiDirectHandle]:
-        return self._tags.get(tag, [])

@@ -166,10 +166,6 @@ class RunConfig:
     def pes_per_node(self) -> int:
         return self.processes_per_node * self.workers_per_process
 
-    @property
-    def total_pes(self) -> int:
-        return self.nnodes * self.pes_per_node
-
 
 class ConverseProcess:
     """One OS process of the Charm++ job."""

@@ -51,9 +51,3 @@ class ConverseMessage:
         #: layer at send time *only when tracing* (None otherwise — the
         #: id is host-side data and never affects simulated time).
         self.msg_id = msg_id
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<ConverseMessage h={self.handler_id} {self.nbytes}B "
-            f"{self.src_rank}->{self.dst_rank}>"
-        )

@@ -107,10 +107,6 @@ class PencilGrid:
         object.__setattr__(self, "z_ranges", split_ranges(nz, self.pc))
 
     @property
-    def nchares(self) -> int:
-        return self.pr * self.pc
-
-    @property
     def nx(self) -> int:
         return self.shape3[0]
 

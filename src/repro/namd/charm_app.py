@@ -80,10 +80,6 @@ class _Patch(Chare):
         self._pme_pending = False
         self._phi_win: Optional[np.ndarray] = None
         self._phi_pieces = 0
-        # Atom-migration state.
-        self.mig_round = 0
-        self._mig_sent = False
-        self._mig_buf: Dict[int, list] = {}
 
     # -- step flow --------------------------------------------------------
     def start(self):
@@ -101,8 +97,7 @@ class _Patch(Chare):
         self._acc = np.zeros_like(self.pos)
         self._force_msgs = 0
         self._pme_pending = self._is_pme_step() and app.pme_enabled
-        # Multicast positions (and charges — atoms migrate) to the
-        # compute objects.
+        # Multicast positions and charges to the compute objects.
         for cid in self.computes:
             nbytes = self.pos.size * 8 + self.q.size * 8 + 16
             yield from self.send_to(
@@ -206,10 +201,7 @@ class _Patch(Chare):
             ke, "sum", ("namd-step", step), app._on_step_reduction
         )
         if self.step < app.n_steps:
-            if app.migrate_every and self.step % app.migrate_every == 0:
-                yield from self._start_migration()
-            else:
-                yield from self._begin_step()
+            yield from self._begin_step()
 
     def _begin_step(self):
         app = self.app
@@ -218,85 +210,6 @@ class _Patch(Chare):
         self.vel += 0.5 * dt * self.forces / self.mass[:, None]
         self.pos += dt * self.vel  # unwrapped (PME windows stay valid)
         yield from self._gather_forces()
-
-    # -- atom migration (NAMD's periodic re-binning) ------------------------
-    def _start_migration(self):
-        """Wrap positions, hand off atoms that left this patch's cell.
-
-        Every patch sends one migration message per neighbour patch per
-        round (possibly carrying zero atoms), so the expected arrival
-        count is static; forces of the *next* step are computed from
-        the new ownership.  Velocity-Verlet state (``self.forces``)
-        travels with the atoms.
-        """
-        app = self.app
-        self.pos %= app.box_arr  # re-enter the primary box
-        dests = np.array(
-            [app.patch_grid.patch_of_position(p) for p in self.pos], dtype=np.int64
-        ) if len(self.pos) else np.empty(0, dtype=np.int64)
-        neighbors = app.patch_neighbors[self.thisIndex]
-        keep = dests == self.thisIndex
-        leaving = ~keep
-        if np.any(leaving):
-            bad = set(int(d) for d in dests[leaving]) - set(neighbors)
-            if bad:
-                raise RuntimeError(
-                    f"atoms moved beyond neighbour patches {sorted(bad)}; "
-                    "shorten migrate_every"
-                )
-        pmef = self.pme_forces if self.pme_forces is not None else np.zeros_like(self.pos)
-        for n in neighbors:
-            sel = dests == n
-            payload = (
-                self.mig_round,
-                self.pos[sel].copy(),
-                self.vel[sel].copy(),
-                self.q[sel].copy(),
-                self.mass[sel].copy(),
-                self.atoms[sel].copy(),
-                self.forces[sel].copy(),
-                pmef[sel].copy(),
-            )
-            nbytes = int(sel.sum()) * 112 + 64
-            yield from self.send(n, "immigrants", nbytes, *payload)
-        self.pme_forces = pmef[keep]
-        for arr_name in ("pos", "vel", "q", "mass", "atoms", "forces"):
-            setattr(self, arr_name, getattr(self, arr_name)[keep])
-        self._mig_sent = True
-        yield from self._check_migration_done()
-
-    def immigrants(self, round_, pos, vel, q, mass, atoms, forces, pme_forces):
-        """Atoms arriving from a neighbour patch (one message/neighbour)."""
-        self._mig_buf.setdefault(round_, []).append(
-            (pos, vel, q, mass, atoms, forces, pme_forces)
-        )
-        yield from self._check_migration_done()
-
-    def _check_migration_done(self):
-        app = self.app
-        expected = len(app.patch_neighbors[self.thisIndex])
-        buf = self._mig_buf.get(self.mig_round, [])
-        if not self._mig_sent or len(buf) < expected:
-            return
-            yield  # pragma: no cover - generator shape
-        pmef = self.pme_forces if self.pme_forces is not None else np.zeros_like(self.pos)
-        parts = [
-            (self.pos, self.vel, self.q, self.mass, self.atoms, self.forces, pmef)
-        ]
-        parts += buf
-        del self._mig_buf[self.mig_round]
-        self._mig_sent = False
-        self.mig_round += 1
-        self.pos = np.concatenate([p[0] for p in parts])
-        self.vel = np.concatenate([p[1] for p in parts])
-        self.q = np.concatenate([p[2] for p in parts])
-        self.mass = np.concatenate([p[3] for p in parts])
-        self.atoms = np.concatenate([p[4] for p in parts])
-        self.forces = np.concatenate([p[5] for p in parts])
-        self.pme_forces = np.concatenate([p[6] for p in parts])
-        app.patch_charges[self.thisIndex] = self.q
-        yield from self.charge(len(self.atoms) * 10.0)  # re-binning work
-        yield from self._begin_step()
 
 
 class _Compute(Chare):
@@ -350,12 +263,9 @@ class NamdCharm:
         dt: Optional[float] = None,
         qpx: bool = True,
         n_pencils: Optional[int] = None,
-        migrate_every: Optional[int] = None,
     ) -> None:
         if n_steps < 1:
             raise ValueError("need at least one step")
-        if migrate_every is not None and migrate_every < 1:
-            raise ValueError("migrate_every must be >= 1")
         self.charm = charm
         self.system = system
         self.n_steps = n_steps
@@ -365,7 +275,6 @@ class NamdCharm:
         self.order = order
         self.qpx = qpx
         self.cutoff = system.spec.cutoff
-        self.migrate_every = migrate_every
         self.dt = dt if dt is not None else system.spec.timestep_fs * 0.01
         self.box_arr = system.box
         # PME grid; may be non-cubic (ApoA1 uses 108 x 108 x 80).
@@ -404,7 +313,6 @@ class NamdCharm:
         bins = self.patch_grid.bin_atoms(system.positions)
         patch_ids = [p for p in range(self.patch_grid.n_patches)]
         self.patches = charm.create_array("namd-patches", _Patch, patch_ids)
-        self.patch_charges: Dict[int, np.ndarray] = {}
         self.patch_bonds: Dict[int, list] = {p: [] for p in patch_ids}
         atom_to_patch: Dict[int, Tuple[int, int]] = {}
         for p in patch_ids:
@@ -416,7 +324,6 @@ class NamdCharm:
             ch.vel = system.velocities[idx].copy()
             ch.q = system.charges[idx].copy()
             ch.mass = system.masses[idx].copy()
-            self.patch_charges[p] = ch.q
             for local, a in enumerate(idx):
                 atom_to_patch[int(a)] = (p, local)
         # Bonds whose atoms share a patch are handled by that patch;
@@ -449,20 +356,6 @@ class NamdCharm:
             self.patches.element(a).computes.append(cid)
             if b != a:
                 self.patches.element(b).computes.append(cid)
-
-        # ---- migration topology ---------------------------------------------
-        self.patch_neighbors: Dict[int, list] = {p: [] for p in patch_ids}
-        for (a, b) in pairs:
-            if a != b:
-                self.patch_neighbors[a].append(b)
-                self.patch_neighbors[b].append(a)
-        for p in patch_ids:
-            self.patch_neighbors[p] = sorted(set(self.patch_neighbors[p]))
-        if migrate_every is not None and any(self.patch_bonds.values()):
-            raise ValueError(
-                "atom migration requires an unbonded system (patch-local "
-                "bond indices do not survive re-binning)"
-            )
 
         # ---- PME pencils ---------------------------------------------------
         self.pme: Optional[FFT3D] = None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kick", "drift", "kinetic_energy", "temperature", "remove_drift"]
+__all__ = ["kick", "drift", "kinetic_energy", "remove_drift"]
 
 
 def kick(velocities: np.ndarray, forces: np.ndarray, masses: np.ndarray, dt: float) -> None:
@@ -20,13 +20,6 @@ def drift(positions: np.ndarray, velocities: np.ndarray, dt: float, box: np.ndar
 
 def kinetic_energy(velocities: np.ndarray, masses: np.ndarray) -> float:
     return 0.5 * float(np.sum(masses[:, None] * velocities**2))
-
-
-def temperature(velocities: np.ndarray, masses: np.ndarray) -> float:
-    """Instantaneous temperature in model units (kB = 1)."""
-    n = velocities.shape[0]
-    dof = max(1, 3 * n - 3)
-    return 2.0 * kinetic_energy(velocities, masses) / dof
 
 
 def remove_drift(velocities: np.ndarray, masses: np.ndarray) -> None:

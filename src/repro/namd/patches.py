@@ -50,13 +50,6 @@ class PatchGrid:
         cx = index // (self.dims[1] * self.dims[2])
         return (cx, cy, cz)
 
-    def patch_of_position(self, pos: np.ndarray) -> int:
-        cell = tuple(
-            min(int(pos[d] / self.box[d] * self.dims[d]), self.dims[d] - 1)
-            for d in range(3)
-        )
-        return self.patch_index(cell)
-
     def bin_atoms(self, positions: np.ndarray) -> Dict[int, np.ndarray]:
         """Atom indices per patch."""
         positions = np.asarray(positions)

@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .forces import angle_forces, bonded_forces, exclusion_corrections, pair_forces
-from .integrator import kick, drift, kinetic_energy, remove_drift, temperature
+from .integrator import kick, drift, kinetic_energy, remove_drift
 from .patches import PatchGrid
 from .pme import ewald_self_energy, pme_reciprocal
 from .system import MolecularSystem
@@ -57,23 +57,15 @@ class SequentialMD:
         pme_order: int = 4,
         dt: Optional[float] = None,
         use_exclusions: bool = True,
-        thermostat_every: Optional[int] = None,
-        target_temperature: Optional[float] = None,
     ) -> None:
         if pme_every < 1:
             raise ValueError("pme_every must be >= 1")
-        if thermostat_every is not None and (
-            thermostat_every < 1 or target_temperature is None
-        ):
-            raise ValueError("thermostat needs an interval >= 1 and a target T")
         self.system = system
         self.beta = beta
         self.pme_every = pme_every
         self.pme_order = pme_order
         self.use_exclusions = use_exclusions
         self.exclusion_pairs = system.exclusions() if use_exclusions else []
-        self.thermostat_every = thermostat_every
-        self.target_temperature = target_temperature
         self.dt = dt if dt is not None else system.spec.timestep_fs * 0.02
         self.grid = PatchGrid.for_cutoff(system.spec.box, system.spec.cutoff)
         self.step_count = 0
@@ -161,23 +153,9 @@ class SequentialMD:
         energies, self._forces = self.compute_forces(refresh_pme=refresh)
         kick(sysm.velocities, self._forces, sysm.masses, self.dt)
         self.step_count += 1
-        if (
-            self.thermostat_every is not None
-            and self.step_count % self.thermostat_every == 0
-        ):
-            self._rescale_velocities()
         energies.kinetic = kinetic_energy(sysm.velocities, sysm.masses)
         self.energies.append(energies)
         return energies
-
-    def _rescale_velocities(self) -> None:
-        """Velocity-rescaling thermostat toward the target temperature."""
-        sysm = self.system
-        t_now = temperature(sysm.velocities, sysm.masses)
-        if t_now <= 0:
-            return
-        lam = float(np.sqrt(self.target_temperature / t_now))
-        sysm.velocities *= lam
 
     def run(self, n_steps: int) -> List[StepEnergies]:
         remove_drift(self.system.velocities, self.system.masses)

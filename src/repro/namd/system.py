@@ -92,10 +92,6 @@ class MolecularSystem:
     def box(self) -> np.ndarray:
         return np.asarray(self.spec.box)
 
-    def wrap(self) -> None:
-        """Wrap positions back into the primary box (periodic)."""
-        self.positions %= self.box
-
 
 def build_system(
     n_atoms: int,

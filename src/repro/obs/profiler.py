@@ -225,12 +225,6 @@ class EngineProfiler:
         self._t0 = -1
         self._last = last
 
-    def total_nanos(self) -> int:
-        return sum(rec[1] for rec in self.acc.values())
-
-    def total_count(self) -> int:
-        return sum(rec[0] for rec in self.acc.values())
-
 
 class Profile:
     """An aggregated, name-resolved hotspot profile.

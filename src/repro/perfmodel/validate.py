@@ -49,13 +49,6 @@ class CrossCheck:
     def ok(self) -> bool:
         return self.ratio <= self.tolerance_ratio
 
-    def __str__(self) -> str:  # pragma: no cover - formatting
-        flag = "ok" if self.ok else "DIVERGED"
-        return (
-            f"{self.name}: DES={self.des_value:.3g} model={self.model_value:.3g}"
-            f" (x{self.ratio:.2f} <= x{self.tolerance_ratio:.2f}) {flag}"
-        )
-
 
 def fft_speedup_crosscheck(
     n: int = 16, nnodes: int = 8, iterations: int = 3, tolerance: float = 2.5

@@ -67,9 +67,6 @@ class _QueueBase:
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def empty(self) -> bool:
-        return len(self) == 0
-
     def has_ready(self) -> bool:
         """Could :meth:`dequeue` deliver an item or charge work *now*?
 

@@ -39,9 +39,6 @@ class CalibrationCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._table)
-
     def call(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """Return ``fn(*args, **kwargs)``, evaluating at most once per key."""
         key = _call_key(fn, args, kwargs)
@@ -56,9 +53,6 @@ class CalibrationCache:
             self._table.pop(next(iter(self._table)))
         self._table[key] = value
         return value
-
-    def clear(self) -> None:
-        self._table.clear()
 
     def stats(self) -> Dict[str, Any]:
         total = self.hits + self.misses

@@ -194,8 +194,14 @@ class JobService:
             raise JobError("service is closed")
         if not callable(spec.build):
             raise JobError(f"job {spec.name!r}: spec.build is not callable")
-        if spec.slice_events < 1:
-            raise JobError(f"job {spec.name!r}: slice_events must be >= 1")
+        # Before the job is registered: a non-int priority would fail
+        # inside the heap push, and a NaN slice passes any ``< 1`` test.
+        for name, low in (("priority", None), ("slice_events", 1), ("stream_every", 0)):
+            value = getattr(spec, name)
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or (low is not None and value < low)):
+                want = "an int" if low is None else f"an int >= {low}"
+                raise JobError(f"job {spec.name!r}: {name} must be {want}, got {value!r}")
         seq = next(self._seq)
         job = Job(f"{spec.name}-{seq:04d}", seq, spec, self._clock())
         self._live[job.id] = job

@@ -37,12 +37,6 @@ class ContentionStats:
             self.total_wait += wait
             self.max_wait = max(self.max_wait, wait)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"ContentionStats(acq={self.acquisitions}, contended={self.contended},"
-            f" total_wait={self.total_wait:.1f})"
-        )
-
 
 class Mutex:
     """FIFO mutex; waiters pay the queueing delay.

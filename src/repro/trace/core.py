@@ -283,13 +283,6 @@ class Tracer:
                 return (row["busy"], row["useful"])
         return (0.0, 0.0)
 
-    def category_times(self, track: int) -> Dict[str, float]:
-        """Total time per category on one track."""
-        for row in utilization_summary(self):
-            if row["track"] == track:
-                return row["categories"]
-        return {}
-
 
 def utilization_summary(tracer: Tracer) -> List[Dict[str, Any]]:
     """Per-track utilization rows (plus an ``all`` aggregate row).

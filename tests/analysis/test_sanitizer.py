@@ -7,8 +7,8 @@ with the flag on or off (the checked path must never change pop order).
 
 import pytest
 
-from repro.analysis.sanitizer import SanitizerError, sanitize_enabled, sanitized
-from repro.envvar import EnvVarError
+from repro.analysis.sanitizer import SanitizerError, sanitized
+from repro.envvar import EnvVarError, env_switch
 from repro.sim.engine import Environment
 from repro.trace import Tracer
 
@@ -17,20 +17,24 @@ def _make_env():
     return Environment()
 
 
+def sanitize_enabled():
+    """The switch as every reader parses it."""
+    return env_switch("REPRO_SANITIZE")
+
+
 def test_sanitized_context_toggles_flag():
-    assert not sanitize_enabled()
+    assert not _make_env()._sanitize
     with sanitized():
-        assert sanitize_enabled()
+        assert _make_env()._sanitize
         with sanitized(False):
-            assert not sanitize_enabled()
-        assert sanitize_enabled()
-    assert not sanitize_enabled()
+            assert not _make_env()._sanitize
+        assert _make_env()._sanitize
+    assert not _make_env()._sanitize
 
 
 @pytest.mark.parametrize("value,on", [("", False), ("0", False), ("1", True)])
 def test_switch_grammar(monkeypatch, value, on):
     monkeypatch.setenv("REPRO_SANITIZE", value)
-    assert sanitize_enabled() is on
     assert _make_env()._sanitize is on
 
 

@@ -24,7 +24,7 @@ def test_quiescence_after_message_storm():
     hid = rt.register_handler(sink)
 
     def kick(pe, msg):
-        for r in range(rt.config.total_pes):
+        for r in range(len(rt.pes)):
             for i in range(5):
                 yield from pe.send(r, hid, 64, (r, i))
 
@@ -36,7 +36,7 @@ def test_quiescence_after_message_storm():
     t = env.run(until=done)
     rt.stop()
     # Quiescence fired only after everything was delivered.
-    assert len(received) == rt.config.total_pes * 5
+    assert len(received) == len(rt.pes) * 5
     assert t > 0
     assert qd.rounds >= 2
 

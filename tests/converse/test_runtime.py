@@ -15,7 +15,7 @@ def build(config):
 def ping_once(env, rt, nbytes=32, src=0, dst=None):
     """Send one message src->dst; returns (one_way_cycles,)."""
     if dst is None:
-        dst = rt.config.total_pes - 1
+        dst = len(rt.pes) - 1
     done = env.event()
     t_recv = {}
 
@@ -104,7 +104,7 @@ def test_eager_path_multi_packet():
 def test_messages_to_all_pes_fan_out():
     cfg = RunConfig(nnodes=2, processes_per_node=2, workers_per_process=2)
     env, rt = build(cfg)
-    total = cfg.total_pes
+    total = cfg.nnodes * cfg.pes_per_node
     got = []
     done = env.event()
 

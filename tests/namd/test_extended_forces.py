@@ -1,10 +1,9 @@
-"""Tests for angles, exclusion corrections and the thermostat."""
+"""Tests for angles and exclusion corrections."""
 
 import numpy as np
 import pytest
 
 from repro.namd.forces import angle_forces, exclusion_corrections
-from repro.namd.integrator import temperature
 from repro.namd.simulation import SequentialMD
 from repro.namd.system import build_system
 
@@ -115,23 +114,3 @@ def test_energy_conservation_with_angles_and_exclusions():
     totals = [e.total for e in es]
     drift = abs(totals[-1] - totals[0]) / abs(totals[0])
     assert drift < 5e-3
-
-
-# ---------- thermostat -----------------------------------------------------------
-
-def test_thermostat_drives_temperature_to_target():
-    s = build_system(150, temperature=0.02, bond_fraction=0.0, seed=2)
-    target = 0.005
-    md = SequentialMD(s, pme_every=4, dt=0.004,
-                      thermostat_every=2, target_temperature=target)
-    md.run(20)
-    t_final = temperature(s.velocities, s.masses)
-    assert t_final == pytest.approx(target, rel=0.3)
-
-
-def test_thermostat_validates():
-    s = build_system(50)
-    with pytest.raises(ValueError):
-        SequentialMD(s, thermostat_every=2)  # no target temperature
-    with pytest.raises(ValueError):
-        SequentialMD(s, thermostat_every=0, target_temperature=1.0)

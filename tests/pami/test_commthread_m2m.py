@@ -43,7 +43,8 @@ def test_commthread_sleeps_then_wakes_on_packet():
     ct = cts[1][0]
     assert ct.wakeup_count >= 1
     # While idle, the comm thread consumed no core resources at all.
-    assert ct.thread.core.n_members == 0 or ct.thread.core.occupancy == 0
+    members = ct.thread.core._members
+    assert len(members) == 0 or sum(members.values()) == 0
 
 
 def test_commthread_processes_posted_work():

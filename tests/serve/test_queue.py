@@ -120,4 +120,4 @@ def test_cache_eviction_keeps_working_past_capacity():
     for x in (1, 2, 3, 1):  # 1 evicted by 3, so the last call re-misses
         cache.call(f, x)
     assert seen == [1, 2, 3, 1]
-    assert len(cache) == 2
+    assert cache.stats()["entries"] == 2

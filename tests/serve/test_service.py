@@ -413,3 +413,30 @@ def test_released_job_id_raises_named_error():
     assert repr(job_id) in message
     assert "finished and released" in message
     assert "kept only while a caller holds" in message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("priority", "high"),
+    ("priority", 1.5),
+    ("slice_events", float("nan")),
+    ("slice_events", 0),
+    ("slice_events", 2.0),
+    ("stream_every", -1),
+    ("stream_every", None),
+])
+def test_malformed_spec_is_a_named_error_before_registration(field, value):
+    async def run():
+        svc = JobService(workers=1)
+        queued = svc.submit(JobSpec(name="ok", build=make_build(3, ticks=5), priority=1))
+        with pytest.raises(JobError) as info:
+            svc.submit(JobSpec(name="bad", build=make_build(4), **{field: value}))
+        listed = [s["name"] for s in svc.jobs()]
+        svc.start()
+        await svc.join()
+        await svc.close()
+        return queued, listed, str(info.value)
+
+    queued, listed, message = asyncio.run(run())
+    assert field in message and "'bad'" in message
+    assert listed == ["ok"]  # the malformed job was never registered
+    assert queued.state == DONE

@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness.timelines import render_ascii_timeline
 from repro.sim import Environment
-from repro.trace import Tracer
+from repro.trace import Tracer, utilization_summary
 from repro.trace.analyze import time_profile
 
 
@@ -34,8 +34,9 @@ def test_segments_recorded():
 
 def test_time_in_category():
     _, tracer = make_tracer()
-    assert tracer.category_times(0) == {"integrate": 10, "pme": 30, "idle": 60}
-    assert tracer.category_times(1) == {}
+    cats = {row["track"]: row["categories"] for row in utilization_summary(tracer)}
+    assert cats[0] == {"integrate": 10, "pme": 30, "idle": 60}
+    assert 1 not in cats  # no spans, no row
 
 
 def test_utilization_busy_and_useful():

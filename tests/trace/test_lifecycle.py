@@ -17,7 +17,7 @@ import pytest
 pytestmark = pytest.mark.trace
 
 from repro.analysis.sanitizer import sanitized
-from repro.trace import Tracer, TracerProtocolError
+from repro.trace import Tracer, TracerProtocolError, utilization_summary
 from repro.trace.exporters import run_manifest, write_run_manifest
 
 
@@ -111,7 +111,8 @@ def test_snapshot_manifest_mid_run_is_wellformed_and_nonmutating():
     clk.now = 8.0
     tr.end(0)
     tr.finish()
-    assert tr.category_times(0) == {"compute": 8.0}
+    cats = {row["track"]: row["categories"] for row in utilization_summary(tr)}
+    assert cats[0] == {"compute": 8.0}
 
 
 def test_cancelled_job_manifest_identical_across_teardown_paths(tmp_path):

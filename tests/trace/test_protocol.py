@@ -10,7 +10,7 @@ import pytest
 
 pytestmark = pytest.mark.trace
 
-from repro.trace import Tracer
+from repro.trace import Tracer, utilization_summary
 from repro.analysis.sanitizer import sanitized
 
 
@@ -29,5 +29,6 @@ def test_strict_mode_allows_pure_flat_api():
     tr.begin(0, "comm")
     clk.now = 3.0
     tr.end(0)
-    assert tr.category_times(0)["sched"] == 2.0
-    assert tr.category_times(0)["comm"] == 1.0
+    cats = {row["track"]: row["categories"] for row in utilization_summary(tr)}
+    assert cats[0]["sched"] == 2.0
+    assert cats[0]["comm"] == 1.0

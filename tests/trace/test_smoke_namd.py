@@ -13,7 +13,7 @@ import pytest
 pytestmark = pytest.mark.trace
 
 from repro.harness import export_trace_artifacts, run_traced_namd
-from repro.trace import USEFUL_CATEGORIES, format_utilization_table
+from repro.trace import USEFUL_CATEGORIES, format_utilization_table, utilization_summary
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +52,12 @@ def test_worker_and_commthread_tracks_present(traced_run):
     cts = [t for t in tracks if t >= ConverseRuntime.COMMTHREAD_TRACK_BASE]
     assert len(workers) == 4  # 2 nodes x 2 workers
     assert len(cts) == 2  # 2 nodes x 1 comm thread
+    cats = {row["track"]: row["categories"] for row in utilization_summary(tr)}
     for ct in cts:
         assert tr.label_of(ct).startswith("commthread")
         # Comm threads do comm + idle, never application work.
-        assert set(tr.category_times(ct)) <= {"comm", "idle"}
-        assert not (set(tr.category_times(ct)) & USEFUL_CATEGORIES)
+        assert set(cats[ct]) <= {"comm", "idle"}
+        assert not (set(cats[ct]) & USEFUL_CATEGORIES)
 
 
 def test_cross_layer_counters_populated(traced_run):

@@ -4,7 +4,7 @@ import pytest
 
 pytestmark = pytest.mark.trace
 
-from repro.trace import Span, Tracer
+from repro.trace import Span, Tracer, utilization_summary
 
 
 class Clock:
@@ -84,7 +84,8 @@ def test_queries_and_utilization():
     busy0, useful0 = tr.utilization(track=0)
     assert busy0 == pytest.approx(0.6)
     assert useful0 == pytest.approx(0.6)
-    assert tr.category_times(0) == {"compute": 6.0, "idle": 4.0}
+    cats = {row["track"]: row["categories"] for row in utilization_summary(tr)}
+    assert cats[0] == {"compute": 6.0, "idle": 4.0}
 
 
 def test_track_labels():
